@@ -11,14 +11,14 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """Derivative of softplus."""
-    out = np.empty_like(np.asarray(x, dtype=float))
+    """Derivative of softplus.
+
+    Both branches share e = exp(-|x|), which never overflows: 1 / (1 + e)
+    for x >= 0 and e / (1 + e) below.
+    """
     x = np.asarray(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def inv_softplus(y):

@@ -3,9 +3,9 @@ Spectral-norm estimation, projection of linear maps onto a spectral ball,
 and the transition-matrix safety projection (spectral radius x time step
 kept below 1 - epsilon), with audit counters.
 
-All estimators are deterministic: power iterations start from a fixed
-vector (normalized all-ones, plus a tiny ramp for the radius estimator so
-the start is never exactly orthogonal to the dominant eigenspace).
+The norm estimator is a deterministic power iteration from a fixed start
+vector (normalized all-ones); the spectral radius the guard compares with
+its bound is taken from the full eigenvalue spectrum.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class GuardConfig:
 
     tau: spectral-ball radius in (0, 1]
     epsilon: safety margin in (0, 1); transitions are kept at rho*dt <= 1-eps
-    power_iters: iteration budget for the norm/radius estimators
+    power_iters: iteration budget for the norm estimator
     power_tol: relative tolerance for early termination
     """
 
@@ -96,68 +96,37 @@ def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None, v0: np.ndarray 
 
 
 def _power_norm_step(W: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """One persisted-vector power step; returns (sigma estimate, new v)."""
+    """One persisted-vector power step; returns (sigma estimate, new v).
+
+    Norms are taken as sqrt(x @ x), which is what np.linalg.norm computes
+    for a real vector, without its per-call dispatch.
+    """
     u = W @ v
-    nu = np.linalg.norm(u)
+    nu = np.sqrt(u @ u)
     if nu == 0.0:
         return 0.0, v
     v_new = W.T @ (u / nu)
-    s = np.linalg.norm(v_new)
+    s = np.sqrt(v_new @ v_new)
     if s == 0.0:
         return 0.0, v
     return float(s), v_new / s
 
 
 def spectral_radius(A: np.ndarray, cfg: GuardConfig | None = None) -> float:
-    """Dominant-eigenvalue modulus of a square matrix.
+    """Dominant-eigenvalue modulus of a square matrix, from its full spectrum.
 
-    Power iteration refined with a two-vector Krylov Rayleigh quotient so
-    that complex-conjugate dominant pairs are resolved (their modulus is the
-    max root modulus of the 2x2 projected block, computed by the quadratic
-    formula). Deflation is not used.
+    Exact up to rounding for every matrix, non-normal ones and complex
+    dominant pairs included, which a power iteration on a short budget is
+    not. `cfg` is accepted for signature compatibility and does not affect
+    the result. A non-finite matrix has radius NaN: the guard leaves it
+    alone and the non-finite objective that follows reports the divergence.
     """
-    cfg = cfg or GuardConfig()
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("spectral_radius expects a square matrix")
-    n = A.shape[0]
-    if not np.any(A):
-        return 0.0
-    if n == 1:
-        return abs(float(A[0, 0]))
-    x = np.ones(n) + np.linspace(0.0, 1e-3, n)
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(max(cfg.power_iters, 8)):
-        b1 = x
-        w1 = A @ b1
-        h11 = float(b1 @ w1)
-        r = w1 - h11 * b1
-        h21 = float(np.linalg.norm(r))
-        if h21 <= 1e-14 * max(abs(h11), 1.0):
-            rho_new = abs(h11)
-        else:
-            b2 = r / h21
-            w2 = A @ b2
-            h12 = float(b1 @ w2)
-            h22 = float(b2 @ w2)
-            tr = h11 + h22
-            det = h11 * h22 - h12 * h21
-            disc = tr * tr - 4.0 * det
-            if disc >= 0.0:
-                sq = np.sqrt(disc)
-                rho_new = max(abs((tr + sq) / 2.0), abs((tr - sq) / 2.0))
-            else:
-                # conjugate pair: |lambda|^2 = det
-                rho_new = float(np.sqrt(det))
-        nw = np.linalg.norm(w1)
-        if nw == 0.0:
-            return 0.0
-        x = w1 / nw
-        if abs(rho_new - rho) <= cfg.power_tol * max(rho_new, 1e-300):
-            return float(rho_new)
-        rho = rho_new
-    return float(rho)
+    if not np.all(np.isfinite(A)):
+        return float("nan")
+    return float(np.abs(np.linalg.eigvals(A)).max(initial=0.0))
 
 
 def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np.ndarray, float]:

@@ -25,6 +25,13 @@ half step at the current point, full step evaluated at the half point,
 multipliers clipped at zero, and the safety projections (nonnegativity
 clamp on the convex path, spectral ball on the linear maps, spectral-radius
 guard on the transitions) applied after every parameter update.
+
+Each step also evaluates the held-out saddle gap that the stopping rule
+watches. Its dual half runs no forward pass of its own: the objective is
+linear in the multipliers, so the dual gradient is the residual vector at
+the fixed primal point, and the one forward at the current point (shared
+with the first primal-descent step) yields every ascent step and the value
+at the ascended multipliers, with the arithmetic of a forward per step.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .qalign import (
     GuardLog,
     _power_norm_step,
     spec_guard_project,
-    cfl_indicator,
     spectral_radius,
 )
 
@@ -584,20 +590,30 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
         r_vix_acc += batch.vix_weights * resid**2
         per_window.append({"u": u, "omega": omega, "hs": hs, "y": y, "cnorm": cnorm,
                            "dec": dec_cache, "diff": diff, "res": res})
-    mse = mse_acc / batch.n_obs
-    r_na = r_na_acc / W
-    r_vix = r_vix_acc / W
+    fw = ForwardCache(0.0, mse_acc / batch.n_obs, w_den, mres, r_na_acc / W, r_vix_acc / W,
+                      vix_resid, per_window, slices)
+    fw.value = _objective_value(fw, duals, cfg)
+    return fw
 
+
+def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> float:
+    """Objective at the duals given, from the residuals of a forward pass.
+
+    The objective is linear in the duals, so one forward serves any duals at
+    the same primal point; every objective value is summed here, in one
+    operand order, so values computed either way agree bit for bit.
+    """
+    s = fw.slices
     value = (
-        mse
-        + float(duals["na"] @ r_na)
-        + cfg.gamma * float(duals["mart"][slices] @ mres[slices])
-        + cfg.xi * float(duals["vix"] @ r_vix)
-        + cfg.beta_nov * float(np.mean(mres[slices] ** 2))
+        fw.mse
+        + float(duals["na"] @ fw.r_na)
+        + cfg.gamma * float(duals["mart"][s] @ fw.mres[s])
+        + cfg.xi * float(duals["vix"] @ fw.r_vix)
+        + cfg.beta_nov * float(np.mean(fw.mres[s] ** 2))
     )
     if not np.isfinite(value):
         raise TrainingDivergence(f"non-finite objective ({value})")
-    return ForwardCache(value, mse, w_den, mres, r_na, r_vix, vix_resid, per_window, slices)
+    return value
 
 
 def saddle_objective(state: SaddleState, batch: TrainBatch,
@@ -711,18 +727,20 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
             grads[f"b{i}"] += g_icnn["biases"][i]
         dy = dctx.reshape(L, M, -1)[:, :, :-1].sum(axis=1)  # drop the maturity channel
 
-        # scan backward
+        # scan backward: only the adjoint recursion is sequential; the weight
+        # gradients are outer products, formed for all maturities at once
         trans, inj, read = primal["transitions"], primal["injections"], primal["readouts"]
         hs, u = pw["hs"], pw["u"]
         dh_next = np.zeros(trans.shape[1])
+        dh = np.empty((L, trans.shape[1]))
         du = np.zeros_like(u)
         for i in range(L - 1, -1, -1):
-            dh = read[i].T @ dy[i] + dh_next
-            grads["readouts"][i] += np.outer(dy[i], hs[i + 1])
-            grads["transitions"][i] += np.outer(dh, hs[i])
-            grads["injections"][i] += np.outer(dh, u[i])
-            du[i] = inj[i].T @ dh
-            dh_next = trans[i].T @ dh
+            dh[i] = read[i].T @ dy[i] + dh_next
+            du[i] = inj[i].T @ dh[i]
+            dh_next = trans[i].T @ dh[i]
+        grads["readouts"] += dy[:, :, None] * hs[1:, None, :]
+        grads["transitions"] += dh[:, :, None] * hs[:-1, None, :]
+        grads["injections"] += dh[:, :, None] * u[:, None, :]
 
         # feature backward (gated integration only contributes to the gate)
         if cfg.gate_enabled and cfg.gate_mode == "density_and_input":
@@ -938,21 +956,30 @@ def empirical_gap(value_fn, grad_primal_fn, grad_dual_fn, primal0, dual0,
 
 def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
                              k_inner: int | None = None) -> float:
-    """Model-bound gap estimator on a held-out batch (all maturities)."""
+    """Model-bound gap estimator on a held-out batch (all maturities).
+
+    k projected ascent steps on the duals at the current primal point, minus
+    k descent steps on the primal at the current duals. The dual half needs
+    no forward of its own: the dual gradient is the residual vector, which
+    depends on the primal point only, so the one forward at the current
+    point gives every ascent step and, the objective being linear in the
+    duals, the value at the ascended duals too. That forward is also the
+    first step of the primal half, so a call runs k + 1 forwards and k
+    reverse passes, with the same arithmetic as evaluating each step anew.
+    """
     cfg = state.cfg
     k = k_inner or cfg.k_inner
     eta_p, eta_d = state.step_primal, state.step_dual
 
-    duals = {k2: v.copy() for k2, v in state.duals.items()}
+    fw0 = model_forward(state.primal, state.duals, heldout, cfg)
+    g = dual_gradient(fw0, cfg, heldout.n_maturities)
+    duals = state.duals
     for _ in range(k):
-        fw = model_forward(state.primal, duals, heldout, cfg)
-        g = dual_gradient(fw, cfg, heldout.n_maturities)
         duals = _dual_add(duals, g, eta_d)
-    sup_val = model_forward(state.primal, duals, heldout, cfg).value
+    sup_val = _objective_value(fw0, duals, cfg)
 
-    primal = {k2: v.copy() for k2, v in state.primal.items()}
+    primal, fw = state.primal, fw0
     for _ in range(k):
-        fw = model_forward(primal, state.duals, heldout, cfg)
         g = _apply_block_steps(
             _clip_gradient(primal_gradient(primal, state.duals, heldout, cfg, fw), cfg.clip_norm), cfg
         )
@@ -960,8 +987,8 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
         for key in primal:
             if key.startswith("wz"):
                 np.maximum(primal[key], 0.0, out=primal[key])
-    inf_val = model_forward(primal, state.duals, heldout, cfg).value
-    return float(sup_val - inf_val)
+        fw = model_forward(primal, state.duals, heldout, cfg)
+    return float(sup_val - fw.value)
 
 
 # --- stopping ----------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""Independent test oracles: closed-form pricing and a brute-force projection.
+"""Independent test oracles: closed-form pricing, a brute-force projection,
+and reference forms of two training kernels.
 
-Everything here is deliberately written against scipy/numpy primitives and
-stays independent of the package's own code paths.
+The pricing and projection oracles are written against scipy/numpy
+primitives and stay independent of the package's own code paths. The
+reference kernels are the straightforward forms that the package's
+optimized ones must reproduce bit for bit: the logistic function by
+boolean masks, and the held-out gap estimator with one forward pass per
+step of each half.
 """
 
 import itertools
@@ -88,3 +93,54 @@ def brute_force_projection(calls, strikes, tol=1e-9):
             break
     assert best is not None, "no KKT point found"
     return best[1].reshape(L, M)
+
+
+def masked_sigmoid(x):
+    """Logistic function evaluated branch by branch on boolean masks:
+    1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def stepwise_gap(state, heldout, k_inner=None):
+    """Held-out saddle gap evaluated step by step (2k + 2 forward passes).
+
+    Each of the k dual-ascent steps runs its own forward at the current
+    primal point, the ascended duals get a forward of their own, and the
+    primal half runs a forward per descent step plus one at its end point.
+    """
+    from arbsurf.training import (
+        _apply_block_steps,
+        _clip_gradient,
+        _dual_add,
+        _pv_add,
+        dual_gradient,
+        model_forward,
+        primal_gradient,
+    )
+
+    cfg = state.cfg
+    k = k_inner or cfg.k_inner
+    duals = {name: v.copy() for name, v in state.duals.items()}
+    for _ in range(k):
+        fw = model_forward(state.primal, duals, heldout, cfg)
+        duals = _dual_add(duals, dual_gradient(fw, cfg, heldout.n_maturities), state.step_dual)
+    sup_val = model_forward(state.primal, duals, heldout, cfg).value
+
+    primal = {name: v.copy() for name, v in state.primal.items()}
+    for _ in range(k):
+        fw = model_forward(primal, state.duals, heldout, cfg)
+        g = _apply_block_steps(
+            _clip_gradient(primal_gradient(primal, state.duals, heldout, cfg, fw), cfg.clip_norm), cfg
+        )
+        primal = _pv_add(primal, g, -state.step_primal)
+        for name in primal:
+            if name.startswith("wz"):
+                np.maximum(primal[name], 0.0, out=primal[name])
+    inf_val = model_forward(primal, state.duals, heldout, cfg).value
+    return float(sup_val - inf_val)

@@ -12,6 +12,7 @@ from arbsurf.training import (
     build_batch,
     dual_gradient,
     empirical_gap,
+    empirical_gap_from_state,
     extragradient_step,
     flatten_primal,
     gradient,
@@ -230,6 +231,35 @@ class TestExtragradient:
                 ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]), strict)
                 assert ind <= (1 - cfg.guard.epsilon) * (1 + 1e-9)
 
+    def test_guard_catches_non_normal_near_threshold_stack(self):
+        # three eigenvalues of modulus one (e^{+-i} and -1) behind a non-normal
+        # similarity: a two-vector Krylov power estimate reads about 0.64 of
+        # the true radius here, which would pass rho*dt = 1.2 as 0.77 < 0.9
+        from arbsurf.qalign import GuardLog
+
+        cfg = tiny_cfg(rank=4)
+        panel = tiny_panel()
+        batch = build_batch([panel], cfg)
+        state = init_state(cfg, batch)
+        block = np.zeros((4, 4))
+        block[:2, :2] = [[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]
+        block[2, 2], block[3, 3] = -1.0, 0.5
+        sim = np.eye(4) + 0.5 * np.triu(np.ones((4, 4)), 1)
+        a = sim @ block @ np.linalg.inv(sim)
+        assert np.max(np.abs(np.linalg.eigvals(a))) == pytest.approx(1.0, rel=1e-12)
+        for i, dt in enumerate(batch.dts):
+            state.primal["transitions"][i] = (1.2 / dt) * a
+        state.guard = GuardLog()
+        bound = (1 - cfg.guard.epsilon) * (1 + 1e-9)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            extragradient_step(state, batch, cfg, rng)
+            for i, dt in enumerate(batch.dts):
+                rho = np.max(np.abs(np.linalg.eigvals(state.primal["transitions"][i])))
+                assert rho * dt <= bound
+        assert state.guard.spec_guard_hits >= batch.n_maturities
+        assert state.guard.max_rho_dt <= bound
+
     def test_convex_weights_nonnegative_after_steps(self):
         cfg, batch, state = tiny_state()
         rng = np.random.default_rng(5)
@@ -266,6 +296,46 @@ class TestGapEstimator:
             k_inner=5,
         )
         assert gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_shared_forward_matches_stepwise_estimator(self):
+        from .oracles import stepwise_gap
+
+        cfg = tiny_cfg()
+        batch = build_batch([tiny_panel()], cfg)
+        heldout = build_batch([tiny_panel(seed=4)], cfg)
+        state = init_state(cfg, batch)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            extragradient_step(state, batch, cfg, rng)
+            assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
+        for k in (1, 3):
+            assert empirical_gap_from_state(state, heldout, k) == stepwise_gap(state, heldout, k)
+
+    @pytest.mark.parametrize("k_inner", [1, 5])
+    def test_forwards_per_call(self, k_inner, monkeypatch):
+        import arbsurf.training as training
+
+        cfg, batch, state = tiny_state()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "model_forward", counted)
+        empirical_gap_from_state(state, batch, k_inner)
+        assert len(calls) == k_inner + 1
+
+    def test_gap_leaves_state_untouched(self):
+        cfg, batch, state = tiny_state()
+        extragradient_step(state, batch, cfg, np.random.default_rng(9))
+        primal = {k: v.copy() for k, v in state.primal.items()}
+        duals = {k: v.copy() for k, v in state.duals.items()}
+        empirical_gap_from_state(state, batch)
+        for k in primal:
+            assert np.array_equal(state.primal[k], primal[k])
+        for k in duals:
+            assert np.array_equal(state.duals[k], duals[k])
 
     def test_metrics_dual_gap_wrapper(self):
         from arbsurf.metrics import dual_gap
@@ -373,6 +443,33 @@ class TestTrainLoop:
         assert state.history.stopped_at is not None
         tail = run.stop_history[-cfg.patience :]
         assert all(dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps for dg, dr in tail)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def _assert_bitwise(x):
+        from arbsurf.mathutil import sigmoid
+
+        from .oracles import masked_sigmoid
+
+        got, want = sigmoid(x), masked_sigmoid(x)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+
+    def test_special_values_bitwise(self):
+        self._assert_bitwise(np.array(self.SPECIAL))
+        for v in self.SPECIAL:
+            self._assert_bitwise(np.float64(v))
+
+    def test_random_draws_bitwise(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-8, 3, 100_000)
+        self._assert_bitwise(x)
+        self._assert_bitwise(x.reshape(400, 250))
 
 
 class TestDiagLowRankStructure:
