@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decoder import bl_density, noarb_project, static_arb_residuals
+from .decoder import bl_density
 from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, write_panel
-from .grids import DomainError, PriceSurface, coverage_stats
+from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
 from .metrics import (
     CnasShape,
     cnas,
@@ -38,13 +38,15 @@ from .metrics import (
     novikov_kazamaki_rate,
     surface_wasserstein,
 )
+from .operator import scan_forward
 from .runlog import RunLog, SweepLedger, SweepRow, config_hash, emit_log
 from .training import (
     FoldData,
     TrainingConfig,
-    build_batch,
     decode_window,
+    to_operator_params,
     train,
+    window_features,
 )
 
 LOGGER = logging.getLogger("arbsurf")
@@ -115,6 +117,11 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
                 if not hasattr(target, key):
                     raise DomainError(f"unknown config key [{section}] {key}")
                 current = getattr(target, key)
+                if dataclasses.is_dataclass(current):
+                    raise DomainError(
+                        f"config key [{section}] {key} names a nested settings group, "
+                        "which a config file cannot set"
+                    )
                 setattr(target, key, _coerce(raw, current))
         cfg.generator.__post_init__()
         cfg.training.__post_init__()
@@ -183,15 +190,11 @@ def external_validity_drop(surfaces, frozen: CnasShape | None = None,
 
 def effective_dims_of_fold(primal, panels, tcfg) -> tuple:
     """Spectral ranks of the readout-feature covariance across windows."""
+    op = to_operator_params(primal)
     feats = []
     for p in panels:
-        batch = build_batch([p], tcfg)
-        from .training import _features, _gate_density, _scan
-
-        w_den = _gate_density(primal, batch)
-        u, _ = _features(w_den, batch.windows[0], batch, tcfg)
-        _, y = _scan(primal, u)
-        feats.append(y)
+        _, u = window_features(primal, p, tcfg)
+        feats.append(scan_forward(op, u).outputs)
     stacked = np.vstack(feats)
     gram = stacked.T @ stacked
     return effective_dimension(gram)
@@ -292,8 +295,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list:
                 ),
                 run=cfg.run,
             )
-            panels = [make_panel(trial.generator, w) for w in range(cfg_windows(trial))]
-            fold = blocked_folds(cfg_windows(trial))[0]
+            panels = [make_panel(trial.generator, w) for w in range(cfg.run.n_windows)]
+            fold = blocked_folds(cfg.run.n_windows)[0]
             state, run, _ = run_fold(panels, fold, trial.training)
             path = os.path.join(out_dir, f"runlog_seed{seed}_lr{mult}.json")
             emit_log(run, path, {"config_hash": trial.hash(), "lr_multiplier": mult})
@@ -304,10 +307,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list:
             records.append(path)
     ledger.write_csv(os.path.join(out_dir, "sweep_ledger.csv"))
     return records
-
-
-def cfg_windows(cfg: ExperimentConfig) -> int:
-    return cfg.run.n_windows
 
 
 ABLATION_SWITCHES = ("gate_off", "rank_half", "specguard_off")
@@ -358,7 +357,6 @@ def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float
     numeraire shift r -> r + 0.01 * strength. strength 0 returns the
     baseline panel itself (no redraw)."""
     from .generator import add_noise_censor
-    from .grids import MarketGrid
 
     if strength == 0.0:
         return panel, panel.quoted_surface.grid
@@ -391,8 +389,6 @@ def requote_surface(surface: PriceSurface, gen: GeneratorConfig, strength: float
     and their discounting context; distorting them is what produces a
     finite failure threshold (the operator itself degrades too gracefully
     against input-side noise for the score to cross any level)."""
-    from .grids import MarketGrid
-
     grid = surface.grid
     shifted = MarketGrid(grid.maturities, grid.strikes_per_maturity, grid.spot,
                          grid.rate + rate_shift, grid.dividend_yield)
@@ -405,9 +401,7 @@ def requote_surface(surface: PriceSurface, gen: GeneratorConfig, strength: float
     calls = surface.calls_matrix()
     sd = strength * gen.noise_scale * np.maximum(calls, gen.noise_floor) * (1.0 + np.abs(logm))[None, :]
     noisy = np.maximum(calls + sd * rng.standard_normal(calls.shape), 0.0)
-    T = grid.maturities[:, None]
-    puts = noisy - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-shifted.rate * T) * strikes[None, :]
-    return PriceSurface.from_matrices(shifted, noisy, puts, require_nonnegative=False)
+    return PriceSurface.from_matrices(shifted, noisy, parity_puts(shifted, noisy), require_nonnegative=False)
 
 
 def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) -> dict:
@@ -572,32 +566,6 @@ def report(runlog_paths, out_dir) -> None:
             headroom = 1.0 - after if after is not None else ""
             writer.writerow([name, rec.get("spec_guard_hits"), rec.get("projection_distance"),
                              rec.get("max_rho_dt"), before, after, ratio, headroom])
-
-
-def export_surface_plots(surface: PriceSurface, out_dir, prefix: str = "model") -> None:
-    """Plot-ready data: pricing curves and implied-vol grid (NaN where the
-    price does not bracket)."""
-    from .black import implied_vol_bisect
-
-    os.makedirs(out_dir, exist_ok=True)
-    grid = surface.grid
-    strikes = grid.strikes_per_maturity[0]
-    with open(os.path.join(out_dir, f"{prefix}_pricing_curves.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "K", "call"])
-        for ell, T in enumerate(grid.maturities):
-            for j, K in enumerate(strikes):
-                writer.writerow([f"{T:.10g}", f"{K:.10g}", f"{surface.calls[ell][j]:.10g}"])
-    with open(os.path.join(out_dir, f"{prefix}_iv_grid.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "K", "iv"])
-        for ell, T in enumerate(grid.maturities):
-            for j, K in enumerate(strikes):
-                iv = implied_vol_bisect(
-                    float(surface.calls[ell][j]), grid.spot, float(K), float(T),
-                    grid.rate, grid.dividend_yield,
-                )
-                writer.writerow([f"{T:.10g}", f"{K:.10g}", f"{iv:.10g}" if np.isfinite(iv) else ""])
 
 
 # --- entry point -------------------------------------------------------------

@@ -17,6 +17,13 @@ Maturity monotonicity is built in the same way: the decoded surface is a
 base slice plus a cumulative sum of nonnegative increments
 softplus(slope_l) * softplus(potential(k; context_l)), so calendar spreads
 are nonnegative for any parameters.
+
+Three fixed (non-learned) decode conventions set the scale: the convex
+path sees the strike coordinate divided by K_SCALE, the learned potential
+is multiplied by OUT_SCALE, and a smoothed-intrinsic anchor of width
+ANCHOR_WIDTH carries the base price shape. The anchor is convex in strike
+and constant in maturity, so both guarantees survive, and the learned maps
+can stay inside the unit spectral ball the safety pass enforces.
 """
 
 from __future__ import annotations
@@ -26,9 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainError, MarketGrid, PriceSurface
+from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
 from .mathutil import sigmoid, softplus
 from .operator import LatentTrajectory
+
+K_SCALE = 0.1  # the convex path sees (K/S0 - 1) / K_SCALE
+OUT_SCALE = 0.5  # weight of the learned potential in the decoded price
+ANCHOR_WIDTH = 0.10  # width of the smoothed-intrinsic anchor
 
 
 class InvariantViolation(ValueError):
@@ -179,14 +190,44 @@ def strike_coordinate(strikes: np.ndarray, spot: float) -> np.ndarray:
     return np.asarray(strikes, dtype=float) / spot - 1.0
 
 
+def decode_anchor(km: np.ndarray) -> np.ndarray:
+    """Fixed smoothed-intrinsic leg of the decode:
+    ANCHOR_WIDTH * sp(-km / ANCHOR_WIDTH)."""
+    return ANCHOR_WIDTH * softplus(-km / ANCHOR_WIDTH)
+
+
+def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray,
+                      maturities: np.ndarray):
+    """Spot-normalized calls C/S0 on a uniform grid, plus the caches the
+    training reverse pass needs.
+
+    C/S0 (k, T_l) = anchor(k) + OUT_SCALE * [ phi(k'; 0)
+                    + sum_{i<=l} sp(s_i) * sp(phi(k'; ctx_i)) ]
+    with k = K/S0 - 1, k' = k / K_SCALE and ctx_i = (outputs_i, T_i).
+    No validation: `decode_surface` checks its arguments first, and the
+    training loop calls this directly so non-finite parameters reach its
+    objective check.
+    """
+    L, M = len(maturities), len(km)
+    k_net = km / K_SCALE
+    phi0, cache0 = icnn_forward(params, k_net, np.zeros((M, outputs.shape[1] + 1)))
+    ctx = np.concatenate([outputs, maturities[:, None]], axis=1)
+    phi_i, cache_i = icnn_forward(params, np.tile(k_net, L), np.repeat(ctx, M, axis=0))
+    phi_i = phi_i.reshape(L, M)
+    sp_slope = softplus(params.maturity_slope_raw)
+    sp_phi = softplus(phi_i)
+    inc = sp_slope[:, None] * sp_phi
+    cnorm = decode_anchor(km)[None, :] + OUT_SCALE * (phi0[None, :] + np.cumsum(inc, axis=0))
+    return cnorm, {"phi0": phi0, "cache0": cache0, "phi_i": phi_i, "cache_i": cache_i,
+                   "sp_slope": sp_slope, "sp_phi": sp_phi}
+
+
 def decode_surface(
     params: DecoderParams, trajectory: LatentTrajectory, grid: MarketGrid
 ) -> PriceSurface:
-    """Decode calls on the grid; puts follow by parity.
-
-    C(K, T_l) = S0 * [ phi(km; 0) + sum_{i<=l} sp(s_i) * sp(phi(km; ctx_i)) ]
-    with km = K/S0 - 1 and ctx_i = (readout_i, T_i). The cumulative
-    nonnegative increments force C nondecreasing in maturity cell by cell.
+    """Decode calls on the grid with `decode_normalized`; puts follow by
+    parity. The cumulative nonnegative increments force C nondecreasing in
+    maturity cell by cell.
     """
     if not grid.is_uniform:
         raise DomainError("decoding requires a uniform strike grid")
@@ -195,27 +236,12 @@ def decode_surface(
         raise DomainError("trajectory length does not match grid")
     if params.maturity_slope_raw.shape != (L,):
         raise DomainError("maturity slopes do not match grid")
-    p = trajectory.outputs.shape[1]
-    if params.context_dim != p + 1:
+    if params.context_dim != trajectory.outputs.shape[1] + 1:
         raise DomainError("decoder context dimension must be readout_dim + 1")
-    strikes = grid.strikes_per_maturity[0]
-    M = len(strikes)
-    km = strike_coordinate(strikes, grid.spot)
-
-    base_ctx = np.zeros((M, p + 1))
-    phi0, _ = icnn_forward(params, km, base_ctx)
-
-    ctx = np.concatenate([trajectory.outputs, grid.maturities[:, None]], axis=1)
-    k_rep = np.tile(km, L)
-    ctx_rep = np.repeat(ctx, M, axis=0)
-    phi_i, _ = icnn_forward(params, k_rep, ctx_rep)
-    inc = softplus(params.maturity_slope_raw)[:, None] * softplus(phi_i.reshape(L, M))
-    cnorm = phi0[None, :] + np.cumsum(inc, axis=0)
-
+    km = strike_coordinate(grid.strikes_per_maturity[0], grid.spot)
+    cnorm, _ = decode_normalized(params, km, trajectory.outputs, grid.maturities)
     calls = grid.spot * cnorm
-    T = grid.maturities[:, None]
-    puts = calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * strikes[None, :]
-    return PriceSurface.from_matrices(grid, calls, puts, require_nonnegative=False)
+    return PriceSurface.from_matrices(grid, calls, parity_puts(grid, calls), require_nonnegative=False)
 
 
 def legendre_conjugate(
@@ -464,7 +490,5 @@ def noarb_project(
             f"(violation {viol:.3e})",
             final_violation=viol,
         )
-    T = grid.maturities[:, None]
-    puts = x - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * strikes[None, :]
-    projected = PriceSurface.from_matrices(grid, x, puts, require_nonnegative=False)
+    projected = PriceSurface.from_matrices(grid, x, parity_puts(grid, x), require_nonnegative=False)
     return projected, {"projection_rounds": rounds, "final_violation": viol}

@@ -130,6 +130,14 @@ def nearest_strike_below_forward(grid: MarketGrid, ell: int, mode: str = "below"
     return float(below[-1])
 
 
+def parity_puts(grid: MarketGrid, calls: np.ndarray) -> np.ndarray:
+    """Puts of a rectangular call matrix on a uniform grid by put-call
+    parity: P = C - S0 e^{-qT} + K e^{-rT}."""
+    T = grid.maturities[:, None]
+    strikes = grid.strikes_per_maturity[0]
+    return calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * strikes[None, :]
+
+
 def strike_spacings(strikes: Sequence[float]) -> np.ndarray:
     """Quadrature spacings dK_i = (K_{i+1} - K_{i-1}) / 2, one-sided at the ends."""
     ks = _as_float_array(strikes)

@@ -27,6 +27,3 @@ def inv_softplus(y):
     # log(expm1(y)) but stable for large y where expm1 overflows
     return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
-
-def relu(x):
-    return np.maximum(x, 0.0)

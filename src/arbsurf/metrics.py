@@ -15,13 +15,13 @@ Scale conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .grids import DomainError, MarketGrid, PriceSurface, forward_price
+from .grids import DomainError, PriceSurface, forward_price
 
 Z_ALPHA_CACHE: dict[float, float] = {}
 
@@ -43,28 +43,6 @@ class CnasShape:
     def __post_init__(self):
         if self.kappa <= 0 or self.tau < 0 or self.scale <= 0:
             raise DomainError("invalid shape parameters")
-
-
-@dataclass
-class MetricsReport:
-    nas: float
-    cnas: float
-    ni: float
-    dual_gap: float
-    stability: float
-    surface_wasserstein: float
-    gen_gap_p95: float
-    effective_dims: tuple
-    ci_low: dict = field(default_factory=dict)
-    ci_high: dict = field(default_factory=dict)
-    novik_to_kazamaki_rate: float = float("nan")
-
-    def __post_init__(self):
-        d90, d95, d99 = self.effective_dims
-        if not (d90 <= d95 <= d99):
-            raise DomainError("effective dimensions must be nondecreasing")
-        if not (self.nas <= 1.0 + 1e-12 and self.cnas <= 1.0 + 1e-12):
-            raise DomainError("arbitrage scores cannot exceed 1")
 
 
 # --- arbitrage scores -------------------------------------------------------
@@ -207,28 +185,6 @@ def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurf
         num += float(np.var(dm[:, sel]))
         den += float(np.var(do[:, sel]))
     return float(1.0 - num / (den + eps))
-
-
-def ni_mad(model_windows: Sequence[PriceSurface], eps: float = 1e-12) -> float:
-    """Robust-dispersion variant: median absolute deviation of bucket prices
-    across the admissible normalizations (money-market discounted and
-    forward units), relative to a robust local scale."""
-    if len(model_windows) < 1:
-        raise DomainError("need at least one window")
-    total = 0.0
-    count = 0
-    for s in model_windows:
-        grid = s.grid
-        c = s.calls_matrix()
-        disc = c * np.exp(grid.rate * grid.maturities)[:, None]
-        fwd = _forward_units(s) * grid.spot  # rescale to price-like units
-        stackv = np.stack([disc, fwd])
-        med = np.median(stackv, axis=0)
-        mad = np.median(np.abs(stackv - med), axis=0)
-        local = np.maximum(np.abs(med), 1.0)
-        total += float(np.mean(mad / local))
-        count += 1
-    return float(1.0 - total / count)
 
 
 # --- saddle diagnostics ------------------------------------------------------

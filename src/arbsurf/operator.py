@@ -13,14 +13,16 @@ injections[i] feeds the maturity-i features into the state read at T_i:
 
 so the kernel mapping u[s] to the state at maturity ell is
 injections[ell] for s == ell and transitions[ell] ... transitions[s+1] @
-injections[s] for s < ell. Runtime of the scan is O(L m^2) with dense
-transitions (the diagonal-plus-rank-one constructor below restores the
-O(L m) profile when wanted).
+injections[s] for s < ell. Runtime of the scan is O(L m^2) (dense
+transitions).
+
+`scan_recursion` and `gate_density` are the unvalidated kernels behind
+`scan_forward` and `measure_gate`; the training loop calls them directly,
+so non-finite parameters reach its objective check instead of raising here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,19 +94,18 @@ class LatentTrajectory:
             raise DomainError("trajectory must be finite")
 
 
-def transitions_from_diag_lowrank(diags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Dense transitions from a diagonal-plus-rank-one parameterization.
-
-    diags: (L, m) diagonal entries; us, vs: (L, m) rank-one factors.
-    """
-    diags = np.asarray(diags, dtype=float)
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    L, m = diags.shape
-    out = np.zeros((L, m, m))
+def scan_recursion(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
+                   inputs: np.ndarray, h0: np.ndarray | None = None):
+    """The latent recursion; returns (states (L+1, m), outputs (L, p))."""
+    L, m = transitions.shape[0], transitions.shape[1]
+    states = np.zeros((L + 1, m))
+    outputs = np.zeros((L, readouts.shape[1]))
+    if h0 is not None:
+        states[0] = h0
     for i in range(L):
-        out[i] = np.diag(diags[i]) + np.outer(us[i], vs[i])
-    return out
+        states[i + 1] = transitions[i] @ states[i] + injections[i] @ inputs[i]
+        outputs[i] = readouts[i] @ states[i + 1]
+    return states, outputs
 
 
 def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | None = None) -> LatentTrajectory:
@@ -114,22 +115,15 @@ def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | No
     """
     inputs = np.asarray(inputs, dtype=float)
     L = params.n_maturities
-    m = params.rank
     if inputs.shape != (L, params.feature_dim):
         raise DomainError(f"inputs must be (L, d) = ({L}, {params.feature_dim})")
     if not np.all(np.isfinite(inputs)):
         raise DomainError("inputs must be finite")
-    if h0 is None:
-        h0 = np.zeros(m)
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (m,):
-        raise DomainError("h0 must be an m-vector")
-    states = np.zeros((L + 1, m))
-    outputs = np.zeros((L, params.readout_dim))
-    states[0] = h0
-    for i in range(L):
-        states[i + 1] = params.transitions[i] @ states[i] + params.injections[i] @ inputs[i]
-        outputs[i] = params.readouts[i] @ states[i + 1]
+    if h0 is not None:
+        h0 = np.asarray(h0, dtype=float)
+        if h0.shape != (params.rank,):
+            raise DomainError("h0 must be an m-vector")
+    states, outputs = scan_recursion(params.transitions, params.injections, params.readouts, inputs, h0)
     return LatentTrajectory(states, outputs)
 
 
@@ -179,12 +173,19 @@ def measure_gate(params: OperatorParams, grid: MarketGrid) -> np.ndarray:
     strikes = grid.strikes_per_maturity[0]
     if params.gate_raw.shape != (grid.n_maturities, len(strikes)):
         raise DomainError("gate_raw shape does not match grid")
-    dk = strike_spacings(strikes)
-    sp = softplus(params.gate_raw)
-    denom = sp @ dk
-    if np.any(denom <= 0.0) or not np.all(np.isfinite(denom)):
+    w, _ = gate_density(params.gate_raw, strike_spacings(strikes))
+    return w
+
+
+def gate_density(gate_raw: np.ndarray, dk: np.ndarray) -> tuple:
+    """(w, mass): softplus(gate_raw) normalized per maturity by its mass
+    against the quadrature spacings dk. Raises only when a row's softplus
+    mass vanishes."""
+    sp = softplus(gate_raw)
+    mass = sp @ dk
+    if np.any(mass <= 0.0):
         raise DomainError("degenerate gate row: softplus mass vanished")
-    return sp / denom[:, None]
+    return sp / mass[:, None], mass
 
 
 def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: int) -> float:

@@ -174,17 +174,3 @@ def spec_guard_project(
     log.max_rho_dt = max(log.max_rho_dt, rho_dt)
     return A
 
-
-def global_lip_surrogate(maps, green_bound: float, cfg: GuardConfig | None = None) -> float:
-    """Product of spectral norms of all linear maps, times the kernel-sum bound.
-
-    The closed-form constant of the kernel-summability bound is not
-    computable, so callers pass the empirically measured Green sum as
-    `green_bound`; the result is what gets logged as the before/after
-    Lipschitz surrogate.
-    """
-    cfg = cfg or GuardConfig()
-    prod = 1.0
-    for W in maps:
-        prod *= spectral_norm(W, cfg)
-    return float(prod * green_bound)

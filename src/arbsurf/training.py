@@ -41,11 +41,26 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decoder import DecoderParams, arb_residual_arrays, icnn_backward, icnn_forward
+from .decoder import (
+    OUT_SCALE,
+    DecoderParams,
+    arb_residual_arrays,
+    decode_normalized,
+    decode_surface,
+    icnn_backward,
+    strike_coordinate,
+)
 from .generator import Fold, SyntheticPanel
-from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, strike_spacings
+from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, parity_puts, strike_spacings
 from .mathutil import sigmoid, softplus
-from .operator import OperatorParams, green_sum, representer_fallback
+from .operator import (
+    OperatorParams,
+    gate_density,
+    green_sum,
+    representer_fallback,
+    scan_forward,
+    scan_recursion,
+)
 from .qalign import (
     GuardConfig,
     GuardLog,
@@ -53,6 +68,7 @@ from .qalign import (
     spec_guard_project,
     spectral_radius,
 )
+from .vix import strip_coefficients
 
 
 class TrainingDivergence(RuntimeError):
@@ -82,9 +98,6 @@ class TrainingConfig:
     dual_mult_na: float = 10.0
     dual_mult_mart: float = 1.0
     dual_mult_vix: float = 20.0
-    k_scale: float = 0.1
-    out_scale: float = 0.5
-    anchor_width: float = 0.10
     k_inner: int = 5
     rank: int = 8
     feature_bins: int = 8
@@ -94,8 +107,7 @@ class TrainingConfig:
     gate_mode: str = "density_and_input"
     gate_enabled: bool = True
     specguard_enabled: bool = True
-    operator_structure: str = "dense"
-    guard: GuardConfig = field(default_factory=lambda: GuardConfig(power_iters=30, power_tol=1e-10))
+    guard: GuardConfig = field(default_factory=GuardConfig)
     log_every: int = 100
 
     def __post_init__(self):
@@ -103,8 +115,6 @@ class TrainingConfig:
             raise DomainError("invalid stopping thresholds")
         if self.gate_mode not in ("density", "density_and_input"):
             raise DomainError("gate_mode must be density or density_and_input")
-        if self.operator_structure not in ("dense", "diag_lowrank"):
-            raise DomainError("unknown operator structure")
 
 
 # --- batch assembly ----------------------------------------------------------
@@ -155,12 +165,8 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     spot = grid.spot
     dk = strike_spacings(strikes)
     forwards = grid.forwards()
-    from .grids import nearest_strike_below_forward
-
-    k0 = np.array([nearest_strike_below_forward(grid, ell) for ell in range(L)])
+    strip = [strip_coefficients(grid, ell) for ell in range(L)]
     T = grid.maturities
-    vix_coef = (2.0 * np.exp(grid.rate * T) / T)[:, None] * (dk / strikes**2)[None, :]
-    vix_adj = (forwards / k0 - 1.0) ** 2 / T
     # weights proportional to maturity tame the 1/T amplification of the
     # short-end strip, which otherwise makes that constraint so stiff that
     # fixed-step saddle updates chatter around its kink
@@ -188,14 +194,14 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     return TrainBatch(
         grid=grid,
         windows=windows,
-        km=strikes / spot - 1.0,
+        km=strike_coordinate(strikes, spot),
         strikes=strikes,
         dk=dk,
         dk_pairs=np.diff(strikes),
         dts=grid.time_steps(),
         forwards=forwards,
-        vix_coef=vix_coef,
-        vix_adj=vix_adj,
+        vix_coef=np.stack([coef for coef, _ in strip]),
+        vix_adj=np.array([adj for _, adj in strip]),
         bin_index=bin_index,
         vix_weights=vix_weights,
         n_obs=n_obs,
@@ -216,16 +222,7 @@ def init_primal(cfg: TrainingConfig, batch: TrainBatch, rng: np.random.Generator
     """
     L, M = batch.n_maturities, batch.n_strikes
     m, d, p = cfg.rank, cfg.feature_bins, cfg.readout_dim
-    primal = {}
-    if cfg.operator_structure == "diag_lowrank":
-        diags = np.full((L, m), 0.5)
-        us = rng.standard_normal((L, m)) * 0.1
-        vs = rng.standard_normal((L, m)) * 0.1
-        from .operator import transitions_from_diag_lowrank
-
-        primal["transitions"] = transitions_from_diag_lowrank(diags, us, vs)
-    else:
-        primal["transitions"] = np.tile(0.5 * np.eye(m), (L, 1, 1))
+    primal = {"transitions": np.tile(0.5 * np.eye(m), (L, 1, 1))}
     primal["injections"] = rng.standard_normal((L, m, d)) * 0.1
     primal["readouts"] = rng.standard_normal((L, p, m)) * 0.1
 
@@ -447,16 +444,12 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
 # --- forward / objective -----------------------------------------------------
 
 
-def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig | None = None):
-    if cfg is not None and not cfg.gate_enabled:
-        # ablation: uniform density over the strike grid
+def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
+    """(w, softplus mass) of the gate; the ablation's uniform density has no mass."""
+    if not cfg.gate_enabled:
         L, M = primal["gate_raw"].shape
-        return np.full((L, M), 1.0 / batch.dk.sum())
-    sp = softplus(primal["gate_raw"])
-    s = sp @ batch.dk
-    if np.any(s <= 0.0):
-        raise DomainError("degenerate gate row")
-    return sp / s[:, None]
+        return np.full((L, M), 1.0 / batch.dk.sum()), None
+    return gate_density(primal["gate_raw"], batch.dk)
 
 
 def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig):
@@ -476,73 +469,10 @@ def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig)
     return cfg.feature_scale * u, omega
 
 
-def _scan(primal: dict, u: np.ndarray):
-    trans, inj, read = primal["transitions"], primal["injections"], primal["readouts"]
-    L, m = trans.shape[0], trans.shape[1]
-    hs = np.zeros((L + 1, m))
-    y = np.zeros((L, read.shape[1]))
-    for i in range(L):
-        hs[i + 1] = trans[i] @ hs[i] + inj[i] @ u[i]
-        y[i] = read[i] @ hs[i + 1]
-    return hs, y
-
-
-def decode_anchor(km: np.ndarray, width: float) -> np.ndarray:
-    """Fixed smoothed-intrinsic leg of the decode: width*sp(-km/width).
-
-    Convex in strike and constant in maturity, so it preserves both decoder
-    guarantees while carrying the price scale that unit-ball learned maps
-    cannot express on their own.
-    """
-    if width <= 0.0:
-        return np.zeros_like(km)
-    return width * softplus(-km / width)
-
-
-def _decode(primal: dict, batch: TrainBatch, y: np.ndarray, cfg: TrainingConfig):
-    """Normalized surface plus the caches the backward pass needs.
-
-    The convex path sees km / k_scale, the learned potential is scaled by
-    out_scale, and a fixed smoothed-intrinsic anchor carries the base price
-    shape; all three are fixed decode conventions rather than learned maps,
-    chosen so the learned maps can stay inside the unit spectral ball while
-    the surface keeps option-like slopes and curvature.
-    """
-    dec = to_decoder_params(primal)
-    L, M = batch.n_maturities, batch.n_strikes
-    p = y.shape[1]
-    km_net = batch.km / cfg.k_scale
-    base_ctx = np.zeros((M, p + 1))
-    phi0, cache0 = icnn_forward(dec, km_net, base_ctx)
-    ctx = np.concatenate([y, batch.grid.maturities[:, None]], axis=1)
-    k_rep = np.tile(km_net, L)
-    ctx_rep = np.repeat(ctx, M, axis=0)
-    phi_i, cache_i = icnn_forward(dec, k_rep, ctx_rep)
-    phi_i = phi_i.reshape(L, M)
-    sp_slope = softplus(primal["slope_raw"])
-    sp_phi = softplus(phi_i)
-    inc = sp_slope[:, None] * sp_phi
-    anchor = decode_anchor(batch.km, cfg.anchor_width)
-    cnorm = anchor[None, :] + cfg.out_scale * (phi0[None, :] + np.cumsum(inc, axis=0))
-    return cnorm, {
-        "dec": dec,
-        "phi0": phi0,
-        "cache0": cache0,
-        "phi_i": phi_i,
-        "cache_i": cache_i,
-        "sp_slope": sp_slope,
-        "sp_phi": sp_phi,
-    }
-
-
 def _window_vix(cnorm: np.ndarray, batch: TrainBatch) -> np.ndarray:
     """Strip variance estimate of the decoded surface per maturity."""
-    grid = batch.grid
-    spot = grid.spot
-    T = grid.maturities
-    calls = spot * cnorm
-    puts = calls - spot * np.exp(-grid.dividend_yield * T)[:, None] + np.exp(-grid.rate * T)[:, None] * batch.strikes[None, :]
-    q = np.where(batch.strikes[None, :] < batch.forwards[:, None], puts, calls)
+    calls = batch.grid.spot * cnorm
+    q = np.where(batch.strikes[None, :] < batch.forwards[:, None], parity_puts(batch.grid, calls), calls)
     return (batch.vix_coef * q).sum(axis=1) - batch.vix_adj
 
 
@@ -557,6 +487,7 @@ class ForwardCache:
     vix_resid: list
     per_window: list
     slices: np.ndarray
+    gate_mass: np.ndarray | None
 
 
 def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
@@ -565,11 +496,12 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     L, M = batch.n_maturities, batch.n_strikes
     if slices is None:
         slices = np.arange(L)
-    w_den = _gate_density(primal, batch, cfg)
+    w_den, gate_mass = _gate_density(primal, batch, cfg)
     fwd_gate = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1)
     mres = np.abs(fwd_gate - batch.forwards) / batch.forwards
 
     W = len(batch.windows)
+    dec = to_decoder_params(primal)
     mse_acc = 0.0
     r_na_acc = None
     r_vix_acc = np.zeros(L)
@@ -577,8 +509,8 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     per_window = []
     for window in batch.windows:
         u, omega = _features(w_den, window, batch, cfg)
-        hs, y = _scan(primal, u)
-        cnorm, dec_cache = _decode(primal, batch, y, cfg)
+        hs, y = scan_recursion(primal["transitions"], primal["injections"], primal["readouts"], u)
+        cnorm, dec_cache = decode_normalized(dec, batch.km, y, batch.grid.maturities)
         diff = (cnorm - window.cq) * window.mask
         mse_acc += float((diff**2).sum())
         res = arb_residual_arrays(cnorm, batch.strikes, 1.0)
@@ -591,7 +523,7 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
         per_window.append({"u": u, "omega": omega, "hs": hs, "y": y, "cnorm": cnorm,
                            "dec": dec_cache, "diff": diff, "res": res})
     fw = ForwardCache(0.0, mse_acc / batch.n_obs, w_den, mres, r_na_acc / W, r_vix_acc / W,
-                      vix_resid, per_window, slices)
+                      vix_resid, per_window, slices, gate_mass)
     fw.value = _objective_value(fw, duals, cfg)
     return fw
 
@@ -614,15 +546,6 @@ def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> floa
     if not np.isfinite(value):
         raise TrainingDivergence(f"non-finite objective ({value})")
     return value
-
-
-def saddle_objective(state: SaddleState, batch: TrainBatch,
-                     cfg: TrainingConfig | None = None,
-                     slices: np.ndarray | None = None):
-    """Objective value and the constraint-residual blocks."""
-    cfg = cfg or state.cfg
-    fw = model_forward(state.primal, state.duals, batch, cfg, slices)
-    return fw.value, {"na": fw.r_na, "mart": fw.mres, "vix": fw.r_vix}
 
 
 def dual_gradient(fw: ForwardCache, cfg: TrainingConfig, n_mart: int) -> dict:
@@ -690,7 +613,8 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     grads = _pv_zeros_like(primal)
     dw_den = np.zeros((L, M))
     lam_parts = _split_na_duals(duals["na"], L, M)
-    n_layers = _decoder_layer_names(primal)
+    dec_params = to_decoder_params(primal)
+    n_layers = dec_params.n_layers
 
     # martingale and roughness-penalty paths (gate only)
     sign = np.sign(
@@ -714,13 +638,13 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
         dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid[wi]
         dcnorm += dv2m[:, None] * batch.vix_coef * spot
 
-        # decoder backward (out_scale chains into both legs)
-        dinc = cfg.out_scale * np.cumsum(dcnorm[::-1], axis=0)[::-1]
+        # decoder backward (OUT_SCALE chains into both legs)
+        dinc = OUT_SCALE * np.cumsum(dcnorm[::-1], axis=0)[::-1]
         dec = pw["dec"]
-        dphi0_total += cfg.out_scale * dcnorm.sum(axis=0)
+        dphi0_total += OUT_SCALE * dcnorm.sum(axis=0)
         grads["slope_raw"] += sigmoid(primal["slope_raw"]) * (dinc * dec["sp_phi"]).sum(axis=1)
         dphi_i = (dinc * dec["sp_slope"][:, None] * sigmoid(dec["phi_i"])).ravel()
-        g_icnn, _, dctx = icnn_backward(dec["dec"], dec["cache_i"], dphi_i)
+        g_icnn, _, dctx = icnn_backward(dec_params, dec["cache_i"], dphi_i)
         for i in range(n_layers):
             grads[f"wz{i}"] += g_icnn["layer_weights_z"][i]
             grads[f"wx{i}"] += g_icnn["layer_weights_x"][i]
@@ -752,8 +676,7 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
             dw_den += domega * batch.dk[None, :] * window.mask
 
     # base potential backward (shared zero context)
-    wi0 = fw.per_window[0]["dec"]
-    g0, _, _ = icnn_backward(wi0["dec"], wi0["cache0"], dphi0_total)
+    g0, _, _ = icnn_backward(dec_params, fw.per_window[0]["dec"]["cache0"], dphi0_total)
     for i in range(n_layers):
         grads[f"wz{i}"] += g0["layer_weights_z"][i]
         grads[f"wx{i}"] += g0["layer_weights_x"][i]
@@ -762,10 +685,9 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     # gate backward through the normalization w_j = sp_j / sum_i sp_i dk_i;
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
-        sp = softplus(primal["gate_raw"])
-        s = sp @ batch.dk
         inner = (dw_den * fw.w_den).sum(axis=1, keepdims=True)
-        grads["gate_raw"] += sigmoid(primal["gate_raw"]) * (dw_den - inner * batch.dk[None, :]) / s[:, None]
+        grads["gate_raw"] += (sigmoid(primal["gate_raw"]) * (dw_den - inner * batch.dk[None, :])
+                              / fw.gate_mass[:, None])
     return grads
 
 
@@ -1029,18 +951,20 @@ class FoldData:
         )
 
 
-def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> PriceSurface:
-    """Decoded currency surface for one window under the current parameters."""
+def window_features(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> tuple:
+    """(grid, u): the window's grid and its (L, d) scan inputs under the
+    current gate."""
     batch = build_batch([panel], cfg)
-    w_den = _gate_density(primal, batch, cfg)
-    u, _ = _features(w_den, batch.windows[0], batch, cfg)
-    _, y = _scan(primal, u)
-    cnorm, _ = _decode(primal, batch, y, cfg)
-    grid = batch.grid
-    calls = grid.spot * cnorm
-    T = grid.maturities[:, None]
-    puts = calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * batch.strikes[None, :]
-    return PriceSurface.from_matrices(grid, calls, puts, require_nonnegative=False)
+    u, _ = _features(_gate_density(primal, batch, cfg)[0], batch.windows[0], batch, cfg)
+    return batch.grid, u
+
+
+def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> PriceSurface:
+    """Decoded currency surface for one window under the current parameters:
+    the public scan and decoder on the window's features."""
+    grid, u = window_features(primal, panel, cfg)
+    trajectory = scan_forward(to_operator_params(primal), u)
+    return decode_surface(to_decoder_params(primal), trajectory, grid)
 
 
 def train(cfg: TrainingConfig, data: FoldData):

@@ -120,18 +120,26 @@ def vix_squared(
     (2 e^{rT} / T) sum_i dK_i / K_i^2 * Q(K_i) - (1/T) (F/K_0 - 1)^2
     """
     grid = surface.grid
-    T = float(grid.maturities[ell])
-    if not (T > 0):
+    if not (grid.maturities[ell] > 0):
         raise DomainError("maturity must be positive")
-    strikes = grid.strikes_per_maturity[ell]
-    if len(strikes) < 3:
+    if len(grid.strikes_per_maturity[ell]) < 3:
         raise DomainError("need at least 3 strikes")
     q = otm_strip(surface, ell, k0_mode=k0_mode, interp=interp)
-    dk = strike_spacings(strikes)
-    f = forward_price(grid, T)
-    k0 = nearest_strike_below_forward(grid, ell, mode=k0_mode)
-    strip = float(np.sum(dk / strikes**2 * q))
-    return (2.0 * np.exp(grid.rate * T) / T) * strip - (f / k0 - 1.0) ** 2 / T
+    coef, adj = strip_coefficients(grid, ell, k0_mode=k0_mode)
+    return float((coef * q).sum() - adj)
+
+
+def strip_coefficients(grid: MarketGrid, ell: int, k0_mode: str = "below") -> tuple:
+    """Weights of the discrete strip at maturity ell, so that the variance
+    estimate is sum_i coef_i Q(K_i) - adj:
+
+    coef_i = (2 e^{rT} / T) dK_i / K_i^2,   adj = (F/K_0 - 1)^2 / T
+    """
+    T = grid.maturities[ell]
+    strikes = grid.strikes_per_maturity[ell]
+    coef = (2.0 * np.exp(grid.rate * T) / T) * (strike_spacings(strikes) / strikes**2)
+    fwd_excess = forward_price(grid, T) / nearest_strike_below_forward(grid, ell, mode=k0_mode) - 1.0
+    return coef, fwd_excess * fwd_excess / T
 
 
 def replicate_surface(

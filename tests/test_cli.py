@@ -105,6 +105,13 @@ class TestConfigFile:
         with pytest.raises(DomainError):
             load_config(path)
 
+    @pytest.mark.parametrize("section,key", [("training", "guard"), ("run", "frozen_shape")])
+    def test_nested_group_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "nested.ini"
+        path.write_text(f"[{section}]\n{key} = 0.5\n")
+        with pytest.raises(DomainError, match=rf"\[{section}\] {key}"):
+            load_config(path)
+
     def test_seed_override(self):
         cfg = load_config(None, seed=42)
         assert cfg.generator.seed == 42 and cfg.training.seed == 42

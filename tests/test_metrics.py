@@ -15,7 +15,6 @@ from arbsurf.metrics import (
     nas,
     newey_west_lrv,
     ni,
-    ni_mad,
     novikov_kazamaki_rate,
     stability,
     surface_wasserstein,
@@ -113,10 +112,6 @@ class TestNi:
         m, o = self._windows()
         with pytest.raises(DomainError):
             ni(m[:1], o[:1])
-
-    def test_mad_variant_single_numeraire_family(self):
-        val = ni_mad([feasible_surface()])
-        assert val <= 1.0
 
 
 class TestStability:
@@ -323,35 +318,6 @@ class TestGapRepresenterRegression:
     def test_degenerate_regressor(self):
         with pytest.raises(DomainError):
             gap_representer_regression(np.ones(20), np.ones(20))
-
-
-class TestMetricsReport:
-    def test_valid_report(self):
-        from arbsurf.metrics import MetricsReport
-
-        rep = MetricsReport(
-            nas=0.99, cnas=0.99, ni=0.5, dual_gap=0.01, stability=1.0,
-            surface_wasserstein=0.1, gen_gap_p95=0.2, effective_dims=(1, 1, 2),
-        )
-        assert rep.effective_dims == (1, 1, 2)
-
-    def test_dimension_ordering_enforced(self):
-        from arbsurf.metrics import MetricsReport
-
-        with pytest.raises(DomainError):
-            MetricsReport(
-                nas=0.9, cnas=0.9, ni=0.5, dual_gap=0.0, stability=1.0,
-                surface_wasserstein=0.0, gen_gap_p95=0.0, effective_dims=(3, 2, 1),
-            )
-
-    def test_score_bound_enforced(self):
-        from arbsurf.metrics import MetricsReport
-
-        with pytest.raises(DomainError):
-            MetricsReport(
-                nas=1.5, cnas=0.9, ni=0.5, dual_gap=0.0, stability=1.0,
-                surface_wasserstein=0.0, gen_gap_p95=0.0, effective_dims=(1, 1, 1),
-            )
 
 
 class TestWeightedNas:

@@ -14,7 +14,6 @@ from arbsurf.operator import (
     price_functional,
     representer_fallback,
     scan_forward,
-    transitions_from_diag_lowrank,
 )
 from arbsurf.qalign import GuardConfig, GuardLog, spec_guard_project
 
@@ -340,16 +339,6 @@ class TestRepresenterFallback:
         s = PriceSurface(grid, calls, calls, mask)
         with pytest.raises(DomainError):
             representer_fallback(s, make_params(L=2, M=3))
-
-
-class TestDiagLowRank:
-    def test_construction(self):
-        diags = np.array([[0.5, 0.2], [0.1, 0.3]])
-        us = np.array([[1.0, 0.0], [0.0, 1.0]])
-        vs = np.array([[0.0, 1.0], [1.0, 0.0]])
-        trans = transitions_from_diag_lowrank(diags, us, vs)
-        assert trans.shape == (2, 2, 2)
-        assert np.allclose(trans[0], np.diag([0.5, 0.2]) + np.outer([1, 0], [0, 1]))
 
 
 class TestTrajectoryValidation:

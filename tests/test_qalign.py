@@ -6,7 +6,6 @@ from arbsurf.qalign import (
     GuardConfig,
     GuardLog,
     cfl_indicator,
-    global_lip_surrogate,
     lipschitz_project,
     spec_guard_project,
     spectral_norm,
@@ -160,22 +159,3 @@ class TestSpecGuard:
         # counters are nondecreasing by construction
         assert log.spec_guard_hits >= 0 and log.projection_distance >= 0
 
-
-class TestGlobalLipSurrogate:
-    def test_unit_maps(self):
-        maps = [np.eye(3), np.eye(3)]
-        assert global_lip_surrogate(maps, 1.0, CFG) == pytest.approx(1.0, rel=1e-9)
-
-    def test_product(self):
-        maps = [np.diag([3.0, 1.0]), np.diag([2.0, 0.5])]
-        assert global_lip_surrogate(maps, 1.0, CFG) == pytest.approx(6.0, rel=1e-9)
-
-    def test_capped_after_projection(self):
-        rng = np.random.default_rng(3)
-        cfg = GuardConfig(tau=1.0, power_iters=500, power_tol=1e-13)
-        maps = [rng.standard_normal((4, 4)) * 3 for _ in range(5)]
-        projected = [lipschitz_project(w, cfg)[0] for w in maps]
-        after = global_lip_surrogate(projected, 1.0, cfg)
-        assert after <= (1 + cfg.power_tol) ** len(maps) * (1 + 1e-9)
-        before = global_lip_surrogate(maps, 1.0, cfg)
-        assert after <= before

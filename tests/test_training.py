@@ -3,13 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
+from arbsurf.decoder import decode_surface
 from arbsurf.generator import GeneratorConfig, make_panel
 from arbsurf.grids import DomainError
+from arbsurf.operator import measure_gate, scan_forward
 from arbsurf.training import (
     FoldData,
     SaddleState,
     TrainingConfig,
+    TrainingDivergence,
     build_batch,
+    decode_window,
     dual_gradient,
     empirical_gap,
     empirical_gap_from_state,
@@ -379,6 +383,53 @@ class TestRatioLog:
         assert np.isnan(ratio_log(1.0, -2.0))
 
 
+class TestPublicKernels:
+    """The reference API (gate, scan, decoder, replication) computes what the
+    training forward pass computes."""
+
+    def _trained(self):
+        panel = tiny_panel()
+        cfg, batch, state = tiny_state(panel=panel)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            extragradient_step(state, batch, cfg, rng)
+        fw = model_forward(state.primal, state.duals, batch, cfg)
+        return panel, cfg, batch, state, fw, decode_window(state.primal, panel, cfg)
+
+    def test_decode_window_is_public_scan_and_decoder(self):
+        panel, cfg, batch, state, fw, surf = self._trained()
+        trajectory = scan_forward(to_operator_params(state.primal), fw.per_window[0]["u"])
+        public = decode_surface(to_decoder_params(state.primal), trajectory, batch.grid)
+        assert np.array_equal(surf.calls_matrix(), public.calls_matrix())
+        assert np.array_equal(surf.puts_matrix(), public.puts_matrix())
+        assert np.array_equal(surf.calls_matrix(), batch.grid.spot * fw.per_window[0]["cnorm"])
+        assert np.array_equal(fw.w_den, measure_gate(to_operator_params(state.primal), batch.grid))
+
+    def test_replication_matches_training_strip(self):
+        from arbsurf.vix import replicate_surface
+
+        panel, cfg, batch, state, fw, surf = self._trained()
+        trained = batch.windows[0].vix2_obs - fw.vix_resid[0]
+        public = replicate_surface(surf).vix_squared_per_maturity
+        np.testing.assert_allclose(public, trained, rtol=1e-12, atol=0.0)
+
+
+class TestDivergence:
+    # 1e300 overflows the forward pass while the parameters stay finite; an
+    # infinite step makes the parameters themselves non-finite. Either way the
+    # objective check must report a divergence carrying the state, not a
+    # domain error from a validating constructor on the hot path.
+    @pytest.mark.parametrize("step_primal", [1e300, np.inf])
+    def test_non_finite_parameters_raise_with_state(self, step_primal):
+        cfg = tiny_cfg(rank=3, readout_dim=2, feature_bins=4, width=6, max_steps=5, step_primal=step_primal)
+        shape = dict(n_maturities=4, n_strikes=7, maturity_range=(0.25, 1.0))
+        panels = [tiny_panel(seed=s, **shape) for s in (3, 4, 5)]
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergence, match="non-finite objective") as info:
+            train(cfg, FoldData(panels[:1], panels[1], panels[2:]))
+        assert isinstance(info.value.state, SaddleState)
+        assert info.value.state.step == 0
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg, batch, state = tiny_state()
@@ -471,20 +522,3 @@ class TestSigmoid:
         self._assert_bitwise(x)
         self._assert_bitwise(x.reshape(400, 250))
 
-
-class TestDiagLowRankStructure:
-    def test_init_and_step(self):
-        cfg = tiny_cfg(operator_structure="diag_lowrank", max_steps=2)
-        panel = tiny_panel()
-        batch = build_batch([panel], cfg)
-        state = init_state(cfg, batch)
-        # diagonal-plus-rank-one: every all-off-diagonal 2x2 minor vanishes
-        # (entries off the diagonal are u_i v_j, so minors factor out)
-        cfg2 = tiny_cfg(operator_structure="diag_lowrank", rank=4, max_steps=2)
-        batch2 = build_batch([tiny_panel()], cfg2)
-        state2 = init_state(cfg2, batch2)
-        a = state2.primal["transitions"][0]
-        assert a[0, 1] * a[2, 3] == pytest.approx(a[0, 3] * a[2, 1], abs=1e-12)
-        assert a[1, 0] * a[3, 2] == pytest.approx(a[1, 2] * a[3, 0], abs=1e-12)
-        rng = np.random.default_rng(0)
-        extragradient_step(state, batch, cfg, rng)  # dense update path still works
