@@ -16,9 +16,10 @@ injections[ell] for s == ell and transitions[ell] ... transitions[s+1] @
 injections[s] for s < ell. Runtime of the scan is O(L m^2) (dense
 transitions).
 
-`scan_recursion` and `gate_density` are the unvalidated kernels behind
-`scan_forward` and `measure_gate`; the training loop calls them directly,
-so non-finite parameters reach its objective check instead of raising here.
+`scan_recursion`, `gate_density` and `green_sums` are the unvalidated
+kernels behind `scan_forward`, `measure_gate` and `green_sum`; the training
+loop calls them directly, so non-finite parameters reach its objective
+check instead of raising here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, strike_spacings
 from .mathutil import softplus
-from .qalign import GuardConfig, spectral_norm
+from .qalign import spectral_norms
 
 
 @dataclass
@@ -144,21 +145,26 @@ def green_kernel(params: OperatorParams, ell: int, s: int) -> np.ndarray:
     return G
 
 
-def green_sum(params: OperatorParams, ell: int, cfg: GuardConfig | None = None) -> float:
+def green_sums(transitions: np.ndarray, injections: np.ndarray) -> np.ndarray:
+    """(L,) sums of the spectral norms of the Green kernels feeding each
+    maturity, from one batched norm call over the stacked kernels."""
+    L = transitions.shape[0]
+    G = np.zeros((L, L) + injections.shape[1:])  # G[ell, s]; zero for s > ell
+    for ell in range(L):
+        G[ell, :ell] = transitions[ell] @ G[ell - 1, :ell]
+        G[ell, ell] = injections[ell]
+    return spectral_norms(G).sum(axis=1)
+
+
+def green_sum(params: OperatorParams, ell: int) -> float:
     """Sum of spectral norms of the Green kernels feeding maturity ell.
 
     The running stability diagnostic: finite and bounded across ell once the
     transitions respect the safety projection.
     """
-    cfg = cfg or GuardConfig()
     if not (0 <= ell < params.n_maturities):
         raise DomainError("index out of range")
-    total = spectral_norm(params.injections[ell], cfg)
-    prod = None  # transitions[ell] @ ... @ transitions[s+1], built incrementally
-    for s in range(ell - 1, -1, -1):
-        prod = params.transitions[ell].copy() if prod is None else prod @ params.transitions[s + 1]
-        total += spectral_norm(prod @ params.injections[s], cfg)
-    return float(total)
+    return float(green_sums(params.transitions[: ell + 1], params.injections[: ell + 1])[-1])
 
 
 def measure_gate(params: OperatorParams, grid: MarketGrid) -> np.ndarray:

@@ -3,9 +3,12 @@ Spectral-norm estimation, projection of linear maps onto a spectral ball,
 and the transition-matrix safety projection (spectral radius x time step
 kept below 1 - epsilon), with audit counters.
 
-The norm estimator is a deterministic power iteration from a fixed start
-vector (normalized all-ones); the spectral radius the guard compares with
-its bound is taken from the full eigenvalue spectrum.
+The safety pass takes every quantity from the exact spectrum: the norm of
+each map from its singular values (`spectral_norms`) and the radius the
+guard compares with its bound from its eigenvalues (`spectral_radius`),
+both batched over an (L, a, b) stack. `spectral_norm` is the paper's
+deterministic power iteration from a fixed start vector (normalized
+all-ones), kept as the estimator that the spectral oracle criterion audits.
 """
 
 from __future__ import annotations
@@ -58,12 +61,14 @@ class GuardLog:
     clamp_hits: int = field(default=0)
 
 
-def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None, v0: np.ndarray | None = None) -> float:
+def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None) -> float:
     """Largest singular value of W by power iteration on W^T W.
 
     Runs at most cfg.power_iters iterations, stopping early once the
     estimate moves by less than cfg.power_tol relatively. Exact 0 for the
-    zero matrix.
+    zero matrix. The iteration runs on W / max|W| and scales the result
+    back, so very large or very small entries neither overflow nor
+    underflow the iterate.
     """
     cfg = cfg or GuardConfig()
     W = np.asarray(W, dtype=float)
@@ -71,10 +76,12 @@ def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None, v0: np.ndarray 
         raise DomainError("spectral_norm expects a matrix")
     if not np.all(np.isfinite(W)):
         raise DomainError("matrix must be finite")
-    if not np.any(W):
+    scale = np.abs(W).max(initial=0.0)
+    if scale == 0.0:
         return 0.0
+    W = W / scale
     n = W.shape[1]
-    v = np.ones(n) / np.sqrt(n) if v0 is None else v0 / np.linalg.norm(v0)
+    v = np.ones(n) / np.sqrt(n)
     sigma = 0.0
     for _ in range(cfg.power_iters):
         u = W @ v
@@ -90,58 +97,65 @@ def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None, v0: np.ndarray 
             return 0.0
         v = v_new / sigma_new
         if abs(sigma_new - sigma) <= cfg.power_tol * max(sigma_new, 1e-300):
-            return float(sigma_new)
+            return float(sigma_new * scale)
         sigma = sigma_new
-    return float(sigma)
+    return float(sigma * scale)
 
 
-def _power_norm_step(W: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """One persisted-vector power step; returns (sigma estimate, new v).
-
-    Norms are taken as sqrt(x @ x), which is what np.linalg.norm computes
-    for a real vector, without its per-call dispatch.
-    """
-    u = W @ v
-    nu = np.sqrt(u @ u)
-    if nu == 0.0:
-        return 0.0, v
-    v_new = W.T @ (u / nu)
-    s = np.sqrt(v_new @ v_new)
-    if s == 0.0:
-        return 0.0, v
-    return float(s), v_new / s
+def _as_stack(A: np.ndarray) -> np.ndarray:
+    """A matrix as a stack of one; a stack unchanged."""
+    return A.reshape((-1,) + A.shape[-2:])
 
 
-def spectral_radius(A: np.ndarray, cfg: GuardConfig | None = None) -> float:
-    """Dominant-eigenvalue modulus of a square matrix, from its full spectrum.
+def _largest(A: np.ndarray, spectrum):
+    """Largest |value| of spectrum(A) for a matrix (a float) or for each
+    matrix of a stack (an array of shape A.shape[:-2]); NaN for a
+    non-finite matrix, which is masked first because LAPACK raises on NaN."""
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], A, 0.0)
+    out = np.where(finite, np.abs(spectrum(safe)).max(axis=-1, initial=0.0), np.nan)
+    return float(out) if A.ndim == 2 else out
 
-    Exact up to rounding for every matrix, non-normal ones and complex
-    dominant pairs included, which a power iteration on a short budget is
-    not. `cfg` is accepted for signature compatibility and does not affect
-    the result. A non-finite matrix has radius NaN: the guard leaves it
-    alone and the non-finite objective that follows reports the divergence.
+
+def spectral_norms(W: np.ndarray):
+    """Largest singular value of a matrix, or of each matrix in a stack,
+    exact up to rounding; NaN for a non-finite matrix."""
+    return _largest(np.asarray(W, dtype=float), lambda a: np.linalg.svd(a, compute_uv=False))
+
+
+def spectral_radius(A: np.ndarray, cfg: GuardConfig | None = None):
+    """Dominant-eigenvalue modulus of a square matrix, or of each matrix in
+    an (L, m, m) stack, from one batched eigvals call: exact up to rounding,
+    non-normal matrices and complex dominant pairs included. `cfg` does not
+    affect the result. A non-finite matrix has radius NaN: the guard leaves
+    it alone and the non-finite objective that follows reports the divergence.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("spectral_radius expects a square matrix")
-    if not np.all(np.isfinite(A)):
-        return float("nan")
-    return float(np.abs(np.linalg.eigvals(A)).max(initial=0.0))
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise DomainError("spectral_radius expects a square matrix or a stack of them")
+    return _largest(A, np.linalg.eigvals)
 
 
 def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np.ndarray, float]:
-    """Scale W onto the spectral ball of radius tau.
+    """Scale W, or each matrix of an (n, a, b) stack, onto the spectral ball
+    of radius tau.
 
     Returns (W_hat, distance) with W_hat = tau / max(||W||_2, tau) * W and
-    distance = ||W - W_hat||_F. Points inside the ball are unchanged.
+    distance = ||W - W_hat||_F, summed over a stack in index order; it is
+    taken as (||W||_2 / tau - 1) ||W_hat||_F, which does not overflow for
+    huge maps. Points inside the ball, and non-finite matrices, are
+    unchanged.
     """
     cfg = cfg or GuardConfig()
     W = np.asarray(W, dtype=float)
-    sigma = spectral_norm(W, cfg)
-    if sigma <= cfg.tau:
+    sigma = np.asarray(spectral_norms(W))
+    over = sigma > cfg.tau
+    if not over.any():
         return W, 0.0
-    W_hat = (cfg.tau / sigma) * W
-    return W_hat, float(np.linalg.norm(W - W_hat))
+    scale = cfg.tau / np.where(over, sigma, 1.0)
+    W_hat = np.where(over[..., None, None], scale[..., None, None] * W, W)
+    dists = [np.linalg.norm(w) * (s / cfg.tau - 1.0) for w, s in zip(_as_stack(W_hat)[over.ravel()], sigma[over])]
+    return W_hat, float(sum(dists))
 
 
 def cfl_indicator(A: np.ndarray, dt: float, cfg: GuardConfig | None = None) -> float:
@@ -151,26 +165,27 @@ def cfl_indicator(A: np.ndarray, dt: float, cfg: GuardConfig | None = None) -> f
     return spectral_radius(A, cfg) * dt
 
 
-def spec_guard_project(
-    A: np.ndarray, dt: float, cfg: GuardConfig, log: GuardLog
-) -> np.ndarray:
-    """Shrink A when rho(A) dt exceeds 1 - epsilon (strict trigger).
+def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np.ndarray:
+    """Shrink A, or each matrix of an (L, m, m) stack with its own dt, when
+    rho(A) dt exceeds 1 - epsilon (strict trigger).
 
     The minimal Frobenius-distance correction is the scaling
     A <- A * (1 - eps) / (rho(A) dt). Counters are updated in both branches
-    (max_rho_dt tracks the post-projection indicator).
+    (max_rho_dt tracks the post-projection indicator), matrix by matrix in
+    index order, so a stack logs exactly what per-matrix calls would.
     """
-    if not (dt > 0):
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0):
         raise DomainError("dt must be positive")
     A = np.asarray(A, dtype=float)
-    rho_dt = spectral_radius(A, cfg) * dt
-    if rho_dt > 1.0 - cfg.epsilon:
-        scale = (1.0 - cfg.epsilon) / rho_dt
-        A_hat = scale * A
-        log.spec_guard_hits += 1
-        log.projection_distance += float(np.linalg.norm(A - A_hat))
-        log.max_rho_dt = max(log.max_rho_dt, rho_dt * scale)
-        return A_hat
-    log.max_rho_dt = max(log.max_rho_dt, rho_dt)
-    return A
-
+    rho_dt = np.asarray(spectral_radius(A, cfg) * dt)
+    hit = rho_dt > 1.0 - cfg.epsilon
+    scale = (1.0 - cfg.epsilon) / np.where(hit, rho_dt, 1.0)
+    A_hat = np.where(hit[..., None, None], scale[..., None, None] * A, A) if hit.any() else A
+    for i, (r, s, h) in enumerate(zip(rho_dt.ravel(), scale.ravel(), hit.ravel())):
+        if h:
+            log.spec_guard_hits += 1
+            log.projection_distance += float(np.linalg.norm(_as_stack(A)[i] - _as_stack(A_hat)[i]))
+            r = r * s
+        log.max_rho_dt = max(log.max_rho_dt, float(r))
+    return A_hat

@@ -56,7 +56,7 @@ from .mathutil import sigmoid, softplus
 from .operator import (
     OperatorParams,
     gate_density,
-    green_sum,
+    green_sums,
     representer_fallback,
     scan_forward,
     scan_recursion,
@@ -64,8 +64,9 @@ from .operator import (
 from .qalign import (
     GuardConfig,
     GuardLog,
-    _power_norm_step,
+    lipschitz_project,
     spec_guard_project,
+    spectral_norms,
     spectral_radius,
 )
 from .vix import strip_coefficients
@@ -388,8 +389,6 @@ class TrainHistory:
     loss: list = field(default_factory=list)
     ratio_log: list = field(default_factory=list)
     mart_mean: list = field(default_factory=list)
-    lambda_before: list = field(default_factory=list)
-    lambda_after: list = field(default_factory=list)
     wall: list = field(default_factory=list)
     stopped_at: int | None = None
 
@@ -406,7 +405,6 @@ class SaddleState:
     patience_counter: int = 0
     step: int = 0
     guard: GuardLog = field(default_factory=GuardLog)
-    power_vectors: dict = field(default_factory=dict)
     history: TrainHistory = field(default_factory=TrainHistory)
 
     def flat_primal(self) -> np.ndarray:
@@ -437,7 +435,7 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
         dual_ramp_start=cfg.dual_ramp_start,
         cfg=cfg,
     )
-    apply_qalign(state.primal, batch, cfg, state.guard, state.power_vectors)
+    apply_qalign(state.primal, batch, cfg, state.guard)
     return state
 
 
@@ -708,74 +706,32 @@ def gradient(state: SaddleState, batch: TrainBatch, side: str,
 
 # --- safety pass -------------------------------------------------------------
 
-_LIP_KEYS = ("injections", "readouts")
-
 
 def _decoder_map_keys(primal: dict):
-    n = _decoder_layer_names(primal)
-    keys = []
-    for i in range(n):
-        keys.append(f"wz{i}")
-        keys.append(f"wx{i}")
-    return keys
+    return [f"{kind}{i}" for i in range(_decoder_layer_names(primal)) for kind in ("wz", "wx")]
 
 
-def _estimate_norm(W: np.ndarray, key: str, power_vectors: dict, iters: int = 1) -> float:
-    """Persisted-vector power estimate: one iteration per call, the vector
-    carried across steps so the estimate tracks the slowly moving maps."""
-    v = power_vectors.get(key)
-    if v is None or v.shape != (W.shape[1],):
-        v = np.ones(W.shape[1]) / np.sqrt(W.shape[1])
-        iters = max(iters, 8)  # warm start on first touch
-    sigma = 0.0
-    for _ in range(iters):
-        sigma, v = _power_norm_step(W, v)
-    power_vectors[key] = v
-    return sigma
-
-
-def _lip_product(primal: dict, batch: TrainBatch, power_vectors: dict, tag: str) -> float:
-    prod = 1.0
-    for i in range(primal["transitions"].shape[0]):
-        prod *= _estimate_norm(primal["transitions"][i], f"{tag}/trans{i}", power_vectors)
-        prod *= _estimate_norm(primal["injections"][i], f"{tag}/inj{i}", power_vectors)
-        prod *= _estimate_norm(primal["readouts"][i], f"{tag}/read{i}", power_vectors)
+def _lip_product(primal: dict) -> float:
+    """Product of the spectral norms of every linear map of the model."""
+    prod = float(np.prod([spectral_norms(primal[k]) for k in ("transitions", "injections", "readouts")]))
     for key in _decoder_map_keys(primal):
-        prod *= _estimate_norm(primal[key], f"{tag}/{key}", power_vectors)
+        prod *= spectral_norms(primal[key])
     return prod
 
 
-def _green_bound(primal: dict, batch: TrainBatch) -> float:
-    params = to_operator_params(primal)
-    quick = GuardConfig(power_iters=8, power_tol=1e-6)
-    return max(green_sum(params, ell, quick) for ell in range(batch.n_maturities))
-
-
-GREEN_REFRESH = 25  # steps between Green-bound refreshes for the logged surrogate
-
-
 def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: GuardLog,
-                 power_vectors: dict, log_lambda: bool = True) -> None:
-    """In-place safety pass: convex-path clamp, spectral ball on the linear
-    maps, transition guard; logs the Lipschitz surrogate before and after.
-
-    The kernel-sum factor of the surrogate moves slowly, so it is refreshed
-    every GREEN_REFRESH passes; the same cached value multiplies both the
-    before and after products, preserving their ordering.
-    """
-    green = None
+                 log_lambda: bool = True) -> None:
+    """In-place safety pass: convex-path clamp, spectral ball of radius tau
+    on every decoder map, injection and readout, and the spectral-radius
+    guard on the transitions; all three distances add to
+    log.projection_distance. With log_lambda it logs the Lipschitz surrogate
+    before and after: the largest Green-kernel sum over maturities (taken
+    before the pass) times the product of the exact norms of every map."""
     if log_lambda:
-        age = power_vectors.get("__green_age", GREEN_REFRESH)
-        if age >= GREEN_REFRESH:
-            green = _green_bound(primal, batch)
-            power_vectors["__green_cache"] = green
-            power_vectors["__green_age"] = 0
-        else:
-            green = power_vectors["__green_cache"]
-            power_vectors["__green_age"] = age + 1
-        before = _lip_product(primal, batch, power_vectors, "pre") * green
+        green = float(green_sums(primal["transitions"], primal["injections"]).max())
+        before = green * _lip_product(primal)
 
-    for key in _decoder_map_keys(primal):
+    for key in _decoder_map_keys(primal) + ["injections", "readouts"]:
         if key.startswith("wz"):
             w = primal[key]
             neg = np.minimum(w, 0.0)
@@ -783,29 +739,18 @@ def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: Guar
                 log.projection_distance += float(np.linalg.norm(neg))
                 log.clamp_hits += 1
                 np.maximum(w, 0.0, out=w)
-        sigma = _estimate_norm(primal[key], f"proj/{key}", power_vectors)
-        if sigma > cfg.guard.tau:
-            primal[key] *= cfg.guard.tau / sigma
+        primal[key], dist = lipschitz_project(primal[key], cfg.guard)
+        log.projection_distance += dist
 
-    for name in _LIP_KEYS:
-        arr = primal[name]
-        for i in range(arr.shape[0]):
-            sigma = _estimate_norm(arr[i], f"proj/{name}{i}", power_vectors)
-            if sigma > cfg.guard.tau:
-                arr[i] *= cfg.guard.tau / sigma
-
-    trans = primal["transitions"]
-    for i in range(trans.shape[0]):
-        dt = float(batch.dts[i])
-        if cfg.specguard_enabled:
-            trans[i] = spec_guard_project(trans[i], dt, cfg.guard, log)
-        else:
-            log.max_rho_dt = max(log.max_rho_dt, spectral_radius(trans[i], cfg.guard) * dt)
+    if cfg.specguard_enabled:
+        primal["transitions"] = spec_guard_project(primal["transitions"], batch.dts, cfg.guard, log)
+    else:
+        for rho_dt in spectral_radius(primal["transitions"]) * batch.dts:
+            log.max_rho_dt = max(log.max_rho_dt, float(rho_dt))
 
     if log_lambda:
-        after = _lip_product(primal, batch, power_vectors, "post") * green
         log.lambda_lip_before = before
-        log.lambda_lip_after = min(after, before)
+        log.lambda_lip_after = min(green * _lip_product(primal), before)
 
 
 # --- extragradient -----------------------------------------------------------
@@ -842,7 +787,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     gd0 = dual_gradient(fw0, cfg, L)
 
     half_primal = _pv_add(state.primal, gp0, -eta_p)
-    apply_qalign(half_primal, batch, cfg, state.guard, state.power_vectors, log_lambda=False)
+    apply_qalign(half_primal, batch, cfg, state.guard, log_lambda=False)
     half_duals = _dual_add(state.duals, gd0, eta_d, _dual_mults(cfg))
 
     fw1 = model_forward(half_primal, half_duals, batch, cfg, slices)
@@ -852,7 +797,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     gd1 = dual_gradient(fw1, cfg, L)
 
     state.primal = _pv_add(state.primal, gp1, -eta_p)
-    apply_qalign(state.primal, batch, cfg, state.guard, state.power_vectors)
+    apply_qalign(state.primal, batch, cfg, state.guard)
     state.duals = _dual_add(state.duals, gd1, eta_d, _dual_mults(cfg))
     state.step += 1
     return fw0
@@ -1023,8 +968,6 @@ def train(cfg: TrainingConfig, data: FoldData):
             hist.loss.append(fw.value)
             hist.ratio_log.append(ratio_log(fw.mse, dual_part))
             hist.mart_mean.append(float(fw.mres.mean()))
-            hist.lambda_before.append(state.guard.lambda_lip_before)
-            hist.lambda_after.append(state.guard.lambda_lip_after)
             hist.wall.append(time.time() - t0)
             if state.patience_counter >= cfg.patience:
                 stopped = True

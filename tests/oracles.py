@@ -1,5 +1,6 @@
 """Independent test oracles: closed-form pricing, a brute-force projection,
-and reference forms of two training kernels.
+reference forms of two training kernels, and a map that defeats a power
+iteration started from the all-ones vector.
 
 The pricing and projection oracles are written against scipy/numpy
 primitives and stay independent of the package's own code paths. The
@@ -144,3 +145,15 @@ def stepwise_gap(state, heldout, k_inner=None):
                 np.maximum(primal[name], 0.0, out=primal[name])
     inf_val = model_forward(primal, state.duals, heldout, cfg).value
     return float(sup_val - inf_val)
+
+
+def near_degenerate(a, b):
+    """An (a, b) map of spectral norm 1.2 whose top right singular vector
+    (1, -1, 0, ...)/sqrt(2) is orthogonal to the all-ones power-iteration
+    start; for a >= 2 its second singular value, 1.19, lies along that
+    start, so the iteration settles on 1.19. Needs b >= 2."""
+    w = np.zeros((a, b))
+    w[0, :2] = 1.2 * np.array([1.0, -1.0]) / np.sqrt(2.0)
+    if a >= 2:
+        w[1] = 1.19 / np.sqrt(b)
+    return w

@@ -122,11 +122,10 @@ class TestCriterion02GuardSafety:
         assert np.allclose(batch2.dts, 1.0)
         state2 = init_state(cfg, batch2)
         state2.primal["transitions"][:] = np.tile(2.0 * np.eye(cfg.rank), (4, 1, 1))
-        state2.power_vectors.clear()
         from arbsurf.qalign import GuardLog
 
         log = GuardLog()
-        apply_qalign(state2.primal, batch2, cfg, log, state2.power_vectors)
+        apply_qalign(state2.primal, batch2, cfg, log)
         ratio = log.lambda_lip_after / log.lambda_lip_before
         ok &= ratio <= (1 - cfg.guard.epsilon) / 2 * (1 + 1e-9)
         ok &= log.spec_guard_hits >= 4

@@ -9,8 +9,11 @@ from arbsurf.qalign import (
     lipschitz_project,
     spec_guard_project,
     spectral_norm,
+    spectral_norms,
     spectral_radius,
 )
+
+from .oracles import near_degenerate
 
 CFG = GuardConfig(power_iters=500, power_tol=1e-13)
 
@@ -159,3 +162,66 @@ class TestSpecGuard:
         # counters are nondecreasing by construction
         assert log.spec_guard_hits >= 0 and log.projection_distance >= 0
 
+
+
+class TestExactNorms:
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_power_iteration_scale_free(self, magnitude):
+        w = np.full((3, 3), magnitude)
+        assert spectral_norm(w, CFG) == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
+
+    def test_near_degenerate_map_capped(self):
+        w = near_degenerate(2, 3)
+        assert np.linalg.norm(w, 2) == pytest.approx(1.2, rel=1e-14)
+        cfg = GuardConfig(tau=1.0)
+        w_hat, dist = lipschitz_project(w, cfg)
+        assert np.linalg.norm(w_hat, 2) <= cfg.tau * (1 + 1e-12)
+        assert dist == pytest.approx(np.linalg.norm(w) * (1 - 1 / 1.2), rel=1e-12)
+
+    def test_huge_map_capped(self):
+        w = np.full((3, 3), 1e200)
+        w_hat, dist = lipschitz_project(w, GuardConfig(tau=1.0))
+        assert np.linalg.norm(w_hat, 2) == pytest.approx(1.0, rel=1e-12)
+        assert dist == pytest.approx(3e200, rel=1e-12)  # ||w||_F - ||w_hat||_F
+
+    def test_stack_norms_match_matrix_norms(self):
+        stack = np.random.default_rng(41).standard_normal((5, 3, 4))
+        assert np.array_equal(spectral_norms(stack), [spectral_norms(w) for w in stack])
+        np.testing.assert_allclose(spectral_norms(stack), [np.linalg.norm(w, 2) for w in stack], rtol=1e-14)
+
+    def test_lipschitz_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(43)
+        stack = rng.standard_normal((6, 3, 4)) * rng.uniform(0.1, 2.0, (6, 1, 1))
+        stack[2] = near_degenerate(3, 4)
+        cfg = GuardConfig(tau=0.8)
+        out, dist = lipschitz_project(stack, cfg)
+        singles = [lipschitz_project(w, cfg) for w in stack]
+        assert np.array_equal(out, np.stack([w for w, _ in singles]))
+        assert dist == sum(d for _, d in singles)
+        assert dist > 0.0
+
+    def test_guard_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(47)
+        stack = rng.standard_normal((8, 4, 4)) * rng.uniform(0.1, 3.0, (8, 1, 1))
+        dts = rng.uniform(0.05, 1.0, 8)
+        cfg = GuardConfig(epsilon=0.1)
+        log_stack, log_single = GuardLog(), GuardLog()
+        out = spec_guard_project(stack, dts, cfg, log_stack)
+        singles = np.stack([spec_guard_project(a, float(dt), cfg, log_single) for a, dt in zip(stack, dts)])
+        assert np.array_equal(out, singles)
+        assert 0 < log_stack.spec_guard_hits < len(stack)
+        assert log_stack.spec_guard_hits == log_single.spec_guard_hits
+        assert log_stack.projection_distance == log_single.projection_distance
+        assert log_stack.max_rho_dt == log_single.max_rho_dt
+
+    def test_nan_matrix_in_stack_left_alone(self):
+        stack = np.stack([3.0 * np.eye(2), np.full((2, 2), np.nan), 0.5 * np.eye(2)])
+        out, dist = lipschitz_project(stack, GuardConfig(tau=1.0))
+        assert np.array_equal(out, [np.eye(2), stack[1], stack[2]], equal_nan=True)
+        assert dist == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+        log = GuardLog()
+        out = spec_guard_project(stack, np.ones(3), GuardConfig(epsilon=0.1), log)
+        np.testing.assert_allclose(out[0], 0.9 * np.eye(2), rtol=1e-12)
+        assert np.array_equal(out[1:], stack[1:], equal_nan=True)
+        assert log.spec_guard_hits == 1
+        assert log.max_rho_dt == pytest.approx(0.9, rel=1e-12)

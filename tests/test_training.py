@@ -12,6 +12,7 @@ from arbsurf.training import (
     SaddleState,
     TrainingConfig,
     TrainingDivergence,
+    apply_qalign,
     build_batch,
     decode_window,
     dual_gradient,
@@ -270,6 +271,44 @@ class TestExtragradient:
         for _ in range(5):
             extragradient_step(state, batch, cfg, rng)
         to_decoder_params(state.primal).validate_nonnegative()
+
+
+class TestSafetyPass:
+    def test_near_degenerate_maps_capped(self):
+        # maps whose top singular direction a power iteration from the
+        # all-ones start never sees; the pass must still cap every one, and
+        # its distance is the clamp plus the ball distances, map by map
+        from arbsurf.qalign import GuardLog
+
+        from .oracles import near_degenerate
+
+        cfg, batch, state = tiny_state()
+        primal, tau = state.primal, cfg.guard.tau
+        keys = ["injections", "readouts"] + [k for k in primal if k[:2] in ("wz", "wx")]
+        for key in keys:
+            shape = primal[key].shape
+            if len(shape) == 3:
+                primal[key][:] = near_degenerate(*shape[1:])
+            elif key.startswith("wz") and min(shape) == 1:  # the clamp would zero a negative entry
+                primal[key] = np.full(shape, 1.2 / np.sqrt(max(shape)))
+            else:
+                primal[key] = near_degenerate(*shape)
+        expected = 0.0
+        for key in keys:
+            for w in primal[key].reshape((-1,) + primal[key].shape[-2:]):
+                if key.startswith("wz"):
+                    expected += np.linalg.norm(np.minimum(w, 0.0))
+                    w = np.maximum(w, 0.0)
+                sigma = np.linalg.norm(w, 2)
+                assert sigma > tau
+                expected += np.linalg.norm(w) * (1.0 - tau / sigma)
+        log = GuardLog()
+        apply_qalign(primal, batch, cfg, log)
+        for key in keys:
+            for w in primal[key].reshape((-1,) + primal[key].shape[-2:]):
+                assert np.linalg.norm(w, 2) <= tau * (1 + 1e-12)
+        assert log.spec_guard_hits == 0
+        assert log.projection_distance == pytest.approx(expected, rel=1e-12)
 
 
 class TestGapEstimator:
