@@ -31,8 +31,8 @@ from .metrics import (
     cnas,
     effective_dimension,
     gen_gap_p95,
-    hac_ci,
     holm_bonferroni,
+    mean_interval,
     nas,
     ni,
     novikov_kazamaki_rate,
@@ -239,7 +239,7 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
 def run_reproduce(cfg: ExperimentConfig, out_dir, emit_panels: bool = False) -> list:
     """Full protocol: panels, blocked folds, training, metrics, records."""
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
     if emit_panels:
         for p in panels:
@@ -254,7 +254,7 @@ def run_reproduce(cfg: ExperimentConfig, out_dir, emit_panels: bool = False) -> 
             "config_hash": cfg.hash(),
             "fold": dataclasses.asdict(fold),
             "seed": cfg.training.seed,
-            "wall_clock_seconds": time.time() - t0,
+            "wall_clock_seconds": time.perf_counter() - t0,
             "hardware": platform.processor() or platform.machine(),
             "effective_dims": effective_dims_of_fold(
                 state.primal, [panels[i] for i in fold.train], cfg.training
@@ -432,11 +432,7 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
             surf = decode_window(state.primal, stressed, cfg.training)
             scored = requote_surface(surf, cfg.generator, s, draw, STRESS_RATE_SHIFT * s)
             vals.append(nas(scored))
-        vals = np.asarray(vals)
-        if len(vals) >= 8:
-            mean, lo, hi = hac_ci(vals)
-        else:
-            mean, lo, hi = float(vals.mean()), float(vals.min()), float(vals.max())
+        mean, lo, hi = mean_interval(vals)
         curve[s] = (mean, lo, hi)
         if mean < cfg.run.nas_failure_threshold and threshold == float("inf"):
             threshold = s
@@ -469,11 +465,7 @@ def run_external_validity(cfg: ExperimentConfig, out_dir) -> dict:
     state, run, _ = run_fold(panels, fold, cfg.training)
     oos_surfs = _model_surfaces(state.primal, [panels[i] for i in fold.oos], cfg.training)
     drop, per_window = external_validity_drop(oos_surfs)
-    series = np.asarray(per_window)
-    if len(series) >= 8:
-        _, lo, hi = hac_ci(series)
-    else:
-        lo, hi = float(series.min()), float(series.max())
+    _, lo, hi = mean_interval(per_window)
     out = {
         "cnas_frozen_drop": drop,
         "window_cnas": per_window,
@@ -503,13 +495,7 @@ def report(runlog_paths, out_dir) -> None:
     for metric in headline_ci:
         vals = np.array([r.get(metric) for _, r in rows if r.get(metric) is not None], dtype=float)
         vals = vals[np.isfinite(vals)]
-        if len(vals) >= 8:
-            _, lo, hi = hac_ci(vals)
-        elif len(vals) >= 1:
-            lo, hi = float(vals.min()), float(vals.max())
-        else:
-            lo = hi = ""
-        ci_cols[metric] = (lo, hi)
+        ci_cols[metric] = mean_interval(vals)[1:] if len(vals) else ("", "")
 
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -535,10 +521,7 @@ def report(runlog_paths, out_dir) -> None:
             if len(vals) == 0:
                 writer.writerow([metric, "", "", "", 0])
                 continue
-            if len(vals) >= 8:
-                mean, lo, hi = hac_ci(vals)
-            else:
-                mean, lo, hi = float(vals.mean()), float(vals.min()), float(vals.max())
+            mean, lo, hi = mean_interval(vals)
             writer.writerow([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
             if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
                 from scipy.stats import norm as _n

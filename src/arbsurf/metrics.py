@@ -190,17 +190,6 @@ def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurf
 # --- saddle diagnostics ------------------------------------------------------
 
 
-def dual_gap(state, heldout_batch, k_inner: int = 5) -> float:
-    """Empirical saddle gap at the current iterate: k_inner projected ascent
-    steps on the multipliers minus k_inner descent steps on the parameters,
-    both on the held-out batch."""
-    if k_inner < 1:
-        raise DomainError("k_inner must be >= 1")
-    from .training import empirical_gap_from_state
-
-    return empirical_gap_from_state(state, heldout_batch, k_inner)
-
-
 def stability(runs: Sequence, mart_tol: float = 1e-2) -> float:
     """Fraction of runs that stayed spectrally safe (max rho dt <= 1), ended
     with the martingale defect below tolerance, and stopped within budget."""
@@ -334,6 +323,15 @@ def hac_ci(series: np.ndarray, confidence: float = 0.95, c: float = 1.0):
     half = _z(confidence) * np.sqrt(lrv / t)
     mean = float(x.mean())
     return mean, mean - half, mean + half
+
+
+def mean_interval(values) -> tuple:
+    """(mean, lo, hi): the autocorrelation-robust interval from 8 values on,
+    the sample range below that."""
+    x = np.asarray(values, dtype=float)
+    if len(x) >= 8:
+        return hac_ci(x)
+    return float(x.mean()), float(x.min()), float(x.max())
 
 
 def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> np.ndarray:

@@ -123,12 +123,12 @@ def spectral_norms(W: np.ndarray):
     return _largest(np.asarray(W, dtype=float), lambda a: np.linalg.svd(a, compute_uv=False))
 
 
-def spectral_radius(A: np.ndarray, cfg: GuardConfig | None = None):
+def spectral_radius(A: np.ndarray):
     """Dominant-eigenvalue modulus of a square matrix, or of each matrix in
     an (L, m, m) stack, from one batched eigvals call: exact up to rounding,
-    non-normal matrices and complex dominant pairs included. `cfg` does not
-    affect the result. A non-finite matrix has radius NaN: the guard leaves
-    it alone and the non-finite objective that follows reports the divergence.
+    non-normal matrices and complex dominant pairs included. A non-finite
+    matrix has radius NaN: the guard leaves it alone and the non-finite
+    objective that follows reports the divergence.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -158,11 +158,11 @@ def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np
     return W_hat, float(sum(dists))
 
 
-def cfl_indicator(A: np.ndarray, dt: float, cfg: GuardConfig | None = None) -> float:
+def cfl_indicator(A: np.ndarray, dt: float) -> float:
     """Safety quantity rho(A) * dt (spectral radius; equals ||A||_2 dt for symmetric A)."""
     if not (dt > 0):
         raise DomainError("dt must be positive")
-    return spectral_radius(A, cfg) * dt
+    return spectral_radius(A) * dt
 
 
 def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np.ndarray:
@@ -178,7 +178,7 @@ def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np
     if not np.all(dt > 0):
         raise DomainError("dt must be positive")
     A = np.asarray(A, dtype=float)
-    rho_dt = np.asarray(spectral_radius(A, cfg) * dt)
+    rho_dt = np.asarray(spectral_radius(A) * dt)
     hit = rho_dt > 1.0 - cfg.epsilon
     scale = (1.0 - cfg.epsilon) / np.where(hit, rho_dt, 1.0)
     A_hat = np.where(hit[..., None, None], scale[..., None, None] * A, A) if hit.any() else A

@@ -32,6 +32,10 @@ linear in the multipliers, so the dual gradient is the residual vector at
 the fixed primal point, and the one forward at the current point (shared
 with the first primal-descent step) yields every ascent step and the value
 at the ascended multipliers, with the arithmetic of a forward per step.
+
+`train` is the one saddle loop: it stops on `stop_test`, records the last
+logged gap as DualGap and Stability from `metrics.stability`, and both
+extragradient halves and the gap's primal half descend along `_descent`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .decoder import (
 from .generator import Fold, SyntheticPanel
 from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, parity_puts, strike_spacings
 from .mathutil import sigmoid, softplus
+from .metrics import CnasShape, cnas, nas, stability
 from .operator import (
     OperatorParams,
     gate_density,
@@ -69,6 +74,7 @@ from .qalign import (
     spectral_norms,
     spectral_radius,
 )
+from .runlog import RunLog
 from .vix import strip_coefficients
 
 
@@ -383,12 +389,11 @@ def load_checkpoint(out_dir) -> dict:
 
 @dataclass
 class TrainHistory:
+    """Per step: held-out gap, the stop rule's (|delta gap|, dual residual)
+    pair and seconds since the loop began."""
+
     gap: list = field(default_factory=list)
-    delta_gap: list = field(default_factory=list)
-    dual_residual: list = field(default_factory=list)
-    loss: list = field(default_factory=list)
-    ratio_log: list = field(default_factory=list)
-    mart_mean: list = field(default_factory=list)
+    stop_pairs: list = field(default_factory=list)
     wall: list = field(default_factory=list)
     stopped_at: int | None = None
 
@@ -397,27 +402,17 @@ class TrainHistory:
 class SaddleState:
     primal: dict
     duals: dict
-    step_primal: float
-    step_dual: float
-    dual_ramp_steps: int
-    dual_ramp_start: float
-    cfg: "TrainingConfig" = None
-    patience_counter: int = 0
+    cfg: TrainingConfig
     step: int = 0
     guard: GuardLog = field(default_factory=GuardLog)
     history: TrainHistory = field(default_factory=TrainHistory)
 
-    def flat_primal(self) -> np.ndarray:
-        return flatten_primal(self.primal)
-
-    def manifest(self):
-        return manifest_of(self.primal)
-
     def dual_step_now(self) -> float:
-        ramp = self.dual_ramp_start + (1.0 - self.dual_ramp_start) * min(
-            1.0, self.step / max(self.dual_ramp_steps, 1)
+        cfg = self.cfg
+        ramp = cfg.dual_ramp_start + (1.0 - cfg.dual_ramp_start) * min(
+            1.0, self.step / max(cfg.dual_ramp_steps, 1)
         )
-        return self.step_dual * ramp
+        return cfg.step_dual * ramp
 
 
 def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
@@ -426,15 +421,7 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
     L, M = batch.n_maturities, batch.n_strikes
     n_na = (M - 1) * L + (M - 2) * L + M * (L - 1) + M * L
     duals = {"na": np.zeros(n_na), "mart": np.zeros(L), "vix": np.zeros(L)}
-    state = SaddleState(
-        primal=primal,
-        duals=duals,
-        step_primal=cfg.step_primal,
-        step_dual=cfg.step_dual,
-        dual_ramp_steps=cfg.dual_ramp_steps,
-        dual_ramp_start=cfg.dual_ramp_start,
-        cfg=cfg,
-    )
+    state = SaddleState(primal=primal, duals=duals, cfg=cfg)
     apply_qalign(state.primal, batch, cfg, state.guard)
     return state
 
@@ -689,19 +676,13 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     return grads
 
 
-def gradient(state: SaddleState, batch: TrainBatch, side: str,
-             cfg: TrainingConfig | None = None,
-             slices: np.ndarray | None = None):
-    """Flattened gradient of the objective for one side of the saddle."""
-    cfg = cfg or state.cfg
-    fw = model_forward(state.primal, state.duals, batch, cfg, slices)
-    if side == "primal":
-        g = primal_gradient(state.primal, state.duals, batch, cfg, fw)
-        return np.concatenate([g[k].ravel() for k, _ in manifest_of(state.primal)])
-    if side == "dual":
-        g = dual_gradient(fw, cfg, batch.n_maturities)
-        return np.concatenate([g["na"], g["mart"], g["vix"]])
-    raise DomainError("side must be primal or dual")
+def _descent(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
+             fw: ForwardCache) -> dict:
+    """Primal descent direction at the forward's point: the reverse pass,
+    clipped to the global norm budget, then scaled block by block."""
+    return _apply_block_steps(
+        _clip_gradient(primal_gradient(primal, duals, batch, cfg, fw), cfg.clip_norm), cfg
+    )
 
 
 # --- safety pass -------------------------------------------------------------
@@ -774,16 +755,15 @@ def _dual_mults(cfg: TrainingConfig) -> dict:
 def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfig,
                        rng: np.random.Generator) -> ForwardCache:
     """One predict-then-correct update; returns the step's first forward
-    cache (used for the stop diagnostics)."""
+    cache, taken at the pre-step primal and duals (the stop diagnostics and
+    the record's ratio_log and martingale residual read it)."""
     L = batch.n_maturities
     slices = np.sort(rng.choice(L, size=min(cfg.n_slices, L), replace=False))
-    eta_p = state.step_primal
+    eta_p = state.cfg.step_primal
     eta_d = state.dual_step_now()
 
     fw0 = model_forward(state.primal, state.duals, batch, cfg, slices)
-    gp0 = _apply_block_steps(
-        _clip_gradient(primal_gradient(state.primal, state.duals, batch, cfg, fw0), cfg.clip_norm), cfg
-    )
+    gp0 = _descent(state.primal, state.duals, batch, cfg, fw0)
     gd0 = dual_gradient(fw0, cfg, L)
 
     half_primal = _pv_add(state.primal, gp0, -eta_p)
@@ -791,9 +771,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     half_duals = _dual_add(state.duals, gd0, eta_d, _dual_mults(cfg))
 
     fw1 = model_forward(half_primal, half_duals, batch, cfg, slices)
-    gp1 = _apply_block_steps(
-        _clip_gradient(primal_gradient(half_primal, half_duals, batch, cfg, fw1), cfg.clip_norm), cfg
-    )
+    gp1 = _descent(half_primal, half_duals, batch, cfg, fw1)
     gd1 = dual_gradient(fw1, cfg, L)
 
     state.primal = _pv_add(state.primal, gp1, -eta_p)
@@ -804,21 +782,6 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 
 
 # --- empirical saddle gap ----------------------------------------------------
-
-
-def empirical_gap(value_fn, grad_primal_fn, grad_dual_fn, primal0, dual0,
-                  eta_primal: float, eta_dual: float, k_inner: int) -> float:
-    """Generic gap estimator: k_inner projected ascent steps on the dual
-    minus k_inner plain descent steps on the primal, from the same point."""
-    d = np.asarray(dual0, dtype=float)
-    for _ in range(k_inner):
-        d = np.maximum(d + eta_dual * grad_dual_fn(primal0, d), 0.0)
-    sup_val = value_fn(primal0, d)
-    p = np.asarray(primal0, dtype=float)
-    for _ in range(k_inner):
-        p = p - eta_primal * grad_primal_fn(p, dual0)
-    inf_val = value_fn(p, dual0)
-    return float(sup_val - inf_val)
 
 
 def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
@@ -836,7 +799,7 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
     """
     cfg = state.cfg
     k = k_inner or cfg.k_inner
-    eta_p, eta_d = state.step_primal, state.step_dual
+    eta_p, eta_d = cfg.step_primal, cfg.step_dual
 
     fw0 = model_forward(state.primal, state.duals, heldout, cfg)
     g = dual_gradient(fw0, cfg, heldout.n_maturities)
@@ -847,10 +810,7 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
 
     primal, fw = state.primal, fw0
     for _ in range(k):
-        g = _apply_block_steps(
-            _clip_gradient(primal_gradient(primal, state.duals, heldout, cfg, fw), cfg.clip_norm), cfg
-        )
-        primal = _pv_add(primal, g, -eta_p)
+        primal = _pv_add(primal, _descent(primal, state.duals, heldout, cfg, fw), -eta_p)
         for key in primal:
             if key.startswith("wz"):
                 np.maximum(primal[key], 0.0, out=primal[key])
@@ -861,14 +821,21 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
 # --- stopping ----------------------------------------------------------------
 
 
-def stop_test(history, cfg: TrainingConfig) -> bool:
-    """True iff both stopping statistics stayed below their thresholds for at
-    least `patience` consecutive entries (the most recent ones)."""
-    pairs = list(history)
-    if len(pairs) < cfg.patience:
-        return False
-    recent = pairs[-cfg.patience :]
-    return all(dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps for dg, dr in recent)
+def stop_test(pairs, cfg: TrainingConfig) -> bool:
+    """True iff both stopping statistics stayed below their thresholds for
+    the `patience` most recent (|delta gap|, dual residual) pairs.
+
+    Walks back from the newest pair and returns at the first one that misses
+    a threshold, so a call costs at most the current streak and copies
+    nothing."""
+    streak = 0
+    for dg, dr in reversed(pairs):
+        if not (dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps):
+            return False
+        streak += 1
+        if streak >= cfg.patience:
+            return True
+    return False
 
 
 def ratio_log(primal_value: float, dual_value: float) -> float:
@@ -915,12 +882,10 @@ def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> P
 def train(cfg: TrainingConfig, data: FoldData):
     """Run the saddle loop on one fold; returns (state, run log record).
 
-    Deterministic given cfg.seed. Divergence raises TrainingDivergence with
-    the last valid state attached.
+    Stops at the first step where `stop_test` holds on the logged pairs, or
+    after cfg.max_steps. Deterministic given cfg.seed. Divergence raises
+    TrainingDivergence with the last valid state attached.
     """
-    from .metrics import CnasShape, cnas, nas
-    from .runlog import RunLog
-
     panels = list(data.train_panels)
     cover = coverage_stats([p.quoted_surface for p in panels + [data.val_panel]])
     representer_record = None
@@ -942,52 +907,42 @@ def train(cfg: TrainingConfig, data: FoldData):
     heldout = build_batch([data.val_panel], cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     hist = state.history
-    stop_pairs = []
-    prev_gap = None
-    t0 = time.time()
-    stopped = False
+    fw = duals = None  # the last step's first forward and the duals it saw
+    t0 = time.perf_counter()
     try:
         for _ in range(cfg.max_steps):
+            duals = state.duals
             fw = extragradient_step(state, batch, cfg, rng)
             gap = empirical_gap_from_state(state, heldout)
-            delta_gap = abs(gap - prev_gap) if prev_gap is not None else float("inf")
-            prev_gap = gap
-            dres = dual_residual_norm(fw, cfg)
-            ok = (delta_gap < cfg.delta_gap_tol) and (dres < cfg.dual_residual_eps)
-            state.patience_counter = state.patience_counter + 1 if ok else 0
-            stop_pairs.append((delta_gap, dres))
-
-            dual_part = (
-                float(state.duals["na"] @ fw.r_na)
-                + cfg.gamma * float(state.duals["mart"][fw.slices] @ fw.mres[fw.slices])
-                + cfg.xi * float(state.duals["vix"] @ fw.r_vix)
-            )
+            delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
             hist.gap.append(gap)
-            hist.delta_gap.append(delta_gap)
-            hist.dual_residual.append(dres)
-            hist.loss.append(fw.value)
-            hist.ratio_log.append(ratio_log(fw.mse, dual_part))
-            hist.mart_mean.append(float(fw.mres.mean()))
-            hist.wall.append(time.time() - t0)
-            if state.patience_counter >= cfg.patience:
-                stopped = True
+            hist.stop_pairs.append((delta_gap, dual_residual_norm(fw, cfg)))
+            hist.wall.append(time.perf_counter() - t0)
+            if stop_test(hist.stop_pairs, cfg):
                 hist.stopped_at = state.step
                 break
     except TrainingDivergence as err:
         raise TrainingDivergence(str(err), state=state) from err
 
+    final_ratio = None
+    if fw is None:  # no step ran: the defect at the initial point, all maturities
+        fw = model_forward(state.primal, state.duals, batch, cfg)
+    else:
+        dual_part = (
+            float(duals["na"] @ fw.r_na)
+            + cfg.gamma * float(duals["mart"][fw.slices] @ fw.mres[fw.slices])
+            + cfg.xi * float(duals["vix"] @ fw.r_vix)
+        )
+        final_ratio = ratio_log(fw.mse, dual_part)
     val_surface = decode_window(state.primal, data.val_panel, cfg)
-    final_mart = hist.mart_mean[-1] if hist.mart_mean else float(
-        model_forward(state.primal, state.duals, batch, cfg).mres.mean()
-    )
     run = RunLog(
         NAS=nas(val_surface),
         CNAS=cnas(val_surface, CnasShape()),
-        DualGap=empirical_gap_from_state(state, heldout) if hist.gap else None,
+        DualGap=hist.gap[-1] if hist.gap else None,
         spec_guard_hits=state.guard.spec_guard_hits,
         projection_distance=state.guard.projection_distance,
         max_rho_dt=state.guard.max_rho_dt,
-        ratio_log=hist.ratio_log[-1] if hist.ratio_log else None,
+        ratio_log=final_ratio,
         enter_representer_at_step=(
             representer_record.enter_representer_at_step if representer_record else None
         ),
@@ -996,14 +951,11 @@ def train(cfg: TrainingConfig, data: FoldData):
         coverage_at_trigger=(
             representer_record.coverage_at_trigger if representer_record else None
         ),
-        martingale_residual=final_mart,
+        martingale_residual=float(fw.mres.mean()),
         lambda_lip_before=state.guard.lambda_lip_before,
         lambda_lip_after=state.guard.lambda_lip_after,
         filter_rate=float(np.mean([p.filter_rate for p in data.train_panels + [data.val_panel]])),
-        Stability=float(
-            state.guard.max_rho_dt <= 1.0 and final_mart <= 1e-2 and stopped
-        ),
     )
-    run.stopped = stopped
-    run.stop_history = stop_pairs
+    run.stopped = hist.stopped_at is not None
+    run.Stability = stability([run])
     return state, run

@@ -130,7 +130,7 @@ def stepwise_gap(state, heldout, k_inner=None):
     duals = {name: v.copy() for name, v in state.duals.items()}
     for _ in range(k):
         fw = model_forward(state.primal, duals, heldout, cfg)
-        duals = _dual_add(duals, dual_gradient(fw, cfg, heldout.n_maturities), state.step_dual)
+        duals = _dual_add(duals, dual_gradient(fw, cfg, heldout.n_maturities), cfg.step_dual)
     sup_val = model_forward(state.primal, duals, heldout, cfg).value
 
     primal = {name: v.copy() for name, v in state.primal.items()}
@@ -139,7 +139,7 @@ def stepwise_gap(state, heldout, k_inner=None):
         g = _apply_block_steps(
             _clip_gradient(primal_gradient(primal, state.duals, heldout, cfg, fw), cfg.clip_norm), cfg
         )
-        primal = _pv_add(primal, g, -state.step_primal)
+        primal = _pv_add(primal, g, -cfg.step_primal)
         for name in primal:
             if name.startswith("wz"):
                 np.maximum(primal[name], 0.0, out=primal[name])

@@ -101,13 +101,12 @@ class TestCriterion02GuardSafety:
         cfg = TrainingConfig(rank=3, feature_bins=4, readout_dim=2, width=6, seed=5)
         batch = build_batch([panel], cfg)
         state = init_state(cfg, batch)
-        strict = GuardConfig(power_iters=300, power_tol=1e-12)
         rng = np.random.default_rng(7)
         ok = True
         for _ in range(40):
             extragradient_step(state, batch, cfg, rng)
             for i in range(batch.n_maturities):
-                ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]), strict)
+                ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]))
                 ok &= ind <= (1 - cfg.guard.epsilon) * (1 + 1e-9)
             ok &= state.guard.lambda_lip_after <= state.guard.lambda_lip_before * (1 + 1e-12)
 

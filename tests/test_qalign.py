@@ -83,10 +83,10 @@ class TestLipschitzProject:
 
 class TestSpectralRadius:
     def test_zero(self):
-        assert cfl_indicator(np.zeros((3, 3)), 1.0, CFG) == 0.0
+        assert cfl_indicator(np.zeros((3, 3)), 1.0) == 0.0
 
     def test_diagonal(self):
-        assert cfl_indicator(np.diag([0.5, 0.1]), 1.0, CFG) == pytest.approx(0.5, rel=1e-9)
+        assert cfl_indicator(np.diag([0.5, 0.1]), 1.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_complex_spectrum_oracle(self):
         # rotation-scaling block with known modulus 0.9, plus a weaker block
@@ -98,20 +98,20 @@ class TestSpectralRadius:
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
         a = q @ a @ q.T  # similarity keeps the spectrum
         exact = np.max(np.abs(np.linalg.eigvals(a)))
-        assert cfl_indicator(a, 1.0, CFG) == pytest.approx(exact, abs=1e-6)
+        assert cfl_indicator(a, 1.0) == pytest.approx(exact, abs=1e-6)
 
     def test_random_matrices_vs_eig_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             a = rng.standard_normal((5, 5))
             exact = np.max(np.abs(np.linalg.eigvals(a)))
-            assert spectral_radius(a, CFG) == pytest.approx(exact, rel=1e-6)
+            assert spectral_radius(a) == pytest.approx(exact, rel=1e-6)
 
     def test_dt_scaling(self):
         a = np.diag([2.0, 0.5])
-        assert cfl_indicator(a, 0.25, CFG) == pytest.approx(0.5, rel=1e-9)
+        assert cfl_indicator(a, 0.25) == pytest.approx(0.5, rel=1e-9)
         with pytest.raises(DomainError):
-            cfl_indicator(a, 0.0, CFG)
+            cfl_indicator(a, 0.0)
 
 
 class TestSpecGuard:
@@ -132,7 +132,7 @@ class TestSpecGuard:
         out = spec_guard_project(a, 1.0, cfg, log)
         assert np.allclose(out, 0.45 * a, rtol=1e-8)
         assert log.spec_guard_hits == 1
-        assert cfl_indicator(out, 1.0, CFG) == pytest.approx(0.9, rel=1e-8)
+        assert cfl_indicator(out, 1.0) == pytest.approx(0.9, rel=1e-8)
 
     def test_frobenius_distance_logged(self):
         log = GuardLog()
@@ -158,7 +158,7 @@ class TestSpecGuard:
             a = rng.standard_normal((5, 5)) * rng.uniform(0.1, 4.0)
             dt = rng.uniform(0.05, 1.5)
             out = spec_guard_project(a, dt, cfg, log)
-            assert cfl_indicator(out, dt, CFG) <= (1 - cfg.epsilon) * (1 + 1e-9)
+            assert cfl_indicator(out, dt) <= (1 - cfg.epsilon) * (1 + 1e-9)
         # counters are nondecreasing by construction
         assert log.spec_guard_hits >= 0 and log.projection_distance >= 0
 

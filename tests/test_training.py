@@ -5,7 +5,6 @@ import pytest
 
 from arbsurf.decoder import decode_surface
 from arbsurf.generator import GeneratorConfig, make_panel
-from arbsurf.grids import DomainError
 from arbsurf.operator import measure_gate, scan_forward
 from arbsurf.training import (
     FoldData,
@@ -16,11 +15,9 @@ from arbsurf.training import (
     build_batch,
     decode_window,
     dual_gradient,
-    empirical_gap,
     empirical_gap_from_state,
     extragradient_step,
     flatten_primal,
-    gradient,
     init_state,
     load_checkpoint,
     manifest_of,
@@ -161,16 +158,6 @@ class TestGradient:
         g = dual_gradient(fw, cfg, batch.n_maturities)
         assert all(np.all(v == 0.0) for v in g.values())
 
-    def test_flat_gradient_interface(self):
-        cfg, batch, state = self._setup()
-        gp = gradient(state, batch, "primal")
-        assert gp.shape == flatten_primal(state.primal).shape
-        gd = gradient(state, batch, "dual")
-        n = sum(len(v) for v in state.duals.values())
-        assert gd.shape == (n,)
-        with pytest.raises(DomainError):
-            gradient(state, batch, "both")
-
 
 class TestExtragradient:
     def test_bilinear_hand_values(self):
@@ -225,15 +212,14 @@ class TestExtragradient:
         assert all(d2 >= d1 - 1e-15 for d1, d2 in zip(dist, dist[1:]))
 
     def test_cfl_safe_after_every_step(self):
-        from arbsurf.qalign import GuardConfig, cfl_indicator
+        from arbsurf.qalign import cfl_indicator
 
         cfg, batch, state = tiny_state()
         rng = np.random.default_rng(4)
-        strict = GuardConfig(power_iters=300, power_tol=1e-12)
         for _ in range(5):
             extragradient_step(state, batch, cfg, rng)
             for i in range(batch.n_maturities):
-                ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]), strict)
+                ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]))
                 assert ind <= (1 - cfg.guard.epsilon) * (1 + 1e-9)
 
     def test_guard_catches_non_normal_near_threshold_stack(self):
@@ -312,34 +298,6 @@ class TestSafetyPass:
 
 
 class TestGapEstimator:
-    def test_bilinear_one_step_hand_value(self):
-        # L = x*y at (1, 0): one ascent step moves y to 0.1 giving L = 0.1,
-        # one descent step leaves x at 1 giving L = 0 -> gap 0.1
-        gap = empirical_gap(
-            value_fn=lambda x, y: float(x * y),
-            grad_primal_fn=lambda x, y: np.asarray(y),
-            grad_dual_fn=lambda x, y: np.asarray(x),
-            primal0=np.array(1.0),
-            dual0=np.array(0.0),
-            eta_primal=0.1,
-            eta_dual=0.1,
-            k_inner=1,
-        )
-        assert gap == pytest.approx(0.1, rel=1e-12)
-
-    def test_zero_at_exact_saddle(self):
-        gap = empirical_gap(
-            value_fn=lambda x, y: float(x * y),
-            grad_primal_fn=lambda x, y: np.asarray(y),
-            grad_dual_fn=lambda x, y: np.asarray(x),
-            primal0=np.array(0.0),
-            dual0=np.array(0.0),
-            eta_primal=0.1,
-            eta_dual=0.1,
-            k_inner=5,
-        )
-        assert gap == pytest.approx(0.0, abs=1e-12)
-
     def test_shared_forward_matches_stepwise_estimator(self):
         from .oracles import stepwise_gap
 
@@ -379,14 +337,6 @@ class TestGapEstimator:
             assert np.array_equal(state.primal[k], primal[k])
         for k in duals:
             assert np.array_equal(state.duals[k], duals[k])
-
-    def test_metrics_dual_gap_wrapper(self):
-        from arbsurf.metrics import dual_gap
-
-        cfg, batch, state = tiny_state()
-        val = dual_gap(state, batch, k_inner=2)
-        assert np.isfinite(val)
-        assert val >= -1e-6
 
 
 class TestStopTest:
@@ -504,35 +454,72 @@ class TestOperatorViews:
 
 
 class TestTrainLoop:
+    @staticmethod
+    def _data():
+        panels = [tiny_panel(seed=3), tiny_panel(seed=4), tiny_panel(seed=5)]
+        return FoldData(panels[:1], panels[1], panels[2:])
+
     def test_zero_steps_returns_initial(self):
         cfg = tiny_cfg(max_steps=0)
-        panels = [tiny_panel(seed=3), tiny_panel(seed=4), tiny_panel(seed=5)]
-        data = FoldData(panels[:1], panels[1], panels[2:])
-        state, run = train(cfg, data)
+        state, run = train(cfg, self._data())
         assert state.step == 0
         assert state.history.stopped_at is None
         assert run.spec_guard_hits >= 0
 
     def test_deterministic_given_seed(self):
         cfg = tiny_cfg(max_steps=6)
-        panels = [tiny_panel(seed=3), tiny_panel(seed=4), tiny_panel(seed=5)]
-        data = FoldData(panels[:1], panels[1], panels[2:])
+        data = self._data()
         s1, r1 = train(cfg, data)
         s2, r2 = train(cfg, data)
         assert r1.to_dict() == r2.to_dict()
         assert np.array_equal(flatten_primal(s1.primal), flatten_primal(s2.primal))
 
-    def test_stop_history_consistent_when_stopped(self):
+    def test_stop_pairs_consistent_when_stopped(self):
         # loose thresholds so the tiny run stops quickly, then replay the
-        # logged pairs against the thresholds
+        # logged pairs against the thresholds and the stop rule
         cfg = tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6)
-        panels = [tiny_panel(seed=3), tiny_panel(seed=4), tiny_panel(seed=5)]
-        data = FoldData(panels[:1], panels[1], panels[2:])
-        state, run = train(cfg, data)
+        state, run = train(cfg, self._data())
         assert run.stopped
-        assert state.history.stopped_at is not None
-        tail = run.stop_history[-cfg.patience :]
+        pairs = state.history.stop_pairs
+        tail = pairs[-cfg.patience :]
         assert all(dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps for dg, dr in tail)
+        first = next(k for k in range(len(pairs) + 1) if stop_test(pairs[:k], cfg))
+        assert state.history.stopped_at == first == len(pairs) == state.step
+
+    def test_dual_gap_is_heldout_gap_of_final_state(self):
+        cfg = tiny_cfg(max_steps=4)
+        data = self._data()
+        state, run = train(cfg, data)
+        heldout = build_batch([data.val_panel], cfg)
+        assert run.DualGap == empirical_gap_from_state(state, heldout) == state.history.gap[-1]
+
+    def test_ratio_log_at_duals_of_its_forward(self, monkeypatch):
+        # the record's ratio_log compares the pricing loss of the last step's
+        # first forward with the dual part at the duals that forward saw,
+        # not at the duals the step has already updated
+        import arbsurf.training as training
+
+        seen = []
+
+        def recorded(state, *args):
+            duals = {k: v.copy() for k, v in state.duals.items()}
+            fw = extragradient_step(state, *args)
+            seen.append((duals, fw))
+            return fw
+
+        monkeypatch.setattr(training, "extragradient_step", recorded)
+        cfg = tiny_cfg(max_steps=2)
+        state, run = train(cfg, self._data())
+        duals, fw = seen[-1]
+        dual_part = (
+            float(duals["na"] @ fw.r_na)
+            + cfg.gamma * float(duals["mart"][fw.slices] @ fw.mres[fw.slices])
+            + cfg.xi * float(duals["vix"] @ fw.r_vix)
+        )
+        assert len(seen) == 2
+        assert not all(np.array_equal(duals[k], state.duals[k]) for k in duals)
+        assert np.isfinite(run.ratio_log)
+        assert run.ratio_log == ratio_log(fw.mse, dual_part)
 
 
 class TestSigmoid:
