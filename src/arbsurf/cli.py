@@ -139,7 +139,7 @@ def _model_surfaces(primal, panels, tcfg) -> list:
 
 
 def _cell_errors(model: PriceSurface, oracle: PriceSurface) -> np.ndarray:
-    return np.abs(model.calls_matrix() - oracle.calls_matrix()).ravel()
+    return np.abs(model.calls - oracle.calls).ravel()
 
 
 def _gate_log_density_blocks(surfaces) -> list:
@@ -148,7 +148,7 @@ def _gate_log_density_blocks(surfaces) -> list:
     blocks = []
     for surf in surfaces:
         grid = surf.grid
-        j = int(np.argmin(np.abs(grid.strikes_per_maturity[0] - grid.spot)))
+        j = int(np.argmin(np.abs(grid.strikes - grid.spot)))
         dens = []
         for ell in range(grid.n_maturities):
             row = bl_density(surf, ell)
@@ -365,7 +365,7 @@ def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float
     base_grid = panel.quoted_surface.grid
     shifted_grid = MarketGrid(
         base_grid.maturities,
-        base_grid.strikes_per_maturity,
+        base_grid.strikes,
         base_grid.spot,
         base_grid.rate + STRESS_RATE_SHIFT * strength,
         base_grid.dividend_yield,
@@ -390,15 +390,14 @@ def requote_surface(surface: PriceSurface, gen: GeneratorConfig, strength: float
     finite failure threshold (the operator itself degrades too gracefully
     against input-side noise for the score to cross any level)."""
     grid = surface.grid
-    shifted = MarketGrid(grid.maturities, grid.strikes_per_maturity, grid.spot,
+    shifted = MarketGrid(grid.maturities, grid.strikes, grid.spot,
                          grid.rate + rate_shift, grid.dividend_yield)
     if strength == 0.0:
         return PriceSurface(shifted, surface.calls, surface.puts, surface.mask,
                             require_nonnegative=False)
     rng = np.random.Generator(np.random.Philox(key=[gen.seed, 70_000 + draw]))
-    strikes = grid.strikes_per_maturity[0]
-    logm = np.log(strikes / grid.spot)
-    calls = surface.calls_matrix()
+    logm = np.log(grid.strikes / grid.spot)
+    calls = surface.calls
     sd = strength * gen.noise_scale * np.maximum(calls, gen.noise_floor) * (1.0 + np.abs(logm))[None, :]
     noisy = np.maximum(calls + sd * rng.standard_normal(calls.shape), 0.0)
     return PriceSurface.from_matrices(shifted, noisy, parity_puts(shifted, noisy), require_nonnegative=False)

@@ -198,8 +198,8 @@ def decode_anchor(km: np.ndarray) -> np.ndarray:
 
 def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray,
                       maturities: np.ndarray):
-    """Spot-normalized calls C/S0 on a uniform grid, plus the caches the
-    training reverse pass needs.
+    """Spot-normalized calls C/S0 on the grid, plus the caches the training
+    reverse pass needs.
 
     C/S0 (k, T_l) = anchor(k) + OUT_SCALE * [ phi(k'; 0)
                     + sum_{i<=l} sp(s_i) * sp(phi(k'; ctx_i)) ]
@@ -229,8 +229,6 @@ def decode_surface(
     parity. The cumulative nonnegative increments force C nondecreasing in
     maturity cell by cell.
     """
-    if not grid.is_uniform:
-        raise DomainError("decoding requires a uniform strike grid")
     L = grid.n_maturities
     if trajectory.outputs.shape[0] != L:
         raise DomainError("trajectory length does not match grid")
@@ -238,7 +236,7 @@ def decode_surface(
         raise DomainError("maturity slopes do not match grid")
     if params.context_dim != trajectory.outputs.shape[1] + 1:
         raise DomainError("decoder context dimension must be readout_dim + 1")
-    km = strike_coordinate(grid.strikes_per_maturity[0], grid.spot)
+    km = strike_coordinate(grid.strikes, grid.spot)
     cnorm, _ = decode_normalized(params, km, trajectory.outputs, grid.maturities)
     calls = grid.spot * cnorm
     return PriceSurface.from_matrices(grid, calls, parity_puts(grid, calls), require_nonnegative=False)
@@ -300,9 +298,7 @@ def bl_density(surface: PriceSurface, ell: int) -> np.ndarray:
     """Implied density at interior strikes from discrete call curvature:
     f(K_i) = e^{rT} (C_{i-1} - 2 C_i + C_{i+1}) / ((K_{i+1}-K_i)(K_i-K_{i-1}))."""
     grid = surface.grid
-    strikes = grid.strikes_per_maturity[ell]
-    if len(strikes) < 3:
-        raise DomainError("need at least 3 strikes for a density")
+    strikes = grid.strikes
     c = surface.calls[ell]
     if not np.all(surface.mask[ell]):
         raise DomainError("density needs a fully observed maturity row")
@@ -336,43 +332,29 @@ class ArbResiduals:
         return float(flat.max()) if flat.size else 0.0
 
 
-def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float,
-                        calendar_decreasing: bool = False) -> ArbResiduals:
-    """Residuals for a rectangular call matrix (rows = maturities).
-
-    calendar_decreasing flips the audited calendar direction (prices
-    nonincreasing in maturity); the default is the standard nondecreasing
-    condition.
-    """
+def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> ArbResiduals:
+    """Residuals for a rectangular call matrix (rows = maturities): the one
+    static-arbitrage stencil of the package."""
     c = np.asarray(calls, dtype=float)
     ks = np.asarray(strikes, dtype=float)
     dk = np.diff(ks)
     slopes = np.diff(c, axis=1) / dk
     mono = np.maximum(slopes, 0.0)
     conv = np.maximum(-(slopes[:, 1:] - slopes[:, :-1]), 0.0)
-    if c.shape[0] > 1:
-        cal_diff = c[1:] - c[:-1]
-        cal = np.maximum(cal_diff if calendar_decreasing else -cal_diff, 0.0)
-    else:
-        cal = np.zeros((0, c.shape[1]))
+    cal = np.maximum(-(c[1:] - c[:-1]), 0.0)
     bounds = np.maximum(-c, 0.0) + np.maximum(c - spot, 0.0)
     return ArbResiduals(mono, conv, cal, bounds)
 
 
-def static_arb_residuals(surface: PriceSurface, calendar_decreasing: bool = False) -> ArbResiduals:
+def static_arb_residuals(surface: PriceSurface) -> ArbResiduals:
     """Finite-difference static-arbitrage residuals of a call surface.
 
-    Requires a fully observed uniform-grid surface (the model pipeline only
-    scores decoded or oracle surfaces, which are both).
+    Requires a fully observed surface (the model pipeline only scores
+    decoded or oracle surfaces, which are).
     """
-    if not surface.grid.is_uniform:
-        raise DomainError("residuals require a uniform strike grid")
     if surface.n_observed() != surface.n_cells():
         raise DomainError("residuals require a fully observed surface")
-    return arb_residual_arrays(
-        surface.calls_matrix(), surface.grid.strikes_per_maturity[0], surface.grid.spot,
-        calendar_decreasing=calendar_decreasing,
-    )
+    return arb_residual_arrays(surface.calls, surface.grid.strikes, surface.grid.spot)
 
 
 def pava(y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -440,14 +422,6 @@ def _project_convex_1d(c: np.ndarray, strikes: np.ndarray, tol: float, max_cycle
     return x
 
 
-def _surface_violation(calls: np.ndarray, strikes: np.ndarray) -> float:
-    dk = np.diff(strikes)
-    slopes = np.diff(calls, axis=1) / dk
-    conv = np.maximum(-(slopes[:, 1:] - slopes[:, :-1]), 0.0)
-    cal = np.maximum(-(calls[1:] - calls[:-1]), 0.0) if calls.shape[0] > 1 else np.zeros(1)
-    return float(max(conv.max(initial=0.0), cal.max(initial=0.0)))
-
-
 def noarb_project(
     surface: PriceSurface, tol: float = 1e-8, max_rounds: int = 1000
 ) -> tuple[PriceSurface, dict]:
@@ -460,12 +434,10 @@ def noarb_project(
     feasible point. Puts of the output are rebuilt by parity.
     """
     grid = surface.grid
-    if not grid.is_uniform:
-        raise DomainError("projection requires a uniform strike grid")
     if surface.n_observed() != surface.n_cells():
         raise DomainError("projection requires a fully observed surface")
-    strikes = grid.strikes_per_maturity[0]
-    x = surface.calls_matrix().copy()
+    strikes = grid.strikes
+    x = surface.calls.copy()
     L, M = x.shape
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -481,7 +453,8 @@ def noarb_project(
         q = yq - z
         delta = float(np.max(np.abs(z - x)))
         x = z
-        viol = _surface_violation(x, strikes)
+        res = arb_residual_arrays(x, strikes, grid.spot)
+        viol = float(max(res.convexity.max(initial=0.0), res.calendar.max(initial=0.0)))
         if viol <= tol and delta <= tol:
             break
     else:

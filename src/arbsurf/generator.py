@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import noarb_project
+from .decoder import arb_residual_arrays, noarb_project
 from .grids import DomainError, MarketGrid, PriceSurface, write_surface_csv
 from .vix import write_vix2_csv
 
@@ -119,7 +119,7 @@ def make_grid(cfg: GeneratorConfig) -> MarketGrid:
     mats = snapped_maturities(cfg)
     ks = np.linspace(cfg.log_moneyness_range[0], cfg.log_moneyness_range[1], cfg.n_strikes)
     strikes = cfg.s0 * np.exp(ks)
-    return MarketGrid(mats, tuple(strikes for _ in mats), cfg.s0, cfg.r, cfg.q)
+    return MarketGrid(mats, strikes, cfg.s0, cfg.r, cfg.q)
 
 
 def _rng(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
@@ -196,9 +196,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid, repair_tol: float = 1e-
     n = paths.spot.shape[0]
     if n < 1000:
         _warnings.warn(f"only {n} paths; oracle precision will be poor", RuntimeWarning)
-    if not grid.is_uniform:
-        raise DomainError("oracle pricing expects a uniform strike grid")
-    strikes = grid.strikes_per_maturity[0]
+    strikes = grid.strikes
     L, M = grid.n_maturities, len(strikes)
     calls = np.empty((L, M))
     puts = np.empty((L, M))
@@ -210,7 +208,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid, repair_tol: float = 1e-
         calls[ell] = disc * np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
         puts[ell] = disc * np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
     surface = PriceSurface.from_matrices(grid, calls, puts)
-    cal_defect = float(np.maximum(-(calls[1:] - calls[:-1]), 0.0).max(initial=0.0))
+    cal_defect = float(arb_residual_arrays(calls, strikes, grid.spot).calendar.max(initial=0.0))
     if cal_defect > repair_tol:
         surface, _ = noarb_project(surface, tol=repair_tol)
     return surface
@@ -257,15 +255,13 @@ def add_noise_censor(
     masked.
     """
     grid = oracle.grid
-    if not grid.is_uniform:
-        raise DomainError("noise model expects a uniform strike grid")
     rng = _rng(cfg, 10_000 + stream)
-    strikes = grid.strikes_per_maturity[0]
+    strikes = grid.strikes
     logm = np.log(strikes / grid.spot)
     L, M = grid.n_maturities, len(strikes)
 
-    c_star = oracle.calls_matrix()
-    p_star = oracle.puts_matrix()
+    c_star = oracle.calls
+    p_star = oracle.puts
     tau_liq = cfg.liq_a * np.exp(-cfg.liq_b * grid.maturities)[:, None] * (1.0 + cfg.liq_c * np.abs(logm))[None, :]
     mask = c_star >= tau_liq
 

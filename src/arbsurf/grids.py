@@ -5,9 +5,9 @@ accounting.
 Conventions:
 - maturities are year fractions, strictly increasing, > 0
 - rates are continuously compounded (1/year)
-- per-maturity strike lists may differ (ragged); the synthetic generator
-  always emits a common strike list, in which case `is_uniform` is True and
-  the rectangular views `calls_matrix()` etc. are available
+- all maturities share one strike vector, so a surface is a rectangular
+  (maturity x strike) lattice; `read_surface_csv`, the entry point for
+  outside data, rejects a file whose maturities carry different strike sets
 - masked (unobserved) cells hold NaN and must never enter any aggregation;
   every aggregation in this package iterates the mask
 """
@@ -39,15 +39,15 @@ class MarketGrid:
     """Maturity/strike lattice with discounting context.
 
     maturities: strictly increasing year fractions (length L >= 2)
-    strikes_per_maturity: one strictly increasing positive strike array per
-        maturity (each length >= 3)
+    strikes: one strictly increasing positive strike vector (length M >= 3)
+        shared by every maturity
     spot: positive spot price
     rate: continuously compounded short rate
     dividend_yield: continuously compounded dividend yield
     """
 
     maturities: np.ndarray
-    strikes_per_maturity: tuple
+    strikes: np.ndarray
     spot: float
     rate: float
     dividend_yield: float = 0.0
@@ -55,39 +55,27 @@ class MarketGrid:
     def __post_init__(self):
         mats = _as_float_array(self.maturities)
         object.__setattr__(self, "maturities", mats)
-        strikes = tuple(_as_float_array(s) for s in self.strikes_per_maturity)
-        object.__setattr__(self, "strikes_per_maturity", strikes)
+        try:
+            strikes = _as_float_array(self.strikes)
+        except ValueError as err:
+            raise DomainError("strikes must be one 1-D vector") from err
+        object.__setattr__(self, "strikes", strikes)
         if mats.ndim != 1 or len(mats) < 2:
             raise DomainError("need at least 2 maturities")
         if np.any(mats <= 0) or np.any(np.diff(mats) <= 0):
             raise DomainError("maturities must be positive and strictly increasing")
-        if len(strikes) != len(mats):
-            raise DomainError("one strike list per maturity required")
-        for ks in strikes:
-            if len(ks) < 3:
-                raise DomainError("need at least 3 strikes per maturity")
-            if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-                raise DomainError("strikes must be positive and strictly increasing")
+        if strikes.ndim != 1:
+            raise DomainError("strikes must be one 1-D vector")
+        if len(strikes) < 3:
+            raise DomainError("need at least 3 strikes")
+        if np.any(strikes <= 0) or np.any(np.diff(strikes) <= 0):
+            raise DomainError("strikes must be positive and strictly increasing")
         if not (self.spot > 0):
             raise DomainError("spot must be positive")
 
     @property
     def n_maturities(self) -> int:
         return len(self.maturities)
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when all maturities share one strike list."""
-        first = self.strikes_per_maturity[0]
-        return all(
-            len(s) == len(first) and np.array_equal(s, first)
-            for s in self.strikes_per_maturity[1:]
-        )
-
-    def strikes_matrix(self) -> np.ndarray:
-        if not self.is_uniform:
-            raise DomainError("grid is ragged; no rectangular strike view")
-        return np.tile(self.strikes_per_maturity[0], (self.n_maturities, 1))
 
     def time_steps(self) -> np.ndarray:
         """Per-maturity propagation steps: dt_0 = T_0, dt_i = T_i - T_{i-1}."""
@@ -104,22 +92,14 @@ def forward_price(grid: MarketGrid, T: float) -> float:
     return grid.spot * float(np.exp((grid.rate - grid.dividend_yield) * T))
 
 
-def nearest_strike_below_forward(grid: MarketGrid, ell: int, mode: str = "below") -> float:
-    """Reference strike K_0 for the variance-strip forward adjustment.
-
-    mode="below" (default, exchange convention): largest strike <= F_T; if
-    every strike lies above the forward, falls back to the smallest strike
-    and emits a boundary warning.
-    mode="nearest": strike minimizing |K - F_T| (ties resolved downward).
+def nearest_strike_below_forward(grid: MarketGrid, ell: int) -> float:
+    """Reference strike K_0 for the variance-strip forward adjustment
+    (exchange convention): the largest strike <= F_T; if every strike lies
+    above the forward, falls back to the smallest strike and emits a
+    boundary warning.
     """
-    strikes = grid.strikes_per_maturity[ell]
-    if len(strikes) == 0:
-        raise DomainError("empty strike list")
+    strikes = grid.strikes
     f = forward_price(grid, grid.maturities[ell])
-    if mode == "nearest":
-        return float(strikes[int(np.argmin(np.abs(strikes - f)))])
-    if mode != "below":
-        raise DomainError(f"unknown k0 mode {mode!r}")
     below = strikes[strikes <= f]
     if len(below) == 0:
         warnings.warn(
@@ -131,11 +111,10 @@ def nearest_strike_below_forward(grid: MarketGrid, ell: int, mode: str = "below"
 
 
 def parity_puts(grid: MarketGrid, calls: np.ndarray) -> np.ndarray:
-    """Puts of a rectangular call matrix on a uniform grid by put-call
-    parity: P = C - S0 e^{-qT} + K e^{-rT}."""
+    """Puts of an (L, M) call matrix by put-call parity:
+    P = C - S0 e^{-qT} + K e^{-rT}."""
     T = grid.maturities[:, None]
-    strikes = grid.strikes_per_maturity[0]
-    return calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * strikes[None, :]
+    return calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * grid.strikes[None, :]
 
 
 def strike_spacings(strikes: Sequence[float]) -> np.ndarray:
@@ -157,33 +136,29 @@ def strike_spacings(strikes: Sequence[float]) -> np.ndarray:
 class PriceSurface:
     """Call/put surfaces on a grid with an observation mask.
 
-    calls/puts: one float array per maturity, NaN at masked cells
-    mask: one boolean array per maturity, True = observed
+    calls/puts: (L, M) float arrays, NaN at masked cells
+    mask: (L, M) boolean array, True = observed
     """
 
     grid: MarketGrid
-    calls: tuple
-    puts: tuple
-    mask: tuple
+    calls: np.ndarray
+    puts: np.ndarray
+    mask: np.ndarray
     require_nonnegative: bool = True
 
     def __post_init__(self):
-        self.calls = tuple(_as_float_array(c) for c in self.calls)
-        self.puts = tuple(_as_float_array(p) for p in self.puts)
-        self.mask = tuple(np.asarray(m, dtype=bool) for m in self.mask)
-        L = self.grid.n_maturities
-        if not (len(self.calls) == len(self.puts) == len(self.mask) == L):
-            raise DomainError("surface shape does not match grid")
-        for ell in range(L):
-            n = len(self.grid.strikes_per_maturity[ell])
-            if not (len(self.calls[ell]) == len(self.puts[ell]) == len(self.mask[ell]) == n):
-                raise DomainError("surface row length does not match strike list")
-            obs_c = self.calls[ell][self.mask[ell]]
-            obs_p = self.puts[ell][self.mask[ell]]
-            if not (np.all(np.isfinite(obs_c)) and np.all(np.isfinite(obs_p))):
-                raise DomainError("observed prices must be finite")
-            if self.require_nonnegative and (np.any(obs_c < 0) or np.any(obs_p < 0)):
-                raise DomainError("observed prices must be nonnegative")
+        self.calls = _as_float_array(self.calls)
+        self.puts = _as_float_array(self.puts)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        shape = (self.grid.n_maturities, len(self.grid.strikes))
+        if not (self.calls.shape == self.puts.shape == self.mask.shape == shape):
+            raise DomainError(f"surface arrays must have the grid shape {shape}")
+        obs_c = self.calls[self.mask]
+        obs_p = self.puts[self.mask]
+        if not (np.all(np.isfinite(obs_c)) and np.all(np.isfinite(obs_p))):
+            raise DomainError("observed prices must be finite")
+        if self.require_nonnegative and (np.any(obs_c < 0) or np.any(obs_p < 0)):
+            raise DomainError("observed prices must be nonnegative")
 
     @classmethod
     def from_matrices(
@@ -194,38 +169,25 @@ class PriceSurface:
         mask: np.ndarray | None = None,
         require_nonnegative: bool = True,
     ) -> "PriceSurface":
-        calls = _as_float_array(calls)
-        puts = _as_float_array(puts)
+        """Surface from (L, M) arrays; no mask means fully observed."""
         if mask is None:
-            mask = np.ones_like(calls, dtype=bool)
-        return cls(
-            grid,
-            tuple(calls[i] for i in range(calls.shape[0])),
-            tuple(puts[i] for i in range(puts.shape[0])),
-            tuple(np.asarray(mask, dtype=bool)[i] for i in range(calls.shape[0])),
-            require_nonnegative=require_nonnegative,
-        )
+            mask = np.ones(np.shape(calls), dtype=bool)
+        return cls(grid, calls, puts, mask, require_nonnegative=require_nonnegative)
 
     def calls_matrix(self) -> np.ndarray:
-        if not self.grid.is_uniform:
-            raise DomainError("ragged surface has no rectangular view")
-        return np.stack(self.calls)
+        return self.calls
 
     def puts_matrix(self) -> np.ndarray:
-        if not self.grid.is_uniform:
-            raise DomainError("ragged surface has no rectangular view")
-        return np.stack(self.puts)
+        return self.puts
 
     def mask_matrix(self) -> np.ndarray:
-        if not self.grid.is_uniform:
-            raise DomainError("ragged surface has no rectangular view")
-        return np.stack(self.mask)
+        return self.mask
 
     def n_cells(self) -> int:
-        return int(sum(len(m) for m in self.mask))
+        return int(self.mask.size)
 
     def n_observed(self) -> int:
-        return int(sum(int(m.sum()) for m in self.mask))
+        return int(self.mask.sum())
 
     def observed_fraction(self) -> float:
         return self.n_observed() / self.n_cells()
@@ -274,17 +236,16 @@ def write_surface_csv(surface: PriceSurface, path) -> None:
         writer.writerow(CSV_HEADER)
         g = surface.grid
         for ell, T in enumerate(g.maturities):
-            for j, K in enumerate(g.strikes_per_maturity[ell]):
-                obs = bool(surface.mask[ell][j])
-                c = surface.calls[ell][j]
-                p = surface.puts[ell][j]
+            for j, K in enumerate(g.strikes):
+                c = surface.calls[ell, j]
+                p = surface.puts[ell, j]
                 writer.writerow(
                     [
                         f"{T:.12g}",
                         f"{K:.12g}",
                         f"{c:.12g}" if np.isfinite(c) else "nan",
                         f"{p:.12g}" if np.isfinite(p) else "nan",
-                        int(obs),
+                        int(surface.mask[ell, j]),
                     ]
                 )
 
@@ -293,7 +254,8 @@ def read_surface_csv(path, spot: float, rate: float, dividend_yield: float = 0.0
     """Read a surface written by `write_surface_csv`.
 
     The CSV carries no discounting context, so spot/rate/dividend must be
-    supplied by the caller (the CLI takes them from its config).
+    supplied by the caller (the CLI takes them from its config). Every
+    maturity in the file must carry the same strike set.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -311,12 +273,13 @@ def read_surface_csv(path, spot: float, rate: float, dividend_yield: float = 0.0
     by_t: dict[float, list] = {t: [] for t in mats}
     for t, k, c, p, o in rows:
         by_t[t].append((k, c, p, o))
-    strikes, calls, puts, mask = [], [], [], []
-    for t in mats:
-        cells = sorted(by_t[t])
-        strikes.append(np.array([c[0] for c in cells]))
-        calls.append(np.array([c[1] for c in cells]))
-        puts.append(np.array([c[2] for c in cells]))
-        mask.append(np.array([bool(c[3]) for c in cells]))
-    grid = MarketGrid(np.array(mats), tuple(strikes), spot, rate, dividend_yield)
-    return PriceSurface(grid, tuple(calls), tuple(puts), tuple(mask))
+    cells = [sorted(by_t[t]) for t in mats]
+    strikes = [c[0] for c in cells[0]]
+    for t, row in zip(mats, cells):
+        if [c[0] for c in row] != strikes:
+            raise DomainError(f"maturity {t:.12g} does not carry the strike set of maturity {mats[0]:.12g}")
+    grid = MarketGrid(np.array(mats), np.array(strikes), spot, rate, dividend_yield)
+    calls = np.array([[c[1] for c in row] for row in cells])
+    puts = np.array([[c[2] for c in row] for row in cells])
+    mask = np.array([[bool(c[3]) for c in row] for row in cells])
+    return PriceSurface(grid, calls, puts, mask)

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .grids import DomainError, PriceSurface, forward_price
+from .decoder import arb_residual_arrays
+from .grids import DomainError, PriceSurface
 
 Z_ALPHA_CACHE: dict[float, float] = {}
 
@@ -51,60 +52,38 @@ class CnasShape:
 def _atm_scales(surface: PriceSurface, floor: float = 1e-8) -> np.ndarray:
     """Per-maturity price scale: the call at the strike nearest the forward."""
     grid = surface.grid
-    scales = np.empty(grid.n_maturities)
-    for ell, T in enumerate(grid.maturities):
-        ks = grid.strikes_per_maturity[ell]
-        j = int(np.argmin(np.abs(ks - forward_price(grid, T))))
-        scales[ell] = max(abs(float(surface.calls[ell][j])), floor)
-    return scales
+    j = np.argmin(np.abs(grid.strikes[None, :] - grid.forwards()[:, None]), axis=1)
+    return np.maximum(np.abs(surface.calls[np.arange(grid.n_maturities), j]), floor)
 
 
 def _scaled_residual_fields(surface: PriceSurface):
-    """Finite-difference violation fields, scaled per maturity.
+    """Static-arbitrage residuals of `arb_residual_arrays`, scaled per
+    maturity.
 
-    Returns (mono (L, M-1), conv (L, M-2), cal (L-1, M)) where mono/conv use
-    derivative scalings in strike, cal uses the maturity derivative, and all
-    rows are divided by the at-the-forward price scale of the maturity the
-    stencil is anchored at.
+    Returns (mono (L, M-1), conv (L, M-2), cal (L-1, M)) where conv is
+    divided by the half-span of its strike stencil and cal by the maturity
+    step, so they read as derivatives, and all rows are divided by the
+    at-the-forward price scale of the maturity the stencil is anchored at.
     """
     grid = surface.grid
-    if not grid.is_uniform:
-        raise DomainError("scores require a uniform strike grid")
-    c = surface.calls_matrix()
-    ks = grid.strikes_per_maturity[0]
-    dk = np.diff(ks)
+    ks = grid.strikes
     scales = _atm_scales(surface)
-    slopes = np.diff(c, axis=1) / dk
-    mono = np.maximum(slopes, 0.0) / scales[:, None]
+    res = arb_residual_arrays(surface.calls, ks, grid.spot)
+    mono = res.monotonicity / scales[:, None]
     half_span = 0.5 * (ks[2:] - ks[:-2])
-    d2 = (slopes[:, 1:] - slopes[:, :-1]) / half_span
-    conv = np.maximum(-d2, 0.0) / scales[:, None]
-    dT = np.diff(grid.maturities)
-    if grid.n_maturities > 1:
-        cal_slope = (c[1:] - c[:-1]) / dT[:, None]
-        cal = np.maximum(-cal_slope, 0.0) / scales[:-1, None]
-    else:
-        cal = np.zeros((0, c.shape[1]))
+    conv = res.convexity / half_span / scales[:, None]
+    cal = res.calendar / np.diff(grid.maturities)[:, None] / scales[:-1, None]
     return mono, conv, cal
 
 
-def nas(surface: PriceSurface, weights: tuple | None = None) -> float:
+def nas(surface: PriceSurface) -> float:
     """Static-arbitrage score: 1 minus the cell-averaged scaled violations.
 
-    Equals 1 exactly on violation-free surfaces; unbounded below. Optional
-    weights (monotonicity, convexity, calendar) provide the weighted
-    variant; the default is the unweighted cell average.
+    Equals 1 exactly on violation-free surfaces; unbounded below.
     """
     mono, conv, cal = _scaled_residual_fields(surface)
-    n_cells = surface.n_cells()
-    if weights is None:
-        total = mono.sum() + conv.sum() + cal.sum()
-        return float(1.0 - total / n_cells)
-    w1, w2, w3 = weights
-    if min(w1, w2, w3) < 0 or (w1 + w2 + w3) <= 0:
-        raise DomainError("weights must be nonnegative with positive sum")
-    total = w1 * mono.sum() + w2 * conv.sum() + w3 * cal.sum()
-    return float(1.0 - total / (n_cells * (w1 + w2 + w3) / 3.0))
+    total = mono.sum() + conv.sum() + cal.sum()
+    return float(1.0 - total / surface.n_cells())
 
 
 def saturating_hinge(a, b, c, shape: CnasShape):
@@ -129,7 +108,7 @@ def cnas(surface: PriceSurface, shape: CnasShape) -> float:
     pair); cells without a stencil contribute zeros.
     """
     mono, conv, cal = _scaled_residual_fields(surface)
-    L, M = surface.calls_matrix().shape
+    L, M = surface.calls.shape
     a = np.zeros((L, M))
     b = np.zeros((L, M))
     cc = np.zeros((L, M))
@@ -145,11 +124,8 @@ def cnas(surface: PriceSurface, shape: CnasShape) -> float:
 
 def _forward_units(surface: PriceSurface) -> np.ndarray:
     grid = surface.grid
-    c = surface.calls_matrix()
-    out = np.empty_like(c)
-    for ell, T in enumerate(grid.maturities):
-        out[ell] = c[ell] * np.exp(grid.rate * T) / forward_price(grid, T)
-    return out
+    growth = np.exp(grid.rate * grid.maturities)
+    return surface.calls * growth[:, None] / grid.forwards()[:, None]
 
 
 def _bucket_ids(L: int, M: int, n_t: int = 8, n_k: int = 4) -> np.ndarray:
@@ -211,13 +187,10 @@ def stability(runs: Sequence, mart_tol: float = 1e-2) -> float:
 
 
 def _cloud(surface: PriceSurface) -> np.ndarray:
+    """(T, K, call) points, one per cell in row-major order."""
     grid = surface.grid
-    pts = []
-    for ell, T in enumerate(grid.maturities):
-        ks = grid.strikes_per_maturity[ell]
-        for j, K in enumerate(ks):
-            pts.append((T, K, surface.calls[ell][j]))
-    return np.array(pts)
+    L, M = surface.calls.shape
+    return np.column_stack([np.repeat(grid.maturities, M), np.tile(grid.strikes, L), surface.calls.ravel()])
 
 
 def surface_wasserstein(

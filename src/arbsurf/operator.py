@@ -39,7 +39,7 @@ class OperatorParams:
 
     transitions: (L, m, m); injections: (L, m, d) storing the composed
     injection-times-embedding map; readouts: (L, p, m); gate_raw: (L, M)
-    pre-activation of the measure gate on a uniform strike grid.
+    pre-activation of the measure gate on the strike grid.
     """
 
     rank: int
@@ -171,15 +171,11 @@ def measure_gate(params: OperatorParams, grid: MarketGrid) -> np.ndarray:
     """Strike-normalized gate density w(K, T) with sum_j w[l, j] dK_j = 1.
 
     Softplus squashing followed by per-maturity normalization against the
-    quadrature spacings. Requires a uniform strike grid (the model pipeline
-    always runs on one).
+    quadrature spacings.
     """
-    if not grid.is_uniform:
-        raise DomainError("measure gate requires a uniform strike grid")
-    strikes = grid.strikes_per_maturity[0]
-    if params.gate_raw.shape != (grid.n_maturities, len(strikes)):
+    if params.gate_raw.shape != (grid.n_maturities, len(grid.strikes)):
         raise DomainError("gate_raw shape does not match grid")
-    w, _ = gate_density(params.gate_raw, strike_spacings(strikes))
+    w, _ = gate_density(params.gate_raw, strike_spacings(grid.strikes))
     return w
 
 
@@ -197,7 +193,7 @@ def gate_density(gate_raw: np.ndarray, dk: np.ndarray) -> tuple:
 def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: int) -> float:
     """Quadrature of the payoff against the gate density at maturity ell:
     sum_j payoff[j] * w[ell, j] * dK_j."""
-    strikes = grid.strikes_per_maturity[0 if grid.is_uniform else ell]
+    strikes = grid.strikes
     payoff = np.asarray(payoff, dtype=float)
     if payoff.shape != (len(strikes),):
         raise DomainError("payoff shape does not match strike list")
@@ -210,8 +206,7 @@ def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: i
 def martingale_residual(w: np.ndarray, grid: MarketGrid, ell: int) -> float:
     """Relative defect of the gate-implied forward at maturity ell:
     |sum_j K_j w[l, j] dK_j - F_T| / F_T."""
-    strikes = grid.strikes_per_maturity[0 if grid.is_uniform else ell]
-    f_gate = price_functional(w, strikes, grid, ell)
+    f_gate = price_functional(w, grid.strikes, grid, ell)
     f = grid.spot * float(np.exp((grid.rate - grid.dividend_yield) * grid.maturities[ell]))
     return abs(f_gate - f) / f
 
@@ -253,41 +248,32 @@ def representer_fallback(
     at all cannot be recovered.
     """
     grid = surface.grid
-    L = grid.n_maturities
     n_masked = surface.n_cells() - surface.n_observed()
     if n_masked == 0:
         return surface, None
-    for ell in range(L):
-        if not surface.mask[ell].any():
-            raise DomainError(f"maturity row {ell} has no observed cells; coverage unrecoverable")
+    empty = np.nonzero(~surface.mask.any(axis=1))[0]
+    if len(empty):
+        raise DomainError(f"maturity row {empty[0]} has no observed cells; coverage unrecoverable")
     coverage = surface.observed_fraction()
     sim = _maturity_similarity(params)
-    all_strikes = np.concatenate(grid.strikes_per_maturity)
-    spacing = np.median(np.diff(np.unique(all_strikes)))
+    ks = grid.strikes
+    spacing = np.median(np.diff(ks))
     bw = max(2.0 * spacing, 1e-12)
 
-    obs_cells = []  # (ell, strike, call, put)
-    for ell in range(L):
-        ks = grid.strikes_per_maturity[ell]
-        for j in np.nonzero(surface.mask[ell])[0]:
-            obs_cells.append((ell, ks[j], surface.calls[ell][j], surface.puts[ell][j]))
-    obs_ell = np.array([c[0] for c in obs_cells], dtype=int)
-    obs_k = np.array([c[1] for c in obs_cells])
-    obs_c = np.array([c[2] for c in obs_cells])
-    obs_p = np.array([c[3] for c in obs_cells])
+    obs_ell, obs_j = np.nonzero(surface.mask)
+    obs_k = ks[obs_j]
+    obs_c = surface.calls[surface.mask]
+    obs_p = surface.puts[surface.mask]
 
-    calls = [c.copy() for c in surface.calls]
-    puts = [p.copy() for p in surface.puts]
-    mask = [np.ones_like(m, dtype=bool) for m in surface.mask]
-    for ell in range(L):
-        ks = grid.strikes_per_maturity[ell]
-        for j in np.nonzero(~surface.mask[ell])[0]:
-            w = sim[ell, obs_ell] * np.exp(-0.5 * ((ks[j] - obs_k) / bw) ** 2)
-            total = w.sum()
-            if total <= 0:
-                raise DomainError("interpolation weights vanished")
-            calls[ell][j] = float(w @ obs_c / total)
-            puts[ell][j] = float(w @ obs_p / total)
-    filled = PriceSurface(grid, tuple(calls), tuple(puts), tuple(mask),
-                          require_nonnegative=surface.require_nonnegative)
+    calls = surface.calls.copy()
+    puts = surface.puts.copy()
+    for ell, j in zip(*np.nonzero(~surface.mask)):
+        w = sim[ell, obs_ell] * np.exp(-0.5 * ((ks[j] - obs_k) / bw) ** 2)
+        total = w.sum()
+        if total <= 0:
+            raise DomainError("interpolation weights vanished")
+        calls[ell, j] = float(w @ obs_c / total)
+        puts[ell, j] = float(w @ obs_p / total)
+    filled = PriceSurface.from_matrices(grid, calls, puts,
+                                        require_nonnegative=surface.require_nonnegative)
     return filled, RepresenterRecord(step, coverage)

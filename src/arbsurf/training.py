@@ -165,9 +165,7 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     if not panels:
         raise DomainError("empty batch")
     grid = panels[0].quoted_surface.grid
-    if not grid.is_uniform:
-        raise DomainError("training requires a uniform strike grid")
-    strikes = grid.strikes_per_maturity[0]
+    strikes = grid.strikes
     L, M = grid.n_maturities, len(strikes)
     spot = grid.spot
     dk = strike_spacings(strikes)
@@ -186,11 +184,12 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     n_obs = 0
     for panel in panels:
         qs = panel.quoted_surface
-        if qs.grid is not grid and not np.array_equal(qs.grid.maturities, grid.maturities):
+        if qs.grid is not grid and not (np.array_equal(qs.grid.maturities, grid.maturities)
+                                        and np.array_equal(qs.grid.strikes, grid.strikes)):
             raise DomainError("all windows must share the grid")
-        mask = qs.mask_matrix()
-        calls = np.where(mask, qs.calls_matrix(), 0.0) / spot
-        puts = np.where(mask, qs.puts_matrix(), 0.0) / spot
+        mask = qs.mask
+        calls = np.where(mask, qs.calls, 0.0) / spot
+        puts = np.where(mask, qs.puts, 0.0) / spot
         otm = np.where(strikes[None, :] < forwards[:, None], puts, calls)
         windows.append(
             WindowData(cq=calls, mask=mask, q_feat=otm, vix2_obs=np.asarray(panel.vix2_observed, dtype=float))
@@ -297,24 +296,6 @@ def to_operator_params(primal: dict) -> OperatorParams:
     )
 
 
-def manifest_of(primal: dict):
-    return [(k, primal[k].shape) for k in sorted(primal)]
-
-
-def flatten_primal(primal: dict) -> np.ndarray:
-    return np.concatenate([primal[k].ravel() for k, _ in manifest_of(primal)])
-
-
-def unflatten_primal(vec: np.ndarray, manifest) -> dict:
-    out = {}
-    pos = 0
-    for name, shape in manifest:
-        n = int(np.prod(shape))
-        out[name] = vec[pos : pos + n].reshape(shape).copy()
-        pos += n
-    return out
-
-
 def _pv_add(a: dict, b: dict, alpha: float) -> dict:
     return {k: a[k] + alpha * b[k] for k in a}
 
@@ -346,42 +327,17 @@ def _pv_zeros_like(a: dict) -> dict:
 
 # --- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_FORMAT_VERSION = 1
+
+def save_checkpoint(primal: dict, path) -> None:
+    """Write the primal parameters to one `.npz` archive keyed by parameter
+    name (numpy appends `.npz` to a path without it)."""
+    np.savez(path, **primal)
 
 
-def save_checkpoint(primal: dict, out_dir) -> None:
-    """Flat binary tensor dump plus manifests (operator fields by name)."""
-    import json
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    man = manifest_of(primal)
-    flat = flatten_primal(primal)
-    flat.astype("<f8").tofile(os.path.join(out_dir, "params.bin"))
-    L, m = primal["transitions"].shape[0], primal["transitions"].shape[1]
-    operator_manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "rank": m,
-        "L": L,
-        "transitions": list(primal["transitions"].shape),
-        "injections": list(primal["injections"].shape),
-        "readouts": list(primal["readouts"].shape),
-        "gate_raw": list(primal["gate_raw"].shape),
-    }
-    with open(os.path.join(out_dir, "operator_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(operator_manifest, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, "layout.json"), "w", encoding="utf-8") as fh:
-        json.dump([[k, list(s)] for k, s in man], fh)
-
-
-def load_checkpoint(out_dir) -> dict:
-    import json
-    import os
-
-    with open(os.path.join(out_dir, "layout.json"), encoding="utf-8") as fh:
-        man = [(k, tuple(s)) for k, s in json.load(fh)]
-    flat = np.fromfile(os.path.join(out_dir, "params.bin"), dtype="<f8")
-    return unflatten_primal(flat, man)
+def load_checkpoint(path) -> dict:
+    """The parameters written by `save_checkpoint`, keyed by name."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 # --- state -------------------------------------------------------------------

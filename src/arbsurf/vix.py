@@ -7,7 +7,6 @@ missing-strike interpolation policy.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +41,12 @@ def interpolate_missing(
     strikes: np.ndarray,
     values: np.ndarray,
     mask: np.ndarray,
-    interp: str = "linear",
 ) -> tuple[np.ndarray, bool]:
     """Fill masked points of a (K, Q) strip.
 
     Interior points are linearly interpolated in (K, Q), which preserves the
     piecewise convexity of the observed strip; masked boundary points are
-    filled flat from the nearest observed value and flagged. The cubic
-    variant reduces quadrature error but can create convexity dips between
-    knots, hence the warning.
+    filled flat from the nearest observed value and flagged.
     """
     strikes = np.asarray(strikes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -63,58 +59,34 @@ def interpolate_missing(
     obs_q = values[mask]
     filled = values.copy()
     missing = ~mask
-    if interp == "linear":
-        filled[missing] = np.interp(strikes[missing], obs_k, obs_q)
-    elif interp == "cubic":
-        from scipy.interpolate import CubicSpline
-
-        warnings.warn(
-            "cubic strip interpolation can increase butterfly-arbitrage risk",
-            RuntimeWarning,
-        )
-        spl = CubicSpline(obs_k, obs_q)
-        inside = missing & (strikes >= obs_k[0]) & (strikes <= obs_k[-1])
-        outside = missing & ~inside
-        filled[inside] = spl(strikes[inside])
-        filled[outside] = np.interp(strikes[outside], obs_k, obs_q)
-    else:
-        raise DomainError(f"unknown interpolation mode {interp!r}")
+    filled[missing] = np.interp(strikes[missing], obs_k, obs_q)
     boundary = bool(missing[0] or missing[-1])
     return filled, boundary
 
 
-def otm_strip(
-    surface: PriceSurface, ell: int, k0_mode: str = "below", interp: str = "linear"
-) -> np.ndarray:
+def otm_strip(surface: PriceSurface, ell: int) -> np.ndarray:
     """Out-of-the-money values Q(K_i): put below the forward, call at or above.
 
     Masked cells are filled from the observed part of the strip first.
     """
     grid = surface.grid
-    strikes = grid.strikes_per_maturity[ell]
-    if len(strikes) == 0:
-        raise DomainError("empty strike list")
+    strikes = grid.strikes
     f = forward_price(grid, grid.maturities[ell])
     q = np.where(strikes < f, surface.puts[ell], surface.calls[ell])
     mask = surface.mask[ell]
     if not mask.all():
-        q, _ = interpolate_missing(strikes, np.where(mask, q, 0.0), mask, interp=interp)
+        q, _ = interpolate_missing(strikes, np.where(mask, q, 0.0), mask)
     return q
 
 
 def tail_truncated(grid: MarketGrid, ell: int, span: tuple[float, float] = MONEYNESS_SPAN) -> bool:
     """True when the strike list does not span the configured moneyness range."""
-    strikes = grid.strikes_per_maturity[ell]
+    strikes = grid.strikes
     f = forward_price(grid, grid.maturities[ell])
     return bool(strikes[0] > span[0] * f or strikes[-1] < span[1] * f)
 
 
-def vix_squared(
-    surface: PriceSurface,
-    ell: int,
-    k0_mode: str = "below",
-    interp: str = "linear",
-) -> float:
+def vix_squared(surface: PriceSurface, ell: int) -> float:
     """Discrete strip estimate of the variance-swap rate at maturity ell:
 
     (2 e^{rT} / T) sum_i dK_i / K_i^2 * Q(K_i) - (1/T) (F/K_0 - 1)^2
@@ -122,37 +94,33 @@ def vix_squared(
     grid = surface.grid
     if not (grid.maturities[ell] > 0):
         raise DomainError("maturity must be positive")
-    if len(grid.strikes_per_maturity[ell]) < 3:
-        raise DomainError("need at least 3 strikes")
-    q = otm_strip(surface, ell, k0_mode=k0_mode, interp=interp)
-    coef, adj = strip_coefficients(grid, ell, k0_mode=k0_mode)
+    q = otm_strip(surface, ell)
+    coef, adj = strip_coefficients(grid, ell)
     return float((coef * q).sum() - adj)
 
 
-def strip_coefficients(grid: MarketGrid, ell: int, k0_mode: str = "below") -> tuple:
+def strip_coefficients(grid: MarketGrid, ell: int) -> tuple:
     """Weights of the discrete strip at maturity ell, so that the variance
     estimate is sum_i coef_i Q(K_i) - adj:
 
     coef_i = (2 e^{rT} / T) dK_i / K_i^2,   adj = (F/K_0 - 1)^2 / T
     """
     T = grid.maturities[ell]
-    strikes = grid.strikes_per_maturity[ell]
+    strikes = grid.strikes
     coef = (2.0 * np.exp(grid.rate * T) / T) * (strike_spacings(strikes) / strikes**2)
-    fwd_excess = forward_price(grid, T) / nearest_strike_below_forward(grid, ell, mode=k0_mode) - 1.0
+    fwd_excess = forward_price(grid, T) / nearest_strike_below_forward(grid, ell) - 1.0
     return coef, fwd_excess * fwd_excess / T
 
 
 def replicate_surface(
     surface: PriceSurface,
     observed_vix2: np.ndarray | None = None,
-    k0_mode: str = "below",
-    interp: str = "linear",
 ) -> ReplicationResult:
     """Strip replication across all maturities, with tail flags and, when an
     observed variance curve is supplied, the replication residuals."""
     grid = surface.grid
     L = grid.n_maturities
-    v2 = np.array([vix_squared(surface, ell, k0_mode=k0_mode, interp=interp) for ell in range(L)])
+    v2 = np.array([vix_squared(surface, ell) for ell in range(L)])
     flags = np.array([tail_truncated(grid, ell) for ell in range(L)])
     if observed_vix2 is None:
         res = np.full(L, np.nan)

@@ -154,7 +154,7 @@ class TestCriterion04DecoderFeasibility:
         rng = np.random.default_rng(404)
         mats = np.linspace(0.1, 2.0, 6)
         strikes = np.linspace(50.0, 200.0, 80)
-        grid = MarketGrid(mats, tuple(strikes for _ in mats), 100.0, 0.02, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.02, 0.0)
         t0 = time.time()
         worst_conv = worst_cal = 0.0
         for _ in range(100):
@@ -190,7 +190,7 @@ class TestCriterion05ProjectionCorrectness:
         ok = True
         worst = 0.0
         for calls in instances:
-            grid = MarketGrid(mats, tuple(strikes for _ in mats), 100.0, 0.0, 0.0)
+            grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
             surf = PriceSurface.from_matrices(grid, calls, calls, require_nonnegative=False)
             out, _ = noarb_project(surf, tol=1e-10)
             oracle = brute_force_projection(calls, strikes)
@@ -215,7 +215,7 @@ class TestCriterion06VixQuadrature:
             f_max = s0 * np.exp((r - q) * 1.0)
             strikes = np.linspace(0.2 * f_max, 5.0 * f_max, n_strikes)
             mats = np.array([0.5, 1.0])
-            grid = MarketGrid(mats, (strikes, strikes), s0, r, q)
+            grid = MarketGrid(mats, strikes, s0, r, q)
             calls = np.vstack([bs_call(s0, strikes, t, r, q, sigma) for t in mats])
             puts = np.vstack([bs_put(s0, strikes, t, r, q, sigma) for t in mats])
             surf = PriceSurface.from_matrices(grid, calls, puts)

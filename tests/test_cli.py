@@ -227,7 +227,7 @@ class TestExternalValidity:
 
         mats = np.array([0.5, 1.0])
         strikes = np.linspace(70, 130, 13)
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.01, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.01, 0.0)
         calls = np.vstack([bs_call(100.0, strikes, t, 0.01, 0.0, 0.2) for t in mats])
         surf = PriceSurface.from_matrices(grid, calls, calls)
         drop, _ = external_validity_drop([surf, surf, surf])
@@ -238,7 +238,7 @@ class TestExternalValidity:
 
         mats = np.array([0.5, 1.0])
         strikes = np.linspace(90, 110, 5)
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         clean = np.vstack([np.linspace(10, 2, 5), np.linspace(11, 3, 5)])
         kinked = clean.copy()
         kinked[0, 2] += 0.4  # curvature violation on the reuse window only

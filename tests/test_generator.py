@@ -129,7 +129,7 @@ class TestOraclePrices:
         grid = make_grid(cfg)
         paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
         surf = oracle_prices(paths, grid)
-        strikes = grid.strikes_per_maturity[0]
+        strikes = grid.strikes
         for ell, t in enumerate(grid.maturities):
             s_t = paths.spot[:, int(round(t * cfg.steps_per_year))]
             rhs = np.exp(-cfg.r * t) * (s_t.mean() - strikes)

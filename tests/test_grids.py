@@ -18,15 +18,12 @@ from arbsurf.grids import (
 
 def simple_grid(spot=100.0, rate=0.0, q=0.0, strikes=(90.0, 100.0, 110.0), mats=(0.5, 1.0)):
     mats = np.array(mats)
-    return MarketGrid(mats, tuple(np.array(strikes) for _ in mats), spot, rate, q)
+    return MarketGrid(mats, np.array(strikes), spot, rate, q)
 
 
 def full_surface(grid, value=1.0):
-    L = grid.n_maturities
-    calls = tuple(np.full(len(grid.strikes_per_maturity[i]), value) for i in range(L))
-    puts = tuple(np.full(len(grid.strikes_per_maturity[i]), value) for i in range(L))
-    mask = tuple(np.ones(len(grid.strikes_per_maturity[i]), dtype=bool) for i in range(L))
-    return PriceSurface(grid, calls, puts, mask)
+    shape = (grid.n_maturities, len(grid.strikes))
+    return PriceSurface.from_matrices(grid, np.full(shape, value), np.full(shape, value))
 
 
 class TestForwardPrice:
@@ -75,12 +72,6 @@ class TestNearestStrikeBelowForward:
         with pytest.warns(RuntimeWarning):
             assert nearest_strike_below_forward(g, 0) == 105.0
 
-    def test_nearest_mode(self):
-        g = simple_grid(spot=104.0, rate=0.0, strikes=(90.0, 100.0, 110.0))
-        assert nearest_strike_below_forward(g, 0, mode="nearest") == 100.0
-        g2 = simple_grid(spot=106.0, rate=0.0, strikes=(90.0, 100.0, 110.0))
-        assert nearest_strike_below_forward(g2, 0, mode="nearest") == 110.0
-
 
 class TestStrikeSpacings:
     def test_uniform(self):
@@ -119,7 +110,7 @@ class TestCoverage:
         # 3 of 4 cells observed in a 2x2 window -> exactly 0.75, no flag
         g = MarketGrid(
             np.array([0.5, 1.0]),
-            (np.array([90.0, 100.0, 110.0, 120.0]), np.array([90.0, 100.0, 110.0, 120.0])),
+            np.array([90.0, 100.0, 110.0, 120.0]),
             100.0,
             0.0,
         )
@@ -177,8 +168,8 @@ class TestSurfaceCSV:
         write_surface_csv(s, path)
         back = read_surface_csv(path, spot=100.0, rate=0.01, dividend_yield=0.005)
         assert np.allclose(back.grid.maturities, g.maturities)
+        assert np.allclose(back.grid.strikes, g.strikes)
         for ell in range(2):
-            assert np.allclose(back.grid.strikes_per_maturity[ell], g.strikes_per_maturity[ell])
             assert np.array_equal(back.mask[ell], s.mask[ell])
             obs = s.mask[ell]
             assert np.allclose(back.calls[ell][obs], s.calls[ell][obs])
@@ -189,15 +180,61 @@ class TestSurfaceCSV:
         with pytest.raises(DomainError):
             read_surface_csv(path, spot=100.0, rate=0.0)
 
+    def test_maturities_with_different_strike_sets_rejected(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "T,K,call,put,observed\n"
+            "0.5,90,11,1,1\n0.5,100,4,4,1\n0.5,110,1,11,1\n"
+            "1,90,12,2,1\n1,100,5,5,1\n1,120,1,20,1\n"
+        )
+        with pytest.raises(DomainError, match="strike set"):
+            read_surface_csv(path, spot=100.0, rate=0.0)
+        path.write_text(
+            "T,K,call,put,observed\n"
+            "0.5,90,11,1,1\n0.5,100,4,4,1\n0.5,110,1,11,1\n"
+            "1,90,12,2,1\n1,100,5,5,1\n"
+        )
+        with pytest.raises(DomainError, match="strike set"):
+            read_surface_csv(path, spot=100.0, rate=0.0)
+
 
 class TestGridValidation:
     def test_decreasing_maturities_rejected(self):
         with pytest.raises(DomainError):
-            MarketGrid(np.array([1.0, 0.5]), (np.array([90.0, 100, 110]),) * 2, 100.0, 0.0)
+            MarketGrid(np.array([1.0, 0.5]), np.array([90.0, 100, 110]), 100.0, 0.0)
 
     def test_nonpositive_strikes_rejected(self):
         with pytest.raises(DomainError):
-            MarketGrid(np.array([0.5, 1.0]), (np.array([-1.0, 100, 110]),) * 2, 100.0, 0.0)
+            MarketGrid(np.array([0.5, 1.0]), np.array([-1.0, 100, 110]), 100.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "strikes",
+        [
+            np.array([[90.0, 100, 110], [90.0, 100, 110]]),
+            (np.array([90.0, 100, 110]), np.array([90.0, 100])),
+            np.array([90.0, 100]),
+        ],
+        ids=["2d", "ragged", "two_strikes"],
+    )
+    def test_one_strike_vector_of_at_least_three(self, strikes):
+        with pytest.raises(DomainError):
+            MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0)
+
+    def test_surface_arrays_must_have_grid_shape(self):
+        g = simple_grid()
+        ok, ok_mask = np.ones((2, 3)), np.ones((2, 3), dtype=bool)
+        for calls, mask in ((np.ones((2, 4)), ok_mask), (np.ones(6), ok_mask), (ok, np.ones((3, 3), dtype=bool))):
+            with pytest.raises(DomainError, match="grid shape"):
+                PriceSurface(g, calls, ok, mask)
+
+    def test_non_finite_observed_cell_rejected(self):
+        g = simple_grid()
+        calls = np.array([[1.0, np.inf, 3.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(DomainError, match="finite"):
+            PriceSurface.from_matrices(g, calls, np.ones((2, 3)))
+        mask = np.ones((2, 3), dtype=bool)
+        mask[0, 1] = False
+        assert PriceSurface(g, calls, np.ones((2, 3)), mask).n_observed() == 5
 
     def test_masked_cells_never_enter_sums(self):
         g = simple_grid()

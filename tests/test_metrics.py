@@ -25,7 +25,7 @@ from .oracles import bs_call
 
 def surface_from(calls, strikes, mats, spot=100.0, rate=0.0, q=0.0):
     calls = np.asarray(calls, dtype=float)
-    grid = MarketGrid(np.asarray(mats, dtype=float), tuple(np.asarray(strikes, dtype=float) for _ in mats), spot, rate, q)
+    grid = MarketGrid(np.asarray(mats, dtype=float), np.asarray(strikes, dtype=float), spot, rate, q)
     return PriceSurface.from_matrices(grid, calls, calls, require_nonnegative=False)
 
 
@@ -92,7 +92,7 @@ class TestNi:
             extra = rng.normal(0, 0.5, size=base.calls_matrix().shape)
             oracle_calls = base.calls_matrix() + w * 0.3 + window_noise
             model_calls = oracle_calls + shift * extra
-            strikes = base.grid.strikes_per_maturity[0]
+            strikes = base.grid.strikes
             mats = base.grid.maturities
             out_o.append(surface_from(oracle_calls, strikes, mats, rate=0.01))
             out_m.append(surface_from(model_calls, strikes, mats, rate=0.01))
@@ -140,7 +140,7 @@ class TestSurfaceWasserstein:
 
     def test_translation_proportional(self):
         s = feasible_surface()
-        strikes = s.grid.strikes_per_maturity[0]
+        strikes = s.grid.strikes
         mats = s.grid.maturities
         d1 = surface_wasserstein(
             s, surface_from(s.calls_matrix() + 1.0, strikes, mats, rate=0.01)
@@ -153,7 +153,7 @@ class TestSurfaceWasserstein:
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(3)
         s = feasible_surface()
-        strikes = s.grid.strikes_per_maturity[0]
+        strikes = s.grid.strikes
         mats = s.grid.maturities
         a = surface_from(s.calls_matrix() + rng.normal(0, 0.3, s.calls_matrix().shape), strikes, mats, rate=0.01)
         b = surface_from(s.calls_matrix() + rng.normal(0, 0.3, s.calls_matrix().shape), strikes, mats, rate=0.01)
@@ -166,7 +166,7 @@ class TestSurfaceWasserstein:
 
     def test_deterministic(self):
         s = feasible_surface()
-        t = surface_from(s.calls_matrix() + 0.5, s.grid.strikes_per_maturity[0], s.grid.maturities, rate=0.01)
+        t = surface_from(s.calls_matrix() + 0.5, s.grid.strikes, s.grid.maturities, rate=0.01)
         assert surface_wasserstein(s, t) == surface_wasserstein(s, t)
 
 
@@ -319,21 +319,3 @@ class TestGapRepresenterRegression:
         with pytest.raises(DomainError):
             gap_representer_regression(np.ones(20), np.ones(20))
 
-
-class TestWeightedNas:
-    def test_uniform_weights_match_default(self):
-        s = feasible_surface()
-        assert nas(s, weights=(1.0, 1.0, 1.0)) == pytest.approx(nas(s), abs=1e-15)
-
-    def test_weight_emphasis(self):
-        strikes = [1.0, 2.0, 3.0]
-        mats = [1.0, 2.0]
-        calls = [[1.0, 1.0, 0.9], [1.1, 1.0, 0.95]]  # one curvature violation row 0
-        s = surface_from(calls, strikes, mats, spot=2.0, rate=0.0)
-        hi = nas(s, weights=(0.0, 3.0, 0.0))
-        lo = nas(s, weights=(3.0, 0.0, 0.0))
-        assert hi < lo  # emphasizing the violated block lowers the score
-
-    def test_invalid_weights(self):
-        with pytest.raises(DomainError):
-            nas(feasible_surface(), weights=(-1.0, 1.0, 1.0))

@@ -32,7 +32,7 @@ def make_params(L=4, m=3, d=3, p=2, M=5, rng=None, a_scale=0.4):
 def uniform_grid(L=4, M=5, spot=100.0, rate=0.0, q=0.0):
     mats = np.linspace(0.25, 1.0, L)
     strikes = np.linspace(80.0, 120.0, M)
-    return MarketGrid(mats, tuple(strikes for _ in range(L)), spot, rate, q)
+    return MarketGrid(mats, strikes, spot, rate, q)
 
 
 class TestScanForward:
@@ -215,7 +215,7 @@ class TestMeasureGate:
         w = measure_gate(params, grid)
         from arbsurf.grids import strike_spacings
 
-        dk = strike_spacings(grid.strikes_per_maturity[0])
+        dk = strike_spacings(grid.strikes)
         assert np.allclose(w @ dk, 1.0, atol=1e-12)
 
     def test_degenerate_gate(self):
@@ -239,7 +239,7 @@ class TestPriceFunctional:
         w = measure_gate(params, grid)
         from arbsurf.grids import strike_spacings
 
-        dk = strike_spacings(grid.strikes_per_maturity[0])
+        dk = strike_spacings(grid.strikes)
         phi = np.zeros(5)
         phi[3] = 1.0
         assert price_functional(w, phi, grid, 0) == pytest.approx(w[0, 3] * dk[3], rel=1e-12)
@@ -249,7 +249,7 @@ class TestPriceFunctional:
         mu, sig = np.log(100.0), 0.2
         strikes = np.linspace(30.0, 300.0, 800)
         L = 2
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         dens = np.exp(-((np.log(strikes) - mu) ** 2) / (2 * sig**2)) / (
             strikes * sig * np.sqrt(2 * np.pi)
         )
@@ -278,7 +278,7 @@ class TestMartingaleResidual:
 
     def test_point_mass_off_forward(self):
         strikes = np.array([55.0, 100.0, 110.0])
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         params = make_params(L=2, M=3)
         params.gate_raw[:] = -40.0
         params.gate_raw[:, 2] = 40.0  # mass at 110 = 1.1 * forward
@@ -288,7 +288,7 @@ class TestMartingaleResidual:
     def test_centered_gate_zero(self):
         # symmetric density around the forward on a symmetric grid
         strikes = np.linspace(60.0, 140.0, 81)
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         dens = np.exp(-((strikes - 100.0) ** 2) / (2 * 15.0**2))
         params = OperatorParams(
             rank=1,
@@ -313,7 +313,7 @@ class TestRepresenterFallback:
 
     def test_symmetric_equal_neighbors(self):
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         calls = (np.array([7.0, np.nan, 7.0]), np.array([7.0, 7.0, 7.0]))
         mask = (np.array([True, False, True]), np.array([True, True, True]))
         s = PriceSurface(grid, calls, calls, mask)
@@ -324,7 +324,7 @@ class TestRepresenterFallback:
 
     def test_symmetric_weights_average(self):
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         calls = (np.array([10.0, np.nan, 20.0]), np.array([10.0, 15.0, 20.0]))
         mask = (np.array([True, False, True]), np.array([True, True, True]))
         s = PriceSurface(grid, calls, calls, mask)
@@ -333,7 +333,7 @@ class TestRepresenterFallback:
 
     def test_empty_row_unrecoverable(self):
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(np.array([0.5, 1.0]), (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         calls = (np.full(3, np.nan), np.array([10.0, 15.0, 20.0]))
         mask = (np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
         s = PriceSurface(grid, calls, calls, mask)

@@ -21,7 +21,7 @@ from .oracles import bs_call, bs_put
 def bs_surface(s0=100.0, r=0.01, q=0.0, sigma=0.2, mats=(0.5, 1.0), k_lo=20.0, k_hi=500.0, M=600):
     mats = np.array(mats)
     strikes = np.linspace(k_lo, k_hi, M)
-    grid = MarketGrid(mats, tuple(strikes for _ in mats), s0, r, q)
+    grid = MarketGrid(mats, strikes, s0, r, q)
     calls = np.vstack([bs_call(s0, strikes, t, r, q, sigma) for t in mats])
     puts = np.vstack([bs_put(s0, strikes, t, r, q, sigma) for t in mats])
     return PriceSurface.from_matrices(grid, calls, puts)
@@ -31,7 +31,7 @@ class TestOtmStrip:
     def test_all_strikes_above_forward(self):
         mats = np.array([0.5, 1.0])
         strikes = np.linspace(150.0, 200.0, 6)
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         calls = np.tile(np.linspace(3.0, 0.5, 6), (2, 1))
         puts = calls + 50.0
         surf = PriceSurface.from_matrices(grid, calls, puts)
@@ -40,7 +40,7 @@ class TestOtmStrip:
     def test_boundary_strike_uses_call(self):
         mats = np.array([0.5, 1.0])
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         calls = np.tile([12.0, 5.0, 1.0], (2, 1))
         puts = np.tile([2.0, 5.0, 11.0], (2, 1))
         surf = PriceSurface.from_matrices(grid, calls, puts)
@@ -52,7 +52,7 @@ class TestOtmStrip:
     def test_mixed_strip_matches_bs_selection(self):
         surf = bs_surface()
         f = 100.0 * np.exp(0.01 * 0.5)
-        strikes = surf.grid.strikes_per_maturity[0]
+        strikes = surf.grid.strikes
         expected = np.where(strikes < f, surf.puts[0], surf.calls[0])
         assert np.allclose(otm_strip(surf, 0), expected)
 
@@ -100,21 +100,12 @@ class TestInterpolateMissing:
                 np.array([90.0, 100.0]), np.array([1.0, 2.0]), np.array([True, False])
             )
 
-    def test_cubic_warns(self):
-        ks = np.linspace(80.0, 120.0, 9)
-        vals = (ks - 100.0) ** 2 / 10.0 + 1.0
-        mask = np.ones(9, dtype=bool)
-        mask[4] = False
-        with pytest.warns(RuntimeWarning):
-            filled, _ = interpolate_missing(ks, np.where(mask, vals, 0.0), mask, interp="cubic")
-        assert np.isfinite(filled).all()
-
 
 class TestVixSquared:
     def test_zero_strip_zero(self):
         mats = np.array([0.5, 1.0])
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         zeros = np.zeros((2, 3))
         surf = PriceSurface.from_matrices(grid, zeros, zeros)
         # K0 = 100 = forward, so the adjustment term vanishes too
@@ -142,7 +133,7 @@ class TestVixSquared:
     def test_too_few_strikes(self):
         mats = np.array([0.5, 1.0])
         strikes = np.array([90.0, 100.0, 110.0])
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         zeros = np.zeros((2, 3))
         surf = PriceSurface.from_matrices(grid, zeros, zeros)
         vix_squared(surf, 0)  # three strikes is the minimum
@@ -199,7 +190,7 @@ class TestStripLowerBound:
         # below by minus the forward-adjustment term
         mats = np.array([0.5, 1.0])
         strikes = np.array([70.0, 95.0, 130.0])
-        grid = MarketGrid(mats, (strikes, strikes), 100.0, 0.0, 0.0)
+        grid = MarketGrid(mats, strikes, 100.0, 0.0, 0.0)
         calls = np.vstack([bs_call(100.0, strikes, t, 0.0, 0.0, 0.2) for t in mats])
         puts = np.vstack([bs_put(100.0, strikes, t, 0.0, 0.0, 0.2) for t in mats])
         surf = PriceSurface.from_matrices(grid, calls, puts)
