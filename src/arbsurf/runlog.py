@@ -9,7 +9,6 @@ for schema fidelity (the matched-budget route error).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass

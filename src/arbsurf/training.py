@@ -36,10 +36,16 @@ at the ascended multipliers, with the arithmetic of a forward per step.
 `train` is the one saddle loop: it stops on `stop_test`, records the last
 logged gap as DualGap and Stability from `metrics.stability`, and both
 extragradient halves and the gap's primal half descend along `_descent`.
+The gap estimator runs one step behind, in a worker process forked at the
+start of the loop (a fold uses two processes): step t + 1 never reads gap t,
+so it runs while the worker computes gap t, and it is discarded when gap t
+stops the run. States, histories and records are byte-identical to running
+step and gap in turn.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 
@@ -835,12 +841,121 @@ def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> P
     return decode_surface(to_decoder_params(primal), trajectory, grid)
 
 
+class _GapWorker:
+    """The held-out gap estimator in a forked process, one step behind the
+    saddle loop: `submit` hands it the primal and duals of a step, `result`
+    waits for that step's gap and raises what the estimator raised.
+
+    Fork gives the child the held-out batch and cfg without pickling them,
+    and the module attributes as they are when `train` starts. The child
+    closes its inherited copy of the parent's end, so closing that end (or
+    the parent dying) reaches it as EOF and it exits; a worker that dies
+    reaches the parent as EOF and raises an error naming the step."""
+
+    def __init__(self, heldout: TrainBatch, cfg: TrainingConfig):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        # daemon: a worker that a fault leaves running is ended at interpreter
+        # exit instead of being waited for
+        self._proc = ctx.Process(target=_gap_worker, args=(child_end, self._conn, heldout, cfg),
+                                 name="arbsurf-gap-worker", daemon=True)
+        self._proc.start()
+        child_end.close()
+        self.pending = None  # the step whose gap the worker owes
+
+    def submit(self, state: SaddleState) -> None:
+        self.pending = state.step
+        self._conn.send((state.primal, state.duals))
+
+    def result(self) -> float:
+        try:
+            ok, value = self._conn.recv()
+        except EOFError as err:
+            self._proc.join()
+            raise RuntimeError(f"gap worker exited with code {self._proc.exitcode} before "
+                               f"returning the held-out gap of step {self.pending}") from err
+        self.pending = None
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        self._conn.close()
+        if self.pending is not None:  # left mid-gap by an error: its result is not wanted
+            self._proc.terminate()
+        self._proc.join()
+
+
+def _gap_worker(conn, parent_end, heldout: TrainBatch, cfg: TrainingConfig) -> None:
+    parent_end.close()
+    while True:
+        try:
+            primal, duals = conn.recv()
+        except EOFError:  # the loop closed its end: no more steps
+            return
+        try:
+            reply = True, empirical_gap_from_state(SaddleState(primal, duals, cfg), heldout)
+        except Exception as err:  # the loop raises it as the serial loop would
+            reply = False, err
+        conn.send(reply)
+
+
+def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
+                 cfg: TrainingConfig):
+    """Extragradient steps until `stop_test` holds or cfg.max_steps, the
+    held-out gap of step t computed by a `_GapWorker` while step t + 1 runs
+    on a copy of the state. Step t + 1 is kept only once gap t is logged and
+    the rule has not stopped the run; a stop, or a divergence of gap t, leaves
+    the state of step t, as a loop running the two in turn would. Returns
+    (state, the last logged step's first forward, the duals that forward
+    saw); the forward and duals are None when no step ran."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    hist = state.history
+    fw = duals = None
+    t0 = time.perf_counter()
+    gaps = _GapWorker(heldout, cfg)
+    try:
+        while True:
+            ahead = replace(state, guard=replace(state.guard))
+            ahead_fw = error = None
+            if ahead.step < cfg.max_steps:
+                try:
+                    ahead_fw = extragradient_step(ahead, batch, cfg, rng)
+                except Exception as err:  # raised only if gap t does not stop the run
+                    error = err
+            if gaps.pending is not None:
+                gap = gaps.result()
+                delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
+                hist.gap.append(gap)
+                hist.stop_pairs.append((delta_gap, dual_residual_norm(fw, cfg)))
+                hist.wall.append(time.perf_counter() - t0)
+                if stop_test(hist.stop_pairs, cfg):
+                    hist.stopped_at = state.step
+                    break
+            if error is not None:
+                state = ahead
+                raise error
+            if ahead_fw is None:
+                break
+            state, fw, duals = ahead, ahead_fw, state.duals
+            gaps.submit(state)
+    except TrainingDivergence as err:
+        raise TrainingDivergence(str(err), state=state) from err
+    finally:
+        gaps.close()
+    return state, fw, duals
+
+
 def train(cfg: TrainingConfig, data: FoldData):
     """Run the saddle loop on one fold; returns (state, run log record).
 
     Stops at the first step where `stop_test` holds on the logged pairs, or
-    after cfg.max_steps. Deterministic given cfg.seed. Divergence raises
-    TrainingDivergence with the last valid state attached.
+    after cfg.max_steps. The held-out gap of each step runs in a forked
+    worker process while the next step runs, so a fold uses two processes;
+    when the rule stops the run, the step taken past it is discarded. The
+    state and record are those of running step and gap in turn.
+    Deterministic given cfg.seed. Divergence raises TrainingDivergence with
+    the last valid state attached.
     """
     panels = list(data.train_panels)
     cover = coverage_stats([p.quoted_surface for p in panels + [data.val_panel]])
@@ -861,24 +976,8 @@ def train(cfg: TrainingConfig, data: FoldData):
         batch = build_batch(panels, cfg)
 
     heldout = build_batch([data.val_panel], cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
+    state, fw, duals = _saddle_loop(state, batch, heldout, cfg)
     hist = state.history
-    fw = duals = None  # the last step's first forward and the duals it saw
-    t0 = time.perf_counter()
-    try:
-        for _ in range(cfg.max_steps):
-            duals = state.duals
-            fw = extragradient_step(state, batch, cfg, rng)
-            gap = empirical_gap_from_state(state, heldout)
-            delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
-            hist.gap.append(gap)
-            hist.stop_pairs.append((delta_gap, dual_residual_norm(fw, cfg)))
-            hist.wall.append(time.perf_counter() - t0)
-            if stop_test(hist.stop_pairs, cfg):
-                hist.stopped_at = state.step
-                break
-    except TrainingDivergence as err:
-        raise TrainingDivergence(str(err), state=state) from err
 
     final_ratio = None
     if fw is None:  # no step ran: the defect at the initial point, all maturities

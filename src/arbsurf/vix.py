@@ -91,11 +91,8 @@ def vix_squared(surface: PriceSurface, ell: int) -> float:
 
     (2 e^{rT} / T) sum_i dK_i / K_i^2 * Q(K_i) - (1/T) (F/K_0 - 1)^2
     """
-    grid = surface.grid
-    if not (grid.maturities[ell] > 0):
-        raise DomainError("maturity must be positive")
     q = otm_strip(surface, ell)
-    coef, adj = strip_coefficients(grid, ell)
+    coef, adj = strip_coefficients(surface.grid, ell)
     return float((coef * q).sum() - adj)
 
 

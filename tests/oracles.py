@@ -6,8 +6,9 @@ The pricing and projection oracles are written against scipy/numpy
 primitives and stay independent of the package's own code paths. The
 reference kernels are the straightforward forms that the package's
 optimized ones must reproduce bit for bit: the logistic function by
-boolean masks, and the held-out gap estimator with one forward pass per
-step of each half.
+boolean masks, the held-out gap estimator with one forward pass per
+step of each half, and the saddle loop that runs each step and its gap
+in turn in one process.
 """
 
 import itertools
@@ -145,6 +146,36 @@ def stepwise_gap(state, heldout, k_inner=None):
                 np.maximum(primal[name], 0.0, out=primal[name])
     inf_val = model_forward(primal, state.duals, heldout, cfg).value
     return float(sup_val - inf_val)
+
+
+def serial_saddle_loop(state, batch, heldout, cfg):
+    """The saddle loop with the held-out gap computed in turn after each
+    step, in this process; same signature and result as
+    `training._saddle_loop`. The gap estimator is looked up on the module at
+    each call, so a test that patches it patches this loop too."""
+    import time
+
+    from arbsurf import training
+
+    rng = np.random.default_rng(cfg.seed + 1)
+    hist = state.history
+    fw = duals = None
+    t0 = time.perf_counter()
+    try:
+        for _ in range(cfg.max_steps):
+            duals = state.duals
+            fw = training.extragradient_step(state, batch, cfg, rng)
+            gap = training.empirical_gap_from_state(state, heldout)
+            delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
+            hist.gap.append(gap)
+            hist.stop_pairs.append((delta_gap, training.dual_residual_norm(fw, cfg)))
+            hist.wall.append(time.perf_counter() - t0)
+            if training.stop_test(hist.stop_pairs, cfg):
+                hist.stopped_at = state.step
+                break
+    except training.TrainingDivergence as err:
+        raise training.TrainingDivergence(str(err), state=state) from err
+    return state, fw, duals
 
 
 def near_degenerate(a, b):

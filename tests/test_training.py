@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import signal
+import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -520,6 +525,170 @@ class TestTrainLoop:
         assert not all(np.array_equal(duals[k], state.duals[k]) for k in duals)
         assert np.isfinite(run.ratio_log)
         assert run.ratio_log == ratio_log(fw.mse, dual_part)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block after `seconds`: a loop blocked on a worker that never
+    answers fails here instead of hanging the suite. (Not TimeoutError: it is
+    an OSError, which a wait on a child process swallows.)"""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPipelinedLoop:
+    """`train` computes each held-out gap in a worker process one step
+    behind the loop; its states, histories and records equal those of the
+    serial loop in `oracles.serial_saddle_loop`, on every way a run ends."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    _data = staticmethod(TestTrainLoop._data)
+
+    @staticmethod
+    def _train(cfg, data, monkeypatch, serial=False):
+        """(state, run) of `train`, or (state of the divergence, message)."""
+        import arbsurf.training as training
+
+        from .oracles import serial_saddle_loop
+
+        with monkeypatch.context() as patch, deadline(60):
+            if serial:
+                patch.setattr(training, "_saddle_loop", serial_saddle_loop)
+            try:
+                with np.errstate(all="ignore"):
+                    return train(cfg, data)
+            except TrainingDivergence as err:
+                return err.state, str(err)
+
+    @staticmethod
+    def _assert_same(a, b):
+        (sa, ra), (sb, rb) = a, b
+        assert sa.step == sb.step
+        assert sa.history.gap == sb.history.gap
+        assert sa.history.stop_pairs == sb.history.stop_pairs
+        assert sa.history.stopped_at == sb.history.stopped_at
+        assert len(sa.history.wall) == len(sb.history.wall)
+        for name in ("primal", "duals"):
+            x, y = getattr(sa, name), getattr(sb, name)
+            assert x.keys() == y.keys()
+            for k in x:
+                assert np.array_equal(x[k], y[k]), (name, k)
+        assert vars(sa.guard) == vars(sb.guard)
+        if isinstance(ra, str):
+            assert ra == rb
+        else:
+            assert vars(ra) == vars(rb)
+
+    def test_stopped_by_rule_discards_step_ahead(self, monkeypatch):
+        cfg = tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6)
+        data = self._data()
+        piped = self._train(cfg, data, monkeypatch)
+        self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+        state, run = piped
+        assert run.stopped
+        assert state.history.stopped_at == state.step == cfg.patience + 1 < cfg.max_steps
+
+    def test_runs_to_max_steps(self, monkeypatch):
+        cfg = tiny_cfg(max_steps=7)
+        data = self._data()
+        piped = self._train(cfg, data, monkeypatch)
+        self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+        state, run = piped
+        assert not run.stopped
+        assert state.step == len(state.history.gap) == cfg.max_steps
+
+    def test_divergence_after_steps(self, monkeypatch):
+        # an unclipped step of 1e3 overflows the held-out gap's descent at
+        # step 3, so the divergence surfaces from the worker
+        cfg = tiny_cfg(max_steps=20, step_primal=1e3, clip_norm=np.inf)
+        data = self._data()
+        piped = self._train(cfg, data, monkeypatch)
+        self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+        state, message = piped
+        assert message == "non-finite objective (inf)"
+        assert state.step == 3 and len(state.history.gap) == 2
+
+    @staticmethod
+    def _patch_gap(monkeypatch, on_call):
+        """Replace the gap estimator by one that runs `on_call(n)` on its
+        n-th call (n from 1) and then returns the true gap; fork carries the
+        patch into the worker, which makes the calls in step order."""
+        import arbsurf.training as training
+
+        true_gap, calls = training.empirical_gap_from_state, []
+
+        def gap(state, heldout):
+            calls.append(1)
+            on_call(len(calls))
+            return true_gap(state, heldout)
+
+        monkeypatch.setattr(training, "empirical_gap_from_state", gap)
+
+    def test_gap_divergence_reraised_with_state_of_its_step(self, monkeypatch):
+        def diverge(n):
+            if n == 3:
+                raise TrainingDivergence("planted gap divergence")
+
+        cfg = tiny_cfg(max_steps=10)
+        data = self._data()
+        runs = []
+        for serial in (False, True):
+            self._patch_gap(monkeypatch, diverge)
+            runs.append(self._train(cfg, data, monkeypatch, serial=serial))
+            monkeypatch.undo()  # a fresh call count for the next run
+        self._assert_same(*runs)
+        state, message = runs[0]
+        assert message == "planted gap divergence"
+        assert state.step == 3 and len(state.history.gap) == 2
+
+    def test_divergence_of_step_ahead_dropped_when_rule_stops(self, monkeypatch):
+        # a constant gap and loose thresholds stop the run at step 4
+        # (patience 3 after the first pair's infinite delta); step 5 diverges
+        import arbsurf.training as training
+
+        step = training.extragradient_step
+
+        def diverging_step(state, *args):
+            if state.step == 4:
+                raise TrainingDivergence("planted step divergence")
+            return step(state, *args)
+
+        monkeypatch.setattr(training, "extragradient_step", diverging_step)
+        monkeypatch.setattr(training, "empirical_gap_from_state", lambda state, heldout: 0.0)
+        data = self._data()
+        for patience, stopped_at in ((3, 4), (10, None)):
+            cfg = tiny_cfg(max_steps=10, patience=patience, delta_gap_tol=1e6, dual_residual_eps=1e6)
+            piped = self._train(cfg, data, monkeypatch)
+            self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+            state, outcome = piped
+            assert state.step == 4 and state.history.stopped_at == stopped_at
+            if stopped_at is None:
+                assert outcome == "planted step divergence"
+
+    def test_dead_worker_raises_naming_the_step(self, monkeypatch):
+        def die(n):
+            if n == 2:
+                os._exit(7)
+
+        self._patch_gap(monkeypatch, die)
+        start = time.perf_counter()
+        with deadline(60), pytest.raises(RuntimeError, match="gap worker exited with code 7 "
+                                         "before returning the held-out gap of step 2"):
+            train(tiny_cfg(max_steps=10), self._data())
+        assert time.perf_counter() - start < 30
 
 
 class TestSigmoid:
