@@ -36,6 +36,7 @@ from .metrics import (
     nas,
     ni,
     novikov_kazamaki_rate,
+    stability,
     surface_wasserstein,
 )
 from .operator import scan_forward
@@ -52,6 +53,7 @@ from .training import (
 LOGGER = logging.getLogger("arbsurf")
 
 STRESS_RATE_SHIFT = 0.01  # numeraire-shift axis: r -> r + 0.01 * strength
+CNAS_TUNE_TAUS = (0.0, 1e-5, 1e-4, 1e-3)  # tolerance grid of the in-window CNAS tuning
 
 
 @dataclass
@@ -63,7 +65,12 @@ class RunConfig:
     sweep_lr_multipliers: tuple = (0.5, 1.0, 2.0)
     sweep_seeds: tuple = (0, 1, 2)
     ablation_seeds: tuple = (0, 1, 2)
-    frozen_shape: CnasShape = field(default_factory=CnasShape)
+
+    def __post_init__(self):
+        if self.n_windows < 3:
+            raise DomainError("[run] n_windows must be >= 3 (blocked folds need three windows)")
+        if self.stress_draws < 1:
+            raise DomainError("[run] stress_draws must be >= 1")
 
 
 @dataclass
@@ -72,16 +79,8 @@ class ExperimentConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
-    def as_dict(self) -> dict:
-        out = {
-            "generator": dataclasses.asdict(self.generator),
-            "training": dataclasses.asdict(self.training),
-            "run": dataclasses.asdict(self.run),
-        }
-        return out
-
     def hash(self) -> str:
-        return config_hash(self.as_dict())
+        return config_hash(dataclasses.asdict(self))
 
 
 def _coerce(value: str, like):
@@ -125,6 +124,7 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
                 setattr(target, key, _coerce(raw, current))
         cfg.generator.__post_init__()
         cfg.training.__post_init__()
+        cfg.run.__post_init__()
     if seed is not None:
         cfg.generator.seed = seed
         cfg.training.seed = seed
@@ -157,32 +157,29 @@ def _gate_log_density_blocks(surfaces) -> list:
     return blocks
 
 
-def external_validity_drop(surfaces, frozen: CnasShape | None = None,
-                           tune_taus=(0.0, 1e-5, 1e-4, 1e-3)) -> tuple:
+def external_validity_drop(surfaces) -> tuple:
     """Mean in-window-tuned minus frozen shaped score over reuse windows.
 
-    Tuning searches the tolerance over a small grid. When no frozen shape
-    is supplied it is the shape tuned on the first window, reused on the
-    remaining ones; identical windows then give a drop of exactly zero.
+    Tuning searches the tolerance over CNAS_TUNE_TAUS. The frozen shape is
+    the one tuned on the first window, reused on the remaining ones;
+    identical windows then give a drop of exactly zero.
     """
     if len(surfaces) < 1:
         raise DomainError("need at least one window")
 
-    def tune(surf, base: CnasShape):
-        best_tau = max(tune_taus, key=lambda tau: cnas(surf, CnasShape(base.kappa, tau, base.scale)))
+    base = CnasShape()
+
+    def tune(surf):
+        best_tau = max(CNAS_TUNE_TAUS, key=lambda tau: cnas(surf, CnasShape(base.kappa, tau, base.scale)))
         return CnasShape(base.kappa, best_tau, base.scale)
 
-    base = frozen or CnasShape()
-    if frozen is None:
-        frozen = tune(surfaces[0], base)
-        reuse = surfaces[1:] or surfaces[:1]
-    else:
-        reuse = surfaces
+    frozen = tune(surfaces[0])
+    reuse = surfaces[1:] or surfaces[:1]
     drops = []
     per_window = []
     for surf in reuse:
         frozen_val = cnas(surf, frozen)
-        tuned_val = cnas(surf, tune(surf, base))
+        tuned_val = cnas(surf, tune(surf))
         per_window.append(frozen_val)
         drops.append(tuned_val - frozen_val)
     return float(np.mean(drops)), per_window
@@ -201,13 +198,17 @@ def effective_dims_of_fold(primal, panels, tcfg) -> tuple:
 
 
 def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
-    """Train one fold and assemble the complete record."""
+    """Train one fold and assemble the complete record; returns (state,
+    record, decoded surfaces of the validation then the OOS windows)."""
     data = FoldData.from_fold(panels, fold)
     state, run = train(tcfg, data)
 
     eval_panels = [data.val_panel] + list(data.oos_panels)
     model_surfs = _model_surfaces(state.primal, eval_panels, tcfg)
     oracle_surfs = [p.oracle_surface for p in eval_panels]
+    run.NAS = nas(model_surfs[0])
+    run.CNAS = cnas(model_surfs[0], CnasShape())
+    run.Stability = stability([run])
 
     if len(eval_panels) >= 2:
         run.NI = ni(model_surfs, oracle_surfs)
@@ -456,14 +457,13 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
 
 def run_external_validity(cfg: ExperimentConfig, out_dir) -> dict:
     """Frozen-shape reuse across disjoint OOS windows."""
-    os.makedirs(out_dir, exist_ok=True)
-    panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
     fold = blocked_folds(cfg.run.n_windows)[0]
     if len(fold.oos) < 2:
         raise DomainError("need at least 2 OOS windows for external validity")
-    state, run, _ = run_fold(panels, fold, cfg.training)
-    oos_surfs = _model_surfaces(state.primal, [panels[i] for i in fold.oos], cfg.training)
-    drop, per_window = external_validity_drop(oos_surfs)
+    os.makedirs(out_dir, exist_ok=True)
+    panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
+    _, _, model_surfs = run_fold(panels, fold, cfg.training)
+    drop, per_window = external_validity_drop(model_surfs[1:])
     _, lo, hi = mean_interval(per_window)
     out = {
         "cnas_frozen_drop": drop,
@@ -489,12 +489,14 @@ def report(runlog_paths, out_dir) -> None:
             rows.append((os.path.basename(path), json.load(fh)))
     from .runlog import SCHEMA_FIELDS
 
-    headline_ci = ["NAS", "CNAS", "NI", "DualGap", "SurfaceWasserstein", "GenGap_p95"]
-    ci_cols = {}
-    for metric in headline_ci:
+    # headline metrics: finite values and (mean, lo, hi) over the runs
+    headline = ["NAS", "CNAS", "NI", "DualGap", "Stability", "SurfaceWasserstein", "GenGap_p95"]
+    headline_ci = [m for m in headline if m != "Stability"]
+    finite, interval = {}, {}
+    for metric in headline:
         vals = np.array([r.get(metric) for _, r in rows if r.get(metric) is not None], dtype=float)
-        vals = vals[np.isfinite(vals)]
-        ci_cols[metric] = mean_interval(vals)[1:] if len(vals) else ("", "")
+        finite[metric] = vals[np.isfinite(vals)]
+        interval[metric] = mean_interval(finite[metric]) if len(finite[metric]) else None
 
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -505,22 +507,20 @@ def report(runlog_paths, out_dir) -> None:
         for name, rec in rows:
             row = [name] + [rec.get(k) for k in SCHEMA_FIELDS]
             for metric in headline_ci:
-                row += list(ci_cols[metric])
+                row += list(interval[metric][1:]) if interval[metric] else ["", ""]
             writer.writerow(row)
 
     # headline table with intervals where enough runs exist
-    headline = ["NAS", "CNAS", "NI", "DualGap", "Stability", "SurfaceWasserstein", "GenGap_p95"]
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "ci_lo", "ci_hi", "n"])
         p_values = []
         for metric in headline:
-            vals = np.array([r.get(metric) for _, r in rows if r.get(metric) is not None], dtype=float)
-            vals = vals[np.isfinite(vals)]
-            if len(vals) == 0:
+            vals = finite[metric]
+            if interval[metric] is None:
                 writer.writerow([metric, "", "", "", 0])
                 continue
-            mean, lo, hi = mean_interval(vals)
+            mean, lo, hi = interval[metric]
             writer.writerow([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
             if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
                 from scipy.stats import norm as _n

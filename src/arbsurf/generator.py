@@ -29,6 +29,8 @@ from .decoder import arb_residual_arrays, noarb_project
 from .grids import DomainError, MarketGrid, PriceSurface, write_surface_csv
 from .vix import write_vix2_csv
 
+ORACLE_REPAIR_TOL = 1e-6  # calendar defect above which the oracle is projected
+
 
 @dataclass
 class GeneratorConfig:
@@ -54,7 +56,6 @@ class GeneratorConfig:
     liq_b: float = 1.0
     liq_c: float = 1.0
     delta_days: int = 30
-    antithetic: bool = False
     vix_proxy_factor: float = 1.0
     seed: int = 0
 
@@ -152,15 +153,8 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> Pat
     conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
     mu = cfg.r - cfg.q
     for step in range(n_steps):
-        if cfg.antithetic:
-            half = (n + 1) // 2
-            z1h = rng.standard_normal(half)
-            zph = rng.standard_normal(half)
-            z1 = np.concatenate([z1h, -z1h])[:n]
-            zp = np.concatenate([zph, -zph])[:n]
-        else:
-            z1 = rng.standard_normal(n)
-            zp = rng.standard_normal(n)
+        z1 = rng.standard_normal(n)
+        zp = rng.standard_normal(n)
         z2 = cfg.rho * z1 + np.sqrt(max(0.0, 1.0 - cfg.rho**2)) * zp
 
         v_plus = np.maximum(variance[:, step], 0.0)
@@ -183,13 +177,13 @@ def _maturity_step(paths: PathEnsemble, T: float) -> int:
     return idx
 
 
-def oracle_prices(paths: PathEnsemble, grid: MarketGrid, repair_tol: float = 1e-6) -> PriceSurface:
+def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     """Monte Carlo oracle surface.
 
     A common path set across strikes keeps the estimator convex and
     nonincreasing in strike exactly; calendar monotonicity holds up to Monte
     Carlo noise and is repaired by the no-arbitrage projection when the
-    defect exceeds `repair_tol`.
+    defect exceeds ORACLE_REPAIR_TOL.
     """
     import warnings as _warnings
 
@@ -209,8 +203,8 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid, repair_tol: float = 1e-
         puts[ell] = disc * np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
     surface = PriceSurface.from_matrices(grid, calls, puts)
     cal_defect = float(arb_residual_arrays(calls, strikes, grid.spot).calendar.max(initial=0.0))
-    if cal_defect > repair_tol:
-        surface, _ = noarb_project(surface, tol=repair_tol)
+    if cal_defect > ORACLE_REPAIR_TOL:
+        surface, _ = noarb_project(surface, tol=ORACLE_REPAIR_TOL)
     return surface
 
 

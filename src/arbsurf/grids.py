@@ -23,8 +23,6 @@ import numpy as np
 
 COVERAGE_FLOOR = 0.75  # minimum acceptable per-window observed-cell fraction
 
-MASKED = np.nan
-
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its domain."""
@@ -117,6 +115,15 @@ def parity_puts(grid: MarketGrid, calls: np.ndarray) -> np.ndarray:
     return calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * grid.strikes[None, :]
 
 
+def otm_values(strikes: np.ndarray, forwards, puts: np.ndarray, calls: np.ndarray) -> np.ndarray:
+    """Out-of-the-money values: the put where K < F, the call at or above.
+
+    forwards is one forward per row of puts/calls: a scalar for one
+    maturity's (M,) strip, an (L,) vector for an (L, M) surface.
+    """
+    return np.where(strikes < np.asarray(forwards)[..., None], puts, calls)
+
+
 def strike_spacings(strikes: Sequence[float]) -> np.ndarray:
     """Quadrature spacings dK_i = (K_{i+1} - K_{i-1}) / 2, one-sided at the ends."""
     ks = _as_float_array(strikes)
@@ -207,18 +214,18 @@ class CoverageStats:
             raise DomainError("coverage_min must not exceed coverage_mean")
 
 
-def coverage_stats(surfaces: Sequence[PriceSurface], floor: float = COVERAGE_FLOOR) -> CoverageStats:
+def coverage_stats(surfaces: Sequence[PriceSurface]) -> CoverageStats:
     """Per-window coverage fractions with min/mean and the low-coverage flag.
 
-    The flag is set when coverage_min < floor (threshold inclusive: exactly
-    `floor` does not flag).
+    The flag is set when coverage_min < COVERAGE_FLOOR (threshold inclusive:
+    exactly the floor does not flag).
     """
     if len(surfaces) == 0:
         raise DomainError("need at least one window")
     per = [s.observed_fraction() for s in surfaces]
     cmin = float(min(per))
     cmean = float(np.mean(per))
-    return CoverageStats(cmin, cmean, per, flagged=cmin < floor)
+    return CoverageStats(cmin, cmean, per, flagged=cmin < COVERAGE_FLOOR)
 
 
 # --- CSV interchange -------------------------------------------------------

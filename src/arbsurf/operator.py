@@ -16,10 +16,12 @@ injections[ell] for s == ell and transitions[ell] ... transitions[s+1] @
 injections[s] for s < ell. Runtime of the scan is O(L m^2) (dense
 transitions).
 
-`scan_recursion`, `gate_density` and `green_sums` are the unvalidated
-kernels behind `scan_forward`, `measure_gate` and `green_sum`; the training
-loop calls them directly, so non-finite parameters reach its objective
-check instead of raising here.
+`scan_recursion`, `gate_density`, `green_kernels` and `green_sums` are the
+unvalidated kernels behind `scan_forward`, `measure_gate`, `green_kernel`
+and `green_sum`; the training loop calls them directly, so non-finite
+parameters reach its objective check instead of raising here. Every Green
+kernel (`green_kernel`, `green_sums`, the representer's similarity) is read
+from the one `green_kernels` stack.
 """
 
 from __future__ import annotations
@@ -128,6 +130,17 @@ def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | No
     return LatentTrajectory(states, outputs)
 
 
+def green_kernels(transitions: np.ndarray, injections: np.ndarray) -> np.ndarray:
+    """(L, L, m, d) stack of the Green kernels: G[ell, s] maps the maturity-s
+    features to the maturity-ell state, zero for s > ell (causal)."""
+    L = transitions.shape[0]
+    G = np.zeros((L, L) + injections.shape[1:])
+    for ell in range(L):
+        G[ell, :ell] = transitions[ell] @ G[ell - 1, :ell]
+        G[ell, ell] = injections[ell]
+    return G
+
+
 def green_kernel(params: OperatorParams, ell: int, s: int) -> np.ndarray:
     """Kernel mapping the maturity-s features to the maturity-ell state.
 
@@ -139,21 +152,13 @@ def green_kernel(params: OperatorParams, ell: int, s: int) -> np.ndarray:
         raise DomainError("indices out of range")
     if s > ell:
         raise DomainError("green kernel is causal: need s <= ell")
-    G = params.injections[s].copy()
-    for j in range(s + 1, ell + 1):
-        G = params.transitions[j] @ G
-    return G
+    return green_kernels(params.transitions[: ell + 1], params.injections[: ell + 1])[ell, s]
 
 
 def green_sums(transitions: np.ndarray, injections: np.ndarray) -> np.ndarray:
     """(L,) sums of the spectral norms of the Green kernels feeding each
     maturity, from one batched norm call over the stacked kernels."""
-    L = transitions.shape[0]
-    G = np.zeros((L, L) + injections.shape[1:])  # G[ell, s]; zero for s > ell
-    for ell in range(L):
-        G[ell, :ell] = transitions[ell] @ G[ell - 1, :ell]
-        G[ell, ell] = injections[ell]
-    return spectral_norms(G).sum(axis=1)
+    return spectral_norms(green_kernels(transitions, injections)).sum(axis=1)
 
 
 def green_sum(params: OperatorParams, ell: int) -> float:
@@ -222,18 +227,15 @@ class RepresenterRecord:
 def _maturity_similarity(params: OperatorParams) -> np.ndarray:
     """Cosine similarity between maturities in Green-kernel feature space."""
     L = params.n_maturities
-    feats = np.zeros((L, L))
-    for ell in range(L):
-        for s in range(ell + 1):
-            feats[ell, s] = np.linalg.norm(green_kernel(params, ell, s))
+    # one norm per kernel (a batched norm over the stack rounds differently)
+    feats = np.array([[np.linalg.norm(G) for G in row]
+                      for row in green_kernels(params.transitions, params.injections)])
     sim = np.eye(L)
     norms = np.linalg.norm(feats, axis=1)
     for a in range(L):
         for b in range(L):
             if norms[a] > 0 and norms[b] > 0:
                 sim[a, b] = float(feats[a] @ feats[b] / (norms[a] * norms[b]))
-            elif a == b:
-                sim[a, b] = 1.0
     return sim
 
 

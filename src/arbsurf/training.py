@@ -33,9 +33,9 @@ the fixed primal point, and the one forward at the current point (shared
 with the first primal-descent step) yields every ascent step and the value
 at the ascended multipliers, with the arithmetic of a forward per step.
 
-`train` is the one saddle loop: it stops on `stop_test`, records the last
-logged gap as DualGap and Stability from `metrics.stability`, and both
-extragradient halves and the gap's primal half descend along `_descent`.
+`train` is the one saddle loop: it stops on `stop_test` and records the
+last logged gap as DualGap, and both extragradient halves and the gap's
+primal half descend along `_descent`.
 The gap estimator runs one step behind, in a worker process forked at the
 start of the loop (a fold uses two processes): step t + 1 never reads gap t,
 so it runs while the worker computes gap t, and it is discarded when gap t
@@ -61,9 +61,8 @@ from .decoder import (
     strike_coordinate,
 )
 from .generator import Fold, SyntheticPanel
-from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, parity_puts, strike_spacings
+from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, otm_values, parity_puts, strike_spacings
 from .mathutil import sigmoid, softplus
-from .metrics import CnasShape, cnas, nas, stability
 from .operator import (
     OperatorParams,
     gate_density,
@@ -117,7 +116,6 @@ class TrainingConfig:
     readout_dim: int = 4
     width: int = 16
     depth: int = 2
-    gate_mode: str = "density_and_input"
     gate_enabled: bool = True
     specguard_enabled: bool = True
     guard: GuardConfig = field(default_factory=GuardConfig)
@@ -126,8 +124,6 @@ class TrainingConfig:
     def __post_init__(self):
         if min(self.delta_gap_tol, self.dual_residual_eps) <= 0 or self.patience < 1:
             raise DomainError("invalid stopping thresholds")
-        if self.gate_mode not in ("density", "density_and_input"):
-            raise DomainError("gate_mode must be density or density_and_input")
 
 
 # --- batch assembly ----------------------------------------------------------
@@ -196,10 +192,8 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
         mask = qs.mask
         calls = np.where(mask, qs.calls, 0.0) / spot
         puts = np.where(mask, qs.puts, 0.0) / spot
-        otm = np.where(strikes[None, :] < forwards[:, None], puts, calls)
-        windows.append(
-            WindowData(cq=calls, mask=mask, q_feat=otm, vix2_obs=np.asarray(panel.vix2_observed, dtype=float))
-        )
+        windows.append(WindowData(cq=calls, mask=mask, q_feat=otm_values(strikes, forwards, puts, calls),
+                                  vix2_obs=np.asarray(panel.vix2_observed, dtype=float)))
         n_obs += int(mask.sum())
     if n_obs == 0:
         raise DomainError("no observed cells in batch")
@@ -402,7 +396,7 @@ def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
 def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig):
     """Integrated bin features; returns (u (L, d), omega (L, M))."""
     L, M = window.mask.shape
-    if cfg.gate_enabled and cfg.gate_mode == "density_and_input":
+    if cfg.gate_enabled:
         omega = w_den * batch.dk[None, :] * window.mask
     else:
         raw = batch.dk[None, :] * window.mask
@@ -419,7 +413,7 @@ def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig)
 def _window_vix(cnorm: np.ndarray, batch: TrainBatch) -> np.ndarray:
     """Strip variance estimate of the decoded surface per maturity."""
     calls = batch.grid.spot * cnorm
-    q = np.where(batch.strikes[None, :] < batch.forwards[:, None], parity_puts(batch.grid, calls), calls)
+    q = otm_values(batch.strikes, batch.forwards, parity_puts(batch.grid, calls), calls)
     return (batch.vix_coef * q).sum(axis=1) - batch.vix_adj
 
 
@@ -614,7 +608,7 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
         grads["injections"] += dh[:, :, None] * u[:, None, :]
 
         # feature backward (gated integration only contributes to the gate)
-        if cfg.gate_enabled and cfg.gate_mode == "density_and_input":
+        if cfg.gate_enabled:
             domega = (
                 cfg.feature_scale
                 * du[np.arange(L)[:, None], batch.bin_index[None, :]]
@@ -746,8 +740,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 # --- empirical saddle gap ----------------------------------------------------
 
 
-def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
-                             k_inner: int | None = None) -> float:
+def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
     """Model-bound gap estimator on a held-out batch (all maturities).
 
     k projected ascent steps on the duals at the current primal point, minus
@@ -760,7 +753,7 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch,
     reverse passes, with the same arithmetic as evaluating each step anew.
     """
     cfg = state.cfg
-    k = k_inner or cfg.k_inner
+    k = cfg.k_inner
     eta_p, eta_d = cfg.step_primal, cfg.step_dual
 
     fw0 = model_forward(state.primal, state.duals, heldout, cfg)
@@ -949,6 +942,9 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
 def train(cfg: TrainingConfig, data: FoldData):
     """Run the saddle loop on one fold; returns (state, run log record).
 
+    The record holds what training measures; `train` decodes no surface,
+    and `cli.run_fold` fills in NAS, CNAS, Stability and the OOS fields.
+
     Stops at the first step where `stop_test` holds on the logged pairs, or
     after cfg.max_steps. The held-out gap of each step runs in a forked
     worker process while the next step runs, so a fold uses two processes;
@@ -989,10 +985,7 @@ def train(cfg: TrainingConfig, data: FoldData):
             + cfg.xi * float(duals["vix"] @ fw.r_vix)
         )
         final_ratio = ratio_log(fw.mse, dual_part)
-    val_surface = decode_window(state.primal, data.val_panel, cfg)
     run = RunLog(
-        NAS=nas(val_surface),
-        CNAS=cnas(val_surface, CnasShape()),
         DualGap=hist.gap[-1] if hist.gap else None,
         spec_guard_hits=state.guard.spec_guard_hits,
         projection_distance=state.guard.projection_distance,
@@ -1012,5 +1005,4 @@ def train(cfg: TrainingConfig, data: FoldData):
         filter_rate=float(np.mean([p.filter_rate for p in data.train_panels + [data.val_panel]])),
     )
     run.stopped = hist.stopped_at is not None
-    run.Stability = stability([run])
     return state, run

@@ -17,6 +17,7 @@ from .grids import (
     PriceSurface,
     forward_price,
     nearest_strike_below_forward,
+    otm_values,
     strike_spacings,
 )
 
@@ -71,19 +72,18 @@ def otm_strip(surface: PriceSurface, ell: int) -> np.ndarray:
     """
     grid = surface.grid
     strikes = grid.strikes
-    f = forward_price(grid, grid.maturities[ell])
-    q = np.where(strikes < f, surface.puts[ell], surface.calls[ell])
+    q = otm_values(strikes, forward_price(grid, grid.maturities[ell]), surface.puts[ell], surface.calls[ell])
     mask = surface.mask[ell]
     if not mask.all():
         q, _ = interpolate_missing(strikes, np.where(mask, q, 0.0), mask)
     return q
 
 
-def tail_truncated(grid: MarketGrid, ell: int, span: tuple[float, float] = MONEYNESS_SPAN) -> bool:
-    """True when the strike list does not span the configured moneyness range."""
+def tail_truncated(grid: MarketGrid, ell: int) -> bool:
+    """True when the strike list does not span MONEYNESS_SPAN times the forward."""
     strikes = grid.strikes
     f = forward_price(grid, grid.maturities[ell])
-    return bool(strikes[0] > span[0] * f or strikes[-1] < span[1] * f)
+    return bool(strikes[0] > MONEYNESS_SPAN[0] * f or strikes[-1] < MONEYNESS_SPAN[1] * f)
 
 
 def vix_squared(surface: PriceSurface, ell: int) -> float:

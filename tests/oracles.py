@@ -109,7 +109,7 @@ def masked_sigmoid(x):
     return out
 
 
-def stepwise_gap(state, heldout, k_inner=None):
+def stepwise_gap(state, heldout):
     """Held-out saddle gap evaluated step by step (2k + 2 forward passes).
 
     Each of the k dual-ascent steps runs its own forward at the current
@@ -127,7 +127,7 @@ def stepwise_gap(state, heldout, k_inner=None):
     )
 
     cfg = state.cfg
-    k = k_inner or cfg.k_inner
+    k = cfg.k_inner
     duals = {name: v.copy() for name, v in state.duals.items()}
     for _ in range(k):
         fw = model_forward(state.primal, duals, heldout, cfg)
@@ -176,6 +176,15 @@ def serial_saddle_loop(state, batch, heldout, cfg):
     except training.TrainingDivergence as err:
         raise training.TrainingDivergence(str(err), state=state) from err
     return state, fw, duals
+
+
+def loop_green_kernel(transitions, injections, ell, s):
+    """Green kernel G[ell, s] as the time-ordered product, one transition at a
+    time: transitions[ell] ... transitions[s+1] @ injections[s]."""
+    G = injections[s].copy()
+    for j in range(s + 1, ell + 1):
+        G = transitions[j] @ G
+    return G
 
 
 def near_degenerate(a, b):

@@ -1,9 +1,11 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arbsurf import cli
 from arbsurf.cli import (
     ABLATION_SWITCHES,
     ExperimentConfig,
@@ -14,6 +16,8 @@ from arbsurf.cli import (
     load_config,
     report,
     requote_surface,
+    run_ablation,
+    run_external_validity,
     run_reproduce,
     run_stress_to_fail,
 )
@@ -21,7 +25,9 @@ from arbsurf.generator import GeneratorConfig
 from arbsurf.grids import DomainError
 from arbsurf.metrics import CnasShape, nas
 from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, RunLog, SweepLedger, SweepRow, config_hash, emit_log
-from arbsurf.training import TrainingConfig
+from arbsurf.training import TrainingConfig, TrainingDivergence
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 SMOKE_GEN = dict(
     n_paths=800, steps_per_year=60, n_maturities=4, n_strikes=7,
@@ -86,16 +92,15 @@ class TestConfigFile:
     def test_load_and_coerce(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(
-            "[generator]\nn_paths = 1234\nrho = -0.5\nantithetic = true\n"
-            "[training]\nmax_steps = 7\ngate_mode = density\n"
+            "[generator]\nn_paths = 1234\nrho = -0.5\n"
+            "[training]\nmax_steps = 7\ngate_enabled = false\n"
             "[run]\nn_windows = 5\nstress_strengths = 0 1 2\n"
         )
         cfg = load_config(path)
         assert cfg.generator.n_paths == 1234
         assert cfg.generator.rho == -0.5
-        assert cfg.generator.antithetic is True
         assert cfg.training.max_steps == 7
-        assert cfg.training.gate_mode == "density"
+        assert cfg.training.gate_enabled is False
         assert cfg.run.n_windows == 5
         assert cfg.run.stress_strengths == (0.0, 1.0, 2.0)
 
@@ -105,12 +110,23 @@ class TestConfigFile:
         with pytest.raises(DomainError):
             load_config(path)
 
-    @pytest.mark.parametrize("section,key", [("training", "guard"), ("run", "frozen_shape")])
+    @pytest.mark.parametrize("section,key", [("training", "guard")])
     def test_nested_group_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "nested.ini"
         path.write_text(f"[{section}]\n{key} = 0.5\n")
         with pytest.raises(DomainError, match=rf"\[{section}\] {key}"):
             load_config(path)
+
+    @pytest.mark.parametrize("key,value", [("n_windows", 2), ("stress_draws", 0)])
+    def test_run_keys_validated_at_load(self, tmp_path, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\n{key} = {value}\n")
+        with pytest.raises(DomainError, match=rf"\[run\] {key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        load_config(path)  # a key that no config field mirrors raises
 
     def test_seed_override(self):
         cfg = load_config(None, seed=42)
@@ -220,7 +236,62 @@ class TestStress:
         assert same is panel
 
 
+class TestAblationRun:
+    def test_gate_off_one_seed(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = run_ablation("gate_off", smoke_cfg(ablation_seeds=(11,)), tmp_path)
+        (path, run), = records
+        assert path.endswith("runlog_gate_off_seed11.json")
+        rec = json.loads(open(path).read())
+        assert tuple(rec) == SCHEMA_FIELDS
+        assert rec == run.to_dict()
+        assert np.isfinite(rec["NAS"])
+
+    def test_divergence_writes_placeholder(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergence("non-finite objective (nan)")
+
+        monkeypatch.setattr(cli, "run_fold", diverge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = run_ablation("gate_off", smoke_cfg(ablation_seeds=(11,)), tmp_path)
+        (path, run), = records
+        rec = json.loads(open(path).read())
+        assert tuple(rec) == SCHEMA_FIELDS
+        assert all(rec[f] is not None for f in SCHEMA_FIELDS if f not in NULLABLE_FIELDS)
+        assert rec["NAS"] == float("-inf") and rec["Stability"] == 0.0
+        emit_log(run, tmp_path / "again.json")  # complete: emit_log accepts it
+
+
 class TestExternalValidity:
+    def test_drop_equals_fold_record(self, tmp_path, monkeypatch):
+        runs = []
+        run_fold = cli.run_fold
+
+        def recorded(*args):
+            out = run_fold(*args)
+            runs.append(out[1])
+            return out
+
+        monkeypatch.setattr(cli, "run_fold", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = run_external_validity(smoke_cfg(), tmp_path)
+        assert len(runs) == 1
+        assert out["cnas_frozen_drop"] == runs[0].cnas_frozen_drop
+        assert out["windows"] == [2, 3]
+        assert (tmp_path / "external_validity.json").exists()
+
+    def test_three_windows_rejected_before_panels(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "make_panel", lambda *args: calls.append(args))
+        cfg = smoke_cfg()
+        cfg.run.n_windows = 3
+        with pytest.raises(DomainError, match="2 OOS windows"):
+            run_external_validity(cfg, tmp_path)
+        assert calls == []
+
     def test_identical_windows_zero_drop(self):
         from .oracles import bs_call
         from arbsurf.grids import MarketGrid, PriceSurface

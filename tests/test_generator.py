@@ -68,24 +68,6 @@ class TestSimulatePaths:
         se = disc.std(ddof=1) / np.sqrt(len(disc))
         assert abs(disc.mean() - cfg.s0) <= 3 * se
 
-    def test_antithetic_variance_reduction(self):
-        base = dict(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
-                    n_paths=20000, r=0.0, q=0.0)
-        plain = simulate_paths(smoke_cfg(**base, antithetic=False), 1.0)
-        anti = simulate_paths(smoke_cfg(**base, antithetic=True), 1.0)
-
-        def pair_mean_var(spots):
-            n = len(spots) // 2
-            pairs = 0.5 * (spots[:n] + spots[n : 2 * n])
-            return pairs.var(ddof=1)
-
-        # same draw budget: antithetic pairing beats independent pairing
-        v_plain = pair_mean_var(plain.spot[:, -1])
-        v_anti = anti.spot[: len(anti.spot) // 2 * 2, -1]
-        n = len(v_anti) // 2
-        v_anti = (0.5 * (anti.spot[:n, -1] + anti.spot[n : 2 * n, -1])).var(ddof=1)
-        assert v_anti < 0.5 * v_plain
-
     def test_determinism(self):
         cfg = smoke_cfg(n_paths=100)
         a = simulate_paths(cfg, 0.5)

@@ -10,6 +10,7 @@ from arbsurf.grids import (
     coverage_stats,
     forward_price,
     nearest_strike_below_forward,
+    otm_values,
     read_surface_csv,
     strike_spacings,
     write_surface_csv,
@@ -71,6 +72,20 @@ class TestNearestStrikeBelowForward:
         g = simple_grid(spot=102.0, rate=0.0, strikes=(105.0, 110.0, 120.0))
         with pytest.warns(RuntimeWarning):
             assert nearest_strike_below_forward(g, 0) == 105.0
+
+
+class TestOtmValues:
+    def test_surface_rows_match_per_maturity_strips(self):
+        # one selection serves a whole (L, M) surface with (L,) forwards and
+        # one maturity's (M,) strip with a scalar forward; K == F takes the call
+        strikes = np.array([90.0, 100.0, 110.0])
+        forwards = np.array([95.0, 100.0, 120.0])
+        puts = np.arange(9.0).reshape(3, 3)
+        calls = puts + 100.0
+        q = otm_values(strikes, forwards, puts, calls)
+        assert np.array_equal(q, [[0.0, 101.0, 102.0], [3.0, 104.0, 105.0], [6.0, 7.0, 8.0]])
+        for ell, f in enumerate(forwards):
+            assert np.array_equal(otm_values(strikes, f, puts[ell], calls[ell]), q[ell])
 
 
 class TestStrikeSpacings:

@@ -8,6 +8,7 @@ from arbsurf.operator import (
     LatentTrajectory,
     OperatorParams,
     green_kernel,
+    green_kernels,
     green_sum,
     martingale_residual,
     measure_gate,
@@ -121,6 +122,22 @@ class TestGreenKernel:
         params = make_params()
         with pytest.raises(DomainError):
             green_kernel(params, 1, 2)
+
+    def test_stack_equals_loop_product(self):
+        # the batched recurrence multiplies in the loop's order, so the two
+        # agree bit for bit; the stack is zero above the diagonal (causal)
+        from .oracles import loop_green_kernel
+
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            L, m, d = rng.integers(1, 13), rng.integers(1, 9), rng.integers(1, 9)
+            trans, inj = rng.standard_normal((L, m, m)), rng.standard_normal((L, m, d))
+            G = green_kernels(trans, inj)
+            assert G.shape == (L, L, m, d)
+            for ell in range(L):
+                for s in range(L):
+                    expected = loop_green_kernel(trans, inj, ell, s) if s <= ell else np.zeros((m, d))
+                    assert np.array_equal(G[ell, s], expected)
 
     def test_one_step_contraction(self):
         # transitions with spectral norm <= 1 - eps contract state gaps

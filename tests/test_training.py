@@ -4,6 +4,7 @@ import signal
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,13 +322,14 @@ class TestGapEstimator:
             extragradient_step(state, batch, cfg, rng)
             assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
         for k in (1, 3):
-            assert empirical_gap_from_state(state, heldout, k) == stepwise_gap(state, heldout, k)
+            at_k = replace(state, cfg=replace(cfg, k_inner=k))
+            assert empirical_gap_from_state(at_k, heldout) == stepwise_gap(at_k, heldout)
 
     @pytest.mark.parametrize("k_inner", [1, 5])
     def test_forwards_per_call(self, k_inner, monkeypatch):
         import arbsurf.training as training
 
-        cfg, batch, state = tiny_state()
+        cfg, batch, state = tiny_state(tiny_cfg(k_inner=k_inner))
         calls = []
 
         def counted(*args, **kwargs):
@@ -335,7 +337,7 @@ class TestGapEstimator:
             return model_forward(*args, **kwargs)
 
         monkeypatch.setattr(training, "model_forward", counted)
-        empirical_gap_from_state(state, batch, k_inner)
+        empirical_gap_from_state(state, batch)
         assert len(calls) == k_inner + 1
 
     def test_gap_leaves_state_untouched(self):
