@@ -44,6 +44,7 @@ from .runlog import RunLog, SweepLedger, SweepRow, config_hash, emit_log
 from .training import (
     FoldData,
     TrainingConfig,
+    TrainingDivergence,
     decode_window,
     to_operator_params,
     train,
@@ -335,7 +336,7 @@ def run_ablation(which: str, cfg: ExperimentConfig, out_dir) -> list:
         fold = blocked_folds(cfg.run.n_windows)[0]
         try:
             state, run, _ = run_fold(panels, fold, tcfg)
-        except Exception as err:  # divergence is a valid logged outcome here
+        except TrainingDivergence as err:  # divergence is a valid logged outcome here
             LOGGER.warning("ablation %s seed %d failed: %s", which, seed, err)
             run = RunLog(
                 NAS=float("-inf"), NI=0.0, CNAS=float("-inf"), DualGap=float("inf"),

@@ -247,16 +247,14 @@ def legendre_conjugate(
     p: float,
     context: np.ndarray | None,
     k_domain: tuple[float, float],
-    n_grid: int = 512,
-    refine_iters: int = 80,
 ) -> float:
     """Convex conjugate sup_k { p*k - phi(k) } over a bounded domain.
 
     `potential` is either DecoderParams (evaluated at the given context) or
-    any convex callable phi(k). Dense-grid maximization refined by ternary
-    search (the objective is concave since phi is convex). A maximizer at
-    the domain boundary means the true conjugate lives outside the domain;
-    a truncation warning is emitted in that case.
+    any convex callable phi(k). Maximization on a 512-point grid refined by
+    80 ternary-search steps (the objective is concave since phi is convex).
+    A maximizer at the domain boundary means the true conjugate lives
+    outside the domain; a truncation warning is emitted in that case.
     """
     lo, hi = float(k_domain[0]), float(k_domain[1])
     if not (hi > lo):
@@ -273,10 +271,10 @@ def legendre_conjugate(
         def phi_vec(ks):
             return np.array([float(potential(k)) for k in ks])
 
-    ks = np.linspace(lo, hi, n_grid)
+    ks = np.linspace(lo, hi, 512)
     obj = p * ks - phi_vec(ks)
     j = int(np.argmax(obj))
-    if j in (0, n_grid - 1):
+    if j in (0, 511):
         warnings.warn("conjugate maximizer at domain boundary; value is truncated", RuntimeWarning)
         return float(obj[j])
     a, b = ks[j - 1], ks[j + 1]
@@ -284,7 +282,7 @@ def legendre_conjugate(
     def f(k):
         return p * k - float(phi_vec(np.array([k]))[0])
 
-    for _ in range(refine_iters):
+    for _ in range(80):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if f(m1) < f(m2):
@@ -327,10 +325,6 @@ class ArbResiduals:
             [self.monotonicity.ravel(), self.convexity.ravel(), self.calendar.ravel(), self.bounds.ravel()]
         )
 
-    def max_violation(self) -> float:
-        flat = self.flatten()
-        return float(flat.max()) if flat.size else 0.0
-
 
 def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> ArbResiduals:
     """Residuals for a rectangular call matrix (rows = maturities): the one
@@ -357,26 +351,19 @@ def static_arb_residuals(surface: PriceSurface) -> ArbResiduals:
     return arb_residual_arrays(surface.calls, surface.grid.strikes, surface.grid.spot)
 
 
-def pava(y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def pava(y: np.ndarray) -> np.ndarray:
     """L2 projection onto nondecreasing sequences (pooled adjacent violators)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if weights is None:
-        weights = np.ones(n)
-    w = np.asarray(weights, dtype=float)
     means: list[float] = []
-    wsum: list[float] = []
     count: list[int] = []
     for i in range(n):
         means.append(y[i])
-        wsum.append(w[i])
         count.append(1)
         while len(means) >= 2 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wsum.pop(), count.pop()
-            m1, w1, c1 = means.pop(), wsum.pop(), count.pop()
-            wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            wsum.append(wt)
+            m2, c2 = means.pop(), count.pop()
+            m1, c1 = means.pop(), count.pop()
+            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
             count.append(c1 + c2)
     out = np.empty(n)
     pos = 0
@@ -397,15 +384,16 @@ def _convexity_rows(strikes: np.ndarray):
     return rows
 
 
-def _project_convex_1d(c: np.ndarray, strikes: np.ndarray, tol: float, max_cycles: int = 2000) -> np.ndarray:
+def _project_convex_1d(c: np.ndarray, strikes: np.ndarray, tol: float) -> np.ndarray:
     """Exact (to tol) L2 projection of one maturity slice onto convexity,
-    by Hildreth coordinate ascent on the constraint multipliers."""
+    by Hildreth coordinate ascent on the constraint multipliers (at most
+    2000 cycles)."""
     x = np.asarray(c, dtype=float).copy()
     rows = _convexity_rows(strikes)
     if not rows:
         return x
     lam = np.zeros(len(rows))
-    for _ in range(max_cycles):
+    for _ in range(2000):
         max_move = 0.0
         for r, ((i0, i1, i2), coef, nrm2) in enumerate(rows):
             g = coef[0] * x[i0] + coef[1] * x[i1] + coef[2] * x[i2]

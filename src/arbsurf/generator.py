@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .grids import DomainError, MarketGrid, PriceSurface, write_surface_csv
 from .vix import write_vix2_csv
 
 ORACLE_REPAIR_TOL = 1e-6  # calendar defect above which the oracle is projected
+_DRAW_BLOCK = 4  # steps of normals drawn ahead of the stepping loop
 
 
 @dataclass
@@ -74,7 +76,9 @@ class GeneratorConfig:
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths on the day grid: times (N+1,), spot and variance (n_paths, N+1)."""
+    """Simulated paths on the day grid: times (N+1,), spot and variance
+    (n_paths, N+1). The two arrays are transposed views of time-major
+    (N+1, n_paths) storage, so one time slice `spot[:, i]` is contiguous."""
 
     times: np.ndarray
     spot: np.ndarray
@@ -108,7 +112,6 @@ def snapped_maturities(cfg: GeneratorConfig) -> np.ndarray:
     lo, hi = cfg.maturity_range
     raw = np.linspace(lo, hi, cfg.n_maturities)
     steps = np.maximum(1, np.round(raw * cfg.steps_per_year).astype(int))
-    steps = np.maximum.accumulate(steps + np.arange(cfg.n_maturities) * 0)  # keep ordering
     # enforce strict increase after rounding
     for i in range(1, len(steps)):
         if steps[i] <= steps[i - 1]:
@@ -132,6 +135,11 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> Pat
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
+    Paths are stored time-major, so each step reads and writes contiguous
+    rows. One worker thread draws the normals of the next `_DRAW_BLOCK`
+    steps while this thread steps the current block; the worker alone
+    touches the generator, and a (steps, 2, n) fill consumes the stream in
+    the same order as a (z1, zp) pair of n-draws per step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
@@ -144,30 +152,38 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> Pat
     b = np.asarray(cfg.kernel_rates, dtype=float)
     decay = np.exp(-b * dt)
 
-    spot = np.empty((n, n_steps + 1))
-    variance = np.empty((n, n_steps + 1))
-    spot[:, 0] = cfg.s0
-    variance[:, 0] = cfg.v0
+    spot = np.empty((n_steps + 1, n))
+    variance = np.empty((n_steps + 1, n))
+    spot[0] = cfg.s0
+    variance[0] = cfg.v0
 
     drift_acc = np.zeros(n)  # integral of kappa (theta - v)
     conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
     mu = cfg.r - cfg.q
-    for step in range(n_steps):
-        z1 = rng.standard_normal(n)
-        zp = rng.standard_normal(n)
-        z2 = cfg.rho * z1 + np.sqrt(max(0.0, 1.0 - cfg.rho**2)) * zp
+    rho_perp = np.sqrt(max(0.0, 1.0 - cfg.rho**2))
+    normals = np.empty((2, _DRAW_BLOCK, 2, n))  # one block drawn while the other is stepped
+    with ThreadPoolExecutor(1) as drawer:
+        pending = drawer.submit(rng.standard_normal, out=normals[0, : min(_DRAW_BLOCK, n_steps)])
+        for block, start in enumerate(range(0, n_steps, _DRAW_BLOCK)):
+            z = pending.result()
+            stop = start + len(z)
+            if stop < n_steps:
+                ahead = normals[(block + 1) % 2, : min(_DRAW_BLOCK, n_steps - stop)]
+                pending = drawer.submit(rng.standard_normal, out=ahead)
+            for step, (z1, zp) in enumerate(z, start):
+                z2 = cfg.rho * z1 + rho_perp * zp
 
-        v_plus = np.maximum(variance[:, step], 0.0)
-        sq_v_dt = np.sqrt(v_plus * dt)
-        spot[:, step + 1] = spot[:, step] * np.exp((mu - 0.5 * v_plus) * dt + sq_v_dt * z1)
+                v_plus = np.maximum(variance[step], 0.0)
+                sq_v_dt = np.sqrt(v_plus * dt)
+                spot[step + 1] = spot[step] * np.exp((mu - 0.5 * v_plus) * dt + sq_v_dt * z1)
 
-        drift_acc += cfg.kappa * (cfg.theta_mean - v_plus) * dt
-        shock = cfg.sigma_volvol * sq_v_dt * z2
-        conv_states = decay[:, None] * (conv_states + shock[None, :])
-        variance[:, step + 1] = cfg.v0 + drift_acc + a @ conv_states
+                drift_acc += cfg.kappa * (cfg.theta_mean - v_plus) * dt
+                shock = cfg.sigma_volvol * sq_v_dt * z2
+                conv_states = decay[:, None] * (conv_states + shock[None, :])
+                variance[step + 1] = cfg.v0 + drift_acc + a @ conv_states
 
     times = np.arange(n_steps + 1) * dt
-    return PathEnsemble(times, spot, variance)
+    return PathEnsemble(times, spot.T, variance.T)
 
 
 def _maturity_step(paths: PathEnsemble, T: float) -> int:
@@ -224,7 +240,8 @@ def vix2_proxy(paths: PathEnsemble, cfg: GeneratorConfig, T: float, return_se: b
     i1 = i0 + int(np.ceil(delta / dt - 1e-9))
     if i1 >= paths.variance.shape[1]:
         raise DomainError("simulation horizon does not cover the proxy window")
-    v = np.maximum(paths.variance[:, i0 : i1 + 1], 0.0)
+    # a C-ordered copy of the window keeps the BLAS summation order of v @ w
+    v = np.maximum(np.ascontiguousarray(paths.variance[:, i0 : i1 + 1]), 0.0)
     w = np.full(i1 - i0 + 1, dt)
     w[0] *= 0.5
     w[-1] *= 0.5

@@ -49,11 +49,11 @@ class CnasShape:
 # --- arbitrage scores -------------------------------------------------------
 
 
-def _atm_scales(surface: PriceSurface, floor: float = 1e-8) -> np.ndarray:
+def _atm_scales(surface: PriceSurface) -> np.ndarray:
     """Per-maturity price scale: the call at the strike nearest the forward."""
     grid = surface.grid
     j = np.argmin(np.abs(grid.strikes[None, :] - grid.forwards()[:, None]), axis=1)
-    return np.maximum(np.abs(surface.calls[np.arange(grid.n_maturities), j]), floor)
+    return np.maximum(np.abs(surface.calls[np.arange(grid.n_maturities), j]), 1e-8)
 
 
 def _scaled_residual_fields(surface: PriceSurface):
@@ -128,10 +128,11 @@ def _forward_units(surface: PriceSurface) -> np.ndarray:
     return surface.calls * growth[:, None] / grid.forwards()[:, None]
 
 
-def _bucket_ids(L: int, M: int, n_t: int = 8, n_k: int = 4) -> np.ndarray:
-    """Equal-count bucket index per cell over (maturity, moneyness)."""
-    t_groups = np.array_split(np.arange(L), min(n_t, L))
-    k_groups = np.array_split(np.arange(M), min(n_k, M))
+def _bucket_ids(L: int, M: int) -> np.ndarray:
+    """Equal-count bucket index per cell over (maturity, moneyness): up to
+    8 maturity groups by 4 moneyness groups."""
+    t_groups = np.array_split(np.arange(L), min(8, L))
+    k_groups = np.array_split(np.arange(M), min(4, M))
     ids = np.empty((L, M), dtype=int)
     for ti, rows in enumerate(t_groups):
         for ki, cols in enumerate(k_groups):
@@ -140,8 +141,7 @@ def _bucket_ids(L: int, M: int, n_t: int = 8, n_k: int = 4) -> np.ndarray:
     return ids
 
 
-def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurface],
-       eps: float = 1e-12) -> float:
+def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurface]) -> float:
     """Numeraire-integrity proxy: one minus the bucket-weighted ratio of
     forward-unit increment variances, model over reference, across adjacent
     windows. Uniform bucket weights.
@@ -160,15 +160,15 @@ def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurf
         sel = ids == b
         num += float(np.var(dm[:, sel]))
         den += float(np.var(do[:, sel]))
-    return float(1.0 - num / (den + eps))
+    return float(1.0 - num / (den + 1e-12))
 
 
 # --- saddle diagnostics ------------------------------------------------------
 
 
-def stability(runs: Sequence, mart_tol: float = 1e-2) -> float:
+def stability(runs: Sequence) -> float:
     """Fraction of runs that stayed spectrally safe (max rho dt <= 1), ended
-    with the martingale defect below tolerance, and stopped within budget."""
+    with the martingale defect at most 1e-2, and stopped within budget."""
     if len(runs) == 0:
         raise DomainError("need at least one run")
     ok = 0
@@ -176,7 +176,7 @@ def stability(runs: Sequence, mart_tol: float = 1e-2) -> float:
         get = r.get if isinstance(r, dict) else lambda k, _r=r: getattr(_r, k)
         passed = (
             float(get("max_rho_dt")) <= 1.0
-            and float(get("martingale_residual")) <= mart_tol
+            and float(get("martingale_residual")) <= 1e-2
             and bool(get("stopped"))
         )
         ok += int(passed)
@@ -193,13 +193,11 @@ def _cloud(surface: PriceSurface) -> np.ndarray:
     return np.column_stack([np.repeat(grid.maturities, M), np.tile(grid.strikes, L), surface.calls.ravel()])
 
 
-def surface_wasserstein(
-    a: PriceSurface, b: PriceSurface, n_projections: int = 64, seed: int = 7
-) -> float:
+def surface_wasserstein(a: PriceSurface, b: PriceSurface) -> float:
     """Sliced transport distance between (T, K, price) clouds.
 
-    The 1-D distance on each random direction is computed exactly by
-    sorting. Deterministic given the seed.
+    The 1-D distance on each of 64 random directions is computed exactly by
+    sorting. The directions are a fixed Philox stream (key 7).
     """
     pa, pb = _cloud(a), _cloud(b)
     if pa.shape != pb.shape:
@@ -217,15 +215,15 @@ def surface_wasserstein(
         return out
 
     sa, sb = standardize(pa), standardize(pb)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=7))
     total = 0.0
-    for _ in range(n_projections):
+    for _ in range(64):
         theta = rng.standard_normal(3)
         theta /= np.linalg.norm(theta)
         qa = np.sort(sa @ theta)
         qb = np.sort(sb @ theta)
         total += float(np.sqrt(np.mean((qa - qb) ** 2)))
-    return total / n_projections
+    return total / 64
 
 
 def gen_gap_p95(train_errors: np.ndarray, oos_errors: np.ndarray) -> float:
@@ -239,15 +237,15 @@ def gen_gap_p95(train_errors: np.ndarray, oos_errors: np.ndarray) -> float:
     return float(gaps[rank - 1])
 
 
-def effective_dimension(gram: np.ndarray, alphas=(0.90, 0.95, 0.99), psd_tol: float = 1e-8):
-    """Smallest ranks capturing each alpha-fraction of eigenvalue mass."""
+def effective_dimension(gram: np.ndarray):
+    """Smallest ranks capturing 90%, 95% and 99% of the eigenvalue mass."""
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise DomainError("gram must be square")
     if not np.allclose(gram, gram.T, atol=1e-10 * max(1.0, np.abs(gram).max())):
         raise DomainError("gram must be symmetric")
     evals = np.linalg.eigvalsh(gram)
-    if evals.min(initial=0.0) < -psd_tol * max(evals.max(initial=1.0), 1.0):
+    if evals.min(initial=0.0) < -1e-8 * max(evals.max(initial=1.0), 1.0):
         raise DomainError("gram is not positive semidefinite")
     evals = np.sort(np.maximum(evals, 0.0))[::-1]
     total = evals.sum()
@@ -255,7 +253,7 @@ def effective_dimension(gram: np.ndarray, alphas=(0.90, 0.95, 0.99), psd_tol: fl
         raise DomainError("gram has no spectral mass")
     cum = np.cumsum(evals)
     out = []
-    for alpha in alphas:
+    for alpha in (0.90, 0.95, 0.99):
         target = alpha * total * (1.0 - 1e-12)
         out.append(int(np.searchsorted(cum, target) + 1))
     return tuple(out)
@@ -329,7 +327,6 @@ def novikov_kazamaki_rate(
     blocks: Sequence[np.ndarray],
     n_threshold: float | None = None,
     z_cap: float | None = None,
-    confidence: float = 0.95,
 ):
     """Heuristic switch-rate monitor on blocked martingale increments.
 
@@ -337,7 +334,7 @@ def novikov_kazamaki_rate(
     log N = 0.5 * sum x^2 and log Z = 0.5 * sum x. A block "switches" when
     log N exceeds `n_threshold` (default: pooled 75th percentile) while
     |log Z| stays within `z_cap` (default: pooled 90th percentile). Returns
-    (rate, ci_low, ci_high); the interval is NaN with fewer than 8 blocks.
+    (rate, ci_low, ci_high) with a 95% interval, NaN with fewer than 8 blocks.
     """
     clean = [np.asarray(b, dtype=float) for b in blocks if len(b) > 0]
     skipped = len(blocks) - len(clean)
@@ -356,17 +353,16 @@ def novikov_kazamaki_rate(
     switches = (log_n > n_threshold) & (np.abs(log_z) <= z_cap)
     rate = float(switches.mean())
     if len(clean) >= 8:
-        _, lo, hi = hac_ci(switches.astype(float), confidence)
+        _, lo, hi = hac_ci(switches.astype(float))
     else:
         lo = hi = float("nan")
     return rate, lo, hi
 
 
-def gap_representer_regression(
-    gaps: np.ndarray, rep_errors: np.ndarray, confidence: float = 0.95, c: float = 1.0
-):
-    """Least squares of fallback error on the saddle gap with a robust slope
-    interval. Returns (slope, intercept, (ci_low, ci_high))."""
+def gap_representer_regression(gaps: np.ndarray, rep_errors: np.ndarray):
+    """Least squares of fallback error on the saddle gap with a 95%
+    autocorrelation-robust slope interval. Returns
+    (slope, intercept, (ci_low, ci_high))."""
     g = np.asarray(gaps, dtype=float)
     e = np.asarray(rep_errors, dtype=float)
     t = len(g)
@@ -377,7 +373,7 @@ def gap_representer_regression(
     X = np.column_stack([np.ones(t), g])
     beta, *_ = np.linalg.lstsq(X, e, rcond=None)
     resid = e - X @ beta
-    lag = hac_lag(t, c)
+    lag = hac_lag(t)
     scores = X * resid[:, None]
     s_mat = scores.T @ scores / t
     for k in range(1, lag + 1):
@@ -385,6 +381,6 @@ def gap_representer_regression(
         s_mat += (1.0 - k / (lag + 1.0)) * (gam + gam.T)
     xtx_inv = np.linalg.inv(X.T @ X / t)
     cov = xtx_inv @ s_mat @ xtx_inv / t
-    half = _z(confidence) * np.sqrt(max(cov[1, 1], 0.0))
+    half = _z(0.95) * np.sqrt(max(cov[1, 1], 0.0))
     slope = float(beta[1])
     return slope, float(beta[0]), (slope - half, slope + half)

@@ -1,14 +1,15 @@
 """Independent test oracles: closed-form pricing, a brute-force projection,
-reference forms of two training kernels, and a map that defeats a power
-iteration started from the all-ones vector.
+reference forms of the path simulation and two training kernels, and a map
+that defeats a power iteration started from the all-ones vector.
 
 The pricing and projection oracles are written against scipy/numpy
 primitives and stay independent of the package's own code paths. The
 reference kernels are the straightforward forms that the package's
-optimized ones must reproduce bit for bit: the logistic function by
-boolean masks, the held-out gap estimator with one forward pass per
-step of each half, and the saddle loop that runs each step and its gap
-in turn in one process.
+optimized ones must reproduce bit for bit: the path simulation with
+path-major storage and two draws per step in one thread, the logistic
+function by boolean masks, the held-out gap estimator with one forward
+pass per step of each half, and the saddle loop that runs each step and its
+gap in turn in one process.
 """
 
 import itertools
@@ -95,6 +96,47 @@ def brute_force_projection(calls, strikes, tol=1e-9):
             break
     assert best is not None, "no KKT point found"
     return best[1].reshape(L, M)
+
+
+def reference_paths(cfg, horizon, stream=0):
+    """Euler full-truncation paths, one step at a time: (n_paths, N+1)
+    C-ordered spot and variance, each step drawing z1 then zp from the
+    Philox stream keyed (cfg.seed, stream) and writing one strided column."""
+    from arbsurf.generator import PathEnsemble
+
+    dt = 1.0 / cfg.steps_per_year
+    n_steps = int(np.ceil(horizon * cfg.steps_per_year - 1e-9))
+    n = cfg.n_paths
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, stream]))
+
+    a = np.asarray(cfg.kernel_weights, dtype=float)
+    b = np.asarray(cfg.kernel_rates, dtype=float)
+    decay = np.exp(-b * dt)
+
+    spot = np.empty((n, n_steps + 1))
+    variance = np.empty((n, n_steps + 1))
+    spot[:, 0] = cfg.s0
+    variance[:, 0] = cfg.v0
+
+    drift_acc = np.zeros(n)  # integral of kappa (theta - v)
+    conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
+    mu = cfg.r - cfg.q
+    for step in range(n_steps):
+        z1 = rng.standard_normal(n)
+        zp = rng.standard_normal(n)
+        z2 = cfg.rho * z1 + np.sqrt(max(0.0, 1.0 - cfg.rho**2)) * zp
+
+        v_plus = np.maximum(variance[:, step], 0.0)
+        sq_v_dt = np.sqrt(v_plus * dt)
+        spot[:, step + 1] = spot[:, step] * np.exp((mu - 0.5 * v_plus) * dt + sq_v_dt * z1)
+
+        drift_acc += cfg.kappa * (cfg.theta_mean - v_plus) * dt
+        shock = cfg.sigma_volvol * sq_v_dt * z2
+        conv_states = decay[:, None] * (conv_states + shock[None, :])
+        variance[:, step + 1] = cfg.v0 + drift_acc + a @ conv_states
+
+    times = np.arange(n_steps + 1) * dt
+    return PathEnsemble(times, spot, variance)
 
 
 def masked_sigmoid(x):

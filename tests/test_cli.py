@@ -263,6 +263,18 @@ class TestAblationRun:
         assert rec["NAS"] == float("-inf") and rec["Stability"] == 0.0
         emit_log(run, tmp_path / "again.json")  # complete: emit_log accepts it
 
+    def test_programming_error_fails_the_stage(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("run_fold() got an unexpected keyword argument")
+
+        monkeypatch.setattr(cli, "run_fold", broken)
+        monkeypatch.setattr(cli, "load_config", lambda path, seed: smoke_cfg(ablation_seeds=(11,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["--out", str(tmp_path), "ablate", "--which", "gate_off"])
+        assert code == 1
+        assert not list(tmp_path.glob("runlog_*.json"))
+
 
 class TestExternalValidity:
     def test_drop_equals_fold_record(self, tmp_path, monkeypatch):

@@ -1,8 +1,14 @@
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from arbsurf import cli
 from arbsurf.decoder import static_arb_residuals
 from arbsurf.generator import (
+    _DRAW_BLOCK,
     Fold,
     GeneratorConfig,
     add_noise_censor,
@@ -12,10 +18,15 @@ from arbsurf.generator import (
     make_panel,
     oracle_prices,
     simulate_paths,
+    snapped_maturities,
     vix2_proxy,
     write_panel,
 )
 from arbsurf.grids import DomainError
+
+from .oracles import reference_paths
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def smoke_cfg(**kw):
@@ -81,6 +92,89 @@ class TestSimulatePaths:
         assert np.all(np.isfinite(paths.variance))
         assert np.all(np.isfinite(paths.spot))
         assert np.all(paths.spot > 0)
+
+
+class TestPathsMatchReference:
+    """The pipelined, time-major simulation reproduces the one-thread,
+    path-major reference loop byte for byte."""
+
+    @pytest.mark.parametrize("n_steps", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 2])
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_same_bytes(self, n_steps, stream, seed):
+        cfg = smoke_cfg(n_paths=301, steps_per_year=12, seed=seed)
+        horizon = n_steps / cfg.steps_per_year
+        paths = simulate_paths(cfg, horizon, stream)
+        ref = reference_paths(cfg, horizon, stream)
+        assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, n_steps + 1)
+        assert np.array_equal(paths.times, ref.times)
+        for name in ("spot", "variance"):
+            assert np.ascontiguousarray(getattr(paths, name)).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_same_bytes_under_thread_contention(self):
+        # three simulations at once (six threads on fewer cores) with a
+        # short switch interval: each stream still matches the reference
+        cfg = smoke_cfg(n_paths=301, steps_per_year=12)
+        horizon = (3 * _DRAW_BLOCK + 1) / cfg.steps_per_year
+        results = {}
+
+        def run(stream):
+            results[stream] = simulate_paths(cfg, horizon, stream)
+
+        threads = [threading.Thread(target=run, args=(stream,)) for stream in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for stream in range(3):
+            ref = reference_paths(cfg, horizon, stream)
+            assert np.ascontiguousarray(results[stream].spot).tobytes() == ref.spot.tobytes()
+            assert np.ascontiguousarray(results[stream].variance).tobytes() == ref.variance.tobytes()
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_panel_matches_reference_pricing(self, window):
+        cfg = smoke_cfg(n_paths=1500)
+        before = threading.active_count()
+        panel = make_panel(cfg, window)
+        assert threading.active_count() == before
+
+        grid = make_grid(cfg)
+        horizon = float(grid.maturities[-1]) + cfg.delta_days / 365.0 + 2.0 / cfg.steps_per_year
+        ref = reference_paths(cfg, horizon, stream=window)
+        oracle = oracle_prices(ref, grid)
+        quoted = add_noise_censor(oracle, cfg, stream=window + 1).quoted_surface
+        vix2 = np.array([vix2_proxy(ref, cfg, T) for T in grid.maturities])
+        assert panel.oracle_surface.calls.tobytes() == oracle.calls.tobytes()
+        assert panel.oracle_surface.puts.tobytes() == oracle.puts.tobytes()
+        assert panel.quoted_surface.calls.tobytes() == quoted.calls.tobytes()
+        assert panel.quoted_surface.puts.tobytes() == quoted.puts.tobytes()
+        assert np.array_equal(panel.quoted_surface.mask, quoted.mask)
+        assert panel.vix2_observed.tobytes() == vix2.tobytes()
+
+
+class TestSnappedMaturities:
+    @pytest.mark.parametrize(
+        "config, steps",
+        [
+            (None, [21, 64, 108, 152, 195, 239, 282, 326, 369, 413, 456, 500]),
+            ("smoke.ini", [30, 54, 78, 102, 126, 150]),
+            ("desk.ini", [21, 64, 108, 152, 195, 239, 282, 326, 369, 413, 456, 500]),
+        ],
+    )
+    def test_shipped_configs_unchanged(self, config, steps):
+        cfg = cli.load_config(config and str(CONFIGS / config), None).generator
+        expected = np.array(steps) / cfg.steps_per_year
+        assert snapped_maturities(cfg).tobytes() == expected.tobytes()
+
+    def test_rounding_collisions_made_strictly_increasing(self):
+        cfg = smoke_cfg(steps_per_year=4, n_maturities=5, maturity_range=(0.1, 0.6))
+        assert np.array_equal(snapped_maturities(cfg) * 4, [1, 2, 3, 4, 5])
 
 
 class TestOraclePrices:
