@@ -85,8 +85,12 @@ class ExperimentConfig:
 
 
 def _coerce(value: str, like):
+    """value read as the type of like; ValueError when it cannot be."""
     if isinstance(like, bool):
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        word = value.strip().lower()
+        if word not in ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean (one of {', '.join(ConfigParser.BOOLEAN_STATES)})")
+        return ConfigParser.BOOLEAN_STATES[word]
     if isinstance(like, int):
         return int(value)
     if isinstance(like, float):
@@ -122,7 +126,11 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
                         f"config key [{section}] {key} names a nested settings group, "
                         "which a config file cannot set"
                     )
-                setattr(target, key, _coerce(raw, current))
+                try:
+                    value = _coerce(raw, current)
+                except ValueError as err:
+                    raise DomainError(f"config key [{section}] {key} = {raw!r}: {err}") from err
+                setattr(target, key, value)
         cfg.generator.__post_init__()
         cfg.training.__post_init__()
         cfg.run.__post_init__()
@@ -571,8 +579,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    cfg = load_config(args.config, args.seed)
     try:
+        cfg = load_config(args.config, args.seed)
         if args.command == "reproduce":
             run_reproduce(cfg, args.out, emit_panels=True)
         elif args.command == "sweep":
@@ -585,8 +593,11 @@ def main(argv=None) -> int:
             run_external_validity(cfg, args.out)
         elif args.command == "report":
             report(args.runlogs, args.out)
-    except Exception as err:
+    except (DomainError, TrainingDivergence) as err:  # bad input or a diverged fold: one line
         LOGGER.error("stage %s failed: %s", args.command, err)
+        return 1
+    except Exception as err:  # a programming error: keep its traceback
+        LOGGER.error("stage %s failed: %s", args.command, err, exc_info=True)
         return 1
     return 0
 

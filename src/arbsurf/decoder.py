@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
-from .mathutil import sigmoid, softplus
+from .mathutil import sigmoid, softplus, softplus_exp
 from .operator import LatentTrajectory
 
 K_SCALE = 0.1  # the convex path sees (K/S0 - 1) / K_SCALE
@@ -131,21 +131,33 @@ def icnn_forward(params: DecoderParams, k: np.ndarray, context: np.ndarray):
     """Batched potential evaluation.
 
     k: (n,) strike coordinates; context: (n, context_dim).
-    Returns (phi (n,), cache) where the cache holds pre-activations and
-    layer inputs for the backward pass.
+    Returns (phi (n,), cache) where the cache holds pre-activations, the
+    softplus exponentials of the hidden layers and the layer inputs for the
+    backward pass. Rows are independent: `_cache_rows` cuts the cache of a
+    block of rows out of a stacked call.
     """
     k = np.asarray(k, dtype=float)
     context = np.asarray(context, dtype=float)
     x_full = np.concatenate([k[:, None], context], axis=1)
     z = k[:, None]
-    zs, pres = [z], []
+    zs, pres, exps = [z], [], []
     n_layers = params.n_layers
     for i in range(n_layers):
         a = z @ params.layer_weights_z[i].T + x_full @ params.layer_weights_x[i].T + params.biases[i]
         pres.append(a)
-        z = softplus(a) if i < n_layers - 1 else a
+        if i < n_layers - 1:
+            z, e = softplus_exp(a)
+            exps.append(e)
+        else:
+            z = a
         zs.append(z)
-    return z[:, 0], {"zs": zs, "pres": pres, "x_full": x_full}
+    return z[:, 0], {"zs": zs, "pres": pres, "exps": exps, "x_full": x_full}
+
+
+def _cache_rows(cache: dict, rows: slice) -> dict:
+    """The `icnn_forward` cache of a block of rows, as views."""
+    return {name: ([a[rows] for a in v] if isinstance(v, list) else v[rows])
+            for name, v in cache.items()}
 
 
 def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
@@ -156,7 +168,7 @@ def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
     'layer_weights_z', 'layer_weights_x', 'biases' mirroring the parameter
     lists.
     """
-    zs, pres, x_full = cache["zs"], cache["pres"], cache["x_full"]
+    zs, pres, exps, x_full = cache["zs"], cache["pres"], cache["exps"], cache["x_full"]
     n_layers = params.n_layers
     dz = dphi[:, None]
     g_wz = [None] * n_layers
@@ -164,7 +176,7 @@ def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
     g_b = [None] * n_layers
     dx_full = np.zeros_like(x_full)
     for i in range(n_layers - 1, -1, -1):
-        da = dz if i == n_layers - 1 else dz * sigmoid(pres[i])
+        da = dz if i == n_layers - 1 else dz * sigmoid(pres[i], exps[i])
         g_wz[i] = da.T @ zs[i]
         g_wx[i] = da.T @ x_full
         g_b[i] = da.sum(axis=0)
@@ -210,16 +222,19 @@ def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray
     """
     L, M = len(maturities), len(km)
     k_net = km / K_SCALE
-    phi0, cache0 = icnn_forward(params, k_net, np.zeros((M, outputs.shape[1] + 1)))
     ctx = np.concatenate([outputs, maturities[:, None]], axis=1)
-    phi_i, cache_i = icnn_forward(params, np.tile(k_net, L), np.repeat(ctx, M, axis=0))
-    phi_i = phi_i.reshape(L, M)
+    # one network call: M rows of the base potential (zero context), then
+    # M rows per maturity
+    phi, cache = icnn_forward(params, np.tile(k_net, L + 1),
+                              np.concatenate([np.zeros((M, ctx.shape[1])), np.repeat(ctx, M, axis=0)]))
+    phi0, phi_i = phi[:M], phi[M:].reshape(L, M)
     sp_slope = softplus(params.maturity_slope_raw)
-    sp_phi = softplus(phi_i)
+    sp_phi, e_phi = softplus_exp(phi_i)
     inc = sp_slope[:, None] * sp_phi
     cnorm = decode_anchor(km)[None, :] + OUT_SCALE * (phi0[None, :] + np.cumsum(inc, axis=0))
-    return cnorm, {"phi0": phi0, "cache0": cache0, "phi_i": phi_i, "cache_i": cache_i,
-                   "sp_slope": sp_slope, "sp_phi": sp_phi}
+    return cnorm, {"cache0": _cache_rows(cache, slice(None, M)), "phi_i": phi_i,
+                   "cache_i": _cache_rows(cache, slice(M, None)), "sp_slope": sp_slope,
+                   "sp_phi": sp_phi, "e_phi": e_phi}
 
 
 def decode_surface(

@@ -5,20 +5,36 @@ from __future__ import annotations
 import numpy as np
 
 
-def softplus(x):
-    """log(1 + exp(x)) with the overflow-safe branch for large x."""
-    return np.logaddexp(0.0, x)
+def softplus_exp(x):
+    """(softplus(x), e) with e = exp(-|x|), the one exponential both softplus
+    and its derivative need; pass e to `sigmoid` to skip recomputing it.
 
-
-def sigmoid(x):
-    """Derivative of softplus.
-
-    Both branches share e = exp(-|x|), which never overflows: 1 / (1 + e)
-    for x >= 0 and e / (1 + e) below.
+    softplus(x) = max(x, 0) + log1p(e), which never overflows. The same
+    formula in the C library's exp and log1p equals np.logaddexp(0, x); numpy's
+    vector loops round a few percent of values an ulp or two away from it.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(x, 0.0) + np.log1p(e), e
+
+
+def softplus(x):
+    """log(1 + exp(x)), overflow-safe; see `softplus_exp`."""
+    return softplus_exp(x)[0]
+
+
+def sigmoid(x, e=None):
+    """Derivative of softplus.
+
+    Both branches share e = exp(-|x|), which never overflows: 1 / (1 + e)
+    for x >= 0 and e / (1 + e) below. A caller that holds e from
+    `softplus_exp(x)` passes it in; the result is the same to the bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if e is None:
+        e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def inv_softplus(y):
@@ -26,4 +42,3 @@ def inv_softplus(y):
     y = np.asarray(y, dtype=float)
     # log(expm1(y)) but stable for large y where expm1 overflows
     return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
-

@@ -18,8 +18,9 @@ transitions).
 
 `scan_recursion`, `gate_density`, `green_kernels` and `green_sums` are the
 unvalidated kernels behind `scan_forward`, `measure_gate`, `green_kernel`
-and `green_sum`; the training loop calls them directly, so non-finite
-parameters reach its objective check instead of raising here. Every Green
+and `green_sum`, and `scan_adjoint` is the reverse pass of the scan; the
+training loop calls them directly, so non-finite parameters reach its
+objective check instead of raising here. Every Green
 kernel (`green_kernel`, `green_sums`, the representer's similarity) is read
 from the one `green_kernels` stack.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, strike_spacings
-from .mathutil import softplus
+from .mathutil import softplus_exp
 from .qalign import spectral_norms
 
 
@@ -99,16 +100,35 @@ class LatentTrajectory:
 
 def scan_recursion(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
                    inputs: np.ndarray, h0: np.ndarray | None = None):
-    """The latent recursion; returns (states (L+1, m), outputs (L, p))."""
+    """The latent recursion; returns (states (L+1, m), outputs (L, p)).
+    Only the transition product is sequential; the injection drive and the
+    readouts are one batched product each (bit-equal to slice-by-slice)."""
     L, m = transitions.shape[0], transitions.shape[1]
+    drive = (injections @ inputs[:, :, None])[:, :, 0]
     states = np.zeros((L + 1, m))
-    outputs = np.zeros((L, readouts.shape[1]))
     if h0 is not None:
         states[0] = h0
     for i in range(L):
-        states[i + 1] = transitions[i] @ states[i] + injections[i] @ inputs[i]
-        outputs[i] = readouts[i] @ states[i + 1]
+        states[i + 1] = transitions[i] @ states[i] + drive[i]
+    outputs = (readouts @ states[1:, :, None])[:, :, 0]
     return states, outputs
+
+
+def scan_adjoint(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
+                 dy: np.ndarray):
+    """Reverse pass of `scan_recursion` for output gradients dy (L, p):
+    returns (dh (L, m), du (L, d)), the gradients of states[1:] (through
+    every later output) and of the inputs. Only the transposed transition
+    product is sequential; read^T dy and inj^T dh are one batched product
+    each (bit-equal to slice-by-slice)."""
+    L, m = transitions.shape[0], transitions.shape[1]
+    read_dy = (readouts.transpose(0, 2, 1) @ dy[:, :, None])[:, :, 0]
+    dh = np.empty((L, m))
+    dh_next = np.zeros(m)
+    for i in range(L - 1, -1, -1):
+        dh[i] = read_dy[i] + dh_next
+        dh_next = transitions[i].T @ dh[i]
+    return dh, (injections.transpose(0, 2, 1) @ dh[:, :, None])[:, :, 0]
 
 
 def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | None = None) -> LatentTrajectory:
@@ -180,19 +200,20 @@ def measure_gate(params: OperatorParams, grid: MarketGrid) -> np.ndarray:
     """
     if params.gate_raw.shape != (grid.n_maturities, len(grid.strikes)):
         raise DomainError("gate_raw shape does not match grid")
-    w, _ = gate_density(params.gate_raw, strike_spacings(grid.strikes))
+    w, _, _ = gate_density(params.gate_raw, strike_spacings(grid.strikes))
     return w
 
 
 def gate_density(gate_raw: np.ndarray, dk: np.ndarray) -> tuple:
-    """(w, mass): softplus(gate_raw) normalized per maturity by its mass
-    against the quadrature spacings dk. Raises only when a row's softplus
-    mass vanishes."""
-    sp = softplus(gate_raw)
+    """(w, mass, e): softplus(gate_raw) normalized per maturity by its mass
+    against the quadrature spacings dk, and e = exp(-|gate_raw|) from the
+    softplus, for its derivative. Raises only when a row's softplus mass
+    vanishes."""
+    sp, e = softplus_exp(gate_raw)
     mass = sp @ dk
     if np.any(mass <= 0.0):
         raise DomainError("degenerate gate row: softplus mass vanished")
-    return sp / mass[:, None], mass
+    return sp / mass[:, None], mass, e
 
 
 def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: int) -> float:

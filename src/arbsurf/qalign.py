@@ -50,7 +50,8 @@ class GuardLog:
 
     hits and distance are sums, max_rho_dt is a max; merging logs from
     parallel workers is associative in those operations. Within one run the
-    log has a single writer.
+    log has a single writer. The two Lipschitz-surrogate fields are set once
+    per fold, by `training.train`, from the last safety pass kept.
     """
 
     spec_guard_hits: int = 0

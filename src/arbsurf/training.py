@@ -68,6 +68,7 @@ from .operator import (
     gate_density,
     green_sums,
     representer_fallback,
+    scan_adjoint,
     scan_forward,
     scan_recursion,
 )
@@ -362,6 +363,7 @@ class SaddleState:
     step: int = 0
     guard: GuardLog = field(default_factory=GuardLog)
     history: TrainHistory = field(default_factory=TrainHistory)
+    pre_pass: dict | None = None  # the primal before the last safety pass on it
 
     def dual_step_now(self) -> float:
         cfg = self.cfg
@@ -378,7 +380,7 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
     n_na = (M - 1) * L + (M - 2) * L + M * (L - 1) + M * L
     duals = {"na": np.zeros(n_na), "mart": np.zeros(L), "vix": np.zeros(L)}
     state = SaddleState(primal=primal, duals=duals, cfg=cfg)
-    apply_qalign(state.primal, batch, cfg, state.guard)
+    state.pre_pass = apply_qalign(state.primal, batch, cfg, state.guard)
     return state
 
 
@@ -386,10 +388,11 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
 
 
 def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
-    """(w, softplus mass) of the gate; the ablation's uniform density has no mass."""
+    """(w, softplus mass, softplus exponential) of the gate; the ablation's
+    uniform density has neither."""
     if not cfg.gate_enabled:
         L, M = primal["gate_raw"].shape
-        return np.full((L, M), 1.0 / batch.dk.sum()), None
+        return np.full((L, M), 1.0 / batch.dk.sum()), None, None
     return gate_density(primal["gate_raw"], batch.dk)
 
 
@@ -429,6 +432,8 @@ class ForwardCache:
     per_window: list
     slices: np.ndarray
     gate_mass: np.ndarray | None
+    gate_exp: np.ndarray | None  # exp(-|gate_raw|), for the gate's softplus derivative
+    dec: DecoderParams  # the decoder of the primal point, built and checked once
 
 
 def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
@@ -437,7 +442,7 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     L, M = batch.n_maturities, batch.n_strikes
     if slices is None:
         slices = np.arange(L)
-    w_den, gate_mass = _gate_density(primal, batch, cfg)
+    w_den, gate_mass, gate_exp = _gate_density(primal, batch, cfg)
     fwd_gate = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1)
     mres = np.abs(fwd_gate - batch.forwards) / batch.forwards
 
@@ -464,7 +469,7 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
         per_window.append({"u": u, "omega": omega, "hs": hs, "y": y, "cnorm": cnorm,
                            "dec": dec_cache, "diff": diff, "res": res})
     fw = ForwardCache(0.0, mse_acc / batch.n_obs, w_den, mres, r_na_acc / W, r_vix_acc / W,
-                      vix_resid, per_window, slices, gate_mass)
+                      vix_resid, per_window, slices, gate_mass, gate_exp, dec)
     fw.value = _objective_value(fw, duals, cfg)
     return fw
 
@@ -554,7 +559,7 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     grads = _pv_zeros_like(primal)
     dw_den = np.zeros((L, M))
     lam_parts = _split_na_duals(duals["na"], L, M)
-    dec_params = to_decoder_params(primal)
+    dec_params = fw.dec
     n_layers = dec_params.n_layers
 
     # martingale and roughness-penalty paths (gate only)
@@ -584,7 +589,7 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
         dec = pw["dec"]
         dphi0_total += OUT_SCALE * dcnorm.sum(axis=0)
         grads["slope_raw"] += sigmoid(primal["slope_raw"]) * (dinc * dec["sp_phi"]).sum(axis=1)
-        dphi_i = (dinc * dec["sp_slope"][:, None] * sigmoid(dec["phi_i"])).ravel()
+        dphi_i = (dinc * dec["sp_slope"][:, None] * sigmoid(dec["phi_i"], dec["e_phi"])).ravel()
         g_icnn, _, dctx = icnn_backward(dec_params, dec["cache_i"], dphi_i)
         for i in range(n_layers):
             grads[f"wz{i}"] += g_icnn["layer_weights_z"][i]
@@ -592,17 +597,10 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
             grads[f"b{i}"] += g_icnn["biases"][i]
         dy = dctx.reshape(L, M, -1)[:, :, :-1].sum(axis=1)  # drop the maturity channel
 
-        # scan backward: only the adjoint recursion is sequential; the weight
-        # gradients are outer products, formed for all maturities at once
-        trans, inj, read = primal["transitions"], primal["injections"], primal["readouts"]
+        # scan backward; the weight gradients are outer products, formed for
+        # all maturities at once
         hs, u = pw["hs"], pw["u"]
-        dh_next = np.zeros(trans.shape[1])
-        dh = np.empty((L, trans.shape[1]))
-        du = np.zeros_like(u)
-        for i in range(L - 1, -1, -1):
-            dh[i] = read[i].T @ dy[i] + dh_next
-            du[i] = inj[i].T @ dh[i]
-            dh_next = trans[i].T @ dh[i]
+        dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
         grads["readouts"] += dy[:, :, None] * hs[1:, None, :]
         grads["transitions"] += dh[:, :, None] * hs[:-1, None, :]
         grads["injections"] += dh[:, :, None] * u[:, None, :]
@@ -627,8 +625,8 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
         inner = (dw_den * fw.w_den).sum(axis=1, keepdims=True)
-        grads["gate_raw"] += (sigmoid(primal["gate_raw"]) * (dw_den - inner * batch.dk[None, :])
-                              / fw.gate_mass[:, None])
+        grads["gate_raw"] += (sigmoid(primal["gate_raw"], fw.gate_exp)
+                              * (dw_den - inner * batch.dk[None, :]) / fw.gate_mass[:, None])
     return grads
 
 
@@ -656,26 +654,21 @@ def _lip_product(primal: dict) -> float:
     return prod
 
 
-def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: GuardLog,
-                 log_lambda: bool = True) -> None:
-    """In-place safety pass: convex-path clamp, spectral ball of radius tau
-    on every decoder map, injection and readout, and the spectral-radius
-    guard on the transitions; all three distances add to
-    log.projection_distance. With log_lambda it logs the Lipschitz surrogate
-    before and after: the largest Green-kernel sum over maturities (taken
-    before the pass) times the product of the exact norms of every map."""
-    if log_lambda:
-        green = float(green_sums(primal["transitions"], primal["injections"]).max())
-        before = green * _lip_product(primal)
-
+def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: GuardLog) -> dict:
+    """Safety pass on the primal dict: convex-path clamp, spectral ball of
+    radius tau on every decoder map, injection and readout, and the
+    spectral-radius guard on the transitions; all three distances add to
+    log.projection_distance. Each changed map is rebound to a new array, no
+    array is written, so the returned shallow copy of the dict taken before
+    the pass is the pre-pass primal `lipschitz_surrogate` reads."""
+    before = dict(primal)
     for key in _decoder_map_keys(primal) + ["injections", "readouts"]:
         if key.startswith("wz"):
-            w = primal[key]
-            neg = np.minimum(w, 0.0)
+            neg = np.minimum(primal[key], 0.0)
             if np.any(neg < 0.0):
                 log.projection_distance += float(np.linalg.norm(neg))
                 log.clamp_hits += 1
-                np.maximum(w, 0.0, out=w)
+                primal[key] = np.maximum(primal[key], 0.0)
         primal[key], dist = lipschitz_project(primal[key], cfg.guard)
         log.projection_distance += dist
 
@@ -684,10 +677,17 @@ def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: Guar
     else:
         for rho_dt in spectral_radius(primal["transitions"]) * batch.dts:
             log.max_rho_dt = max(log.max_rho_dt, float(rho_dt))
+    return before
 
-    if log_lambda:
-        log.lambda_lip_before = before
-        log.lambda_lip_after = min(green * _lip_product(primal), before)
+
+def lipschitz_surrogate(pre: dict, post: dict) -> tuple:
+    """(before, after) Lipschitz surrogate of one safety pass, from the
+    primal before it and after it: the largest Green-kernel sum over
+    maturities (taken before the pass) times the product of the exact norms
+    of every map, with after capped at before."""
+    green = float(green_sums(pre["transitions"], pre["injections"]).max())
+    before = green * _lip_product(pre)
+    return before, min(green * _lip_product(post), before)
 
 
 # --- extragradient -----------------------------------------------------------
@@ -723,7 +723,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     gd0 = dual_gradient(fw0, cfg, L)
 
     half_primal = _pv_add(state.primal, gp0, -eta_p)
-    apply_qalign(half_primal, batch, cfg, state.guard, log_lambda=False)
+    apply_qalign(half_primal, batch, cfg, state.guard)
     half_duals = _dual_add(state.duals, gd0, eta_d, _dual_mults(cfg))
 
     fw1 = model_forward(half_primal, half_duals, batch, cfg, slices)
@@ -731,7 +731,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     gd1 = dual_gradient(fw1, cfg, L)
 
     state.primal = _pv_add(state.primal, gp1, -eta_p)
-    apply_qalign(state.primal, batch, cfg, state.guard)
+    state.pre_pass = apply_qalign(state.primal, batch, cfg, state.guard)
     state.duals = _dual_add(state.duals, gd1, eta_d, _dual_mults(cfg))
     state.step += 1
     return fw0
@@ -949,7 +949,9 @@ def train(cfg: TrainingConfig, data: FoldData):
     after cfg.max_steps. The held-out gap of each step runs in a forked
     worker process while the next step runs, so a fold uses two processes;
     when the rule stops the run, the step taken past it is discarded. The
-    state and record are those of running step and gap in turn.
+    state and record are those of running step and gap in turn. The
+    record's Lipschitz surrogate is computed once, after the loop, for the
+    last safety pass kept (`SaddleState.pre_pass` and the state's primal).
     Deterministic given cfg.seed. Divergence raises TrainingDivergence with
     the last valid state attached.
     """
@@ -974,6 +976,9 @@ def train(cfg: TrainingConfig, data: FoldData):
     heldout = build_batch([data.val_panel], cfg)
     state, fw, duals = _saddle_loop(state, batch, heldout, cfg)
     hist = state.history
+    # the initial safety pass when no step ran
+    state.guard.lambda_lip_before, state.guard.lambda_lip_after = lipschitz_surrogate(
+        state.pre_pass, state.primal)
 
     final_ratio = None
     if fw is None:  # no step ran: the defect at the initial point, all maturities

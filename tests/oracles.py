@@ -1,18 +1,23 @@
 """Independent test oracles: closed-form pricing, a brute-force projection,
-reference forms of the path simulation and two training kernels, and a map
-that defeats a power iteration started from the all-ones vector.
+reference forms of the path simulation and of the model and training
+kernels, and a map that defeats a power iteration started from the all-ones
+vector.
 
 The pricing and projection oracles are written against scipy/numpy
 primitives and stay independent of the package's own code paths. The
 reference kernels are the straightforward forms that the package's
 optimized ones must reproduce bit for bit: the path simulation with
 path-major storage and two draws per step in one thread, the logistic
-function by boolean masks, the held-out gap estimator with one forward
-pass per step of each half, and the saddle loop that runs each step and its
-gap in turn in one process.
+function by boolean masks, the scan and its adjoint one maturity at a
+time, the held-out gap estimator with one forward pass per step of each
+half, the saddle loop that runs each step and its gap in turn in one
+process, and the Lipschitz surrogate logged at every safety pass. The
+softplus oracle evaluates each element with the C library's exp and log1p,
+which numpy's vector loops may round differently by an ulp.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.stats import norm
@@ -149,6 +154,59 @@ def masked_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def math_softplus(x):
+    """max(x, 0) + log1p(exp(-|x|)), element by element with the math
+    module; NaN stays NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v if math.isnan(v) else max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+                     for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def loop_scan_recursion(transitions, injections, readouts, inputs, h0=None):
+    """The latent recursion with every product taken one maturity at a time."""
+    L, m = transitions.shape[0], transitions.shape[1]
+    states = np.zeros((L + 1, m))
+    outputs = np.zeros((L, readouts.shape[1]))
+    if h0 is not None:
+        states[0] = h0
+    for i in range(L):
+        states[i + 1] = transitions[i] @ states[i] + injections[i] @ inputs[i]
+        outputs[i] = readouts[i] @ states[i + 1]
+    return states, outputs
+
+
+def loop_scan_adjoint(transitions, injections, readouts, dy):
+    """Reverse pass of the recursion, one maturity at a time, newest first."""
+    L, m = transitions.shape[0], transitions.shape[1]
+    dh = np.empty((L, m))
+    du = np.zeros((L, injections.shape[2]))
+    dh_next = np.zeros(m)
+    for i in range(L - 1, -1, -1):
+        dh[i] = readouts[i].T @ dy[i] + dh_next
+        du[i] = injections[i].T @ dh[i]
+        dh_next = transitions[i].T @ dh[i]
+    return dh, du
+
+
+def surrogate_logging_pass(calls):
+    """The safety pass `training.apply_qalign`, wrapped to log the Lipschitz
+    surrogate at every call: the Green-kernel sum and the norm product taken
+    from the primal before the pass, the product again after it. Appends
+    (before, after) to calls."""
+    from arbsurf import training
+
+    apply_qalign = training.apply_qalign
+
+    def logging_pass(primal, batch, cfg, log):
+        green = float(training.green_sums(primal["transitions"], primal["injections"]).max())
+        before = green * training._lip_product(primal)
+        pre = apply_qalign(primal, batch, cfg, log)
+        calls.append((before, min(green * training._lip_product(primal), before)))
+        return pre
+
+    return logging_pass
 
 
 def stepwise_gap(state, heldout):

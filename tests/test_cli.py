@@ -124,6 +124,31 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[run\] {key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,key,raw", [
+        ("training", "max_steps", "abc"),
+        ("generator", "rho", "-0.5x"),
+        ("run", "stress_strengths", "0 1 two"),
+    ])
+    def test_coercion_error_names_key(self, tmp_path, section, key, raw):
+        path = tmp_path / "typed.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(DomainError, match=rf"\[{section}\] {key} = '{raw}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("raw", ["maybe", "Ture", "2", ""])
+    def test_boolean_typo_rejected(self, tmp_path, raw):
+        path = tmp_path / "bool.ini"
+        path.write_text(f"[training]\ngate_enabled = {raw}\n")
+        with pytest.raises(DomainError, match=r"\[training\] gate_enabled"):
+            load_config(path)
+
+    @pytest.mark.parametrize("raw,value", [("Yes", True), ("on", True), ("1", True), ("TRUE", True),
+                                           ("no", False), ("Off", False), ("0", False), ("false", False)])
+    def test_boolean_words(self, tmp_path, raw, value):
+        path = tmp_path / "bool.ini"
+        path.write_text(f"[training]\nspecguard_enabled = {raw}\n")
+        assert load_config(path).training.specguard_enabled is value
+
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
         load_config(path)  # a key that no config field mirrors raises
@@ -365,6 +390,31 @@ class TestCliMain:
 
         rc = main(["--out", str(tmp_path), "report", str(tmp_path / "missing.json")])
         assert rc == 1
+
+    def test_config_error_is_one_line(self, tmp_path, caplog):
+        path = tmp_path / "typed.ini"
+        path.write_text("[training]\nmax_steps = abc\n")
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "reproduce"])
+        assert rc == 1
+        (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+        assert "[training] max_steps = 'abc'" in rec.getMessage()
+        assert rec.exc_info is None
+        assert not (tmp_path / "out").exists()  # nothing ran
+
+    def test_programming_error_keeps_traceback(self, tmp_path, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise TypeError("run_fold() got an unexpected keyword argument")
+
+        monkeypatch.setattr(cli, "run_fold", broken)
+        monkeypatch.setattr(cli, "load_config", lambda path, seed: smoke_cfg(ablation_seeds=(11,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(["--out", str(tmp_path), "ablate", "--which", "gate_off"])
+        assert rc == 1
+        (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+        assert rec.exc_info is not None and rec.exc_info[0] is TypeError
+        assert "Traceback (most recent call last)" in caplog.text
+        assert "in broken" in caplog.text
 
 
 class TestSweepSmoke:

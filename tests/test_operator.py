@@ -14,7 +14,9 @@ from arbsurf.operator import (
     measure_gate,
     price_functional,
     representer_fallback,
+    scan_adjoint,
     scan_forward,
+    scan_recursion,
 )
 from arbsurf.qalign import GuardConfig, GuardLog, spec_guard_project
 
@@ -95,6 +97,44 @@ class TestScanForward:
         assert np.allclose(base.outputs[2], pert.outputs[2])
         assert np.allclose(base.outputs[3], pert.outputs[3])
         assert not np.allclose(base.outputs[4], pert.outputs[4])
+
+
+class TestScanKernels:
+    """The batched scan and its adjoint take the same products as the loop
+    over maturities, so they agree bit for bit."""
+
+    @staticmethod
+    def _shapes(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            L, m, d, p = (int(v) for v in rng.integers(1, 13, size=4))
+            yield (rng.standard_normal((L, m, m)), rng.standard_normal((L, m, d)),
+                   rng.standard_normal((L, p, m)), rng.standard_normal((L, d)),
+                   rng.standard_normal((L, p)), rng.standard_normal(m))
+
+    def test_recursion_equals_loop(self):
+        from .oracles import loop_scan_recursion
+
+        for trans, inj, read, u, _, h0 in self._shapes(23):
+            for start in (None, h0):
+                got, want = scan_recursion(trans, inj, read, u, start), loop_scan_recursion(trans, inj, read, u, start)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_adjoint_equals_loop(self):
+        from .oracles import loop_scan_adjoint
+
+        for trans, inj, read, _, dy, _ in self._shapes(29):
+            got, want = scan_adjoint(trans, inj, read, dy), loop_scan_adjoint(trans, inj, read, dy)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_adjoint_is_the_transpose(self):
+        # <dy, outputs(u)> = <du, u> at h0 = 0: the adjoint of a linear map
+        for trans, inj, read, u, dy, _ in self._shapes(31):
+            _, y = scan_recursion(trans, inj, read, u)
+            _, du = scan_adjoint(trans, inj, read, dy)
+            assert float((dy * y).sum()) == pytest.approx(float((du * u).sum()), rel=1e-9, abs=1e-9)
 
 
 class TestGreenKernel:

@@ -719,3 +719,101 @@ class TestSigmoid:
         self._assert_bitwise(x)
         self._assert_bitwise(x.reshape(400, 250))
 
+
+class TestSoftplus:
+    SPECIAL = [800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]
+
+    @staticmethod
+    def _assert_within_ulp(x, ulps=1):
+        from arbsurf.mathutil import softplus
+
+        from .oracles import math_softplus
+
+        got, want = softplus(x), math_softplus(x)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(np.isinf(got[ok]), np.isinf(want[ok]))
+        assert np.array_equal(got[ok][np.isinf(want[ok])], want[ok][np.isinf(want[ok])])
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= ulps * np.spacing(np.abs(want[fin])))
+
+    def test_special_values_within_one_ulp(self):
+        from arbsurf.mathutil import softplus
+
+        self._assert_within_ulp(np.array(self.SPECIAL))
+        for v in self.SPECIAL:
+            self._assert_within_ulp(np.float64(v))
+        assert softplus(np.array([800.0, 1e308, -800.0, -1e308])).tolist() == [800.0, 1e308, 0.0, 0.0]
+
+    def test_random_draws_within_two_ulps(self):
+        # numpy's vector exp and log1p may each land an ulp from the C
+        # library's; the exp's ulp reaches the result through log1p with a
+        # gain below one, so the composite stays within two ulps
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-8, 3, 100_000)
+        self._assert_within_ulp(x, ulps=2)
+        self._assert_within_ulp(x.reshape(400, 250), ulps=2)
+
+    def test_cached_derivative_equals_sigmoid(self):
+        from arbsurf.mathutil import sigmoid, softplus_exp
+
+        rng = np.random.default_rng(13)
+        x = np.concatenate([np.array(TestSigmoid.SPECIAL),
+                            rng.standard_normal(100_000) * 10.0 ** rng.uniform(-8, 3, 100_000)])
+        _, e = softplus_exp(x)
+        got, want = sigmoid(x, e), sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_forward_caches_carry_the_derivative(self):
+        """Every softplus whose derivative the reverse pass reads keeps its
+        exponential in the forward cache: the ICNN hidden layers, the
+        per-maturity potentials and the gate."""
+        from arbsurf.mathutil import sigmoid
+
+        cfg, batch, state = tiny_state()
+        fw = model_forward(state.primal, state.duals, batch, cfg)
+        pairs = [(fw.gate_exp, state.primal["gate_raw"])]
+        dec = fw.per_window[0]["dec"]
+        pairs.append((dec["e_phi"], dec["phi_i"]))
+        for cache in (dec["cache0"], dec["cache_i"]):
+            assert len(cache["exps"]) == cfg.depth
+            pairs += list(zip(cache["exps"], cache["pres"]))
+        for e, x in pairs:
+            assert np.array_equal(sigmoid(x, e).view(np.int64), sigmoid(x).view(np.int64))
+
+
+class TestLipschitzSurrogate:
+    """`train` computes the surrogate once per fold, from the pre-pass primal
+    of the last step kept; the values equal those of logging it at every
+    safety pass (`oracles.surrogate_logging_pass`) on the same trajectory."""
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 6])
+    def test_once_per_fold_equals_per_pass(self, max_steps, monkeypatch):
+        import arbsurf.training as training
+
+        from .oracles import serial_saddle_loop, surrogate_logging_pass
+
+        cfg, data = tiny_cfg(max_steps=max_steps), TestTrainLoop._data()
+        with deadline(60):
+            _, run = train(cfg, data)
+        calls = []
+        with monkeypatch.context() as patch, deadline(60):
+            patch.setattr(training, "_saddle_loop", serial_saddle_loop)
+            patch.setattr(training, "apply_qalign", surrogate_logging_pass(calls))
+            train(cfg, data)
+        assert len(calls) == 1 + 2 * max_steps  # init, then half and full pass per step
+        assert (run.lambda_lip_before, run.lambda_lip_after) == calls[-1]
+        assert np.isfinite(run.lambda_lip_before) and run.lambda_lip_before > 0.0
+
+    def test_safety_pass_writes_no_array(self):
+        cfg, batch, state = tiny_state()
+        primal = {k: v.copy() for k, v in state.primal.items()}
+        primal["wz1"][0, 0] = -1.0  # the clamp must rebind, not write
+        primal["transitions"] = primal["transitions"] * 4.0  # the guard fires
+        snapshot = {k: v.copy() for k, v in primal.items()}
+        pre = apply_qalign(primal, batch, cfg, state.guard)
+        assert pre.keys() == snapshot.keys()
+        for k in snapshot:
+            assert np.array_equal(pre[k], snapshot[k]), k
+        assert primal["wz1"][0, 0] == 0.0
