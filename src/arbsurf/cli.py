@@ -108,8 +108,11 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         parser = ConfigParser()
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as err:
+            raise DomainError(f"cannot read config file {path}: {err.strerror}") from err
         for section, target in (
             ("generator", cfg.generator),
             ("training", cfg.training),
@@ -362,55 +365,42 @@ def run_ablation(which: str, cfg: ExperimentConfig, out_dir) -> list:
 
 
 def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float,
-                    draw: int) -> tuple:
-    """One stress draw: quote-noise amplitude scaled by `strength` plus the
-    numeraire shift r -> r + 0.01 * strength. strength 0 returns the
-    baseline panel itself (no redraw)."""
+                    draw: int) -> SyntheticPanel:
+    """One stress draw of the baseline panel: quotes redrawn with the noise
+    amplitude scaled by `strength`, on the grid shifted by the numeraire
+    shift r -> r + 0.01 * strength. strength 0 returns the baseline panel
+    itself (no redraw)."""
     from .generator import add_noise_censor
 
     if strength == 0.0:
-        return panel, panel.quoted_surface.grid
+        return panel
     noisy_cfg = replace(gen, noise_scale=gen.noise_scale * strength)
-    redraw = add_noise_censor(panel.oracle_surface, noisy_cfg, stream=90_000 + 101 * draw)
-    base_grid = panel.quoted_surface.grid
-    shifted_grid = MarketGrid(
-        base_grid.maturities,
-        base_grid.strikes,
-        base_grid.spot,
-        base_grid.rate + STRESS_RATE_SHIFT * strength,
-        base_grid.dividend_yield,
-    )
-    quoted = PriceSurface(
-        shifted_grid,
-        redraw.quoted_surface.calls,
-        redraw.quoted_surface.puts,
-        redraw.quoted_surface.mask,
-    )
-    stressed = replace(redraw, quoted_surface=quoted)
-    return stressed, shifted_grid
+    redraw = add_noise_censor(panel.oracle_surface, noisy_cfg, stream=90_000 + 101 * draw).quoted_surface
+    grid = panel.quoted_surface.grid
+    shifted = MarketGrid(grid.maturities, grid.strikes, grid.spot,
+                         grid.rate + STRESS_RATE_SHIFT * strength, grid.dividend_yield)
+    return replace(panel, quoted_surface=PriceSurface(shifted, redraw.calls, redraw.puts, redraw.mask))
 
 
 def requote_surface(surface: PriceSurface, gen: GeneratorConfig, strength: float,
-                    draw: int, rate_shift: float) -> PriceSurface:
+                    draw: int) -> PriceSurface:
     """Push a decoded surface through the microstructure quote channel with
-    noise amplitude scaled by `strength`, under a shifted discount rate.
+    noise amplitude scaled by `strength`, on the surface's own grid (a
+    stressed panel's decode already carries the shifted rate).
 
     The evaluation inputs of the arbitrage score are exactly these cells
     and their discounting context; distorting them is what produces a
     finite failure threshold (the operator itself degrades too gracefully
     against input-side noise for the score to cross any level)."""
-    grid = surface.grid
-    shifted = MarketGrid(grid.maturities, grid.strikes, grid.spot,
-                         grid.rate + rate_shift, grid.dividend_yield)
     if strength == 0.0:
-        return PriceSurface(shifted, surface.calls, surface.puts, surface.mask,
-                            require_nonnegative=False)
+        return surface
+    grid = surface.grid
     rng = np.random.Generator(np.random.Philox(key=[gen.seed, 70_000 + draw]))
     logm = np.log(grid.strikes / grid.spot)
     calls = surface.calls
     sd = strength * gen.noise_scale * np.maximum(calls, gen.noise_floor) * (1.0 + np.abs(logm))[None, :]
     noisy = np.maximum(calls + sd * rng.standard_normal(calls.shape), 0.0)
-    return PriceSurface.from_matrices(shifted, noisy, parity_puts(shifted, noisy), require_nonnegative=False)
+    return PriceSurface.from_matrices(grid, noisy, parity_puts(grid, noisy), require_nonnegative=False)
 
 
 def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) -> dict:
@@ -437,10 +427,9 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
         vals = []
         n_draws = 1 if s == 0.0 else cfg.run.stress_draws
         for draw in range(n_draws):
-            stressed, _ = distorted_panel(eval_panel, cfg.generator, s, draw)
+            stressed = distorted_panel(eval_panel, cfg.generator, s, draw)
             surf = decode_window(state.primal, stressed, cfg.training)
-            scored = requote_surface(surf, cfg.generator, s, draw, STRESS_RATE_SHIFT * s)
-            vals.append(nas(scored))
+            vals.append(nas(requote_surface(surf, cfg.generator, s, draw)))
         mean, lo, hi = mean_interval(vals)
         curve[s] = (mean, lo, hi)
         if mean < cfg.run.nas_failure_threshold and threshold == float("inf"):
@@ -491,11 +480,14 @@ def run_external_validity(cfg: ExperimentConfig, out_dir) -> dict:
 def report(runlog_paths, out_dir) -> None:
     """CSV tables and plot-ready data from emitted records. Deterministic
     bytes for identical inputs."""
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for path in runlog_paths:
-        with open(path, encoding="utf-8") as fh:
-            rows.append((os.path.basename(path), json.load(fh)))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows.append((os.path.basename(path), json.load(fh)))
+        except OSError as err:
+            raise DomainError(f"cannot read run log {path}: {err.strerror}") from err
+    os.makedirs(out_dir, exist_ok=True)
     from .runlog import SCHEMA_FIELDS
 
     # headline metrics: finite values and (mean, lo, hi) over the runs

@@ -164,7 +164,7 @@ def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
     """Reverse pass for `icnn_forward`.
 
     dphi: (n,) upstream gradient of the potential values.
-    Returns (param_grads, dk, dcontext) where param_grads has keys
+    Returns (param_grads, dcontext) where param_grads has keys
     'layer_weights_z', 'layer_weights_x', 'biases' mirroring the parameter
     lists.
     """
@@ -181,10 +181,9 @@ def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
         g_wx[i] = da.T @ x_full
         g_b[i] = da.sum(axis=0)
         dx_full += da @ params.layer_weights_x[i]
-        dz = da @ params.layer_weights_z[i]
-    dk = dz[:, 0] + dx_full[:, 0]
-    dcontext = dx_full[:, 1:]
-    return {"layer_weights_z": g_wz, "layer_weights_x": g_wx, "biases": g_b}, dk, dcontext
+        if i:
+            dz = da @ params.layer_weights_z[i]
+    return {"layer_weights_z": g_wz, "layer_weights_x": g_wx, "biases": g_b}, dx_full[:, 1:]
 
 
 def icnn_eval(params: DecoderParams, k: float, context: np.ndarray) -> float:
@@ -210,8 +209,8 @@ def decode_anchor(km: np.ndarray) -> np.ndarray:
 
 def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray,
                       maturities: np.ndarray):
-    """Spot-normalized calls C/S0 on the grid, plus the caches the training
-    reverse pass needs.
+    """Spot-normalized calls C/S0 on the grid, plus the cache
+    `decode_backward` reads.
 
     C/S0 (k, T_l) = anchor(k) + OUT_SCALE * [ phi(k'; 0)
                     + sum_{i<=l} sp(s_i) * sp(phi(k'; ctx_i)) ]
@@ -235,6 +234,33 @@ def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray
     return cnorm, {"cache0": _cache_rows(cache, slice(None, M)), "phi_i": phi_i,
                    "cache_i": _cache_rows(cache, slice(M, None)), "sp_slope": sp_slope,
                    "sp_phi": sp_phi, "e_phi": e_phi}
+
+
+def decode_backward(params: DecoderParams, caches: list, dcnorms: list):
+    """Reverse pass of `decode_normalized` over every window decoded at one
+    point: caches[w] and dcnorms[w] (the (L, M) gradient of C/S0) per window.
+
+    Returns (grads, dys): grads keyed like `DecoderParams`, each summed over
+    the windows in order with the shared base potential last, and per window
+    the (L, p) gradient of the scan outputs (the maturity channel dropped).
+    """
+    L, M = dcnorms[0].shape
+    d_slope = sigmoid(params.maturity_slope_raw)
+    parts, slope_parts, dys = [], [], []
+    for cache, dcnorm in zip(caches, dcnorms):
+        # OUT_SCALE chains into both learned legs
+        dinc = OUT_SCALE * np.cumsum(dcnorm[::-1], axis=0)[::-1]
+        slope_parts.append(d_slope * (dinc * cache["sp_phi"]).sum(axis=1))
+        dphi_i = dinc * cache["sp_slope"][:, None] * sigmoid(cache["phi_i"], cache["e_phi"])
+        g, dctx = icnn_backward(params, cache["cache_i"], dphi_i.ravel())
+        parts.append(g)
+        dys.append(dctx.reshape(L, M, -1)[:, :, :-1].sum(axis=1))
+    dphi0 = sum((OUT_SCALE * dcnorm.sum(axis=0) for dcnorm in dcnorms), 0.0)
+    parts.append(icnn_backward(params, caches[0]["cache0"], dphi0)[0])
+    grads = {name: [sum((g[name][i] for g in parts), 0.0) for i in range(params.n_layers)]
+             for name in parts[0]}
+    grads["maturity_slope_raw"] = sum(slope_parts, 0.0)
+    return grads, dys
 
 
 def decode_surface(
@@ -335,10 +361,12 @@ class ArbResiduals:
     calendar: np.ndarray
     bounds: np.ndarray
 
+    def fields(self) -> tuple:
+        """The four defect fields, in the order `flatten` lays them out."""
+        return self.monotonicity, self.convexity, self.calendar, self.bounds
+
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.monotonicity.ravel(), self.convexity.ravel(), self.calendar.ravel(), self.bounds.ravel()]
-        )
+        return np.concatenate([f.ravel() for f in self.fields()])
 
 
 def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> ArbResiduals:
@@ -353,6 +381,33 @@ def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> 
     cal = np.maximum(-(c[1:] - c[:-1]), 0.0)
     bounds = np.maximum(-c, 0.0) + np.maximum(c - spot, 0.0)
     return ArbResiduals(mono, conv, cal, bounds)
+
+
+def arb_residual_backward(res: ArbResiduals, lam: np.ndarray, calls: np.ndarray,
+                          strikes: np.ndarray, spot: float, scale: float) -> np.ndarray:
+    """Subgradient in calls of scale * <lam, res.flatten()>, where res =
+    arb_residual_arrays(calls, strikes, spot); lam is split by the shapes of
+    res's fields."""
+    ends = np.cumsum([f.size for f in res.fields()])
+    lam_mono, lam_conv, lam_cal, lam_bounds = (
+        lam[end - f.size:end].reshape(f.shape) for f, end in zip(res.fields(), ends))
+    dk = np.diff(strikes)
+    dc = np.zeros_like(calls)
+    act_m = (res.monotonicity > 0.0) * lam_mono * scale / dk[None, :]
+    dc[:, 1:] += act_m
+    dc[:, :-1] -= act_m
+    # convexity: residual = max(0, slope_left - slope_right)
+    act_c = (res.convexity > 0.0) * lam_conv * scale
+    inv_l = 1.0 / dk[:-1]
+    inv_r = 1.0 / dk[1:]
+    dc[:, :-2] -= act_c * inv_l[None, :]
+    dc[:, 1:-1] += act_c * (inv_l + inv_r)[None, :]
+    dc[:, 2:] -= act_c * inv_r[None, :]
+    act_t = (res.calendar > 0.0) * lam_cal * scale
+    dc[:-1] += act_t
+    dc[1:] -= act_t
+    dc += ((calls > spot).astype(float) - (calls < 0.0).astype(float)) * lam_bounds * scale
+    return dc
 
 
 def static_arb_residuals(surface: PriceSurface) -> ArbResiduals:

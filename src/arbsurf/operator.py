@@ -18,11 +18,11 @@ transitions).
 
 `scan_recursion`, `gate_density`, `green_kernels` and `green_sums` are the
 unvalidated kernels behind `scan_forward`, `measure_gate`, `green_kernel`
-and `green_sum`, and `scan_adjoint` is the reverse pass of the scan; the
-training loop calls them directly, so non-finite parameters reach its
-objective check instead of raising here. Every Green
-kernel (`green_kernel`, `green_sums`, the representer's similarity) is read
-from the one `green_kernels` stack.
+and `green_sum`, and `scan_adjoint` and `gate_density_backward` are the
+reverse passes of the scan and the gate; the training loop calls them
+directly, so non-finite parameters reach its objective check instead of
+raising here. Every Green kernel (`green_kernel`, `green_sums`, the
+representer's similarity) is read from the one `green_kernels` stack.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, strike_spacings
-from .mathutil import softplus_exp
+from .mathutil import sigmoid, softplus_exp
 from .qalign import spectral_norms
 
 
@@ -214,6 +214,15 @@ def gate_density(gate_raw: np.ndarray, dk: np.ndarray) -> tuple:
     if np.any(mass <= 0.0):
         raise DomainError("degenerate gate row: softplus mass vanished")
     return sp / mass[:, None], mass, e
+
+
+def gate_density_backward(gate_raw: np.ndarray, dk: np.ndarray, w: np.ndarray, mass: np.ndarray,
+                          e: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Reverse pass of `gate_density` (whose (w, mass, e) it takes): the
+    gradient in gate_raw for dw, the gradient in w, through the
+    normalization w_j = sp_j / sum_i sp_i dk_i."""
+    inner = (dw * w).sum(axis=1, keepdims=True)
+    return sigmoid(gate_raw, e) * (dw - inner * dk[None, :]) / mass[:, None]
 
 
 def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: int) -> float:

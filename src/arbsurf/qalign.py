@@ -48,10 +48,11 @@ class GuardConfig:
 class GuardLog:
     """Counters emitted verbatim into the run log.
 
-    hits and distance are sums, max_rho_dt is a max; merging logs from
-    parallel workers is associative in those operations. Within one run the
-    log has a single writer. The two Lipschitz-surrogate fields are set once
-    per fold, by `training.train`, from the last safety pass kept.
+    hits and distance are sums over a run, max_rho_dt is a max. A run keeps
+    one log, written only by the safety passes of its saddle steps; the
+    held-out gap estimator keeps none. The two Lipschitz-surrogate fields
+    are set once per fold, by `training.train`, from the last safety pass
+    kept.
     """
 
     spec_guard_hits: int = 0

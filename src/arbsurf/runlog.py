@@ -1,44 +1,20 @@
 """
 The consolidated per-run audit record and the sweep ledger.
 
-The record schema is locked: exactly the fields below, in this order, one
-value (or null) each per run. Nulls are reserved for fields whose trigger
-never fired (the representer fallback timestamps) and for placeholders kept
-for schema fidelity (the matched-budget route error).
+The record schema is locked: exactly the fields of `RunLog`, in their
+declared order (`SCHEMA_FIELDS`), one value (or null) each per run. Nulls
+are reserved for fields whose trigger never fired (the representer fallback
+timestamps) and for placeholders kept for schema fidelity (the
+matched-budget route error).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .grids import DomainError
-
-SCHEMA_FIELDS = (
-    "NAS",
-    "NI",
-    "CNAS",
-    "DualGap",
-    "Stability",
-    "SurfaceWasserstein",
-    "GenGap_p95",
-    "spec_guard_hits",
-    "projection_distance",
-    "max_rho_dt",
-    "ratio_log",
-    "enter_representer_at_step",
-    "coverage_min",
-    "coverage_mean",
-    "coverage_at_trigger",
-    "mfm_mse",
-    "martingale_residual",
-    "novik_to_kazamaki_rate",
-    "lambda_lip_before",
-    "lambda_lip_after",
-    "filter_rate",
-    "cnas_frozen_drop",
-)
 
 # fields that may legitimately be null in an emitted record
 NULLABLE_FIELDS = frozenset(
@@ -86,6 +62,9 @@ class RunLog:
         for name in SCHEMA_FIELDS:
             if getattr(self, name) is None and name not in NULLABLE_FIELDS:
                 raise DomainError(f"run log field {name!r} is unset")
+
+
+SCHEMA_FIELDS = tuple(f.name for f in fields(RunLog))
 
 
 def config_hash(config: dict) -> str:

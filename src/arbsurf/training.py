@@ -17,11 +17,13 @@ Objective (multipliers lambda >= 0, penalty weights gamma/xi/beta_nov):
 Constraint residuals are evaluated on the spot-normalized surface so the
 stopping thresholds bite at comparable relative scales across the blocks.
 
-Gradients are analytic (hand-written reverse pass through the gate
-normalization, feature integration, scan recursion, potential network and
-all objective heads) and are validated against central finite differences
-in the test suite. The update is a two-time-scale projected extragradient:
-half step at the current point, full step evaluated at the half point,
+Gradients are analytic and are validated against central finite
+differences in the test suite. Each layer's reverse pass sits beside its
+forward (`decoder.decode_backward`, `decoder.arb_residual_backward`,
+`operator.scan_adjoint`, `operator.gate_density_backward`);
+`primal_gradient` chains them with the objective heads and the feature
+integration. The update is a two-time-scale projected extragradient: half
+step at the current point, full step evaluated at the half point,
 multipliers clipped at zero, and the safety projections (nonnegativity
 clamp on the convex path, spectral ball on the linear maps, spectral-radius
 guard on the transitions) applied after every parameter update.
@@ -52,20 +54,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import (
-    OUT_SCALE,
     DecoderParams,
     arb_residual_arrays,
+    arb_residual_backward,
+    decode_backward,
     decode_normalized,
     decode_surface,
-    icnn_backward,
     strike_coordinate,
 )
 from .generator import Fold, SyntheticPanel
 from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, otm_values, parity_puts, strike_spacings
-from .mathutil import sigmoid, softplus
+from .mathutil import softplus
 from .operator import (
     OperatorParams,
     gate_density,
+    gate_density_backward,
     green_sums,
     representer_fallback,
     scan_adjoint,
@@ -145,7 +148,6 @@ class TrainBatch:
     km: np.ndarray          # strike coordinate (M,)
     strikes: np.ndarray     # (M,)
     dk: np.ndarray          # quadrature spacings (M,)
-    dk_pairs: np.ndarray    # adjacent strike gaps (M-1,)
     dts: np.ndarray         # per-maturity propagation steps (L,)
     forwards: np.ndarray    # (L,)
     vix_coef: np.ndarray    # (L, M): (2 e^{rT}/T) dK / K^2
@@ -204,7 +206,6 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
         km=strike_coordinate(strikes, spot),
         strikes=strikes,
         dk=dk,
-        dk_pairs=np.diff(strikes),
         dts=grid.time_steps(),
         forwards=forwards,
         vix_coef=np.stack([coef for coef, _ in strip]),
@@ -377,7 +378,7 @@ def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
     rng = np.random.default_rng(cfg.seed)
     primal = init_primal(cfg, batch, rng)
     L, M = batch.n_maturities, batch.n_strikes
-    n_na = (M - 1) * L + (M - 2) * L + M * (L - 1) + M * L
+    n_na = arb_residual_arrays(np.zeros((L, M)), batch.strikes, 1.0).flatten().size
     duals = {"na": np.zeros(n_na), "mart": np.zeros(L), "vix": np.zeros(L)}
     state = SaddleState(primal=primal, duals=duals, cfg=cfg)
     state.pre_pass = apply_qalign(state.primal, batch, cfg, state.guard)
@@ -397,7 +398,7 @@ def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
 
 
 def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig):
-    """Integrated bin features; returns (u (L, d), omega (L, M))."""
+    """Integrated bin features u (L, d)."""
     L, M = window.mask.shape
     if cfg.gate_enabled:
         omega = w_den * batch.dk[None, :] * window.mask
@@ -410,7 +411,7 @@ def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig)
     np.add.at(u.T, batch.bin_index, weighted.T)
     # fixed input scaling keeps features O(1) so the norm-capped injections
     # can actually transmit them
-    return cfg.feature_scale * u, omega
+    return cfg.feature_scale * u
 
 
 def _window_vix(cnorm: np.ndarray, batch: TrainBatch) -> np.ndarray:
@@ -454,7 +455,7 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     vix_resid = []
     per_window = []
     for window in batch.windows:
-        u, omega = _features(w_den, window, batch, cfg)
+        u = _features(w_den, window, batch, cfg)
         hs, y = scan_recursion(primal["transitions"], primal["injections"], primal["readouts"], u)
         cnorm, dec_cache = decode_normalized(dec, batch.km, y, batch.grid.maturities)
         diff = (cnorm - window.cq) * window.mask
@@ -466,8 +467,8 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
         resid = window.vix2_obs - v2m
         vix_resid.append(resid)
         r_vix_acc += batch.vix_weights * resid**2
-        per_window.append({"u": u, "omega": omega, "hs": hs, "y": y, "cnorm": cnorm,
-                           "dec": dec_cache, "diff": diff, "res": res})
+        per_window.append({"u": u, "hs": hs, "cnorm": cnorm, "dec": dec_cache, "diff": diff,
+                           "res": res})
     fw = ForwardCache(0.0, mse_acc / batch.n_obs, w_den, mres, r_na_acc / W, r_vix_acc / W,
                       vix_resid, per_window, slices, gate_mass, gate_exp, dec)
     fw.value = _objective_value(fw, duals, cfg)
@@ -514,53 +515,14 @@ def dual_residual_norm(fw: ForwardCache, cfg: TrainingConfig) -> float:
 # --- backward ----------------------------------------------------------------
 
 
-def _na_backward(res, lam_parts, cnorm, batch: TrainBatch, scale: float) -> np.ndarray:
-    """Subgradient of <lambda_na, residuals(cnorm)> in cnorm (times scale)."""
-    L, M = cnorm.shape
-    lam_mono, lam_conv, lam_cal, lam_bounds = lam_parts
-    dc = np.zeros_like(cnorm)
-    act_m = (res.monotonicity > 0.0) * lam_mono * scale / batch.dk_pairs[None, :]
-    dc[:, 1:] += act_m
-    dc[:, :-1] -= act_m
-    # convexity: residual = max(0, slope_left - slope_right)
-    act_c = (res.convexity > 0.0) * lam_conv * scale
-    inv_l = 1.0 / batch.dk_pairs[:-1]
-    inv_r = 1.0 / batch.dk_pairs[1:]
-    dc[:, :-2] -= act_c * inv_l[None, :]
-    dc[:, 1:-1] += act_c * (inv_l + inv_r)[None, :]
-    dc[:, 2:] -= act_c * inv_r[None, :]
-    if L > 1:
-        act_t = (res.calendar > 0.0) * lam_cal * scale
-        dc[:-1] += act_t
-        dc[1:] -= act_t
-    lower = (cnorm < 0.0).astype(float)
-    upper = (cnorm > 1.0).astype(float)
-    dc += (upper - lower) * lam_bounds * scale
-    return dc
-
-
-def _split_na_duals(lam_na: np.ndarray, L: int, M: int):
-    n1 = L * (M - 1)
-    n2 = L * (M - 2)
-    n3 = (L - 1) * M
-    mono = lam_na[:n1].reshape(L, M - 1)
-    conv = lam_na[n1 : n1 + n2].reshape(L, M - 2)
-    cal = lam_na[n1 + n2 : n1 + n2 + n3].reshape(L - 1, M) if L > 1 else np.zeros((0, M))
-    bounds = lam_na[n1 + n2 + n3 :].reshape(L, M)
-    return mono, conv, cal, bounds
-
-
 def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
                     fw: ForwardCache) -> dict:
-    """Analytic reverse pass over the forward cache."""
-    L, M = batch.n_maturities, batch.n_strikes
+    """Analytic reverse pass over the forward cache: the objective heads,
+    then `decode_backward`, `scan_adjoint`, the feature integration and
+    `gate_density_backward`."""
+    L = batch.n_maturities
     W = len(batch.windows)
-    spot = batch.grid.spot
     grads = _pv_zeros_like(primal)
-    dw_den = np.zeros((L, M))
-    lam_parts = _split_na_duals(duals["na"], L, M)
-    dec_params = fw.dec
-    n_layers = dec_params.n_layers
 
     # martingale and roughness-penalty paths (gate only)
     sign = np.sign(
@@ -571,62 +533,39 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
         cfg.gamma * duals["mart"][fw.slices]
         + 2.0 * cfg.beta_nov * fw.mres[fw.slices] / len(fw.slices)
     )
-    dw_den += (coef * sign / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
+    dw_den = (coef * sign / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
 
-    dphi0_total = np.zeros(M)
-    for wi, window in enumerate(batch.windows):
-        pw = fw.per_window[wi]
-        cnorm = pw["cnorm"]
-        # heads -> dcnorm
+    dcnorms = []
+    for pw, vix_resid in zip(fw.per_window, fw.vix_resid):
         dcnorm = 2.0 * pw["diff"] / batch.n_obs
-        dcnorm += _na_backward(pw["res"], lam_parts, cnorm, batch, 1.0 / W)
+        dcnorm += arb_residual_backward(pw["res"], duals["na"], pw["cnorm"], batch.strikes, 1.0,
+                                        1.0 / W)
         # squared-residual head: R = obs - v2m, v2m linear in spot * cnorm
-        dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid[wi]
-        dcnorm += dv2m[:, None] * batch.vix_coef * spot
+        dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * vix_resid
+        dcnorms.append(dcnorm + dv2m[:, None] * batch.vix_coef * batch.grid.spot)
+    g_dec, dys = decode_backward(fw.dec, [pw["dec"] for pw in fw.per_window], dcnorms)
+    grads["slope_raw"] = g_dec["maturity_slope_raw"]
+    for i in range(fw.dec.n_layers):
+        grads[f"wz{i}"] = g_dec["layer_weights_z"][i]
+        grads[f"wx{i}"] = g_dec["layer_weights_x"][i]
+        grads[f"b{i}"] = g_dec["biases"][i]
 
-        # decoder backward (OUT_SCALE chains into both legs)
-        dinc = OUT_SCALE * np.cumsum(dcnorm[::-1], axis=0)[::-1]
-        dec = pw["dec"]
-        dphi0_total += OUT_SCALE * dcnorm.sum(axis=0)
-        grads["slope_raw"] += sigmoid(primal["slope_raw"]) * (dinc * dec["sp_phi"]).sum(axis=1)
-        dphi_i = (dinc * dec["sp_slope"][:, None] * sigmoid(dec["phi_i"], dec["e_phi"])).ravel()
-        g_icnn, _, dctx = icnn_backward(dec_params, dec["cache_i"], dphi_i)
-        for i in range(n_layers):
-            grads[f"wz{i}"] += g_icnn["layer_weights_z"][i]
-            grads[f"wx{i}"] += g_icnn["layer_weights_x"][i]
-            grads[f"b{i}"] += g_icnn["biases"][i]
-        dy = dctx.reshape(L, M, -1)[:, :, :-1].sum(axis=1)  # drop the maturity channel
-
-        # scan backward; the weight gradients are outer products, formed for
-        # all maturities at once
+    for window, pw, dy in zip(batch.windows, fw.per_window, dys):
+        # the weight gradients are outer products, formed for all maturities at once
         hs, u = pw["hs"], pw["u"]
         dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
         grads["readouts"] += dy[:, :, None] * hs[1:, None, :]
         grads["transitions"] += dh[:, :, None] * hs[:-1, None, :]
         grads["injections"] += dh[:, :, None] * u[:, None, :]
-
-        # feature backward (gated integration only contributes to the gate)
+        # gated feature integration: u = feature_scale * bin sums of w * dk * mask * q
         if cfg.gate_enabled:
-            domega = (
-                cfg.feature_scale
-                * du[np.arange(L)[:, None], batch.bin_index[None, :]]
-                * window.q_feat
-            )
-            dw_den += domega * batch.dk[None, :] * window.mask
+            dw_den += (cfg.feature_scale * du[:, batch.bin_index] * window.q_feat
+                       * batch.dk[None, :] * window.mask)
 
-    # base potential backward (shared zero context)
-    g0, _, _ = icnn_backward(dec_params, fw.per_window[0]["dec"]["cache0"], dphi0_total)
-    for i in range(n_layers):
-        grads[f"wz{i}"] += g0["layer_weights_z"][i]
-        grads[f"wx{i}"] += g0["layer_weights_x"][i]
-        grads[f"b{i}"] += g0["biases"][i]
-
-    # gate backward through the normalization w_j = sp_j / sum_i sp_i dk_i;
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
-        inner = (dw_den * fw.w_den).sum(axis=1, keepdims=True)
-        grads["gate_raw"] += (sigmoid(primal["gate_raw"], fw.gate_exp)
-                              * (dw_den - inner * batch.dk[None, :]) / fw.gate_mass[:, None])
+        grads["gate_raw"] += gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
+                                                   fw.gate_exp, dw_den)
     return grads
 
 
@@ -822,8 +761,7 @@ def window_features(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) ->
     """(grid, u): the window's grid and its (L, d) scan inputs under the
     current gate."""
     batch = build_batch([panel], cfg)
-    u, _ = _features(_gate_density(primal, batch, cfg)[0], batch.windows[0], batch, cfg)
-    return batch.grid, u
+    return batch.grid, _features(_gate_density(primal, batch, cfg)[0], batch.windows[0], batch, cfg)
 
 
 def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> PriceSurface:

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ class TestStress:
             warnings.simplefilter("ignore")
             panel = make_panel(GeneratorConfig(**SMOKE_GEN), 0)
         surf = panel.oracle_surface
-        out = requote_surface(surf, GeneratorConfig(**SMOKE_GEN), 0.0, 0, 0.0)
+        out = requote_surface(surf, GeneratorConfig(**SMOKE_GEN), 0.0, 0)
         assert np.array_equal(out.calls_matrix(), surf.calls_matrix())
 
     def test_distorted_panel_zero_is_baseline(self):
@@ -257,8 +258,35 @@ class TestStress:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             panel = make_panel(GeneratorConfig(**SMOKE_GEN), 0)
-        same, _ = distorted_panel(panel, GeneratorConfig(**SMOKE_GEN), 0.0, 0)
+        same = distorted_panel(panel, GeneratorConfig(**SMOKE_GEN), 0.0, 0)
         assert same is panel
+
+    def test_stressed_panel_is_the_baseline_requoted(self):
+        from arbsurf.generator import make_panel
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            panel = make_panel(GeneratorConfig(**SMOKE_GEN), 2)
+        stressed = distorted_panel(panel, GeneratorConfig(**SMOKE_GEN), 2.0, 0)
+        assert stressed.window_index == panel.window_index
+        assert np.array_equal(stressed.vix2_observed, panel.vix2_observed)
+        assert stressed.quoted_surface.grid.rate == panel.quoted_surface.grid.rate + cli.STRESS_RATE_SHIFT * 2.0
+
+    def test_scored_grid_shifted_once(self, tmp_path, monkeypatch):
+        from arbsurf.generator import make_panel
+        from arbsurf.training import build_batch, init_state
+
+        cfg = smoke_cfg()
+        cfg.run = replace(cfg.run, stress_strengths=(0.0, 1.0, 4.0), stress_draws=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
+        state = init_state(cfg.training, build_batch(panels[:1], cfg.training))
+        rates = []
+        monkeypatch.setattr(cli, "nas", lambda surface: rates.append(surface.grid.rate) or 1.0)
+        run_stress_to_fail(cfg, tmp_path, state=state, panels=panels)
+        r = panels[-1].quoted_surface.grid.rate
+        assert rates == [r + cli.STRESS_RATE_SHIFT * s for s in (0.0, 1.0, 4.0)]
 
 
 class TestAblationRun:
@@ -385,11 +413,16 @@ class TestCliMain:
         assert rc == 0
         assert (tmp_path / "rep" / "metrics.csv").exists()
 
-    def test_failing_stage_nonzero_exit(self, tmp_path):
-        from arbsurf.cli import main
-
-        rc = main(["--out", str(tmp_path), "report", str(tmp_path / "missing.json")])
-        assert rc == 1
+    def test_failing_stage_nonzero_exit(self, tmp_path, caplog):
+        log, ini = str(tmp_path / "missing.json"), str(tmp_path / "missing.ini")
+        for missing, argv in ((log, ["report", log]), (ini, ["--config", ini, "reproduce"])):
+            caplog.clear()
+            rc = cli.main(["--out", str(tmp_path / "out")] + argv)
+            assert rc == 1
+            (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+            assert missing in rec.getMessage()
+            assert rec.exc_info is None
+            assert not (tmp_path / "out").exists()  # nothing ran
 
     def test_config_error_is_one_line(self, tmp_path, caplog):
         path = tmp_path / "typed.ini"

@@ -6,6 +6,8 @@ from arbsurf.decoder import (
     DecoderParams,
     InvariantViolation,
     ProjectionFailure,
+    arb_residual_arrays,
+    arb_residual_backward,
     bl_density,
     decode_surface,
     icnn_backward,
@@ -81,7 +83,7 @@ class TestIcnnEval:
         k = np.array([0.3, -0.2])
         ctx = rng.standard_normal((2, 2))
         _, cache = icnn_forward(params, k, ctx)
-        grads, _, _ = icnn_backward(params, cache, np.ones(2))
+        grads, _ = icnn_backward(params, cache, np.ones(2))
         step = 1e-5
         for name in ("layer_weights_z", "layer_weights_x", "biases"):
             arrs = getattr(params, name)
@@ -248,6 +250,24 @@ class TestStaticArbResiduals:
         assert isinstance(res, ArbResiduals)
         n = 3 * 4 + 3 * 3 + 2 * 5 + 3 * 5
         assert res.flatten().shape == (n,)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_backward_matches_finite_differences(self, L):
+        rng = np.random.default_rng(L)
+        strikes = np.sort(rng.uniform(0.5, 1.5, 6))
+        calls = rng.uniform(-0.2, 1.2, (L, 6))  # some cells outside the [0, spot] bounds
+        lam = rng.uniform(0.5, 2.0, arb_residual_arrays(calls, strikes, 1.0).flatten().size)
+
+        def value(c):
+            return 0.7 * lam @ arb_residual_arrays(c, strikes, 1.0).flatten()
+
+        grad = arb_residual_backward(arb_residual_arrays(calls, strikes, 1.0), lam, calls, strikes, 1.0, 0.7)
+        step = 1e-7
+        for idx in np.ndindex(calls.shape):
+            up, dn = calls.copy(), calls.copy()
+            up[idx] += step
+            dn[idx] -= step
+            assert grad[idx] == pytest.approx((value(up) - value(dn)) / (2 * step), rel=1e-5, abs=1e-6), idx
 
 
 class TestPava:

@@ -116,8 +116,10 @@ class TestSaddleObjective:
 
 
 class TestGradient:
-    def _setup(self):
-        cfg, batch, state = tiny_state()
+    def _setup(self, n_windows=1, gate_enabled=True):
+        cfg = tiny_cfg(gate_enabled=gate_enabled)
+        batch = build_batch([tiny_panel(seed=3 + i) for i in range(n_windows)], cfg)
+        state = init_state(cfg, batch)
         rng = np.random.default_rng(0)
         state.duals = {k: np.abs(rng.standard_normal(v.shape)) for k, v in state.duals.items()}
         for k in state.primal:
@@ -127,8 +129,10 @@ class TestGradient:
                 state.primal[k] = np.abs(state.primal[k]) + 0.01
         return cfg, batch, state
 
-    def test_primal_gradient_matches_finite_differences(self):
-        cfg, batch, state = self._setup()
+    @pytest.mark.parametrize("gate_enabled", [True, False])
+    @pytest.mark.parametrize("n_windows", [1, 2])
+    def test_primal_gradient_matches_finite_differences(self, n_windows, gate_enabled):
+        cfg, batch, state = self._setup(n_windows, gate_enabled)
         slices = np.array([0, 2])
         fw = model_forward(state.primal, state.duals, batch, cfg, slices)
         g = primal_gradient(state.primal, state.duals, batch, cfg, fw)
