@@ -19,6 +19,7 @@ import platform
 import sys
 import time
 from configparser import ConfigParser
+from configparser import Error as ConfigError
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,16 +112,17 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
+            sections = {name: parser.items(name) for name in parser.sections()}
         except OSError as err:
             raise DomainError(f"cannot read config file {path}: {err.strerror}") from err
+        except ConfigError as err:  # no section header, a duplicate key, a bad interpolation
+            raise DomainError(f"malformed config file {path}: {err.message.splitlines()[0]}") from err
         for section, target in (
             ("generator", cfg.generator),
             ("training", cfg.training),
             ("run", cfg.run),
         ):
-            if not parser.has_section(section):
-                continue
-            for key, raw in parser.items(section):
+            for key, raw in sections.get(section, ()):
                 if not hasattr(target, key):
                     raise DomainError(f"unknown config key [{section}] {key}")
                 current = getattr(target, key)
@@ -487,6 +489,8 @@ def report(runlog_paths, out_dir) -> None:
                 rows.append((os.path.basename(path), json.load(fh)))
         except OSError as err:
             raise DomainError(f"cannot read run log {path}: {err.strerror}") from err
+        except json.JSONDecodeError as err:
+            raise DomainError(f"run log {path} is not JSON: {err}") from err
     os.makedirs(out_dir, exist_ok=True)
     from .runlog import SCHEMA_FIELDS
 

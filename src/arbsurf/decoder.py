@@ -24,6 +24,9 @@ is multiplied by OUT_SCALE, and a smoothed-intrinsic anchor of width
 ANCHOR_WIDTH carries the base price shape. The anchor is convex in strike
 and constant in maturity, so both guarantees survive, and the learned maps
 can stay inside the unit spectral ball the safety pass enforces.
+
+The decode and its reverse pass take scan outputs with leading axes (a
+fold's windows) in one network call, the shared base rows in it once.
 """
 
 from __future__ import annotations
@@ -209,8 +212,9 @@ def decode_anchor(km: np.ndarray) -> np.ndarray:
 
 def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray,
                       maturities: np.ndarray):
-    """Spot-normalized calls C/S0 on the grid, plus the cache
-    `decode_backward` reads.
+    """Spot-normalized calls C/S0 (..., L, M) on the grid for scan outputs
+    (..., L, p), leading axes (the windows of a fold) side by side, plus the
+    cache `decode_backward` reads.
 
     C/S0 (k, T_l) = anchor(k) + OUT_SCALE * [ phi(k'; 0)
                     + sum_{i<=l} sp(s_i) * sp(phi(k'; ctx_i)) ]
@@ -219,48 +223,44 @@ def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray
     training loop calls this directly so non-finite parameters reach its
     objective check.
     """
-    L, M = len(maturities), len(km)
+    M = len(km)
     k_net = km / K_SCALE
-    ctx = np.concatenate([outputs, maturities[:, None]], axis=1)
-    # one network call: M rows of the base potential (zero context), then
-    # M rows per maturity
-    phi, cache = icnn_forward(params, np.tile(k_net, L + 1),
+    lead = outputs.shape[:-1]
+    ctx = np.concatenate([outputs, np.zeros(lead + (1,)) + maturities[:, None]], axis=-1)
+    ctx = ctx.reshape(-1, ctx.shape[-1])
+    # one network call: M rows of the base potential (zero context), shared
+    # by every window, then M rows per maturity of each window
+    phi, cache = icnn_forward(params, np.tile(k_net, len(ctx) + 1),
                               np.concatenate([np.zeros((M, ctx.shape[1])), np.repeat(ctx, M, axis=0)]))
-    phi0, phi_i = phi[:M], phi[M:].reshape(L, M)
+    phi0, phi_i = phi[:M], phi[M:].reshape(lead + (M,))
     sp_slope = softplus(params.maturity_slope_raw)
     sp_phi, e_phi = softplus_exp(phi_i)
     inc = sp_slope[:, None] * sp_phi
-    cnorm = decode_anchor(km)[None, :] + OUT_SCALE * (phi0[None, :] + np.cumsum(inc, axis=0))
+    cnorm = decode_anchor(km) + OUT_SCALE * (phi0 + np.cumsum(inc, axis=-2))
     return cnorm, {"cache0": _cache_rows(cache, slice(None, M)), "phi_i": phi_i,
                    "cache_i": _cache_rows(cache, slice(M, None)), "sp_slope": sp_slope,
                    "sp_phi": sp_phi, "e_phi": e_phi}
 
 
-def decode_backward(params: DecoderParams, caches: list, dcnorms: list):
-    """Reverse pass of `decode_normalized` over every window decoded at one
-    point: caches[w] and dcnorms[w] (the (L, M) gradient of C/S0) per window.
+def decode_backward(params: DecoderParams, cache: dict, dcnorm: np.ndarray):
+    """Reverse pass of `decode_normalized` for dcnorm, the (..., L, M)
+    gradient of C/S0, over the cache of that one call.
 
-    Returns (grads, dys): grads keyed like `DecoderParams`, each summed over
-    the windows in order with the shared base potential last, and per window
-    the (L, p) gradient of the scan outputs (the maturity channel dropped).
+    Returns (grads, dy): grads keyed like `DecoderParams`, summed over every
+    window, the context rows' part first and the shared base potential's
+    last; dy the (..., L, p) gradient of the scan outputs (the maturity
+    channel dropped).
     """
-    L, M = dcnorms[0].shape
-    d_slope = sigmoid(params.maturity_slope_raw)
-    parts, slope_parts, dys = [], [], []
-    for cache, dcnorm in zip(caches, dcnorms):
-        # OUT_SCALE chains into both learned legs
-        dinc = OUT_SCALE * np.cumsum(dcnorm[::-1], axis=0)[::-1]
-        slope_parts.append(d_slope * (dinc * cache["sp_phi"]).sum(axis=1))
-        dphi_i = dinc * cache["sp_slope"][:, None] * sigmoid(cache["phi_i"], cache["e_phi"])
-        g, dctx = icnn_backward(params, cache["cache_i"], dphi_i.ravel())
-        parts.append(g)
-        dys.append(dctx.reshape(L, M, -1)[:, :, :-1].sum(axis=1))
-    dphi0 = sum((OUT_SCALE * dcnorm.sum(axis=0) for dcnorm in dcnorms), 0.0)
-    parts.append(icnn_backward(params, caches[0]["cache0"], dphi0)[0])
-    grads = {name: [sum((g[name][i] for g in parts), 0.0) for i in range(params.n_layers)]
-             for name in parts[0]}
-    grads["maturity_slope_raw"] = sum(slope_parts, 0.0)
-    return grads, dys
+    L, M = dcnorm.shape[-2:]
+    # OUT_SCALE chains into both learned legs
+    dinc = OUT_SCALE * np.cumsum(dcnorm[..., ::-1, :], axis=-2)[..., ::-1, :]
+    d_slope = (dinc * cache["sp_phi"]).sum(axis=-1).reshape(-1, L).sum(axis=0)
+    dphi_i = dinc * cache["sp_slope"][:, None] * sigmoid(cache["phi_i"], cache["e_phi"])
+    grads, dctx = icnn_backward(params, cache["cache_i"], dphi_i.ravel())
+    g0, _ = icnn_backward(params, cache["cache0"], OUT_SCALE * dcnorm.reshape(-1, M).sum(axis=0))
+    grads = {name: [g + b for g, b in zip(grads[name], g0[name])] for name in grads}
+    grads["maturity_slope_raw"] = sigmoid(params.maturity_slope_raw) * d_slope
+    return grads, dctx.reshape(dcnorm.shape + (-1,))[..., :-1].sum(axis=-2)
 
 
 def decode_surface(
@@ -348,7 +348,8 @@ def bl_density(surface: PriceSurface, ell: int) -> np.ndarray:
 
 @dataclass
 class ArbResiduals:
-    """Nonnegative static-arbitrage defect fields.
+    """Nonnegative static-arbitrage defect fields, on the last two axes of
+    the call array (leading axes, such as windows, carried through).
 
     monotonicity[l][t]: positive part of the call slope on strike pair t
     convexity[l][i]: positive part of the slope decrease at interior strike i
@@ -366,46 +367,49 @@ class ArbResiduals:
         return self.monotonicity, self.convexity, self.calendar, self.bounds
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([f.ravel() for f in self.fields()])
+        """The fields raveled over their last two axes and concatenated."""
+        return np.concatenate([f.reshape(f.shape[:-2] + (-1,)) for f in self.fields()], axis=-1)
 
 
 def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> ArbResiduals:
-    """Residuals for a rectangular call matrix (rows = maturities): the one
+    """Residuals for a call array (..., L, M) (rows = maturities): the one
     static-arbitrage stencil of the package."""
     c = np.asarray(calls, dtype=float)
     ks = np.asarray(strikes, dtype=float)
     dk = np.diff(ks)
-    slopes = np.diff(c, axis=1) / dk
+    slopes = np.diff(c, axis=-1) / dk
     mono = np.maximum(slopes, 0.0)
-    conv = np.maximum(-(slopes[:, 1:] - slopes[:, :-1]), 0.0)
-    cal = np.maximum(-(c[1:] - c[:-1]), 0.0)
+    conv = np.maximum(-(slopes[..., 1:] - slopes[..., :-1]), 0.0)
+    cal = np.maximum(-(c[..., 1:, :] - c[..., :-1, :]), 0.0)
     bounds = np.maximum(-c, 0.0) + np.maximum(c - spot, 0.0)
     return ArbResiduals(mono, conv, cal, bounds)
 
 
 def arb_residual_backward(res: ArbResiduals, lam: np.ndarray, calls: np.ndarray,
                           strikes: np.ndarray, spot: float, scale: float) -> np.ndarray:
-    """Subgradient in calls of scale * <lam, res.flatten()>, where res =
-    arb_residual_arrays(calls, strikes, spot); lam is split by the shapes of
-    res's fields."""
-    ends = np.cumsum([f.size for f in res.fields()])
+    """Subgradient in calls (..., L, M) of scale * <lam, res.flatten()>,
+    summed over the leading indices, where res = arb_residual_arrays(calls,
+    strikes, spot); lam is split by the shapes of res's fields on their last
+    two axes."""
+    shapes = [f.shape[-2:] for f in res.fields()]
+    ends = np.cumsum([a * b for a, b in shapes])
     lam_mono, lam_conv, lam_cal, lam_bounds = (
-        lam[end - f.size:end].reshape(f.shape) for f, end in zip(res.fields(), ends))
+        lam[end - a * b:end].reshape(a, b) for (a, b), end in zip(shapes, ends))
     dk = np.diff(strikes)
     dc = np.zeros_like(calls)
-    act_m = (res.monotonicity > 0.0) * lam_mono * scale / dk[None, :]
-    dc[:, 1:] += act_m
-    dc[:, :-1] -= act_m
+    act_m = (res.monotonicity > 0.0) * lam_mono * scale / dk
+    dc[..., 1:] += act_m
+    dc[..., :-1] -= act_m
     # convexity: residual = max(0, slope_left - slope_right)
     act_c = (res.convexity > 0.0) * lam_conv * scale
     inv_l = 1.0 / dk[:-1]
     inv_r = 1.0 / dk[1:]
-    dc[:, :-2] -= act_c * inv_l[None, :]
-    dc[:, 1:-1] += act_c * (inv_l + inv_r)[None, :]
-    dc[:, 2:] -= act_c * inv_r[None, :]
+    dc[..., :-2] -= act_c * inv_l
+    dc[..., 1:-1] += act_c * (inv_l + inv_r)
+    dc[..., 2:] -= act_c * inv_r
     act_t = (res.calendar > 0.0) * lam_cal * scale
-    dc[:-1] += act_t
-    dc[1:] -= act_t
+    dc[..., :-1, :] += act_t
+    dc[..., 1:, :] -= act_t
     dc += ((calls > spot).astype(float) - (calls < 0.0).astype(float)) * lam_bounds * scale
     return dc
 

@@ -100,35 +100,37 @@ class LatentTrajectory:
 
 def scan_recursion(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
                    inputs: np.ndarray, h0: np.ndarray | None = None):
-    """The latent recursion; returns (states (L+1, m), outputs (L, p)).
-    Only the transition product is sequential; the injection drive and the
-    readouts are one batched product each (bit-equal to slice-by-slice)."""
+    """The latent recursion over inputs (..., L, d), leading axes (the
+    windows of a fold) run side by side; returns (states (..., L+1, m),
+    outputs (..., L, p)). Only the transition product is sequential; the
+    injection drive and the readouts are one batched product each, and every
+    product is bit-equal to the loop over maturities of one window."""
     L, m = transitions.shape[0], transitions.shape[1]
-    drive = (injections @ inputs[:, :, None])[:, :, 0]
-    states = np.zeros((L + 1, m))
+    drive = (injections @ inputs[..., None])[..., 0]
+    states = np.zeros(inputs.shape[:-2] + (L + 1, m))
     if h0 is not None:
-        states[0] = h0
+        states[..., 0, :] = h0
     for i in range(L):
-        states[i + 1] = transitions[i] @ states[i] + drive[i]
-    outputs = (readouts @ states[1:, :, None])[:, :, 0]
+        states[..., i + 1, :] = (transitions[i] @ states[..., i, :, None])[..., 0] + drive[..., i, :]
+    outputs = (readouts @ states[..., 1:, :, None])[..., 0]
     return states, outputs
 
 
 def scan_adjoint(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
                  dy: np.ndarray):
-    """Reverse pass of `scan_recursion` for output gradients dy (L, p):
-    returns (dh (L, m), du (L, d)), the gradients of states[1:] (through
-    every later output) and of the inputs. Only the transposed transition
-    product is sequential; read^T dy and inj^T dh are one batched product
-    each (bit-equal to slice-by-slice)."""
-    L, m = transitions.shape[0], transitions.shape[1]
-    read_dy = (readouts.transpose(0, 2, 1) @ dy[:, :, None])[:, :, 0]
-    dh = np.empty((L, m))
-    dh_next = np.zeros(m)
+    """Reverse pass of `scan_recursion` for output gradients dy (..., L, p):
+    returns (dh (..., L, m), du (..., L, d)), the gradients of states[1:]
+    (through every later output) and of the inputs. Only the transposed
+    transition product is sequential; read^T dy and inj^T dh are one batched
+    product each, and every product is bit-equal to the loop of one window."""
+    L = transitions.shape[0]
+    read_dy = (readouts.transpose(0, 2, 1) @ dy[..., None])[..., 0]
+    dh = np.empty(read_dy.shape)
+    dh_next = 0.0
     for i in range(L - 1, -1, -1):
-        dh[i] = read_dy[i] + dh_next
-        dh_next = transitions[i].T @ dh[i]
-    return dh, (injections.transpose(0, 2, 1) @ dh[:, :, None])[:, :, 0]
+        dh[..., i, :] = read_dy[..., i, :] + dh_next
+        dh_next = (transitions[i].T @ dh[..., i, :, None])[..., 0]
+    return dh, (injections.transpose(0, 2, 1) @ dh[..., None])[..., 0]
 
 
 def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | None = None) -> LatentTrajectory:

@@ -16,6 +16,10 @@ Objective (multipliers lambda >= 0, penalty weights gamma/xi/beta_nov):
 
 Constraint residuals are evaluated on the spot-normalized surface so the
 stopping thresholds bite at comparable relative scales across the blocks.
+The training windows of a fold share grid, operator and decoder, so
+`TrainBatch` stacks them on a leading window axis: one forward runs features,
+scan, decode (one network call) and stencil for all of them, and the three
+residual blocks are means over the windows.
 
 Gradients are analytic and are validated against central finite
 differences in the test suite. Each layer's reverse pass sits beside its
@@ -54,6 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import (
+    ArbResiduals,
     DecoderParams,
     arb_residual_arrays,
     arb_residual_backward,
@@ -128,23 +133,27 @@ class TrainingConfig:
     def __post_init__(self):
         if min(self.delta_gap_tol, self.dual_residual_eps) <= 0 or self.patience < 1:
             raise DomainError("invalid stopping thresholds")
+        for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, n_slices=1, k_inner=1,
+                              depth=0, max_steps=0).items():
+            if getattr(self, name) < low:
+                raise DomainError(f"[training] {name} must be >= {low}")
+        for name in ("step_primal", "step_dual"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"[training] {name} must be > 0")
 
 
 # --- batch assembly ----------------------------------------------------------
 
 
 @dataclass
-class WindowData:
-    cq: np.ndarray        # observed normalized calls (L, M), 0 at masked cells
-    mask: np.ndarray      # (L, M) bool
-    q_feat: np.ndarray    # normalized OTM quotes for features, 0 at masked
-    vix2_obs: np.ndarray  # (L,)
-
-
-@dataclass
 class TrainBatch:
+    """A fold's training windows on one grid, stacked on a leading axis W."""
+
     grid: MarketGrid
-    windows: list
+    cq: np.ndarray          # observed normalized calls (W, L, M), 0 at masked cells
+    mask: np.ndarray        # (W, L, M) bool
+    q_feat: np.ndarray      # normalized OTM quotes for features (W, L, M), 0 at masked
+    vix2_obs: np.ndarray    # (W, L)
     km: np.ndarray          # strike coordinate (M,)
     strikes: np.ndarray     # (M,)
     dk: np.ndarray          # quadrature spacings (M,)
@@ -157,6 +166,10 @@ class TrainBatch:
     n_obs: int
 
     @property
+    def n_windows(self) -> int:
+        return len(self.cq)
+
+    @property
     def n_maturities(self) -> int:
         return len(self.dts)
 
@@ -166,14 +179,14 @@ class TrainBatch:
 
 
 def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
-    """Assemble the static arrays and per-window data the loop consumes."""
+    """Assemble the static arrays and the stacked window data the loop
+    consumes."""
     if not panels:
         raise DomainError("empty batch")
     grid = panels[0].quoted_surface.grid
     strikes = grid.strikes
-    L, M = grid.n_maturities, len(strikes)
+    L = grid.n_maturities
     spot = grid.spot
-    dk = strike_spacings(strikes)
     forwards = grid.forwards()
     strip = [strip_coefficients(grid, ell) for ell in range(L)]
     T = grid.maturities
@@ -185,27 +198,26 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     edges = np.linspace(logm[0], logm[-1], cfg.feature_bins + 1)
     bin_index = np.clip(np.searchsorted(edges, logm, side="right") - 1, 0, cfg.feature_bins - 1)
 
-    windows = []
-    n_obs = 0
-    for panel in panels:
-        qs = panel.quoted_surface
+    surfaces = [panel.quoted_surface for panel in panels]
+    for qs in surfaces:
         if qs.grid is not grid and not (np.array_equal(qs.grid.maturities, grid.maturities)
                                         and np.array_equal(qs.grid.strikes, grid.strikes)):
             raise DomainError("all windows must share the grid")
-        mask = qs.mask
-        calls = np.where(mask, qs.calls, 0.0) / spot
-        puts = np.where(mask, qs.puts, 0.0) / spot
-        windows.append(WindowData(cq=calls, mask=mask, q_feat=otm_values(strikes, forwards, puts, calls),
-                                  vix2_obs=np.asarray(panel.vix2_observed, dtype=float)))
-        n_obs += int(mask.sum())
+    mask = np.stack([qs.mask for qs in surfaces])
+    calls = np.where(mask, np.stack([qs.calls for qs in surfaces]), 0.0) / spot
+    puts = np.where(mask, np.stack([qs.puts for qs in surfaces]), 0.0) / spot
+    n_obs = int(mask.sum())
     if n_obs == 0:
         raise DomainError("no observed cells in batch")
     return TrainBatch(
         grid=grid,
-        windows=windows,
+        cq=calls,
+        mask=mask,
+        q_feat=otm_values(strikes, forwards, puts, calls),
+        vix2_obs=np.array([panel.vix2_observed for panel in panels], dtype=float),
         km=strike_coordinate(strikes, spot),
         strikes=strikes,
-        dk=dk,
+        dk=strike_spacings(strikes),
         dts=grid.time_steps(),
         forwards=forwards,
         vix_coef=np.stack([coef for coef, _ in strip]),
@@ -323,10 +335,6 @@ def _clip_gradient(g: dict, clip_norm: float) -> dict:
     return {k: v * scale for k, v in g.items()}
 
 
-def _pv_zeros_like(a: dict) -> dict:
-    return {k: np.zeros_like(v) for k, v in a.items()}
-
-
 # --- checkpoints -------------------------------------------------------------
 
 
@@ -397,40 +405,39 @@ def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
     return gate_density(primal["gate_raw"], batch.dk)
 
 
-def _features(w_den, window: WindowData, batch: TrainBatch, cfg: TrainingConfig):
-    """Integrated bin features u (L, d)."""
-    L, M = window.mask.shape
+def _features(w_den, batch: TrainBatch, cfg: TrainingConfig):
+    """Integrated bin features u (W, L, d) of every window."""
     if cfg.gate_enabled:
-        omega = w_den * batch.dk[None, :] * window.mask
+        omega = w_den * batch.dk * batch.mask
     else:
-        raw = batch.dk[None, :] * window.mask
-        denom = np.maximum(raw.sum(axis=1, keepdims=True), 1e-300)
+        raw = batch.dk * batch.mask
+        denom = np.maximum(raw.sum(axis=-1, keepdims=True), 1e-300)
         omega = raw / denom
-    weighted = omega * window.q_feat
-    u = np.zeros((L, cfg.feature_bins))
+    weighted = omega * batch.q_feat
+    u = np.zeros(batch.mask.shape[:-1] + (cfg.feature_bins,))
     np.add.at(u.T, batch.bin_index, weighted.T)
     # fixed input scaling keeps features O(1) so the norm-capped injections
     # can actually transmit them
     return cfg.feature_scale * u
 
 
-def _window_vix(cnorm: np.ndarray, batch: TrainBatch) -> np.ndarray:
-    """Strip variance estimate of the decoded surface per maturity."""
-    calls = batch.grid.spot * cnorm
-    q = otm_values(batch.strikes, batch.forwards, parity_puts(batch.grid, calls), calls)
-    return (batch.vix_coef * q).sum(axis=1) - batch.vix_adj
-
-
 @dataclass
 class ForwardCache:
+    """One forward over every window: the objective parts and what the reverse pass reuses."""
+
     value: float
     mse: float
     w_den: np.ndarray
     mres: np.ndarray
     r_na: np.ndarray
     r_vix: np.ndarray
-    vix_resid: list
-    per_window: list
+    u: np.ndarray          # scan inputs (W, L, d)
+    hs: np.ndarray         # latent states (W, L+1, m)
+    cnorm: np.ndarray      # decoded normalized calls (W, L, M)
+    diff: np.ndarray       # masked pricing residual (W, L, M)
+    res: ArbResiduals      # static-arbitrage residuals of cnorm
+    vix_resid: np.ndarray  # replication residual (W, L)
+    dec_cache: dict        # the one `decode_normalized` cache
     slices: np.ndarray
     gate_mass: np.ndarray | None
     gate_exp: np.ndarray | None  # exp(-|gate_raw|), for the gate's softplus derivative
@@ -439,38 +446,29 @@ class ForwardCache:
 
 def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
                   slices: np.ndarray | None = None) -> ForwardCache:
-    """Objective value plus everything the reverse pass reuses."""
-    L, M = batch.n_maturities, batch.n_strikes
+    """Objective value plus everything the reverse pass reuses; the training
+    windows run as one batch through features, scan, decode and stencil, and
+    the residual blocks are averaged over them."""
     if slices is None:
-        slices = np.arange(L)
+        slices = np.arange(batch.n_maturities)
     w_den, gate_mass, gate_exp = _gate_density(primal, batch, cfg)
     fwd_gate = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1)
     mres = np.abs(fwd_gate - batch.forwards) / batch.forwards
 
-    W = len(batch.windows)
     dec = to_decoder_params(primal)
-    mse_acc = 0.0
-    r_na_acc = None
-    r_vix_acc = np.zeros(L)
-    vix_resid = []
-    per_window = []
-    for window in batch.windows:
-        u = _features(w_den, window, batch, cfg)
-        hs, y = scan_recursion(primal["transitions"], primal["injections"], primal["readouts"], u)
-        cnorm, dec_cache = decode_normalized(dec, batch.km, y, batch.grid.maturities)
-        diff = (cnorm - window.cq) * window.mask
-        mse_acc += float((diff**2).sum())
-        res = arb_residual_arrays(cnorm, batch.strikes, 1.0)
-        flat = res.flatten()
-        r_na_acc = flat if r_na_acc is None else r_na_acc + flat
-        v2m = _window_vix(cnorm, batch)
-        resid = window.vix2_obs - v2m
-        vix_resid.append(resid)
-        r_vix_acc += batch.vix_weights * resid**2
-        per_window.append({"u": u, "hs": hs, "cnorm": cnorm, "dec": dec_cache, "diff": diff,
-                           "res": res})
-    fw = ForwardCache(0.0, mse_acc / batch.n_obs, w_den, mres, r_na_acc / W, r_vix_acc / W,
-                      vix_resid, per_window, slices, gate_mass, gate_exp, dec)
+    u = _features(w_den, batch, cfg)
+    hs, y = scan_recursion(primal["transitions"], primal["injections"], primal["readouts"], u)
+    cnorm, dec_cache = decode_normalized(dec, batch.km, y, batch.grid.maturities)
+    diff = (cnorm - batch.cq) * batch.mask
+    res = arb_residual_arrays(cnorm, batch.strikes, 1.0)
+    # replication residual: observed minus the strip variance of the decoded surfaces
+    calls = batch.grid.spot * cnorm
+    q = otm_values(batch.strikes, batch.forwards, parity_puts(batch.grid, calls), calls)
+    vix_resid = batch.vix2_obs - ((batch.vix_coef * q).sum(axis=-1) - batch.vix_adj)
+    W = batch.n_windows
+    fw = ForwardCache(0.0, float((diff**2).sum()) / batch.n_obs, w_den, mres,
+                      res.flatten().sum(axis=0) / W, (batch.vix_weights * vix_resid**2).sum(axis=0) / W,
+                      u, hs, cnorm, diff, res, vix_resid, dec_cache, slices, gate_mass, gate_exp, dec)
     fw.value = _objective_value(fw, duals, cfg)
     return fw
 
@@ -519,10 +517,11 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
                     fw: ForwardCache) -> dict:
     """Analytic reverse pass over the forward cache: the objective heads,
     then `decode_backward`, `scan_adjoint`, the feature integration and
-    `gate_density_backward`."""
+    `gate_density_backward`, every window at once; the weight gradients sum
+    over the windows."""
     L = batch.n_maturities
-    W = len(batch.windows)
-    grads = _pv_zeros_like(primal)
+    W = batch.n_windows
+    grads = {k: np.zeros_like(v) for k, v in primal.items()}
 
     # martingale and roughness-penalty paths (gate only)
     sign = np.sign(
@@ -535,35 +534,30 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     )
     dw_den = (coef * sign / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
 
-    dcnorms = []
-    for pw, vix_resid in zip(fw.per_window, fw.vix_resid):
-        dcnorm = 2.0 * pw["diff"] / batch.n_obs
-        dcnorm += arb_residual_backward(pw["res"], duals["na"], pw["cnorm"], batch.strikes, 1.0,
-                                        1.0 / W)
-        # squared-residual head: R = obs - v2m, v2m linear in spot * cnorm
-        dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * vix_resid
-        dcnorms.append(dcnorm + dv2m[:, None] * batch.vix_coef * batch.grid.spot)
-    g_dec, dys = decode_backward(fw.dec, [pw["dec"] for pw in fw.per_window], dcnorms)
+    dcnorm = 2.0 * fw.diff / batch.n_obs
+    dcnorm += arb_residual_backward(fw.res, duals["na"], fw.cnorm, batch.strikes, 1.0, 1.0 / W)
+    # squared-residual head: R = obs - v2m, v2m linear in spot * cnorm
+    dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid
+    dcnorm += dv2m[..., None] * batch.vix_coef * batch.grid.spot
+    g_dec, dy = decode_backward(fw.dec, fw.dec_cache, dcnorm)
     grads["slope_raw"] = g_dec["maturity_slope_raw"]
     for i in range(fw.dec.n_layers):
         grads[f"wz{i}"] = g_dec["layer_weights_z"][i]
         grads[f"wx{i}"] = g_dec["layer_weights_x"][i]
         grads[f"b{i}"] = g_dec["biases"][i]
 
-    for window, pw, dy in zip(batch.windows, fw.per_window, dys):
-        # the weight gradients are outer products, formed for all maturities at once
-        hs, u = pw["hs"], pw["u"]
-        dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
-        grads["readouts"] += dy[:, :, None] * hs[1:, None, :]
-        grads["transitions"] += dh[:, :, None] * hs[:-1, None, :]
-        grads["injections"] += dh[:, :, None] * u[:, None, :]
-        # gated feature integration: u = feature_scale * bin sums of w * dk * mask * q
-        if cfg.gate_enabled:
-            dw_den += (cfg.feature_scale * du[:, batch.bin_index] * window.q_feat
-                       * batch.dk[None, :] * window.mask)
+    # the weight gradients are outer products, formed for all windows and
+    # maturities at once
+    dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
+    grads["readouts"] += (dy[..., None] * fw.hs[:, 1:, None, :]).sum(axis=0)
+    grads["transitions"] += (dh[..., None] * fw.hs[:, :-1, None, :]).sum(axis=0)
+    grads["injections"] += (dh[..., None] * fw.u[:, :, None, :]).sum(axis=0)
 
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
+        # gated feature integration: u = feature_scale * bin sums of w * dk * mask * q
+        dw_den += (cfg.feature_scale * du[..., batch.bin_index] * batch.q_feat * batch.dk
+                   * batch.mask).sum(axis=0)
         grads["gate_raw"] += gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
                                                    fw.gate_exp, dw_den)
     return grads
@@ -632,15 +626,10 @@ def lipschitz_surrogate(pre: dict, post: dict) -> tuple:
 # --- extragradient -----------------------------------------------------------
 
 
-def _clip_duals(duals: dict) -> dict:
-    return {k: np.maximum(v, 0.0) for k, v in duals.items()}
-
-
 def _dual_add(duals: dict, g: dict, eta: float, mults: dict | None = None) -> dict:
+    """Projected dual step: the multipliers clipped at zero."""
     mults = mults or {}
-    return _clip_duals(
-        {k: duals[k] + eta * mults.get(k, 1.0) * g[k] for k in duals}
-    )
+    return {k: np.maximum(duals[k] + eta * mults.get(k, 1.0) * g[k], 0.0) for k in duals}
 
 
 def _dual_mults(cfg: TrainingConfig) -> dict:
@@ -761,7 +750,7 @@ def window_features(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) ->
     """(grid, u): the window's grid and its (L, d) scan inputs under the
     current gate."""
     batch = build_batch([panel], cfg)
-    return batch.grid, _features(_gate_density(primal, batch, cfg)[0], batch.windows[0], batch, cfg)
+    return batch.grid, _features(_gate_density(primal, batch, cfg)[0], batch, cfg)[0]
 
 
 def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> PriceSurface:

@@ -125,6 +125,19 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[run\] {key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("rank", 0), ("feature_bins", 0), ("readout_dim", 0), ("width", 0), ("n_slices", 0),
+        ("k_inner", 0), ("depth", -1), ("max_steps", -5), ("step_primal", -1.0), ("step_primal", 0.0),
+        ("step_dual", 0.0), ("step_dual", float("nan")),
+    ])
+    def test_training_shape_and_steps_validated(self, tmp_path, key, value):
+        with pytest.raises(DomainError, match=rf"\[training\] {key}"):
+            TrainingConfig(**{key: value})
+        path = tmp_path / "training.ini"
+        path.write_text(f"[training]\n{key} = {value}\n")
+        with pytest.raises(DomainError, match=rf"\[training\] {key}"):
+            load_config(path)
+
     @pytest.mark.parametrize("section,key,raw", [
         ("training", "max_steps", "abc"),
         ("generator", "rho", "-0.5x"),
@@ -415,12 +428,17 @@ class TestCliMain:
 
     def test_failing_stage_nonzero_exit(self, tmp_path, caplog):
         log, ini = str(tmp_path / "missing.json"), str(tmp_path / "missing.ini")
-        for missing, argv in ((log, ["report", log]), (ini, ["--config", ini, "reproduce"])):
+        headless, truncated = tmp_path / "nosection.ini", tmp_path / "truncated.json"
+        headless.write_text("max_steps = 3\n")
+        truncated.write_text('{"NAS": 0.5, ')
+        for bad, argv in ((log, ["report", log]), (ini, ["--config", ini, "reproduce"]),
+                          (str(headless), ["--config", str(headless), "reproduce"]),
+                          (str(truncated), ["report", str(truncated)])):
             caplog.clear()
             rc = cli.main(["--out", str(tmp_path / "out")] + argv)
             assert rc == 1
             (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
-            assert missing in rec.getMessage()
+            assert bad in rec.getMessage()
             assert rec.exc_info is None
             assert not (tmp_path / "out").exists()  # nothing ran
 

@@ -101,33 +101,46 @@ class TestScanForward:
 
 class TestScanKernels:
     """The batched scan and its adjoint take the same products as the loop
-    over maturities, so they agree bit for bit."""
+    over maturities, so they agree bit for bit, for one window's (L, d)
+    inputs and for a stack (W, L, d) of windows run side by side."""
 
     @staticmethod
     def _shapes(seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
             L, m, d, p = (int(v) for v in rng.integers(1, 13, size=4))
+            W = int(rng.integers(1, 4))
             yield (rng.standard_normal((L, m, m)), rng.standard_normal((L, m, d)),
-                   rng.standard_normal((L, p, m)), rng.standard_normal((L, d)),
-                   rng.standard_normal((L, p)), rng.standard_normal(m))
+                   rng.standard_normal((L, p, m)), rng.standard_normal((W, L, d)),
+                   rng.standard_normal((W, L, p)), rng.standard_normal(m))
+
+    @staticmethod
+    def _assert_windows_equal(stacked, per_window, want):
+        """stacked: the outputs of one call on (W, ...) inputs; per_window and
+        want: per window, the outputs of the kernel and of its loop oracle."""
+        for w, (single, oracle) in enumerate(zip(per_window, want)):
+            for got in (single, [a[w] for a in stacked]):
+                for g, x in zip(got, oracle):
+                    assert g.shape == x.shape and np.array_equal(g, x)
 
     def test_recursion_equals_loop(self):
         from .oracles import loop_scan_recursion
 
         for trans, inj, read, u, _, h0 in self._shapes(23):
             for start in (None, h0):
-                got, want = scan_recursion(trans, inj, read, u, start), loop_scan_recursion(trans, inj, read, u, start)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape and np.array_equal(g, w)
+                self._assert_windows_equal(
+                    scan_recursion(trans, inj, read, u, start),
+                    [scan_recursion(trans, inj, read, u_w, start) for u_w in u],
+                    [loop_scan_recursion(trans, inj, read, u_w, start) for u_w in u])
 
     def test_adjoint_equals_loop(self):
         from .oracles import loop_scan_adjoint
 
         for trans, inj, read, _, dy, _ in self._shapes(29):
-            got, want = scan_adjoint(trans, inj, read, dy), loop_scan_adjoint(trans, inj, read, dy)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and np.array_equal(g, w)
+            self._assert_windows_equal(
+                scan_adjoint(trans, inj, read, dy),
+                [scan_adjoint(trans, inj, read, dy_w) for dy_w in dy],
+                [loop_scan_adjoint(trans, inj, read, dy_w) for dy_w in dy])
 
     def test_adjoint_is_the_transpose(self):
         # <dy, outputs(u)> = <du, u> at h0 = 0: the adjoint of a linear map

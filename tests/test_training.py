@@ -76,15 +76,70 @@ class TestBuildBatch:
             build_batch(panels, tiny_cfg())
 
 
+class TestWindowBatch:
+    """A fold's training windows run as one batch on a leading window axis:
+    no window's features or scan depend on the others, its decode only in
+    the last bits, and one network call decodes them all."""
+
+    SMOKE_SHAPE = dict(panel=dict(n_maturities=6, n_strikes=11),
+                       cfg=dict(rank=4, width=8, feature_bins=6))
+
+    @staticmethod
+    def _fold(n_windows, panel=None, cfg=None):
+        cfg = tiny_cfg(**(cfg or {}))
+        panels = [tiny_panel(seed=3 + i, **(panel or {})) for i in range(n_windows)]
+        batch = build_batch(panels, cfg)
+        state = init_state(cfg, batch)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            extragradient_step(state, batch, cfg, rng)
+        return cfg, panels, batch, state
+
+    @pytest.mark.parametrize("shape", [{}, SMOKE_SHAPE], ids=["tiny", "smoke"])
+    def test_each_window_decodes_as_its_own_batch(self, shape):
+        cfg, panels, batch, state = self._fold(2, **shape)
+        fw = model_forward(state.primal, state.duals, batch, cfg)
+        for w, panel in enumerate(panels):
+            one = model_forward(state.primal, state.duals, build_batch([panel], cfg), cfg)
+            assert np.array_equal(fw.u[w], one.u[0]) and np.array_equal(fw.hs[w], one.hs[0])
+            # the network's width-1 output layer is a BLAS matrix-vector
+            # product whose remainder rows round by their offset in the call,
+            # so a window's potentials may move in the last bits with its rows'
+            # position in the stack
+            np.testing.assert_array_max_ulp(fw.cnorm[w], one.cnorm[0], maxulp=4)
+
+    def test_one_network_call_per_forward(self, monkeypatch):
+        import arbsurf.decoder as decoder
+
+        cfg, _, batch, state = self._fold(2)
+        rows = {"forward": [], "backward": []}
+        forward, backward = decoder.icnn_forward, decoder.icnn_backward
+
+        def counted_forward(params, k, context):
+            rows["forward"].append(len(k))
+            return forward(params, k, context)
+
+        def counted_backward(params, cache, dphi):
+            rows["backward"].append(len(dphi))
+            return backward(params, cache, dphi)
+
+        monkeypatch.setattr(decoder, "icnn_forward", counted_forward)
+        monkeypatch.setattr(decoder, "icnn_backward", counted_backward)
+        W, L, M = batch.cq.shape
+        fw = model_forward(state.primal, state.duals, batch, cfg)
+        assert rows["forward"] == [M + W * L * M]  # the shared base rows once, then every window
+        primal_gradient(state.primal, state.duals, batch, cfg, fw)
+        assert rows["backward"] == [W * L * M, M]
+
+
 class TestSaddleObjective:
     def test_perfect_surface_zero_duals_zero_mse(self):
         # force the quoted surface to equal the decoded one: zero loss
         cfg, batch, state = tiny_state()
         fw = model_forward(state.primal, state.duals, batch, cfg)
-        w0 = batch.windows[0]
-        w0.cq = fw.per_window[0]["cnorm"].copy()
-        w0.mask = np.ones_like(w0.mask, dtype=bool)
-        batch.n_obs = int(w0.mask.sum())
+        batch.cq = fw.cnorm.copy()
+        batch.mask = np.ones_like(batch.mask, dtype=bool)
+        batch.n_obs = int(batch.mask.sum())
         fw2 = model_forward(state.primal, state.duals, batch, cfg)
         assert fw2.mse == pytest.approx(0.0, abs=1e-24)
         # duals are zero at init, so only the roughness penalty remains
@@ -404,18 +459,18 @@ class TestPublicKernels:
 
     def test_decode_window_is_public_scan_and_decoder(self):
         panel, cfg, batch, state, fw, surf = self._trained()
-        trajectory = scan_forward(to_operator_params(state.primal), fw.per_window[0]["u"])
+        trajectory = scan_forward(to_operator_params(state.primal), fw.u[0])
         public = decode_surface(to_decoder_params(state.primal), trajectory, batch.grid)
         assert np.array_equal(surf.calls_matrix(), public.calls_matrix())
         assert np.array_equal(surf.puts_matrix(), public.puts_matrix())
-        assert np.array_equal(surf.calls_matrix(), batch.grid.spot * fw.per_window[0]["cnorm"])
+        assert np.array_equal(surf.calls_matrix(), batch.grid.spot * fw.cnorm[0])
         assert np.array_equal(fw.w_den, measure_gate(to_operator_params(state.primal), batch.grid))
 
     def test_replication_matches_training_strip(self):
         from arbsurf.vix import replicate_surface
 
         panel, cfg, batch, state, fw, surf = self._trained()
-        trained = batch.windows[0].vix2_obs - fw.vix_resid[0]
+        trained = batch.vix2_obs[0] - fw.vix_resid[0]
         public = replicate_surface(surf).vix_squared_per_maturity
         np.testing.assert_allclose(public, trained, rtol=1e-12, atol=0.0)
 
@@ -778,7 +833,7 @@ class TestSoftplus:
         cfg, batch, state = tiny_state()
         fw = model_forward(state.primal, state.duals, batch, cfg)
         pairs = [(fw.gate_exp, state.primal["gate_raw"])]
-        dec = fw.per_window[0]["dec"]
+        dec = fw.dec_cache
         pairs.append((dec["e_phi"], dec["phi_i"]))
         for cache in (dec["cache0"], dec["cache_i"]):
             assert len(cache["exps"]) == cfg.depth
