@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import bl_density
-from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, write_panel
+from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, quote_noise_sd, write_panel
 from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
 from .metrics import (
     CnasShape,
@@ -55,6 +55,7 @@ from .training import (
 LOGGER = logging.getLogger("arbsurf")
 
 STRESS_RATE_SHIFT = 0.01  # numeraire-shift axis: r -> r + 0.01 * strength
+NAS_FAILURE_LEVEL = 0.9  # stress-to-fail: first strength whose mean NAS drops below this
 CNAS_TUNE_TAUS = (0.0, 1e-5, 1e-4, 1e-3)  # tolerance grid of the in-window CNAS tuning
 
 
@@ -63,7 +64,6 @@ class RunConfig:
     n_windows: int = 4
     stress_strengths: tuple = (0.0, 1.0, 2.0, 4.0, 8.0)
     stress_draws: int = 8
-    nas_failure_threshold: float = 0.9
     sweep_lr_multipliers: tuple = (0.5, 1.0, 2.0)
     sweep_seeds: tuple = (0, 1, 2)
     ablation_seeds: tuple = (0, 1, 2)
@@ -398,9 +398,8 @@ def requote_surface(surface: PriceSurface, gen: GeneratorConfig, strength: float
         return surface
     grid = surface.grid
     rng = np.random.Generator(np.random.Philox(key=[gen.seed, 70_000 + draw]))
-    logm = np.log(grid.strikes / grid.spot)
     calls = surface.calls
-    sd = strength * gen.noise_scale * np.maximum(calls, gen.noise_floor) * (1.0 + np.abs(logm))[None, :]
+    sd = quote_noise_sd(gen, calls, np.log(grid.strikes / grid.spot), strength)
     noisy = np.maximum(calls + sd * rng.standard_normal(calls.shape), 0.0)
     return PriceSurface.from_matrices(grid, noisy, parity_puts(grid, noisy), require_nonnegative=False)
 
@@ -413,7 +412,7 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
     model-implied cells, and the numeraire shift moves the discount rate of
     the scoring context (and of the feature path feeding the decode).
     Returns {strength: (mean NAS, lo, hi)} plus the failure threshold (the
-    smallest strength whose mean drops below the configured level).
+    smallest strength whose mean drops below NAS_FAILURE_LEVEL).
     """
     os.makedirs(out_dir, exist_ok=True)
     if panels is None:
@@ -434,7 +433,7 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
             vals.append(nas(requote_surface(surf, cfg.generator, s, draw)))
         mean, lo, hi = mean_interval(vals)
         curve[s] = (mean, lo, hi)
-        if mean < cfg.run.nas_failure_threshold and threshold == float("inf"):
+        if mean < NAS_FAILURE_LEVEL and threshold == float("inf"):
             threshold = s
     out = {
         "definition": (
@@ -443,7 +442,7 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
         ),
         "curve": {str(k): v for k, v in curve.items()},
         "failure_threshold": threshold,
-        "nas_failure_level": cfg.run.nas_failure_threshold,
+        "nas_failure_level": NAS_FAILURE_LEVEL,
     }
     with open(os.path.join(out_dir, "stress_curve.json"), "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=2)

@@ -58,7 +58,6 @@ class GeneratorConfig:
     liq_b: float = 1.0
     liq_c: float = 1.0
     delta_days: int = 30
-    vix_proxy_factor: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -227,12 +226,11 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
 def vix2_proxy(paths: PathEnsemble, cfg: GeneratorConfig, T: float, return_se: bool = False):
     """Average forward variance over the proxy window:
 
-    factor * mean over paths of (1/Delta) int_T^{T+Delta} v_s^+ ds
+    mean over paths of (1/Delta) int_T^{T+Delta} v_s^+ ds
     (trapezoid on the day grid, Delta = delta_days / 365).
 
     Dimensional analysis says the (1/Delta) time average is already an
-    annualized variance; the literal extra factor of 2 can be restored via
-    cfg.vix_proxy_factor for comparison runs.
+    annualized variance.
     """
     delta = cfg.delta_days / 365.0
     i0 = _maturity_step(paths, T)
@@ -247,11 +245,18 @@ def vix2_proxy(paths: PathEnsemble, cfg: GeneratorConfig, T: float, return_se: b
     w[-1] *= 0.5
     span = w.sum()
     per_path = (v @ w) / span
-    est = cfg.vix_proxy_factor * float(per_path.mean())
+    est = float(per_path.mean())
     if return_se:
-        se = cfg.vix_proxy_factor * float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
+        se = float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
         return est, se
     return est
+
+
+def quote_noise_sd(cfg: GeneratorConfig, prices: np.ndarray, logm: np.ndarray,
+                   strength: float = 1.0) -> np.ndarray:
+    """Std of the quote noise on an (L, M) price matrix with log-moneyness
+    logm (M,): strength * noise_scale * max(price, noise_floor) * (1 + |logm|)."""
+    return strength * cfg.noise_scale * np.maximum(prices, cfg.noise_floor) * (1.0 + np.abs(logm))[None, :]
 
 
 def add_noise_censor(
@@ -279,7 +284,7 @@ def add_noise_censor(
     clamp_count = 0
     quoted = {}
     for name, star in (("calls", c_star), ("puts", p_star)):
-        sd = cfg.noise_scale * np.maximum(star, cfg.noise_floor) * (1.0 + np.abs(logm))[None, :]
+        sd = quote_noise_sd(cfg, star, logm)
         noisy = star + sd * rng.standard_normal((L, M))
         clamp_count += int(np.sum((noisy < 0) & mask))
         noisy = np.maximum(noisy, 0.0)

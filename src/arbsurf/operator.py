@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainError, MarketGrid, PriceSurface, strike_spacings
+from .grids import DomainError, MarketGrid, PriceSurface, forward_price, strike_spacings
 from .mathutil import sigmoid, softplus_exp
 from .qalign import spectral_norms
 
@@ -244,7 +244,7 @@ def martingale_residual(w: np.ndarray, grid: MarketGrid, ell: int) -> float:
     """Relative defect of the gate-implied forward at maturity ell:
     |sum_j K_j w[l, j] dK_j - F_T| / F_T."""
     f_gate = price_functional(w, grid.strikes, grid, ell)
-    f = grid.spot * float(np.exp((grid.rate - grid.dividend_yield) * grid.maturities[ell]))
+    f = forward_price(grid, grid.maturities[ell])
     return abs(f_gate - f) / f
 
 

@@ -22,26 +22,20 @@ from .grids import DomainError
 
 @dataclass
 class GuardConfig:
-    """Projection parameters.
+    """Parameters of the safety pass, the two values it reads.
 
     tau: spectral-ball radius in (0, 1]
     epsilon: safety margin in (0, 1); transitions are kept at rho*dt <= 1-eps
-    power_iters: iteration budget for the norm estimator
-    power_tol: relative tolerance for early termination
     """
 
     tau: float = 1.0
     epsilon: float = 0.1
-    power_iters: int = 50
-    power_tol: float = 1e-9
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise DomainError("tau must be in (0, 1]")
         if not (0.0 < self.epsilon < 1.0):
             raise DomainError("epsilon must be in (0, 1)")
-        if self.power_iters < 1:
-            raise DomainError("power_iters must be >= 1")
 
 
 @dataclass
@@ -63,16 +57,19 @@ class GuardLog:
     clamp_hits: int = field(default=0)
 
 
-def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None) -> float:
+def spectral_norm(W: np.ndarray, *, iters: int = 50, tol: float = 1e-9) -> float:
     """Largest singular value of W by power iteration on W^T W.
 
-    Runs at most cfg.power_iters iterations, stopping early once the
-    estimate moves by less than cfg.power_tol relatively. Exact 0 for the
-    zero matrix. The iteration runs on W / max|W| and scales the result
-    back, so very large or very small entries neither overflow nor
-    underflow the iterate.
+    Runs at most `iters` (>= 1) iterations, stopping early once the
+    estimate moves by less than `tol` relatively. Exact 0 for the zero
+    matrix. The iteration runs on W / max|W| and scales the result back, so
+    very large or very small entries neither overflow nor underflow the
+    iterate. The safety pass does not call it: its norms are exact
+    (`spectral_norms`); this estimator is what the spectral oracle
+    criterion audits.
     """
-    cfg = cfg or GuardConfig()
+    if iters < 1:
+        raise DomainError("spectral_norm needs iters >= 1")
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise DomainError("spectral_norm expects a matrix")
@@ -85,7 +82,7 @@ def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None) -> float:
     n = W.shape[1]
     v = np.ones(n) / np.sqrt(n)
     sigma = 0.0
-    for _ in range(cfg.power_iters):
+    for _ in range(iters):
         u = W @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:
@@ -98,7 +95,7 @@ def spectral_norm(W: np.ndarray, cfg: GuardConfig | None = None) -> float:
         if sigma_new == 0.0:
             return 0.0
         v = v_new / sigma_new
-        if abs(sigma_new - sigma) <= cfg.power_tol * max(sigma_new, 1e-300):
+        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
             return float(sigma_new * scale)
         sigma = sigma_new
     return float(sigma * scale)

@@ -92,6 +92,13 @@ from .runlog import RunLog
 from .vix import strip_coefficients
 
 
+# Fixed step policy of the saddle loop.
+FEATURE_SCALE = 5.0  # input scaling that keeps the bin features O(1)
+GATE_LR_MULT = 50.0  # larger fixed step of the gate block
+DUAL_MULTS = {"na": 10.0, "mart": 1.0, "vix": 20.0}  # per-block dual step multipliers
+DUAL_RAMP_START, DUAL_RAMP_STEPS = 0.1, 500  # dual step ramps from 0.1x to 1x over 500 steps
+
+
 class TrainingDivergence(RuntimeError):
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -111,14 +118,7 @@ class TrainingConfig:
     seed: int = 0
     step_primal: float = 3e-3
     step_dual: float = 1e-3
-    dual_ramp_steps: int = 500
-    dual_ramp_start: float = 0.1
     clip_norm: float = 5.0
-    gate_lr_mult: float = 50.0
-    feature_scale: float = 5.0
-    dual_mult_na: float = 10.0
-    dual_mult_mart: float = 1.0
-    dual_mult_vix: float = 20.0
     k_inner: int = 5
     rank: int = 8
     feature_bins: int = 8
@@ -131,13 +131,15 @@ class TrainingConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if min(self.delta_gap_tol, self.dual_residual_eps) <= 0 or self.patience < 1:
-            raise DomainError("invalid stopping thresholds")
         for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, n_slices=1, k_inner=1,
-                              depth=0, max_steps=0).items():
+                              depth=0, max_steps=0, patience=1).items():
             if getattr(self, name) < low:
                 raise DomainError(f"[training] {name} must be >= {low}")
-        for name in ("step_primal", "step_dual"):
+        # NaN fails both comparisons; inf passes (an unclipped gradient, a stop rule that always holds)
+        for name in ("gamma", "beta_nov", "xi"):
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"[training] {name} must be >= 0")
+        for name in ("step_primal", "step_dual", "clip_norm", "delta_gap_tol", "dual_residual_eps"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"[training] {name} must be > 0")
 
@@ -314,16 +316,6 @@ def _pv_add(a: dict, b: dict, alpha: float) -> dict:
     return {k: a[k] + alpha * b[k] for k in a}
 
 
-def _apply_block_steps(g: dict, cfg: "TrainingConfig") -> dict:
-    """Per-block step multipliers: the gate's normalization shrinks its
-    gradients by the softplus mass, so its block runs a larger fixed step."""
-    if cfg.gate_lr_mult == 1.0:
-        return g
-    out = dict(g)
-    out["gate_raw"] = g["gate_raw"] * cfg.gate_lr_mult
-    return out
-
-
 def _clip_gradient(g: dict, clip_norm: float) -> dict:
     """Global-norm clip; inactive when the norm is inside the budget."""
     if not np.isfinite(clip_norm):
@@ -375,11 +367,8 @@ class SaddleState:
     pre_pass: dict | None = None  # the primal before the last safety pass on it
 
     def dual_step_now(self) -> float:
-        cfg = self.cfg
-        ramp = cfg.dual_ramp_start + (1.0 - cfg.dual_ramp_start) * min(
-            1.0, self.step / max(cfg.dual_ramp_steps, 1)
-        )
-        return cfg.step_dual * ramp
+        ramp = DUAL_RAMP_START + (1.0 - DUAL_RAMP_START) * min(1.0, self.step / DUAL_RAMP_STEPS)
+        return self.cfg.step_dual * ramp
 
 
 def init_state(cfg: TrainingConfig, batch: TrainBatch) -> SaddleState:
@@ -418,7 +407,7 @@ def _features(w_den, batch: TrainBatch, cfg: TrainingConfig):
     np.add.at(u.T, batch.bin_index, weighted.T)
     # fixed input scaling keeps features O(1) so the norm-capped injections
     # can actually transmit them
-    return cfg.feature_scale * u
+    return FEATURE_SCALE * u
 
 
 @dataclass
@@ -555,8 +544,8 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
 
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
-        # gated feature integration: u = feature_scale * bin sums of w * dk * mask * q
-        dw_den += (cfg.feature_scale * du[..., batch.bin_index] * batch.q_feat * batch.dk
+        # gated feature integration: u = FEATURE_SCALE * bin sums of w * dk * mask * q
+        dw_den += (FEATURE_SCALE * du[..., batch.bin_index] * batch.q_feat * batch.dk
                    * batch.mask).sum(axis=0)
         grads["gate_raw"] += gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
                                                    fw.gate_exp, dw_den)
@@ -566,10 +555,10 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
 def _descent(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
              fw: ForwardCache) -> dict:
     """Primal descent direction at the forward's point: the reverse pass,
-    clipped to the global norm budget, then scaled block by block."""
-    return _apply_block_steps(
-        _clip_gradient(primal_gradient(primal, duals, batch, cfg, fw), cfg.clip_norm), cfg
-    )
+    clipped to the global norm budget, with the gate block scaled up (the
+    gate's normalization shrinks its gradients by the softplus mass)."""
+    g = _clip_gradient(primal_gradient(primal, duals, batch, cfg, fw), cfg.clip_norm)
+    return {**g, "gate_raw": g["gate_raw"] * GATE_LR_MULT}
 
 
 # --- safety pass -------------------------------------------------------------
@@ -632,10 +621,6 @@ def _dual_add(duals: dict, g: dict, eta: float, mults: dict | None = None) -> di
     return {k: np.maximum(duals[k] + eta * mults.get(k, 1.0) * g[k], 0.0) for k in duals}
 
 
-def _dual_mults(cfg: TrainingConfig) -> dict:
-    return {"na": cfg.dual_mult_na, "mart": cfg.dual_mult_mart, "vix": cfg.dual_mult_vix}
-
-
 def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfig,
                        rng: np.random.Generator) -> ForwardCache:
     """One predict-then-correct update; returns the step's first forward
@@ -652,7 +637,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 
     half_primal = _pv_add(state.primal, gp0, -eta_p)
     apply_qalign(half_primal, batch, cfg, state.guard)
-    half_duals = _dual_add(state.duals, gd0, eta_d, _dual_mults(cfg))
+    half_duals = _dual_add(state.duals, gd0, eta_d, DUAL_MULTS)
 
     fw1 = model_forward(half_primal, half_duals, batch, cfg, slices)
     gp1 = _descent(half_primal, half_duals, batch, cfg, fw1)
@@ -660,7 +645,7 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 
     state.primal = _pv_add(state.primal, gp1, -eta_p)
     state.pre_pass = apply_qalign(state.primal, batch, cfg, state.guard)
-    state.duals = _dual_add(state.duals, gd1, eta_d, _dual_mults(cfg))
+    state.duals = _dual_add(state.duals, gd1, eta_d, DUAL_MULTS)
     state.step += 1
     return fw0
 

@@ -216,15 +216,7 @@ def stepwise_gap(state, heldout):
     primal point, the ascended duals get a forward of their own, and the
     primal half runs a forward per descent step plus one at its end point.
     """
-    from arbsurf.training import (
-        _apply_block_steps,
-        _clip_gradient,
-        _dual_add,
-        _pv_add,
-        dual_gradient,
-        model_forward,
-        primal_gradient,
-    )
+    from arbsurf.training import _descent, _dual_add, _pv_add, dual_gradient, model_forward
 
     cfg = state.cfg
     k = cfg.k_inner
@@ -237,10 +229,7 @@ def stepwise_gap(state, heldout):
     primal = {name: v.copy() for name, v in state.primal.items()}
     for _ in range(k):
         fw = model_forward(primal, state.duals, heldout, cfg)
-        g = _apply_block_steps(
-            _clip_gradient(primal_gradient(primal, state.duals, heldout, cfg, fw), cfg.clip_norm), cfg
-        )
-        primal = _pv_add(primal, g, -cfg.step_primal)
+        primal = _pv_add(primal, _descent(primal, state.duals, heldout, cfg, fw), -cfg.step_primal)
         for name in primal:
             if name.startswith("wz"):
                 np.maximum(primal[name], 0.0, out=primal[name])

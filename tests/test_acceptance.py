@@ -26,7 +26,7 @@ from arbsurf.metrics import (
     newey_west_lrv,
 )
 from arbsurf.operator import LatentTrajectory, OperatorParams, green_kernel, scan_forward
-from arbsurf.qalign import GuardConfig, cfl_indicator, spectral_norm
+from arbsurf.qalign import cfl_indicator, spectral_norm
 from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, emit_log
 from arbsurf.training import (
     TrainingConfig,
@@ -137,7 +137,6 @@ class TestCriterion02GuardSafety:
 class TestCriterion03SpectralOracle:
     def test_power_iteration_vs_svd(self):
         rng = np.random.default_rng(303)
-        cfg = GuardConfig(power_iters=2000, power_tol=1e-13)
         t0 = time.time()
         worst = 0.0
         for _ in range(200):
@@ -145,7 +144,7 @@ class TestCriterion03SpectralOracle:
             m = int(rng.integers(1, 17))
             w = rng.standard_normal((n, m)) * rng.uniform(0.1, 5.0)
             exact = np.linalg.svd(w, compute_uv=False)[0]
-            est = spectral_norm(w, cfg)
+            est = spectral_norm(w, iters=2000, tol=1e-13)
             worst = max(worst, abs(est - exact) / max(exact, 1e-300))
         elapsed = time.time() - t0
         _report(3, worst <= 1e-8 and elapsed < 5.0, f"max rel err {worst:.2e}, {elapsed:.1f}s")

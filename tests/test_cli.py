@@ -108,7 +108,18 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[training]\nbogus_key = 1\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"unknown config key \[training\] bogus_key$"):
+            load_config(path)
+
+    # fixed conventions are module constants, not settings
+    @pytest.mark.parametrize("section,key", [
+        ("training", "gate_lr_mult"), ("training", "feature_scale"), ("training", "dual_mult_vix"),
+        ("training", "dual_ramp_steps"), ("generator", "vix_proxy_factor"), ("run", "nas_failure_threshold"),
+    ])
+    def test_fixed_convention_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "fixed.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(DomainError, match=rf"unknown config key \[{section}\] {key}$"):
             load_config(path)
 
     @pytest.mark.parametrize("section,key", [("training", "guard")])
@@ -128,7 +139,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,value", [
         ("rank", 0), ("feature_bins", 0), ("readout_dim", 0), ("width", 0), ("n_slices", 0),
         ("k_inner", 0), ("depth", -1), ("max_steps", -5), ("step_primal", -1.0), ("step_primal", 0.0),
-        ("step_dual", 0.0), ("step_dual", float("nan")),
+        ("step_dual", 0.0), ("step_dual", float("nan")), ("clip_norm", -5.0), ("clip_norm", 0.0),
+        ("clip_norm", float("nan")), ("gamma", -1.0), ("xi", -2.0), ("beta_nov", -1.0), ("gamma", float("nan")),
+        ("delta_gap_tol", float("nan")), ("dual_residual_eps", float("nan")), ("delta_gap_tol", 0.0),
+        ("patience", 0),
     ])
     def test_training_shape_and_steps_validated(self, tmp_path, key, value):
         with pytest.raises(DomainError, match=rf"\[training\] {key}"):

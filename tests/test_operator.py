@@ -243,7 +243,7 @@ class TestGreenSum:
         sums = []
         for eps in (0.05, 0.2, 0.5):
             params = make_params(L=6, m=3, rng=np.random.default_rng(31), a_scale=3.0)
-            cfg = GuardConfig(epsilon=eps, power_iters=300)
+            cfg = GuardConfig(epsilon=eps)
             log = GuardLog()
             for i in range(6):
                 params.transitions[i] = spec_guard_project(params.transitions[i], dts[i], cfg, log)

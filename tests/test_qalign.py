@@ -15,35 +15,39 @@ from arbsurf.qalign import (
 
 from .oracles import near_degenerate
 
-CFG = GuardConfig(power_iters=500, power_tol=1e-13)
+BUDGET = dict(iters=500, tol=1e-13)
 
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(np.eye(3), CFG) == pytest.approx(1.0, rel=1e-10)
+        assert spectral_norm(np.eye(3), **BUDGET) == pytest.approx(1.0, rel=1e-10)
 
     def test_diagonal(self):
-        assert spectral_norm(np.diag([2.0, 1.0]), CFG) == pytest.approx(2.0, rel=1e-10)
+        assert spectral_norm(np.diag([2.0, 1.0]), **BUDGET) == pytest.approx(2.0, rel=1e-10)
 
     def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4)), CFG) == 0.0
+        assert spectral_norm(np.zeros((4, 4)), **BUDGET) == 0.0
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             w = rng.standard_normal((6, 6))
             exact = np.linalg.svd(w, compute_uv=False)[0]
-            assert spectral_norm(w, CFG) == pytest.approx(exact, rel=1e-8)
+            assert spectral_norm(w, **BUDGET) == pytest.approx(exact, rel=1e-8)
 
     def test_rectangular(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((5, 9))
         exact = np.linalg.svd(w, compute_uv=False)[0]
-        assert spectral_norm(w, CFG) == pytest.approx(exact, rel=1e-8)
+        assert spectral_norm(w, **BUDGET) == pytest.approx(exact, rel=1e-8)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]), CFG)
+            spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]), **BUDGET)
+
+    def test_empty_budget_rejected(self):
+        with pytest.raises(DomainError, match="iters"):
+            spectral_norm(np.eye(2), iters=0)
 
 
 class TestLipschitzProject:
@@ -54,12 +58,12 @@ class TestLipschitzProject:
         assert dist == 0.0
 
     def test_diag_two_zero(self):
-        w_hat, dist = lipschitz_project(np.diag([2.0, 0.0]), GuardConfig(tau=1.0, power_iters=200))
+        w_hat, dist = lipschitz_project(np.diag([2.0, 0.0]), GuardConfig(tau=1.0))
         assert np.allclose(w_hat, np.diag([1.0, 0.0]), atol=1e-9)
         assert dist == pytest.approx(1.0, rel=1e-8)
 
     def test_two_identity(self):
-        w_hat, dist = lipschitz_project(2.0 * np.eye(2), GuardConfig(tau=1.0, power_iters=200))
+        w_hat, dist = lipschitz_project(2.0 * np.eye(2), GuardConfig(tau=1.0))
         assert np.allclose(w_hat, np.eye(2), atol=1e-9)
         assert dist == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
@@ -67,14 +71,14 @@ class TestLipschitzProject:
         rng = np.random.default_rng(5)
         for _ in range(20):
             w = rng.standard_normal((4, 4)) * 3.0
-            w1, _ = lipschitz_project(w, CFG)
-            w2, d2 = lipschitz_project(w1, CFG)
+            w1, _ = lipschitz_project(w)
+            w2, d2 = lipschitz_project(w1)
             assert np.allclose(w1, w2, atol=1e-12)
             assert d2 <= 1e-10
 
     def test_output_norm_capped(self):
         rng = np.random.default_rng(9)
-        cfg = GuardConfig(tau=0.7, power_iters=500, power_tol=1e-13)
+        cfg = GuardConfig(tau=0.7)
         for _ in range(10):
             w = rng.standard_normal((6, 6)) * 2.0
             w_hat, _ = lipschitz_project(w, cfg)
@@ -118,7 +122,7 @@ class TestSpecGuard:
     def test_no_trigger_inside(self):
         log = GuardLog()
         a = np.diag([0.5, 0.25])
-        cfg = GuardConfig(epsilon=0.1, power_iters=200)
+        cfg = GuardConfig(epsilon=0.1)
         out = spec_guard_project(a, 1.0, cfg, log)
         assert np.array_equal(out, a)
         assert log.spec_guard_hits == 0
@@ -128,7 +132,7 @@ class TestSpecGuard:
         # rho dt = 2, eps = 0.1 -> scale 0.45, post-indicator 0.9
         log = GuardLog()
         a = np.diag([2.0, 1.0])
-        cfg = GuardConfig(epsilon=0.1, power_iters=200)
+        cfg = GuardConfig(epsilon=0.1)
         out = spec_guard_project(a, 1.0, cfg, log)
         assert np.allclose(out, 0.45 * a, rtol=1e-8)
         assert log.spec_guard_hits == 1
@@ -137,7 +141,7 @@ class TestSpecGuard:
     def test_frobenius_distance_logged(self):
         log = GuardLog()
         a = 2.0 * np.eye(2)
-        cfg = GuardConfig(epsilon=0.1, power_iters=200)
+        cfg = GuardConfig(epsilon=0.1)
         out = spec_guard_project(a, 1.0, cfg, log)
         assert np.allclose(out, 0.9 * np.eye(2), rtol=1e-9)
         assert log.projection_distance == pytest.approx(1.1 * np.sqrt(2.0), rel=1e-8)
@@ -146,13 +150,13 @@ class TestSpecGuard:
         # exactly at the boundary: strict trigger leaves the matrix alone
         log = GuardLog()
         a = 0.9 * np.eye(2)
-        out = spec_guard_project(a, 1.0, GuardConfig(epsilon=0.1, power_iters=300), log)
+        out = spec_guard_project(a, 1.0, GuardConfig(epsilon=0.1), log)
         assert np.array_equal(out, a)
         assert log.spec_guard_hits == 0
 
     def test_guard_safety_invariant(self):
         rng = np.random.default_rng(23)
-        cfg = GuardConfig(epsilon=0.15, power_iters=500, power_tol=1e-13)
+        cfg = GuardConfig(epsilon=0.15)
         log = GuardLog()
         for _ in range(25):
             a = rng.standard_normal((5, 5)) * rng.uniform(0.1, 4.0)
@@ -168,7 +172,7 @@ class TestExactNorms:
     @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
     def test_power_iteration_scale_free(self, magnitude):
         w = np.full((3, 3), magnitude)
-        assert spectral_norm(w, CFG) == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
+        assert spectral_norm(w, **BUDGET) == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
 
     def test_near_degenerate_map_capped(self):
         w = near_degenerate(2, 3)
