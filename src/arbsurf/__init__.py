@@ -7,7 +7,7 @@ from .decoder import DecoderParams, bl_density, decode_surface, icnn_eval, noarb
 from .vix import ReplicationResult, replication_residual, vix_squared
 from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, simulate_paths
 from .training import SaddleState, TrainingConfig, extragradient_step, train
-from .metrics import CnasShape, cnas, effective_dimension, hac_ci, holm_bonferroni, nas, ni, surface_wasserstein
+from .metrics import cnas, effective_dimension, hac_ci, holm_bonferroni, nas, ni, surface_wasserstein
 from .runlog import RunLog, SCHEMA_FIELDS, emit_log
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "ReplicationResult", "replication_residual", "vix_squared",
     "GeneratorConfig", "SyntheticPanel", "blocked_folds", "make_panel", "simulate_paths",
     "SaddleState", "TrainingConfig", "extragradient_step", "train",
-    "CnasShape", "cnas", "effective_dimension", "hac_ci", "holm_bonferroni", "nas", "ni", "surface_wasserstein",
+    "cnas", "effective_dimension", "hac_ci", "holm_bonferroni", "nas", "ni", "surface_wasserstein",
     "RunLog", "SCHEMA_FIELDS", "emit_log",
 ]

@@ -28,7 +28,6 @@ from .decoder import bl_density
 from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, quote_noise_sd, write_panel
 from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
 from .metrics import (
-    CnasShape,
     cnas,
     effective_dimension,
     gen_gap_p95,
@@ -73,6 +72,8 @@ class RunConfig:
             raise DomainError("[run] n_windows must be >= 3 (blocked folds need three windows)")
         if self.stress_draws < 1:
             raise DomainError("[run] stress_draws must be >= 1")
+        if not all(s >= 0 for s in self.stress_strengths):  # NaN fails the comparison
+            raise DomainError("[run] stress_strengths must all be >= 0")
 
 
 @dataclass
@@ -174,18 +175,17 @@ def _gate_log_density_blocks(surfaces) -> list:
 def external_validity_drop(surfaces) -> tuple:
     """Mean in-window-tuned minus frozen shaped score over reuse windows.
 
-    Tuning searches the tolerance over CNAS_TUNE_TAUS. The frozen shape is
-    the one tuned on the first window, reused on the remaining ones;
-    identical windows then give a drop of exactly zero.
+    Only the CNAS tolerance is tuned, over CNAS_TUNE_TAUS; the hinge's
+    stiffness and cap are the frozen constants of `metrics.cnas`. The frozen
+    tolerance is the one tuned on the first window, reused on the remaining
+    ones; identical windows then give a drop of exactly zero. Returns (mean
+    drop, frozen-tolerance score per reuse window).
     """
     if len(surfaces) < 1:
         raise DomainError("need at least one window")
 
-    base = CnasShape()
-
     def tune(surf):
-        best_tau = max(CNAS_TUNE_TAUS, key=lambda tau: cnas(surf, CnasShape(base.kappa, tau, base.scale)))
-        return CnasShape(base.kappa, best_tau, base.scale)
+        return max(CNAS_TUNE_TAUS, key=lambda tau: cnas(surf, tau))
 
     frozen = tune(surfaces[0])
     reuse = surfaces[1:] or surfaces[:1]
@@ -214,6 +214,8 @@ def effective_dims_of_fold(primal, panels, tcfg) -> tuple:
 def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
     """Train one fold and assemble the complete record; returns (state,
     record, decoded surfaces of the validation then the OOS windows)."""
+    if not fold.oos:
+        raise DomainError("a fold needs at least one out-of-sample window")
     data = FoldData.from_fold(panels, fold)
     state, run = train(tcfg, data)
 
@@ -221,15 +223,11 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
     model_surfs = _model_surfaces(state.primal, eval_panels, tcfg)
     oracle_surfs = [p.oracle_surface for p in eval_panels]
     run.NAS = nas(model_surfs[0])
-    run.CNAS = cnas(model_surfs[0], CnasShape())
+    run.CNAS = cnas(model_surfs[0])
     run.Stability = stability([run])
 
-    if len(eval_panels) >= 2:
-        run.NI = ni(model_surfs, oracle_surfs)
-    else:
-        run.NI = 0.0
-    oos_model = model_surfs[1:] or model_surfs
-    oos_oracle = oracle_surfs[1:] or oracle_surfs
+    run.NI = ni(model_surfs, oracle_surfs)
+    oos_model, oos_oracle = model_surfs[1:], oracle_surfs[1:]
     run.SurfaceWasserstein = float(
         np.mean([surface_wasserstein(m, o) for m, o in zip(oos_model, oos_oracle)])
     )
@@ -251,14 +249,14 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
     return state, run, model_surfs
 
 
-def run_reproduce(cfg: ExperimentConfig, out_dir, emit_panels: bool = False) -> list:
-    """Full protocol: panels, blocked folds, training, metrics, records."""
+def run_reproduce(cfg: ExperimentConfig, out_dir) -> list:
+    """Full protocol: panels (written under window_<i>/), blocked folds,
+    training, metrics, records."""
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
-    if emit_panels:
-        for p in panels:
-            write_panel(p, os.path.join(out_dir, f"window_{p.window_index}"), cfg.generator)
+    for p in panels:
+        write_panel(p, os.path.join(out_dir, f"window_{p.window_index}"), cfg.generator)
     folds = blocked_folds(cfg.run.n_windows)
     ledger = SweepLedger()
     records = []
@@ -455,7 +453,7 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
 
 
 def run_external_validity(cfg: ExperimentConfig, out_dir) -> dict:
-    """Frozen-shape reuse across disjoint OOS windows."""
+    """Frozen-tolerance CNAS reuse across disjoint OOS windows."""
     fold = blocked_folds(cfg.run.n_windows)[0]
     if len(fold.oos) < 2:
         raise DomainError("need at least 2 OOS windows for external validity")
@@ -577,7 +575,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.seed)
         if args.command == "reproduce":
-            run_reproduce(cfg, args.out, emit_panels=True)
+            run_reproduce(cfg, args.out)
         elif args.command == "sweep":
             run_sweep(cfg, args.out)
         elif args.command == "ablate":

@@ -32,6 +32,7 @@ from .vix import write_vix2_csv
 
 ORACLE_REPAIR_TOL = 1e-6  # calendar defect above which the oracle is projected
 _DRAW_BLOCK = 4  # steps of normals drawn ahead of the stepping loop
+VIX_WINDOW_DAYS = 30  # calendar days of forward variance averaged by the VIX^2 proxy
 
 
 @dataclass
@@ -57,7 +58,6 @@ class GeneratorConfig:
     liq_a: float = 0.15
     liq_b: float = 1.0
     liq_c: float = 1.0
-    delta_days: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -71,6 +71,16 @@ class GeneratorConfig:
             raise DomainError("kernel requires a_j >= 0 and b_j > 0")
         if self.n_paths < 1 or self.steps_per_year < 1:
             raise DomainError("path/step counts must be positive")
+        # NaN fails every comparison below
+        lo_hi = self.maturity_range
+        if len(lo_hi) != 2 or not 0 < lo_hi[0] < lo_hi[1]:
+            raise DomainError("[generator] maturity_range must be two numbers with 0 < lo < hi")
+        lo_hi = self.log_moneyness_range
+        if len(lo_hi) != 2 or not lo_hi[0] < lo_hi[1]:
+            raise DomainError("[generator] log_moneyness_range must be two numbers with lo < hi")
+        for name in ("noise_scale", "noise_floor", "liq_a", "liq_b", "liq_c"):
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"[generator] {name} must be >= 0")
 
 
 @dataclass
@@ -223,16 +233,16 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     return surface
 
 
-def vix2_proxy(paths: PathEnsemble, cfg: GeneratorConfig, T: float, return_se: bool = False):
+def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
     """Average forward variance over the proxy window:
 
     mean over paths of (1/Delta) int_T^{T+Delta} v_s^+ ds
-    (trapezoid on the day grid, Delta = delta_days / 365).
+    (trapezoid on the day grid, Delta = VIX_WINDOW_DAYS / 365).
 
     Dimensional analysis says the (1/Delta) time average is already an
     annualized variance.
     """
-    delta = cfg.delta_days / 365.0
+    delta = VIX_WINDOW_DAYS / 365.0
     i0 = _maturity_step(paths, T)
     dt = paths.times[1] - paths.times[0]
     i1 = i0 + int(np.ceil(delta / dt - 1e-9))
@@ -305,10 +315,10 @@ def add_noise_censor(
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
     """Simulate one window (window-indexed seed stream) and assemble the panel."""
     grid = make_grid(cfg)
-    horizon = float(grid.maturities[-1]) + cfg.delta_days / 365.0 + 2.0 / cfg.steps_per_year
+    horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
     paths = simulate_paths(cfg, horizon, stream=window_index)
     oracle = oracle_prices(paths, grid)
-    vix2 = np.array([vix2_proxy(paths, cfg, T) for T in grid.maturities])
+    vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
     panel = add_noise_censor(oracle, cfg, stream=window_index + 1)
     panel.vix2_observed = vix2
     panel.window_index = window_index

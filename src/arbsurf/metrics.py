@@ -15,7 +15,6 @@ Scale conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,26 +23,11 @@ from scipy.stats import norm as _norm
 from .decoder import arb_residual_arrays
 from .grids import DomainError, PriceSurface
 
-Z_ALPHA_CACHE: dict[float, float] = {}
-
-
-def _z(confidence: float) -> float:
-    if confidence not in Z_ALPHA_CACHE:
-        Z_ALPHA_CACHE[confidence] = float(_norm.ppf(0.5 * (1.0 + confidence)))
-    return Z_ALPHA_CACHE[confidence]
-
-
-@dataclass
-class CnasShape:
-    """Saturating-hinge shaping parameters, frozen across runs."""
-
-    kappa: float = 10.0
-    tau: float = 1e-4
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa <= 0 or self.tau < 0 or self.scale <= 0:
-            raise DomainError("invalid shape parameters")
+Z_95 = float(_norm.ppf(0.5 * (1.0 + 0.95)))  # two-sided 95% normal quantile of every interval
+HOLM_ALPHA = 0.05  # family-wise level of the Holm-Bonferroni step-down
+CNAS_KAPPA = 10.0  # stiffness of the CNAS saturating hinge
+CNAS_SCALE = 1.0  # saturation cap of the CNAS hinge
+CNAS_TAU = 1e-4  # default CNAS tolerance; the only part of the shaping that is tuned
 
 
 # --- arbitrage scores -------------------------------------------------------
@@ -86,26 +70,29 @@ def nas(surface: PriceSurface) -> float:
     return float(1.0 - total / surface.n_cells())
 
 
-def saturating_hinge(a, b, c, shape: CnasShape):
+def saturating_hinge(a, b, c, tau: float):
     """Smooth bounded penalty of a residual triple: zero at zero, saturating
-    at `scale`, kicking in beyond the tolerance `tau` with stiffness
-    `kappa`."""
-    excess = np.maximum(0.0, np.asarray(a) + np.asarray(b) + np.asarray(c) - shape.tau)
-    return shape.scale * (1.0 - np.exp(-shape.kappa * excess))
+    at CNAS_SCALE, kicking in beyond the tolerance `tau` with stiffness
+    CNAS_KAPPA."""
+    excess = np.maximum(0.0, np.asarray(a) + np.asarray(b) + np.asarray(c) - tau)
+    return CNAS_SCALE * (1.0 - np.exp(-CNAS_KAPPA * excess))
 
 
-def cnas_from_residuals(a: np.ndarray, b: np.ndarray, c: np.ndarray, shape: CnasShape) -> float:
+def cnas_from_residuals(a: np.ndarray, b: np.ndarray, c: np.ndarray, tau: float) -> float:
     """Shaped score from per-cell residual triples (already scaled)."""
-    psi = saturating_hinge(a, b, c, shape)
+    psi = saturating_hinge(a, b, c, tau)
     return float(1.0 - np.mean(psi))
 
 
-def cnas(surface: PriceSurface, shape: CnasShape) -> float:
-    """Shaped arbitrage score on the cell grid.
+def cnas(surface: PriceSurface, tau: float = CNAS_TAU) -> float:
+    """Shaped arbitrage score on the cell grid, 1 minus the mean saturating
+    hinge of each cell's scaled residuals.
 
-    Stencil residuals are assigned to their anchor cell (left strike of a
-    pair, center of a curvature stencil, earlier maturity of a calendar
-    pair); cells without a stencil contribute zeros.
+    The hinge's stiffness (CNAS_KAPPA) and cap (CNAS_SCALE) are frozen
+    across runs; only the tolerance `tau` is tuned. Stencil residuals are
+    assigned to their anchor cell (left strike of a pair, center of a
+    curvature stencil, earlier maturity of a calendar pair); cells without a
+    stencil contribute zeros.
     """
     mono, conv, cal = _scaled_residual_fields(surface)
     L, M = surface.calls.shape
@@ -116,7 +103,7 @@ def cnas(surface: PriceSurface, shape: CnasShape) -> float:
     b[:, 1 : M - 1] = conv
     if L > 1:
         cc[: L - 1, :] = cal
-    return cnas_from_residuals(a, b, cc, shape)
+    return cnas_from_residuals(a, b, cc, tau)
 
 
 # --- forward-unit increment variance ratio ---------------------------------
@@ -279,8 +266,8 @@ def hac_lag(t: int, c: float = 1.0) -> int:
     return int(np.floor(c * t**0.25))
 
 
-def hac_ci(series: np.ndarray, confidence: float = 0.95, c: float = 1.0):
-    """Mean with autocorrelation-robust interval.
+def hac_ci(series: np.ndarray, c: float = 1.0):
+    """Mean with a 95% autocorrelation-robust interval.
 
     Sample autocovariances use the 1/T convention, so at lag 0 the interval
     coincides exactly with the plain iid interval on the same convention.
@@ -291,7 +278,7 @@ def hac_ci(series: np.ndarray, confidence: float = 0.95, c: float = 1.0):
         raise DomainError("need at least 8 observations")
     lag = hac_lag(t, c)
     lrv = newey_west_lrv(x, lag)
-    half = _z(confidence) * np.sqrt(lrv / t)
+    half = Z_95 * np.sqrt(lrv / t)
     mean = float(x.mean())
     return mean, mean - half, mean + half
 
@@ -305,8 +292,9 @@ def mean_interval(values) -> tuple:
     return float(x.mean()), float(x.min()), float(x.max())
 
 
-def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> np.ndarray:
-    """Sequential step-down rejections; stops at the first failure."""
+def holm_bonferroni(p_values: Sequence[float]) -> np.ndarray:
+    """Sequential step-down rejections at family-wise level HOLM_ALPHA;
+    stops at the first failure."""
     p = np.asarray(p_values, dtype=float)
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise DomainError("p-values must lie in [0, 1]")
@@ -316,7 +304,7 @@ def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> np.ndarra
         return reject
     order = np.argsort(p, kind="stable")
     for k, idx in enumerate(order):
-        if p[idx] <= alpha / (m - k):
+        if p[idx] <= HOLM_ALPHA / (m - k):
             reject[idx] = True
         else:
             break
@@ -381,6 +369,6 @@ def gap_representer_regression(gaps: np.ndarray, rep_errors: np.ndarray):
         s_mat += (1.0 - k / (lag + 1.0)) * (gam + gam.T)
     xtx_inv = np.linalg.inv(X.T @ X / t)
     cov = xtx_inv @ s_mat @ xtx_inv / t
-    half = _z(0.95) * np.sqrt(max(cov[1, 1], 0.0))
+    half = Z_95 * np.sqrt(max(cov[1, 1], 0.0))
     slope = float(beta[1])
     return slope, float(beta[0]), (slope - half, slope + half)

@@ -42,10 +42,10 @@ class OperatorParams:
 
     transitions: (L, m, m); injections: (L, m, d) storing the composed
     injection-times-embedding map; readouts: (L, p, m); gate_raw: (L, M)
-    pre-activation of the measure gate on the strike grid.
+    pre-activation of the measure gate on the strike grid. The rank m is
+    read off the transitions.
     """
 
-    rank: int
     transitions: np.ndarray
     injections: np.ndarray
     readouts: np.ndarray
@@ -56,11 +56,9 @@ class OperatorParams:
         self.injections = np.asarray(self.injections, dtype=float)
         self.readouts = np.asarray(self.readouts, dtype=float)
         self.gate_raw = np.asarray(self.gate_raw, dtype=float)
-        if self.rank < 1:
-            raise DomainError("rank must be >= 1")
         L, m, m2 = self.transitions.shape
-        if m != m2 or m != self.rank:
-            raise DomainError("transitions must be (L, m, m) with m == rank")
+        if m != m2 or m < 1:
+            raise DomainError("transitions must be (L, m, m) with m >= 1")
         if self.injections.shape[0] != L or self.injections.shape[1] != m:
             raise DomainError("injections must be (L, m, d)")
         if self.readouts.shape[0] != L or self.readouts.shape[2] != m:
@@ -70,6 +68,10 @@ class OperatorParams:
         for arr in (self.transitions, self.injections, self.readouts, self.gate_raw):
             if not np.all(np.isfinite(arr)):
                 raise DomainError("operator parameters must be finite")
+
+    @property
+    def rank(self) -> int:
+        return self.transitions.shape[1]
 
     @property
     def n_maturities(self) -> int:
@@ -248,14 +250,6 @@ def martingale_residual(w: np.ndarray, grid: MarketGrid, ell: int) -> float:
     return abs(f_gate - f) / f
 
 
-@dataclass
-class RepresenterRecord:
-    """Audit record for the coverage-deficit fallback."""
-
-    enter_representer_at_step: int
-    coverage_at_trigger: float
-
-
 def _maturity_similarity(params: OperatorParams) -> np.ndarray:
     """Cosine similarity between maturities in Green-kernel feature space."""
     L = params.n_maturities
@@ -271,15 +265,15 @@ def _maturity_similarity(params: OperatorParams) -> np.ndarray:
     return sim
 
 
-def representer_fallback(
-    surface: PriceSurface, params: OperatorParams, step: int = 0
-) -> tuple[PriceSurface, RepresenterRecord | None]:
-    """Fill masked cells by kernel-weighted interpolation over observed cells.
+def representer_fallback(surface: PriceSurface, params: OperatorParams) -> tuple[PriceSurface, float | None]:
+    """Fill masked cells by kernel-weighted interpolation over observed cells;
+    returns (filled surface, observed fraction before the fill).
 
-    Weights combine the Green-kernel similarity between maturities with a
-    Gaussian kernel in strike. A surface with no masked cells is returned
-    unchanged with no trigger record. A maturity row with no observed cell
-    at all cannot be recovered.
+    Training calls it before its first step, so a fired fallback is logged
+    at step 0. Weights combine the Green-kernel similarity between
+    maturities with a Gaussian kernel in strike. A surface with no masked
+    cells is returned unchanged with coverage None. A maturity row with no
+    observed cell at all cannot be recovered.
     """
     grid = surface.grid
     n_masked = surface.n_cells() - surface.n_observed()
@@ -310,4 +304,4 @@ def representer_fallback(
         puts[ell, j] = float(w @ obs_p / total)
     filled = PriceSurface.from_matrices(grid, calls, puts,
                                         require_nonnegative=surface.require_nonnegative)
-    return filled, RepresenterRecord(step, coverage)
+    return filled, coverage

@@ -304,7 +304,6 @@ def to_decoder_params(primal: dict) -> DecoderParams:
 
 def to_operator_params(primal: dict) -> OperatorParams:
     return OperatorParams(
-        rank=primal["transitions"].shape[1],
         transitions=primal["transitions"],
         injections=primal["injections"],
         readouts=primal["readouts"],
@@ -462,6 +461,17 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     return fw
 
 
+def _dual_terms(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> tuple:
+    """(no-arbitrage, martingale, replication) dual terms of the objective,
+    from the residuals of a forward pass."""
+    s = fw.slices
+    return (
+        float(duals["na"] @ fw.r_na),
+        cfg.gamma * float(duals["mart"][s] @ fw.mres[s]),
+        cfg.xi * float(duals["vix"] @ fw.r_vix),
+    )
+
+
 def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> float:
     """Objective at the duals given, from the residuals of a forward pass.
 
@@ -469,14 +479,8 @@ def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> floa
     the same primal point; every objective value is summed here, in one
     operand order, so values computed either way agree bit for bit.
     """
-    s = fw.slices
-    value = (
-        fw.mse
-        + float(duals["na"] @ fw.r_na)
-        + cfg.gamma * float(duals["mart"][s] @ fw.mres[s])
-        + cfg.xi * float(duals["vix"] @ fw.r_vix)
-        + cfg.beta_nov * float(np.mean(fw.mres[s] ** 2))
-    )
+    na, mart, vix = _dual_terms(fw, duals, cfg)
+    value = fw.mse + na + mart + vix + cfg.beta_nov * float(np.mean(fw.mres[fw.slices] ** 2))
     if not np.isfinite(value):
         raise TrainingDivergence(f"non-finite objective ({value})")
     return value
@@ -869,7 +873,7 @@ def train(cfg: TrainingConfig, data: FoldData):
     """
     panels = list(data.train_panels)
     cover = coverage_stats([p.quoted_surface for p in panels + [data.val_panel]])
-    representer_record = None
+    trigger_coverage = None
 
     batch = build_batch(panels, cfg)
     state = init_state(cfg, batch)
@@ -878,9 +882,9 @@ def train(cfg: TrainingConfig, data: FoldData):
         filled = []
         op = to_operator_params(state.primal)
         for p in panels:
-            surf, rec = representer_fallback(p.quoted_surface, op, step=0)
-            if rec is not None:
-                representer_record = rec
+            surf, coverage = representer_fallback(p.quoted_surface, op)
+            if coverage is not None:
+                trigger_coverage = coverage
             filled.append(replace(p, quoted_surface=surf))
         panels = filled
         batch = build_batch(panels, cfg)
@@ -896,26 +900,18 @@ def train(cfg: TrainingConfig, data: FoldData):
     if fw is None:  # no step ran: the defect at the initial point, all maturities
         fw = model_forward(state.primal, state.duals, batch, cfg)
     else:
-        dual_part = (
-            float(duals["na"] @ fw.r_na)
-            + cfg.gamma * float(duals["mart"][fw.slices] @ fw.mres[fw.slices])
-            + cfg.xi * float(duals["vix"] @ fw.r_vix)
-        )
-        final_ratio = ratio_log(fw.mse, dual_part)
+        na, mart, vix = _dual_terms(fw, duals, cfg)
+        final_ratio = ratio_log(fw.mse, na + mart + vix)
     run = RunLog(
         DualGap=hist.gap[-1] if hist.gap else None,
         spec_guard_hits=state.guard.spec_guard_hits,
         projection_distance=state.guard.projection_distance,
         max_rho_dt=state.guard.max_rho_dt,
         ratio_log=final_ratio,
-        enter_representer_at_step=(
-            representer_record.enter_representer_at_step if representer_record else None
-        ),
+        enter_representer_at_step=None if trigger_coverage is None else 0,
         coverage_min=cover.coverage_min,
         coverage_mean=cover.coverage_mean,
-        coverage_at_trigger=(
-            representer_record.coverage_at_trigger if representer_record else None
-        ),
+        coverage_at_trigger=trigger_coverage,
         martingale_residual=float(fw.mres.mean()),
         lambda_lip_before=state.guard.lambda_lip_before,
         lambda_lip_after=state.guard.lambda_lip_after,

@@ -22,9 +22,9 @@ from arbsurf.cli import (
     run_reproduce,
     run_stress_to_fail,
 )
-from arbsurf.generator import GeneratorConfig
+from arbsurf.generator import Fold, GeneratorConfig, make_panel
 from arbsurf.grids import DomainError
-from arbsurf.metrics import CnasShape, nas
+from arbsurf.metrics import nas
 from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, RunLog, SweepLedger, SweepRow, config_hash, emit_log
 from arbsurf.training import TrainingConfig, TrainingDivergence
 
@@ -115,6 +115,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("section,key", [
         ("training", "gate_lr_mult"), ("training", "feature_scale"), ("training", "dual_mult_vix"),
         ("training", "dual_ramp_steps"), ("generator", "vix_proxy_factor"), ("run", "nas_failure_threshold"),
+        ("generator", "delta_days"),
     ])
     def test_fixed_convention_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "fixed.ini"
@@ -129,7 +130,8 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[{section}\] {key}"):
             load_config(path)
 
-    @pytest.mark.parametrize("key,value", [("n_windows", 2), ("stress_draws", 0)])
+    @pytest.mark.parametrize("key,value", [("n_windows", 2), ("stress_draws", 0),
+                                           ("stress_strengths", "0 -1"), ("stress_strengths", "0 nan")])
     def test_run_keys_validated_at_load(self, tmp_path, key, value):
         path = tmp_path / "run.ini"
         path.write_text(f"[run]\n{key} = {value}\n")
@@ -150,6 +152,22 @@ class TestConfigFile:
         path = tmp_path / "training.ini"
         path.write_text(f"[training]\n{key} = {value}\n")
         with pytest.raises(DomainError, match=rf"\[training\] {key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("maturity_range", (0.5, 0.1)), ("maturity_range", (0.0, 1.0)), ("maturity_range", (float("nan"), 1.0)),
+        ("maturity_range", (0.1, 0.5, 1.0)), ("log_moneyness_range", (0.6, -0.6)),
+        ("log_moneyness_range", (0.2, 0.2)), ("noise_scale", -0.01), ("noise_scale", float("nan")),
+        ("noise_floor", -0.05), ("liq_a", float("nan")), ("liq_a", -0.1), ("liq_b", -1.0),
+        ("liq_c", float("nan")),
+    ])
+    def test_generator_ranges_and_noise_validated(self, tmp_path, key, value):
+        with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
+            GeneratorConfig(**{key: value})
+        raw = " ".join(map(str, value)) if isinstance(value, tuple) else value
+        path = tmp_path / "generator.ini"
+        path.write_text(f"[generator]\n{key} = {raw}\n")
+        with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
             load_config(path)
 
     @pytest.mark.parametrize("section,key,raw", [
@@ -244,6 +262,8 @@ class TestReproduceSmoke:
 
     def test_outputs_written(self, reproduce_records):
         _, out = reproduce_records
+        for w in range(4):
+            assert (out / f"window_{w}" / "quoted.csv").exists()
         assert (out / "sweep_ledger.csv").exists()
         assert (out / "report" / "metrics.csv").exists()
         assert (out / "report" / "summary.csv").exists()
@@ -256,6 +276,20 @@ class TestReproduceSmoke:
             again = run_reproduce(cfg, tmp_path / "again")
         for (_, a), (_, b) in zip(recs, again):
             assert a == b
+
+
+class TestRunFold:
+    def test_fold_without_oos_rejected_before_training(self, monkeypatch):
+        trained = []
+        train = cli.train
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args) or train(*args))
+        cfg = smoke_cfg()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            panels = [make_panel(cfg.generator, w) for w in range(2)]
+            with pytest.raises(DomainError, match="out-of-sample"):
+                cli.run_fold(panels, Fold(train=[0], val=1, oos=[]), cfg.training)
+        assert trained == []
 
 
 class TestStress:

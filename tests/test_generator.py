@@ -9,6 +9,7 @@ from arbsurf import cli
 from arbsurf.decoder import static_arb_residuals
 from arbsurf.generator import (
     _DRAW_BLOCK,
+    VIX_WINDOW_DAYS,
     Fold,
     GeneratorConfig,
     add_noise_censor,
@@ -145,11 +146,11 @@ class TestPathsMatchReference:
         assert threading.active_count() == before
 
         grid = make_grid(cfg)
-        horizon = float(grid.maturities[-1]) + cfg.delta_days / 365.0 + 2.0 / cfg.steps_per_year
+        horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
         ref = reference_paths(cfg, horizon, stream=window)
         oracle = oracle_prices(ref, grid)
         quoted = add_noise_censor(oracle, cfg, stream=window + 1).quoted_surface
-        vix2 = np.array([vix2_proxy(ref, cfg, T) for T in grid.maturities])
+        vix2 = np.array([vix2_proxy(ref, T) for T in grid.maturities])
         assert panel.oracle_surface.calls.tobytes() == oracle.calls.tobytes()
         assert panel.oracle_surface.puts.tobytes() == oracle.puts.tobytes()
         assert panel.quoted_surface.calls.tobytes() == quoted.calls.tobytes()
@@ -224,7 +225,7 @@ class TestVix2Proxy:
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         v0=0.05, theta_mean=0.05, n_paths=100)
         paths = simulate_paths(cfg, 1.0)
-        assert vix2_proxy(paths, cfg, 0.5) == pytest.approx(0.05, rel=1e-12)
+        assert vix2_proxy(paths, 0.5) == pytest.approx(0.05, rel=1e-12)
 
     def test_pure_heston_closed_form(self):
         cfg = smoke_cfg(
@@ -242,8 +243,8 @@ class TestVix2Proxy:
         # with no shocks the kernel plays no role and v is exactly the ODE.
         paths = simulate_paths(cfg, 1.2)
         T = 0.5
-        delta = cfg.delta_days / 365.0
-        est = vix2_proxy(paths, cfg, T)
+        delta = VIX_WINDOW_DAYS / 365.0
+        est = vix2_proxy(paths, T)
 
         # closed form for the mean-reverting ODE average over [T, T+delta]
         def v_exact(t):
@@ -258,7 +259,7 @@ class TestVix2Proxy:
         cfg = smoke_cfg(n_paths=50)
         paths = simulate_paths(cfg, 0.3)
         with pytest.raises(DomainError):
-            vix2_proxy(paths, cfg, 0.29)
+            vix2_proxy(paths, 0.29)
 
 
 class TestNoiseCensor:
@@ -362,10 +363,10 @@ class TestStripProxyConsistency:
             seed=9,
         )
         grid = make_grid(cfg)
-        horizon = float(grid.maturities[-1]) + cfg.delta_days / 365.0 + 2.0 / cfg.steps_per_year
+        horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
         paths = simulate_paths(cfg, horizon)
         oracle = oracle_prices(paths, grid)
         for ell, T in enumerate(grid.maturities):
             strip = vix_squared(oracle, ell)
-            proxy = vix2_proxy(paths, cfg, float(T))
+            proxy = vix2_proxy(paths, float(T))
             assert abs(strip - proxy) <= 5e-3, (ell, strip, proxy)

@@ -3,7 +3,6 @@ import pytest
 
 from arbsurf.grids import DomainError, MarketGrid, PriceSurface
 from arbsurf.metrics import (
-    CnasShape,
     cnas,
     cnas_from_residuals,
     effective_dimension,
@@ -65,21 +64,19 @@ class TestNas:
 
 class TestCnas:
     def test_zero_residuals_one(self):
-        for shape in (CnasShape(), CnasShape(5.0, 0.0, 2.0)):
-            assert cnas(feasible_surface(), shape) == pytest.approx(1.0)
+        for tau in (1e-4, 0.0):
+            assert cnas(feasible_surface(), tau) == pytest.approx(1.0)
 
     def test_single_cell_hinge_arithmetic(self):
-        shape = CnasShape(kappa=10.0, tau=0.1, scale=1.0)
-        val = cnas_from_residuals(np.array([0.2]), np.array([0.0]), np.array([0.0]), shape)
+        val = cnas_from_residuals(np.array([0.2]), np.array([0.0]), np.array([0.0]), 0.1)
         assert val == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_bounded_above(self):
         rng = np.random.default_rng(1)
-        shape = CnasShape()
         for _ in range(10):
             calls = rng.normal(5.0, 3.0, size=(3, 6))
             s = surface_from(calls, np.linspace(90, 110, 6), [0.5, 1.0, 1.5])
-            assert cnas(s, shape) <= 1.0 + 1e-12
+            assert cnas(s) <= 1.0 + 1e-12
 
 
 class TestNi:
@@ -263,7 +260,7 @@ class TestHolm:
         rng = np.random.default_rng(8)
         for _ in range(50):
             p = rng.uniform(0, 1, size=6)
-            rej = holm_bonferroni(p, alpha=0.05)
+            rej = holm_bonferroni(p)
             assert np.all(p[rej] <= 0.05)
 
     def test_out_of_range(self):

@@ -24,7 +24,6 @@ from arbsurf.qalign import GuardConfig, GuardLog, spec_guard_project
 def make_params(L=4, m=3, d=3, p=2, M=5, rng=None, a_scale=0.4):
     rng = rng or np.random.default_rng(0)
     return OperatorParams(
-        rank=m,
         transitions=rng.standard_normal((L, m, m)) * a_scale,
         injections=rng.standard_normal((L, m, d)) * 0.5,
         readouts=rng.standard_normal((L, p, m)) * 0.5,
@@ -42,7 +41,6 @@ class TestScanForward:
     def test_memoryless(self):
         L, m = 4, 3
         params = OperatorParams(
-            rank=m,
             transitions=np.zeros((L, m, m)),
             injections=np.tile(np.eye(m), (L, 1, 1)),
             readouts=np.tile(np.eye(m), (L, 1, 1)),
@@ -57,7 +55,6 @@ class TestScanForward:
     def test_geometric_decay(self):
         L, m = 5, 2
         params = OperatorParams(
-            rank=m,
             transitions=np.tile(0.5 * np.eye(m), (L, 1, 1)),
             injections=np.tile(np.eye(m), (L, 1, 1)),
             readouts=np.tile(np.eye(m), (L, 1, 1)),
@@ -156,7 +153,6 @@ class TestGreenKernel:
         rng = np.random.default_rng(3)
         inj = rng.standard_normal((L, m, m))
         params = OperatorParams(
-            rank=m,
             transitions=np.tile(np.eye(m), (L, 1, 1)),
             injections=inj,
             readouts=np.tile(np.eye(m), (L, 1, 1)),
@@ -225,7 +221,6 @@ class TestGreenSum:
     def test_geometric_series(self):
         L, m, alpha = 40, 3, 0.6
         params = OperatorParams(
-            rank=m,
             transitions=np.tile(alpha * np.eye(m), (L, 1, 1)),
             injections=np.tile(np.eye(m), (L, 1, 1)),
             readouts=np.tile(np.eye(m), (L, 1, 1)),
@@ -325,7 +320,6 @@ class TestPriceFunctional:
         )
         gate_raw = np.tile(inv_softplus(np.maximum(dens, 1e-300)), (L, 1))
         params = OperatorParams(
-            rank=1,
             transitions=np.zeros((L, 1, 1)),
             injections=np.zeros((L, 1, 1)),
             readouts=np.zeros((L, 1, 1)),
@@ -361,7 +355,6 @@ class TestMartingaleResidual:
         grid = MarketGrid(np.array([0.5, 1.0]), strikes, 100.0, 0.0, 0.0)
         dens = np.exp(-((strikes - 100.0) ** 2) / (2 * 15.0**2))
         params = OperatorParams(
-            rank=1,
             transitions=np.zeros((2, 1, 1)),
             injections=np.zeros((2, 1, 1)),
             readouts=np.zeros((2, 1, 1)),
@@ -377,8 +370,8 @@ class TestRepresenterFallback:
         calls = tuple(np.linspace(20, 1, 5) for _ in range(4))
         mask = tuple(np.ones(5, dtype=bool) for _ in range(4))
         s = PriceSurface(grid, calls, calls, mask)
-        filled, record = representer_fallback(s, make_params(L=4, M=5))
-        assert record is None
+        filled, coverage = representer_fallback(s, make_params(L=4, M=5))
+        assert coverage is None
         assert filled is s
 
     def test_symmetric_equal_neighbors(self):
@@ -387,10 +380,9 @@ class TestRepresenterFallback:
         calls = (np.array([7.0, np.nan, 7.0]), np.array([7.0, 7.0, 7.0]))
         mask = (np.array([True, False, True]), np.array([True, True, True]))
         s = PriceSurface(grid, calls, calls, mask)
-        filled, record = representer_fallback(s, make_params(L=2, M=3), step=5)
+        filled, coverage = representer_fallback(s, make_params(L=2, M=3))
         assert filled.calls[0][1] == pytest.approx(7.0, rel=1e-12)
-        assert record.enter_representer_at_step == 5
-        assert record.coverage_at_trigger == pytest.approx(5 / 6)
+        assert coverage == pytest.approx(5 / 6)
 
     def test_symmetric_weights_average(self):
         strikes = np.array([90.0, 100.0, 110.0])
