@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -181,17 +182,16 @@ def external_validity_drop(surfaces) -> tuple:
     ones; identical windows then give a drop of exactly zero. Returns (mean
     drop, frozen-tolerance score per reuse window).
     """
-    if len(surfaces) < 1:
-        raise DomainError("need at least one window")
+    if len(surfaces) < 2:
+        raise DomainError("external validity needs at least two windows: one to tune, one to reuse")
 
     def tune(surf):
         return max(CNAS_TUNE_TAUS, key=lambda tau: cnas(surf, tau))
 
     frozen = tune(surfaces[0])
-    reuse = surfaces[1:] or surfaces[:1]
     drops = []
     per_window = []
-    for surf in reuse:
+    for surf in surfaces[1:]:
         frozen_val = cnas(surf, frozen)
         tuned_val = cnas(surf, tune(surf))
         per_window.append(frozen_val)
@@ -244,8 +244,9 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
 
     rate, _, _ = novikov_kazamaki_rate(_gate_log_density_blocks(model_surfs))
     run.novik_to_kazamaki_rate = rate
-    drop, _ = external_validity_drop(oos_model)
-    run.cnas_frozen_drop = drop
+    # one OOS window leaves nothing to reuse the frozen tolerance on: not
+    # measured (the one shared NaN object, so equal records compare equal)
+    run.cnas_frozen_drop = external_validity_drop(oos_model)[0] if len(oos_model) >= 2 else math.nan
     return state, run, model_surfs
 
 

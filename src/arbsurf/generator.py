@@ -61,37 +61,47 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.v0, self.kappa, self.theta_mean, self.sigma_volvol) < 0:
-            raise DomainError("variance parameters must be nonnegative")
-        if abs(self.rho) > 1:
-            raise DomainError("|rho| must not exceed 1")
+        # every check is written so that NaN fails it
+        if not self.s0 > 0:
+            raise DomainError("[generator] s0 must be > 0")
+        for name in ("r", "q"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"[generator] {name} must be finite")
+        for name in ("v0", "kappa", "theta_mean", "sigma_volvol",
+                     "noise_scale", "noise_floor", "liq_a", "liq_b", "liq_c"):
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"[generator] {name} must be >= 0")
+        if not abs(self.rho) <= 1:
+            raise DomainError("[generator] rho must satisfy |rho| <= 1")
         if len(self.kernel_weights) != len(self.kernel_rates):
-            raise DomainError("kernel weights/rates length mismatch")
-        if any(a < 0 for a in self.kernel_weights) or any(b <= 0 for b in self.kernel_rates):
-            raise DomainError("kernel requires a_j >= 0 and b_j > 0")
-        if self.n_paths < 1 or self.steps_per_year < 1:
-            raise DomainError("path/step counts must be positive")
-        # NaN fails every comparison below
+            raise DomainError("[generator] kernel_weights and kernel_rates must have the same length")
+        if not all(a >= 0 for a in self.kernel_weights):
+            raise DomainError("[generator] kernel_weights entries must be >= 0")
+        if not all(b > 0 for b in self.kernel_rates):
+            raise DomainError("[generator] kernel_rates entries must be > 0")
+        for name in ("n_paths", "steps_per_year"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"[generator] {name} must be positive")
         lo_hi = self.maturity_range
         if len(lo_hi) != 2 or not 0 < lo_hi[0] < lo_hi[1]:
             raise DomainError("[generator] maturity_range must be two numbers with 0 < lo < hi")
         lo_hi = self.log_moneyness_range
         if len(lo_hi) != 2 or not lo_hi[0] < lo_hi[1]:
             raise DomainError("[generator] log_moneyness_range must be two numbers with lo < hi")
-        for name in ("noise_scale", "noise_floor", "liq_a", "liq_b", "liq_c"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"[generator] {name} must be >= 0")
 
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths on the day grid: times (N+1,), spot and variance
-    (n_paths, N+1). The two arrays are transposed views of time-major
-    (N+1, n_paths) storage, so one time slice `spot[:, i]` is contiguous."""
+    """Simulated paths at the stored steps of the day grid: times (K,) of
+    the K stored steps (all N+1 by default), spot and variance
+    (n_paths, K), and the exact step dt = 1 / steps_per_year. The two
+    arrays are transposed views of time-major (K, n_paths) storage, so one
+    time slice `spot[:, i]` is contiguous."""
 
     times: np.ndarray
     spot: np.ndarray
     variance: np.ndarray
+    dt: float
 
 
 @dataclass
@@ -139,16 +149,20 @@ def _rng(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[cfg.seed, stream]))
 
 
-def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> PathEnsemble:
-    """Euler full-truncation simulation to `horizon` (years).
+def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
+                   keep=None) -> PathEnsemble:
+    """Euler full-truncation simulation to `horizon` (years), storing the
+    steps `keep` (strictly increasing indices into 0..N; every step when
+    None). A stored row holds the same bytes whatever else is stored.
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
-    Paths are stored time-major, so each step reads and writes contiguous
-    rows. One worker thread draws the normals of the next `_DRAW_BLOCK`
-    steps while this thread steps the current block; the worker alone
-    touches the generator, and a (steps, 2, n) fill consumes the stream in
-    the same order as a (z1, zp) pair of n-draws per step.
+    The loop steps one spot and one variance row and copies them into
+    time-major storage at a kept step. One worker thread draws the normals
+    of the next `_DRAW_BLOCK` steps while this thread steps the current
+    block; the worker alone touches the generator, and a (steps, 2, n) fill
+    consumes the stream in the same order as a (z1, zp) pair of n-draws per
+    step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
@@ -157,14 +171,24 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> Pat
     n = cfg.n_paths
     rng = _rng(cfg, stream)
 
+    steps = np.arange(n_steps + 1) if keep is None else np.asarray(keep)
+    if (steps.ndim != 1 or len(steps) == 0 or not np.issubdtype(steps.dtype, np.integer)
+            or steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
+        raise DomainError(f"keep must be strictly increasing step indices in 0..{n_steps}")
+    row_of = np.full(n_steps + 1, -1)  # storage row of each step, -1 when not kept
+    row_of[steps] = np.arange(len(steps))
+
     a = np.asarray(cfg.kernel_weights, dtype=float)
     b = np.asarray(cfg.kernel_rates, dtype=float)
     decay = np.exp(-b * dt)
 
-    spot = np.empty((n_steps + 1, n))
-    variance = np.empty((n_steps + 1, n))
-    spot[0] = cfg.s0
-    variance[0] = cfg.v0
+    spot = np.empty((len(steps), n))
+    variance = np.empty((len(steps), n))
+    s = np.full(n, float(cfg.s0))
+    v = np.full(n, float(cfg.v0))
+    if row_of[0] == 0:
+        spot[0] = s
+        variance[0] = v
 
     drift_acc = np.zeros(n)  # integral of kappa (theta - v)
     conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
@@ -182,24 +206,33 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0) -> Pat
             for step, (z1, zp) in enumerate(z, start):
                 z2 = cfg.rho * z1 + rho_perp * zp
 
-                v_plus = np.maximum(variance[step], 0.0)
+                v_plus = np.maximum(v, 0.0)
                 sq_v_dt = np.sqrt(v_plus * dt)
-                spot[step + 1] = spot[step] * np.exp((mu - 0.5 * v_plus) * dt + sq_v_dt * z1)
+                s = s * np.exp((mu - 0.5 * v_plus) * dt + sq_v_dt * z1)
 
                 drift_acc += cfg.kappa * (cfg.theta_mean - v_plus) * dt
                 shock = cfg.sigma_volvol * sq_v_dt * z2
                 conv_states = decay[:, None] * (conv_states + shock[None, :])
-                variance[step + 1] = cfg.v0 + drift_acc + a @ conv_states
+                v = cfg.v0 + drift_acc + a @ conv_states
+                row = row_of[step + 1]
+                if row >= 0:
+                    spot[row] = s
+                    variance[row] = v
 
-    times = np.arange(n_steps + 1) * dt
-    return PathEnsemble(times, spot.T, variance.T)
+    return PathEnsemble(steps * dt, spot.T, variance.T, dt)
 
 
 def _maturity_step(paths: PathEnsemble, T: float) -> int:
-    idx = int(np.round(T * (len(paths.times) - 1) / paths.times[-1]))
-    if abs(paths.times[idx] - T) > 1e-9:
-        raise DomainError(f"maturity {T} does not lie on the simulation grid")
-    return idx
+    """Row of `paths` that stores the step at maturity T."""
+    row = int(np.searchsorted(paths.times, T - 1e-9))
+    if row == len(paths.times) or abs(paths.times[row] - T) > 1e-9:
+        raise DomainError(f"maturity {T} is not a stored step of the simulated paths")
+    return row
+
+
+def _vix_window_steps(dt: float) -> int:
+    """Steps from a maturity to the end of its VIX^2 proxy window."""
+    return int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
 
 
 def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
@@ -220,8 +253,6 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     calls = np.empty((L, M))
     puts = np.empty((L, M))
     for ell, T in enumerate(grid.maturities):
-        if T > paths.times[-1] + 1e-9:
-            raise DomainError("paths do not reach all maturities")
         s_t = paths.spot[:, _maturity_step(paths, T)]
         disc = np.exp(-grid.rate * T)
         calls[ell] = disc * np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
@@ -240,14 +271,15 @@ def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
     (trapezoid on the day grid, Delta = VIX_WINDOW_DAYS / 365).
 
     Dimensional analysis says the (1/Delta) time average is already an
-    annualized variance.
+    annualized variance. Every step of the window must be stored.
     """
-    delta = VIX_WINDOW_DAYS / 365.0
+    dt = paths.dt
+    width = _vix_window_steps(dt)
     i0 = _maturity_step(paths, T)
-    dt = paths.times[1] - paths.times[0]
-    i1 = i0 + int(np.ceil(delta / dt - 1e-9))
-    if i1 >= paths.variance.shape[1]:
-        raise DomainError("simulation horizon does not cover the proxy window")
+    i1 = i0 + width
+    # stored steps strictly increase, so a last row `width` steps on closes the window
+    if i1 >= len(paths.times) or round((paths.times[i1] - paths.times[i0]) / dt) != width:
+        raise DomainError(f"the proxy window of maturity {T} is not stored in the simulated paths")
     # a C-ordered copy of the window keeps the BLAS summation order of v @ w
     v = np.maximum(np.ascontiguousarray(paths.variance[:, i0 : i1 + 1]), 0.0)
     w = np.full(i1 - i0 + 1, dt)
@@ -313,10 +345,15 @@ def add_noise_censor(
 
 
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
-    """Simulate one window (window-indexed seed stream) and assemble the panel."""
+    """Simulate one window (window-indexed seed stream) and assemble the
+    panel. Only the steps the panel reads are stored: each maturity and the
+    rest of its proxy window."""
     grid = make_grid(cfg)
     horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-    paths = simulate_paths(cfg, horizon, stream=window_index)
+    maturity_steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+    window = np.arange(_vix_window_steps(1.0 / cfg.steps_per_year) + 1)
+    keep = np.unique(maturity_steps[:, None] + window[None, :])
+    paths = simulate_paths(cfg, horizon, stream=window_index, keep=keep)
     oracle = oracle_prices(paths, grid)
     vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
     panel = add_noise_censor(oracle, cfg, stream=window_index + 1)

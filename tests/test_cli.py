@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from dataclasses import replace
@@ -170,6 +171,29 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("s0", -100.0), ("s0", 0.0), ("s0", float("nan")), ("r", float("nan")), ("q", float("inf")),
+        ("v0", -0.01), ("v0", float("nan")), ("kappa", float("nan")), ("theta_mean", -0.04),
+        ("sigma_volvol", float("nan")), ("rho", float("nan")), ("rho", 1.5), ("rho", -1.01),
+        ("kernel_weights", (float("nan"), 0.4)), ("kernel_weights", (0.6, -0.4)),
+        ("kernel_rates", (float("nan"), 0.5)), ("kernel_rates", (5.0, 0.0)),
+    ])
+    def test_generator_model_parameters_validated(self, tmp_path, key, value):
+        # NaN used to load and fail later in make_panel with an unrelated message
+        with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
+            GeneratorConfig(**{key: value})
+        raw = " ".join(map(str, value)) if isinstance(value, tuple) else value
+        path = tmp_path / "generator.ini"
+        path.write_text(f"[generator]\n{key} = {raw}\n")
+        with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("rho", 1.0), ("rho", -1.0), ("v0", 0.0), ("sigma_volvol", 0.0), ("kernel_weights", (0.0, 0.0)),
+    ])
+    def test_generator_boundary_values_accepted(self, key, value):
+        assert getattr(GeneratorConfig(**{key: value}), key) == value
+
     @pytest.mark.parametrize("section,key,raw", [
         ("training", "max_steps", "abc"),
         ("generator", "rho", "-0.5x"),
@@ -267,6 +291,21 @@ class TestReproduceSmoke:
         assert (out / "sweep_ledger.csv").exists()
         assert (out / "report" / "metrics.csv").exists()
         assert (out / "report" / "summary.csv").exists()
+
+    def test_one_oos_window_drop_not_measured(self, reproduce_records):
+        # fold 0 reuses its frozen tolerance on window 3; fold 1 has window 3 alone
+        recs, out = reproduce_records
+        assert np.isfinite(recs[0][1]["cnas_frozen_drop"])
+        assert np.isnan(recs[1][1]["cnas_frozen_drop"])
+        assert np.isnan(json.loads(Path(recs[1][0]).read_text())["cnas_frozen_drop"])
+        # the NaN stays out of every interval of the report
+        with open(out / "report" / "summary.csv", encoding="utf-8") as fh:
+            summary = list(csv.DictReader(fh))
+        assert all(np.isfinite(float(row[k])) for row in summary for k in ("mean", "ci_lo", "ci_hi"))
+        with open(out / "report" / "metrics.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        bounds = [k for k in rows[0] if k.endswith(("_lo", "_hi"))]
+        assert all(np.isfinite(float(row[k])) for row in rows for k in bounds)
 
     def test_determinism(self, reproduce_records, tmp_path):
         recs, _ = reproduce_records
@@ -430,6 +469,19 @@ class TestExternalValidity:
         drop, _ = external_validity_drop([surf, surf, surf])
         assert drop == pytest.approx(0.0, abs=1e-15)
 
+    def test_one_window_rejected(self):
+        from .oracles import bs_call
+        from arbsurf.grids import MarketGrid, PriceSurface
+
+        mats = np.array([0.5, 1.0])
+        strikes = np.linspace(70, 130, 13)
+        grid = MarketGrid(mats, strikes, 100.0, 0.01, 0.0)
+        calls = np.vstack([bs_call(100.0, strikes, t, 0.01, 0.0, 0.2) for t in mats])
+        surf = PriceSurface.from_matrices(grid, calls, calls)
+        # scoring the one window against itself would read 0.0 by construction
+        with pytest.raises(DomainError, match="at least two windows"):
+            external_validity_drop([surf])
+
     def test_planted_mismatch_positive_drop(self):
         from arbsurf.grids import MarketGrid, PriceSurface
 
@@ -489,6 +541,16 @@ class TestCliMain:
             assert bad in rec.getMessage()
             assert rec.exc_info is None
             assert not (tmp_path / "out").exists()  # nothing ran
+
+    def test_nan_generator_value_is_one_line(self, tmp_path, caplog):
+        path = tmp_path / "nanrho.ini"
+        path.write_text("[generator]\nrho = nan\n[training]\nmax_steps = 3\n")
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "reproduce"])
+        assert rc == 1
+        (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+        assert "[generator] rho" in rec.getMessage()
+        assert rec.exc_info is None
+        assert not (tmp_path / "out").exists()  # nothing ran
 
     def test_config_error_is_one_line(self, tmp_path, caplog):
         path = tmp_path / "typed.ini"

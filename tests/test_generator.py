@@ -1,11 +1,13 @@
+import re
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arbsurf import cli
+from arbsurf import cli, generator
 from arbsurf.decoder import static_arb_residuals
 from arbsurf.generator import (
     _DRAW_BLOCK,
@@ -157,6 +159,94 @@ class TestPathsMatchReference:
         assert panel.quoted_surface.puts.tobytes() == quoted.puts.tobytes()
         assert np.array_equal(panel.quoted_surface.mask, quoted.mask)
         assert panel.vix2_observed.tobytes() == vix2.tobytes()
+
+
+class TestKeptRows:
+    """`keep` stores a subset of the steps; each stored row is the full
+    simulation's row, byte for byte."""
+
+    N_STEPS = 3 * _DRAW_BLOCK + 2
+
+    @pytest.mark.parametrize("keep", [
+        [0],
+        [N_STEPS],
+        [0, N_STEPS],
+        [1, 2, 3],
+        [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1],  # rows on both sides of a drawn block
+        [2, _DRAW_BLOCK, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 1],
+        list(range(1, N_STEPS)),
+    ])
+    def test_rows_equal_full_simulation(self, keep):
+        cfg = smoke_cfg(n_paths=301, steps_per_year=12)
+        horizon = self.N_STEPS / cfg.steps_per_year
+        full = simulate_paths(cfg, horizon, stream=2)
+        part = simulate_paths(cfg, horizon, stream=2, keep=np.array(keep))
+        assert part.dt == full.dt == 1.0 / cfg.steps_per_year
+        assert part.times.tobytes() == full.times[keep].tobytes()
+        for name in ("spot", "variance"):
+            got = np.ascontiguousarray(getattr(part, name)).tobytes()
+            assert got == np.ascontiguousarray(getattr(full, name)[:, keep]).tobytes(), name
+
+    @pytest.mark.parametrize("keep", [
+        [], [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]],
+    ])
+    def test_invalid_keep_rejected(self, keep):
+        cfg = smoke_cfg(n_paths=11, steps_per_year=12)
+        with pytest.raises(DomainError, match="keep"):
+            simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, keep=np.array(keep))
+
+    @pytest.mark.parametrize("cfg, rows", [
+        (GeneratorConfig(n_paths=200), 12 * 22),  # default shape: 12 disjoint maturity + 21-step windows
+        (smoke_cfg(n_paths=200), None),
+    ])
+    def test_make_panel_stores_only_rows_it_reads(self, monkeypatch, cfg, rows):
+        stored = []
+        simulate = generator.simulate_paths
+
+        def recording(*args, **kwargs):
+            stored.append(simulate(*args, **kwargs))
+            return stored[-1]
+
+        monkeypatch.setattr(generator, "simulate_paths", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # few paths
+            make_panel(cfg, 0)
+        (paths,) = stored
+        dt = 1.0 / cfg.steps_per_year
+        width = int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
+        read = sorted({m + i for m in np.rint(make_grid(cfg).maturities / dt).astype(int)
+                       for i in range(width + 1)})
+        assert rows is None or len(read) == rows
+        assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, len(read))
+        assert np.array_equal(np.rint(paths.times / dt), read)
+
+    def test_missing_rows_named_by_maturity(self):
+        cfg = smoke_cfg(n_paths=1000)
+        grid = make_grid(cfg)
+        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+        horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
+        every = np.arange(int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) + 1)
+        T1 = float(grid.maturities[1])
+
+        paths = simulate_paths(cfg, horizon, keep=np.setdiff1d(every, [steps[1]]))
+        for price in (lambda: oracle_prices(paths, grid), lambda: vix2_proxy(paths, T1)):
+            with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} "):
+                price()
+
+        # a gap inside the proxy window of one maturity: its oracle row is
+        # still there, its variance window is not
+        paths = simulate_paths(cfg, horizon, keep=np.setdiff1d(every, [steps[1] + 3]))
+        oracle_prices(paths, grid)
+        vix2_proxy(paths, float(grid.maturities[0]))
+        with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T1))} "):
+            vix2_proxy(paths, T1)
+
+        # the stored rows end before the last proxy window closes
+        paths = simulate_paths(cfg, horizon, keep=every[: steps[-1] + 5])
+        oracle_prices(paths, grid)
+        T_last = float(grid.maturities[-1])
+        with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T_last))} "):
+            vix2_proxy(paths, T_last)
 
 
 class TestSnappedMaturities:
