@@ -2,9 +2,16 @@
 Experiment harness: reproduce, sweep, ablations, stress-to-fail, external
 validity, and report rendering, all emitting the locked audit-log schema.
 
+`reproduce` trains every blocked fold through `run_fold`. The other run
+commands train fold 0 through `_train_fold0`; `sweep` and `ablate` run their
+seeded trials through one loop, `_run_trials`, which writes each record with
+a manifest carrying that trial's own config hash, so every trial can be
+replayed. The sweep ledger, the stress curve and the report tables are
+written by one CSV writer.
+
 Config files are flat key=value INI text with one section per module
-([generator], [training], [run], [stress]); every key mirrors a dataclass
-field. All outputs land under --out together with a manifest per record.
+([generator], [training], [run]); every key mirrors a dataclass field. All
+outputs land under --out together with a manifest per record.
 """
 
 from __future__ import annotations
@@ -24,9 +31,18 @@ from configparser import Error as ConfigError
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.stats import norm
 
 from .decoder import bl_density
-from .generator import GeneratorConfig, SyntheticPanel, blocked_folds, make_panel, quote_noise_sd, write_panel
+from .generator import (
+    GeneratorConfig,
+    SyntheticPanel,
+    add_noise_censor,
+    blocked_folds,
+    make_panel,
+    quote_noise_sd,
+    write_panel,
+)
 from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
 from .metrics import (
     cnas,
@@ -41,7 +57,7 @@ from .metrics import (
     surface_wasserstein,
 )
 from .operator import scan_forward
-from .runlog import RunLog, SweepLedger, SweepRow, config_hash, emit_log
+from .runlog import SCHEMA_FIELDS, RunLog, config_hash, emit_log
 from .training import (
     FoldData,
     TrainingConfig,
@@ -57,6 +73,7 @@ LOGGER = logging.getLogger("arbsurf")
 STRESS_RATE_SHIFT = 0.01  # numeraire-shift axis: r -> r + 0.01 * strength
 NAS_FAILURE_LEVEL = 0.9  # stress-to-fail: first strength whose mean NAS drops below this
 CNAS_TUNE_TAUS = (0.0, 1e-5, 1e-4, 1e-3)  # tolerance grid of the in-window CNAS tuning
+LEDGER_HEADER = ("seed", "gamma", "beta_nov", "xi", "lr_multiplier", "config_hash", "run_log")
 
 
 @dataclass
@@ -150,12 +167,16 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
 # --- shared pipeline pieces --------------------------------------------------
 
 
-def _model_surfaces(primal, panels, tcfg) -> list:
-    return [decode_window(primal, p, tcfg) for p in panels]
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _cell_errors(model: PriceSurface, oracle: PriceSurface) -> np.ndarray:
-    return np.abs(model.calls - oracle.calls).ravel()
+def _ledger_row(cfg: ExperimentConfig, lr_multiplier: float, path) -> list:
+    t = cfg.training
+    return [t.seed, t.gamma, t.beta_nov, t.xi, lr_multiplier, cfg.hash(), path]
 
 
 def _gate_log_density_blocks(surfaces) -> list:
@@ -220,7 +241,7 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
     state, run = train(tcfg, data)
 
     eval_panels = [data.val_panel] + list(data.oos_panels)
-    model_surfs = _model_surfaces(state.primal, eval_panels, tcfg)
+    model_surfs = [decode_window(state.primal, p, tcfg) for p in eval_panels]
     oracle_surfs = [p.oracle_surface for p in eval_panels]
     run.NAS = nas(model_surfs[0])
     run.CNAS = cnas(model_surfs[0])
@@ -232,14 +253,12 @@ def run_fold(panels, fold, tcfg: TrainingConfig) -> tuple:
         np.mean([surface_wasserstein(m, o) for m, o in zip(oos_model, oos_oracle)])
     )
 
-    train_surfs = _model_surfaces(state.primal, data.train_panels, tcfg)
     train_err = np.mean(
-        [_cell_errors(m, p.oracle_surface) for m, p in zip(train_surfs, data.train_panels)],
+        [np.abs(decode_window(state.primal, p, tcfg).calls - p.oracle_surface.calls).ravel()
+         for p in data.train_panels],
         axis=0,
     )
-    oos_err = np.mean(
-        [_cell_errors(m, o) for m, o in zip(oos_model, oos_oracle)], axis=0
-    )
+    oos_err = np.mean([np.abs(m.calls - o.calls).ravel() for m, o in zip(oos_model, oos_oracle)], axis=0)
     run.GenGap_p95 = gen_gap_p95(train_err, oos_err)
 
     rate, _, _ = novikov_kazamaki_rate(_gate_log_density_blocks(model_surfs))
@@ -259,7 +278,6 @@ def run_reproduce(cfg: ExperimentConfig, out_dir) -> list:
     for p in panels:
         write_panel(p, os.path.join(out_dir, f"window_{p.window_index}"), cfg.generator)
     folds = blocked_folds(cfg.run.n_windows)
-    ledger = SweepLedger()
     records = []
     for fi, fold in enumerate(folds):
         state, run, _ = run_fold(panels, fold, cfg.training)
@@ -274,52 +292,67 @@ def run_reproduce(cfg: ExperimentConfig, out_dir) -> list:
                 state.primal, [panels[i] for i in fold.train], cfg.training
             ),
         }
-        record = emit_log(run, path, manifest)
-        records.append((path, record))
-        ledger.append(
-            SweepRow(
-                seed=cfg.training.seed,
-                gamma=cfg.training.gamma,
-                beta_nov=cfg.training.beta_nov,
-                xi=cfg.training.xi,
-                lr_multiplier=1.0,
-                cfg_hash=cfg.hash(),
-                run_log_path=path,
-            )
-        )
-    ledger.write_csv(os.path.join(out_dir, "sweep_ledger.csv"))
+        records.append((path, emit_log(run, path, manifest)))
+    _write_csv(os.path.join(out_dir, "sweep_ledger.csv"), LEDGER_HEADER,
+               [_ledger_row(cfg, 1.0, path) for path, _ in records])
     report([p for p, _ in records], os.path.join(out_dir, "report"))
+    return records
+
+
+def _trial(cfg: ExperimentConfig, seed: int, training: TrainingConfig) -> ExperimentConfig:
+    """One seeded trial: cfg's generator and the given training config, both
+    under seed."""
+    return ExperimentConfig(replace(cfg.generator, seed=seed), replace(training, seed=seed), cfg.run)
+
+
+def _train_fold0(cfg: ExperimentConfig, panels=None) -> tuple:
+    """Fold 0 of the blocked folds trained through `run_fold`, on the given
+    panels or on cfg's windows; returns (panels, fold, state, record,
+    decoded surfaces of the validation then the OOS windows)."""
+    fold = blocked_folds(cfg.run.n_windows)[0]
+    if panels is None:
+        panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
+    return (panels, fold, *run_fold(panels, fold, cfg.training))
+
+
+def _run_trials(trials, out_dir) -> list:
+    """Train fold 0 of each (name, trial config, manifest) and emit its record
+    as runlog_<name>.json, the manifest completed with the trial's own
+    config_hash. A diverged trial is a valid logged outcome: its record is
+    the placeholder. Returns [(record path, record)]."""
+    os.makedirs(out_dir, exist_ok=True)
+    records = []
+    for name, trial, manifest in trials:
+        try:
+            _, _, _, run, _ = _train_fold0(trial)
+        except TrainingDivergence as err:
+            LOGGER.warning("trial %s failed: %s", name, err)
+            run = RunLog(
+                NAS=float("-inf"), NI=0.0, CNAS=float("-inf"), DualGap=float("inf"),
+                Stability=0.0, SurfaceWasserstein=float("inf"), GenGap_p95=float("inf"),
+                spec_guard_hits=0, projection_distance=0.0, max_rho_dt=float("inf"),
+                ratio_log=float("nan"), coverage_min=0.0, coverage_mean=0.0,
+                martingale_residual=float("inf"), novik_to_kazamaki_rate=float("nan"),
+                lambda_lip_before=float("nan"), lambda_lip_after=float("nan"),
+                filter_rate=0.0, cnas_frozen_drop=float("nan"),
+            )
+        path = os.path.join(out_dir, f"runlog_{name}.json")
+        emit_log(run, path, {**manifest, "config_hash": trial.hash()})
+        records.append((path, run))
     return records
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> list:
     """Seed x learning-rate grid, every trial logged for exact replay."""
-    os.makedirs(out_dir, exist_ok=True)
-    ledger = SweepLedger()
-    records = []
-    for seed in cfg.run.sweep_seeds:
-        for mult in cfg.run.sweep_lr_multipliers:
-            trial = ExperimentConfig(
-                generator=replace(cfg.generator, seed=seed),
-                training=replace(
-                    cfg.training,
-                    seed=seed,
-                    step_primal=cfg.training.step_primal * mult,
-                    step_dual=cfg.training.step_dual * mult,
-                ),
-                run=cfg.run,
-            )
-            panels = [make_panel(trial.generator, w) for w in range(cfg.run.n_windows)]
-            fold = blocked_folds(cfg.run.n_windows)[0]
-            state, run, _ = run_fold(panels, fold, trial.training)
-            path = os.path.join(out_dir, f"runlog_seed{seed}_lr{mult}.json")
-            emit_log(run, path, {"config_hash": trial.hash(), "lr_multiplier": mult})
-            ledger.append(
-                SweepRow(seed, trial.training.gamma, trial.training.beta_nov,
-                         trial.training.xi, mult, trial.hash(), path)
-            )
-            records.append(path)
-    ledger.write_csv(os.path.join(out_dir, "sweep_ledger.csv"))
+    t = cfg.training
+    trials = [(f"seed{seed}_lr{mult}",
+               _trial(cfg, seed, replace(t, step_primal=t.step_primal * mult, step_dual=t.step_dual * mult)),
+               {"lr_multiplier": mult})
+              for seed in cfg.run.sweep_seeds for mult in cfg.run.sweep_lr_multipliers]
+    records = _run_trials(trials, out_dir)
+    _write_csv(os.path.join(out_dir, "sweep_ledger.csv"), LEDGER_HEADER,
+               [_ledger_row(trial, manifest["lr_multiplier"], path)
+                for (_, trial, manifest), (path, _) in zip(trials, records)])
     return records
 
 
@@ -339,30 +372,9 @@ def ablation_config(which: str, tcfg: TrainingConfig) -> TrainingConfig:
 
 def run_ablation(which: str, cfg: ExperimentConfig, out_dir) -> list:
     """Run the structural switch across the configured seeds."""
-    os.makedirs(out_dir, exist_ok=True)
-    records = []
-    for seed in cfg.run.ablation_seeds:
-        trial_gen = replace(cfg.generator, seed=seed)
-        tcfg = replace(ablation_config(which, cfg.training), seed=seed)
-        panels = [make_panel(trial_gen, w) for w in range(cfg.run.n_windows)]
-        fold = blocked_folds(cfg.run.n_windows)[0]
-        try:
-            state, run, _ = run_fold(panels, fold, tcfg)
-        except TrainingDivergence as err:  # divergence is a valid logged outcome here
-            LOGGER.warning("ablation %s seed %d failed: %s", which, seed, err)
-            run = RunLog(
-                NAS=float("-inf"), NI=0.0, CNAS=float("-inf"), DualGap=float("inf"),
-                Stability=0.0, SurfaceWasserstein=float("inf"), GenGap_p95=float("inf"),
-                spec_guard_hits=0, projection_distance=0.0, max_rho_dt=float("inf"),
-                ratio_log=float("nan"), coverage_min=0.0, coverage_mean=0.0,
-                martingale_residual=float("inf"), novik_to_kazamaki_rate=float("nan"),
-                lambda_lip_before=float("nan"), lambda_lip_after=float("nan"),
-                filter_rate=0.0, cnas_frozen_drop=float("nan"),
-            )
-        path = os.path.join(out_dir, f"runlog_{which}_seed{seed}.json")
-        emit_log(run, path, {"ablation": which, "seed": seed, "config_hash": cfg.hash()})
-        records.append((path, run))
-    return records
+    switched = ablation_config(which, cfg.training)
+    return _run_trials([(f"{which}_seed{seed}", _trial(cfg, seed, switched), {"ablation": which, "seed": seed})
+                        for seed in cfg.run.ablation_seeds], out_dir)
 
 
 def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float,
@@ -371,8 +383,6 @@ def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float
     amplitude scaled by `strength`, on the grid shifted by the numeraire
     shift r -> r + 0.01 * strength. strength 0 returns the baseline panel
     itself (no redraw)."""
-    from .generator import add_noise_censor
-
     if strength == 0.0:
         return panel
     noisy_cfg = replace(gen, noise_scale=gen.noise_scale * strength)
@@ -411,14 +421,13 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
     model-implied cells, and the numeraire shift moves the discount rate of
     the scoring context (and of the feature path feeding the decode).
     Returns {strength: (mean NAS, lo, hi)} plus the failure threshold (the
-    smallest strength whose mean drops below NAS_FAILURE_LEVEL).
+    smallest strength whose mean drops below NAS_FAILURE_LEVEL). A given
+    state comes with the panels it is scored on; without one, fold 0 is
+    trained on the given panels or on cfg's windows.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if panels is None:
-        panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
     if state is None:
-        fold = blocked_folds(cfg.run.n_windows)[0]
-        state, _, _ = run_fold(panels, fold, cfg.training)
+        panels, _, state, _, _ = _train_fold0(cfg, panels)
     eval_panel = panels[-1]
     strengths = sorted(cfg.run.stress_strengths)
     curve = {}
@@ -445,22 +454,17 @@ def run_stress_to_fail(cfg: ExperimentConfig, out_dir, state=None, panels=None) 
     }
     with open(os.path.join(out_dir, "stress_curve.json"), "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=2)
-    with open(os.path.join(out_dir, "stress_curve.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strength", "nas_mean", "nas_lo", "nas_hi"])
-        for s, (m, lo, hi) in curve.items():
-            writer.writerow([s, f"{m:.10g}", f"{lo:.10g}", f"{hi:.10g}"])
+    _write_csv(os.path.join(out_dir, "stress_curve.csv"), ["strength", "nas_mean", "nas_lo", "nas_hi"],
+               [[s, f"{m:.10g}", f"{lo:.10g}", f"{hi:.10g}"] for s, (m, lo, hi) in curve.items()])
     return out
 
 
 def run_external_validity(cfg: ExperimentConfig, out_dir) -> dict:
     """Frozen-tolerance CNAS reuse across disjoint OOS windows."""
-    fold = blocked_folds(cfg.run.n_windows)[0]
-    if len(fold.oos) < 2:
+    if cfg.run.n_windows < 4:  # fold 0 scores windows 2, 3, ... out of sample
         raise DomainError("need at least 2 OOS windows for external validity")
     os.makedirs(out_dir, exist_ok=True)
-    panels = [make_panel(cfg.generator, w) for w in range(cfg.run.n_windows)]
-    _, _, model_surfs = run_fold(panels, fold, cfg.training)
+    _, fold, _, _, model_surfs = _train_fold0(cfg)
     drop, per_window = external_validity_drop(model_surfs[1:])
     _, lo, hi = mean_interval(per_window)
     out = {
@@ -490,7 +494,6 @@ def report(runlog_paths, out_dir) -> None:
         except json.JSONDecodeError as err:
             raise DomainError(f"run log {path} is not JSON: {err}") from err
     os.makedirs(out_dir, exist_ok=True)
-    from .runlog import SCHEMA_FIELDS
 
     # headline metrics: finite values and (mean, lo, hi) over the runs
     headline = ["NAS", "CNAS", "NI", "DualGap", "Stability", "SurfaceWasserstein", "GenGap_p95"]
@@ -501,56 +504,43 @@ def report(runlog_paths, out_dir) -> None:
         finite[metric] = vals[np.isfinite(vals)]
         interval[metric] = mean_interval(finite[metric]) if len(finite[metric]) else None
 
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["run"] + list(SCHEMA_FIELDS)
-        for metric in headline_ci:
-            header += [f"{metric}_lo", f"{metric}_hi"]
-        writer.writerow(header)
-        for name, rec in rows:
-            row = [name] + [rec.get(k) for k in SCHEMA_FIELDS]
-            for metric in headline_ci:
-                row += list(interval[metric][1:]) if interval[metric] else ["", ""]
-            writer.writerow(row)
+    header, bounds = ["run"] + list(SCHEMA_FIELDS), []
+    for metric in headline_ci:
+        header += [f"{metric}_lo", f"{metric}_hi"]
+        bounds += list(interval[metric][1:]) if interval[metric] else ["", ""]
+    _write_csv(os.path.join(out_dir, "metrics.csv"), header,
+               [[name] + [rec.get(k) for k in SCHEMA_FIELDS] + bounds for name, rec in rows])
 
     # headline table with intervals where enough runs exist
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "ci_lo", "ci_hi", "n"])
-        p_values = []
-        for metric in headline:
-            vals = finite[metric]
-            if interval[metric] is None:
-                writer.writerow([metric, "", "", "", 0])
-                continue
-            mean, lo, hi = interval[metric]
-            writer.writerow([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
-            if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
-                from scipy.stats import norm as _n
-
-                z = (vals.mean() - 0.9) / (vals.std(ddof=1) / np.sqrt(len(vals)))
-                p_values.append((metric, float(1.0 - _n.cdf(z))))
-        if p_values:
-            rejections = holm_bonferroni([p for _, p in p_values])
-            with open(os.path.join(out_dir, "holm.csv"), "w", newline="", encoding="utf-8") as fh2:
-                w2 = csv.writer(fh2)
-                w2.writerow(["hypothesis", "p_value", "rejected"])
-                for (name, p), rej in zip(p_values, rejections):
-                    w2.writerow([f"{name}_above_0.9", f"{p:.6g}", bool(rej)])
+    summary, p_values = [], []
+    for metric in headline:
+        vals = finite[metric]
+        if interval[metric] is None:
+            summary.append([metric, "", "", "", 0])
+            continue
+        mean, lo, hi = interval[metric]
+        summary.append([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
+        if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
+            z = (vals.mean() - 0.9) / (vals.std(ddof=1) / np.sqrt(len(vals)))
+            p_values.append((metric, float(1.0 - norm.cdf(z))))
+    _write_csv(os.path.join(out_dir, "summary.csv"), ["metric", "mean", "ci_lo", "ci_hi", "n"], summary)
+    if p_values:
+        rejections = holm_bonferroni([p for _, p in p_values])
+        _write_csv(os.path.join(out_dir, "holm.csv"), ["hypothesis", "p_value", "rejected"],
+                   [[f"{name}_above_0.9", f"{p:.6g}", bool(rej)] for (name, p), rej in zip(p_values, rejections)])
 
     # guard-effect series with the contraction ratio and safety headroom
-    with open(os.path.join(out_dir, "guard_effects.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "spec_guard_hits", "projection_distance", "max_rho_dt",
-                         "lambda_lip_before", "lambda_lip_after", "contraction_ratio",
-                         "headroom"])
-        for name, rec in rows:
-            before = rec.get("lambda_lip_before")
-            after = rec.get("lambda_lip_after")
-            ratio = after / before if before not in (None, 0) and after is not None else ""
-            headroom = 1.0 - after if after is not None else ""
-            writer.writerow([name, rec.get("spec_guard_hits"), rec.get("projection_distance"),
-                             rec.get("max_rho_dt"), before, after, ratio, headroom])
+    guard = []
+    for name, rec in rows:
+        before = rec.get("lambda_lip_before")
+        after = rec.get("lambda_lip_after")
+        ratio = after / before if before not in (None, 0) and after is not None else ""
+        headroom = 1.0 - after if after is not None else ""
+        guard.append([name, rec.get("spec_guard_hits"), rec.get("projection_distance"),
+                      rec.get("max_rho_dt"), before, after, ratio, headroom])
+    _write_csv(os.path.join(out_dir, "guard_effects.csv"),
+               ["run", "spec_guard_hits", "projection_distance", "max_rho_dt", "lambda_lip_before",
+                "lambda_lip_after", "contraction_ratio", "headroom"], guard)
 
 
 # --- entry point -------------------------------------------------------------

@@ -116,15 +116,6 @@ class SyntheticPanel:
     clamp_count: int = 0
 
 
-def kernel_eval(cfg: GeneratorConfig, tau: float) -> float:
-    """Completely monotone memory kernel sum_j a_j exp(-b_j tau)."""
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
-    a = np.asarray(cfg.kernel_weights, dtype=float)
-    b = np.asarray(cfg.kernel_rates, dtype=float)
-    return float(np.sum(a * np.exp(-b * tau)))
-
-
 def snapped_maturities(cfg: GeneratorConfig) -> np.ndarray:
     """Maturities on [range], snapped onto the simulation day grid so that
     surface snapshots land exactly on simulated steps."""

@@ -35,10 +35,3 @@ def sigmoid(x, e=None):
         e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def inv_softplus(y):
-    """Inverse of softplus on (0, inf); y = softplus(x) -> x."""
-    y = np.asarray(y, dtype=float)
-    # log(expm1(y)) but stable for large y where expm1 overflows
-    return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))

@@ -16,13 +16,15 @@ injections[ell] for s == ell and transitions[ell] ... transitions[s+1] @
 injections[s] for s < ell. Runtime of the scan is O(L m^2) (dense
 transitions).
 
-`scan_recursion`, `gate_density`, `green_kernels` and `green_sums` are the
-unvalidated kernels behind `scan_forward`, `measure_gate`, `green_kernel`
-and `green_sum`, and `scan_adjoint` and `gate_density_backward` are the
-reverse passes of the scan and the gate; the training loop calls them
-directly, so non-finite parameters reach its objective check instead of
-raising here. Every Green kernel (`green_kernel`, `green_sums`, the
-representer's similarity) is read from the one `green_kernels` stack.
+`scan_recursion`, `gate_density` and `green_kernels` are the unvalidated
+kernels behind `scan_forward`, `measure_gate` and `green_kernel`, and
+`scan_adjoint` and `gate_density_backward` are the reverse passes of the
+scan and the gate; the training loop calls them directly, so non-finite
+parameters reach its objective check instead of raising here. `green_sums`,
+the per-maturity sum of Green-kernel norms, is the summability factor of
+the training loop's Lipschitz surrogate. Every Green kernel (`green_kernel`,
+`green_sums`, the representer's similarity) is read from the one
+`green_kernels` stack.
 """
 
 from __future__ import annotations
@@ -183,17 +185,6 @@ def green_sums(transitions: np.ndarray, injections: np.ndarray) -> np.ndarray:
     """(L,) sums of the spectral norms of the Green kernels feeding each
     maturity, from one batched norm call over the stacked kernels."""
     return spectral_norms(green_kernels(transitions, injections)).sum(axis=1)
-
-
-def green_sum(params: OperatorParams, ell: int) -> float:
-    """Sum of spectral norms of the Green kernels feeding maturity ell.
-
-    The running stability diagnostic: finite and bounded across ell once the
-    transitions respect the safety projection.
-    """
-    if not (0 <= ell < params.n_maturities):
-        raise DomainError("index out of range")
-    return float(green_sums(params.transitions[: ell + 1], params.injections[: ell + 1])[-1])
 
 
 def measure_gate(params: OperatorParams, grid: MarketGrid) -> np.ndarray:

@@ -1,5 +1,5 @@
 """
-The consolidated per-run audit record and the sweep ledger.
+The consolidated per-run audit record and its emission.
 
 The record schema is locked: exactly the fields of `RunLog`, in their
 declared order (`SCHEMA_FIELDS`), one value (or null) each per run. Nulls
@@ -71,40 +71,6 @@ def config_hash(config: dict) -> str:
     """Deterministic digest over a flattened config mapping."""
     blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-@dataclass
-class SweepRow:
-    seed: int
-    gamma: float
-    beta_nov: float
-    xi: float
-    lr_multiplier: float
-    cfg_hash: str
-    run_log_path: str
-
-
-class SweepLedger:
-    """Append-only record of sweep configurations for exact replay."""
-
-    def __init__(self):
-        self.rows: list[SweepRow] = []
-
-    def append(self, row: SweepRow) -> None:
-        self.rows.append(row)
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["seed", "gamma", "beta_nov", "xi", "lr_multiplier", "config_hash", "run_log"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [r.seed, r.gamma, r.beta_nov, r.xi, r.lr_multiplier, r.cfg_hash, r.run_log_path]
-                )
 
 
 def emit_log(run: RunLog, path, manifest: dict | None = None) -> dict:

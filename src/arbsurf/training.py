@@ -128,7 +128,6 @@ class TrainingConfig:
     gate_enabled: bool = True
     specguard_enabled: bool = True
     guard: GuardConfig = field(default_factory=GuardConfig)
-    log_every: int = 100
 
     def __post_init__(self):
         for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, n_slices=1, k_inner=1,

@@ -156,11 +156,3 @@ def write_vix2_csv(path, maturities: np.ndarray, vix2: np.ndarray) -> None:
         writer.writerow(["T", "vix2"])
         for t, v in zip(maturities, vix2):
             writer.writerow([f"{t:.12g}", f"{v:.12g}"])
-
-
-def write_residuals_csv(path, maturities: np.ndarray, result: ReplicationResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "residual", "tail_flag"])
-        for t, r, fl in zip(maturities, result.residuals, result.tail_truncation_flag):
-            writer.writerow([f"{t:.12g}", f"{r:.12g}", int(fl)])

@@ -13,7 +13,8 @@ time, the held-out gap estimator with one forward pass per step of each
 half, the saddle loop that runs each step and its gap in turn in one
 process, and the Lipschitz surrogate logged at every safety pass. The
 softplus oracle evaluates each element with the C library's exp and log1p,
-which numpy's vector loops may round differently by an ulp.
+which numpy's vector loops may round differently by an ulp. `inv_softplus`
+builds gate pre-activations whose softplus is a given density.
 """
 
 import itertools
@@ -162,6 +163,13 @@ def math_softplus(x):
     x = np.asarray(x, dtype=float)
     return np.array([v if math.isnan(v) else max(v, 0.0) + math.log1p(math.exp(-abs(v)))
                      for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def inv_softplus(y):
+    """Inverse of softplus on (0, inf), y = softplus(x) -> x: log(expm1(y)),
+    and y itself above 30, where expm1 would overflow."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
 def loop_scan_recursion(transitions, injections, readouts, inputs, h0=None):

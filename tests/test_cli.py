@@ -26,7 +26,7 @@ from arbsurf.cli import (
 from arbsurf.generator import Fold, GeneratorConfig, make_panel
 from arbsurf.grids import DomainError
 from arbsurf.metrics import nas
-from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, RunLog, SweepLedger, SweepRow, config_hash, emit_log
+from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, RunLog, config_hash, emit_log
 from arbsurf.training import TrainingConfig, TrainingDivergence
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
@@ -81,12 +81,12 @@ class TestRunLogSchema:
         assert config_hash(cfg) != config_hash({"a": 2, "b": [1, 2]})
 
     def test_sweep_ledger(self, tmp_path):
-        ledger = SweepLedger()
-        ledger.append(SweepRow(0, 1.0, 0.1, 0.5, 1.0, "abc", "run.json"))
+        cfg = smoke_cfg()
         path = tmp_path / "ledger.csv"
-        ledger.write_csv(path)
+        cli._write_csv(path, cli.LEDGER_HEADER, [cli._ledger_row(cfg, 1.0, "run.json")])
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("seed,gamma,beta_nov,xi")
+        assert lines[0] == "seed,gamma,beta_nov,xi,lr_multiplier,config_hash,run_log"
+        assert lines[1] == f"11,1.0,0.1,0.5,1.0,{cfg.hash()},run.json"
         assert len(lines) == 2
 
 
@@ -112,11 +112,11 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=r"unknown config key \[training\] bogus_key$"):
             load_config(path)
 
-    # fixed conventions are module constants, not settings
+    # fixed conventions are module constants, not settings; log_every was read by nothing
     @pytest.mark.parametrize("section,key", [
         ("training", "gate_lr_mult"), ("training", "feature_scale"), ("training", "dual_mult_vix"),
         ("training", "dual_ramp_steps"), ("generator", "vix_proxy_factor"), ("run", "nas_failure_threshold"),
-        ("generator", "delta_days"),
+        ("generator", "delta_days"), ("training", "log_every"),
     ])
     def test_fixed_convention_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "fixed.ini"
@@ -308,13 +308,19 @@ class TestReproduceSmoke:
         assert all(np.isfinite(float(row[k])) for row in rows for k in bounds)
 
     def test_determinism(self, reproduce_records, tmp_path):
-        recs, _ = reproduce_records
+        recs, out = reproduce_records
         cfg = smoke_cfg()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             again = run_reproduce(cfg, tmp_path / "again")
         for (_, a), (_, b) in zip(recs, again):
             assert a == b
+        # the protocol's byte-identity, which holds for a NaN field whatever float object carries it
+        emitted = [Path(path).relative_to(out) for path, _ in recs]
+        emitted += sorted(p.relative_to(out) for p in out.glob("report/*.csv"))
+        assert len(emitted) == 2 + 4  # two folds; metrics, summary, holm and guard_effects tables
+        for rel in emitted:
+            assert (out / rel).read_bytes() == (tmp_path / "again" / rel).read_bytes(), rel
 
 
 class TestRunFold:
@@ -400,6 +406,23 @@ class TestAblationRun:
         assert tuple(rec) == SCHEMA_FIELDS
         assert rec == run.to_dict()
         assert np.isfinite(rec["NAS"])
+
+    def test_manifests_name_their_trial(self, tmp_path):
+        cfg = smoke_cfg(ablation_seeds=(11, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = run_ablation("gate_off", cfg, tmp_path)
+        hashes = []
+        for (path, _), seed in zip(records, (11, 12)):
+            manifest = json.loads(Path(path + ".manifest.json").read_text())
+            trial = ExperimentConfig(
+                generator=replace(cfg.generator, seed=seed),
+                training=replace(ablation_config("gate_off", cfg.training), seed=seed),
+                run=cfg.run,
+            )
+            assert manifest == {"ablation": "gate_off", "seed": seed, "config_hash": trial.hash()}
+            hashes.append(manifest["config_hash"])
+        assert len(set(hashes)) == 2 and cfg.hash() not in hashes
 
     def test_divergence_writes_placeholder(self, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -592,5 +615,36 @@ class TestSweepSmoke:
             records = run_sweep(cfg, tmp_path)
         assert len(records) == 1
         assert (tmp_path / "sweep_ledger.csv").exists()
-        rec = json.loads((tmp_path / records[0].split("/")[-1]).read_text()) if False else json.loads(open(records[0]).read())
+        (path, _), = records
+        rec = json.loads(open(path).read())
         assert tuple(rec.keys()) == SCHEMA_FIELDS
+
+    def test_divergence_is_a_logged_trial(self, tmp_path, monkeypatch, caplog):
+        run_fold, base = cli.run_fold, TrainingConfig(**SMOKE_TRAIN)
+
+        def diverge_at_lr2(panels, fold, tcfg):
+            if tcfg.step_primal == 2.0 * base.step_primal:
+                raise TrainingDivergence("non-finite objective (nan)")
+            return run_fold(panels, fold, tcfg)
+
+        cfg = ExperimentConfig(
+            generator=GeneratorConfig(**SMOKE_GEN),
+            training=base,
+            run=RunConfig(n_windows=3, sweep_seeds=(11,), sweep_lr_multipliers=(1.0, 2.0)),
+        )
+        monkeypatch.setattr(cli, "run_fold", diverge_at_lr2)
+        monkeypatch.setattr(cli, "load_config", lambda path, seed: cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(["--out", str(tmp_path), "sweep"])
+        assert rc == 0
+        assert any("seed11_lr2.0" in r.getMessage() for r in caplog.records if r.levelname == "WARNING")
+        real = json.loads((tmp_path / "runlog_seed11_lr1.0.json").read_text())
+        placeholder = json.loads((tmp_path / "runlog_seed11_lr2.0.json").read_text())
+        assert np.isfinite(real["NAS"])
+        assert placeholder["NAS"] == float("-inf") and placeholder["Stability"] == 0.0
+        with open(tmp_path / "sweep_ledger.csv", newline="", encoding="utf-8") as fh:
+            ledger = list(csv.DictReader(fh))
+        assert [row["lr_multiplier"] for row in ledger] == ["1.0", "2.0"]
+        assert [Path(row["run_log"]).name for row in ledger] == [
+            "runlog_seed11_lr1.0.json", "runlog_seed11_lr2.0.json"]

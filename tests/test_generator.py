@@ -16,7 +16,6 @@ from arbsurf.generator import (
     GeneratorConfig,
     add_noise_censor,
     blocked_folds,
-    kernel_eval,
     make_grid,
     make_panel,
     oracle_prices,
@@ -46,18 +45,6 @@ def smoke_cfg(**kw):
 
 
 class TestKernelEval:
-    def test_tau_zero(self):
-        cfg = smoke_cfg(kernel_weights=(0.6, 0.4), kernel_rates=(5.0, 0.5))
-        assert kernel_eval(cfg, 0.0) == pytest.approx(1.0)
-
-    def test_single_term(self):
-        cfg = smoke_cfg(kernel_weights=(1.0,), kernel_rates=(1.0,))
-        assert kernel_eval(cfg, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-    def test_no_rough_component(self):
-        cfg = smoke_cfg(kernel_weights=(0.0, 0.0), kernel_rates=(5.0, 0.5))
-        assert kernel_eval(cfg, 0.3) == 0.0
-
     def test_config_validation(self):
         with pytest.raises(DomainError):
             GeneratorConfig(rho=1.5)

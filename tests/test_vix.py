@@ -11,7 +11,6 @@ from arbsurf.vix import (
     replication_residual,
     tail_truncated,
     vix_squared,
-    write_residuals_csv,
     write_vix2_csv,
 )
 
@@ -173,15 +172,6 @@ class TestVixCsv:
         ts, vs = read_vix2_csv(path)
         assert np.allclose(ts, mats)
         assert np.allclose(vs, v2)
-
-    def test_residual_csv(self, tmp_path):
-        surf = bs_surface(M=101)
-        rep = replicate_surface(surf, np.array([0.04, 0.04]))
-        path = tmp_path / "res.csv"
-        write_residuals_csv(path, surf.grid.maturities, rep)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "T,residual,tail_flag"
-        assert len(lines) == 3
 
 
 class TestStripLowerBound:
