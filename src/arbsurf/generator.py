@@ -92,14 +92,16 @@ class GeneratorConfig:
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths at the stored steps of the day grid: times (K,) of
-    the K stored steps (all N+1 by default), spot and variance
-    (n_paths, K), and the exact step dt = 1 / steps_per_year. The two
-    arrays are transposed views of time-major (K, n_paths) storage, so one
-    time slice `spot[:, i]` is contiguous."""
+    """Simulated paths at the stored steps of the day grid: spot
+    (n_paths, K_s) at the K_s steps of spot_times, variance (n_paths, K_v)
+    at the K_v steps of variance_times (all N+1 steps by default), and the
+    exact step dt = 1 / steps_per_year. The two arrays are transposed views
+    of time-major (K, n_paths) storage, so one time slice `spot[:, i]` is
+    contiguous."""
 
-    times: np.ndarray
+    spot_times: np.ndarray
     spot: np.ndarray
+    variance_times: np.ndarray
     variance: np.ndarray
     dt: float
 
@@ -140,20 +142,33 @@ def _rng(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[cfg.seed, stream]))
 
 
+def _storage_rows(steps, n_steps: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The stored steps (every step when None) and the storage row of each
+    step 0..n_steps, -1 where the step is not stored."""
+    steps = np.arange(n_steps + 1) if steps is None else np.asarray(steps)
+    if (steps.ndim != 1 or len(steps) == 0 or not np.issubdtype(steps.dtype, np.integer)
+            or steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
+        raise DomainError(f"{name} must be strictly increasing step indices in 0..{n_steps}")
+    row_of = np.full(n_steps + 1, -1)
+    row_of[steps] = np.arange(len(steps))
+    return steps, row_of
+
+
 def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
-                   keep=None) -> PathEnsemble:
+                   spot_steps=None, variance_steps=None) -> PathEnsemble:
     """Euler full-truncation simulation to `horizon` (years), storing the
-    steps `keep` (strictly increasing indices into 0..N; every step when
-    None). A stored row holds the same bytes whatever else is stored.
+    spot at `spot_steps` and the variance at `variance_steps` (each strictly
+    increasing indices into 0..N; every step when None). A stored row holds
+    the same bytes whatever else is stored.
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
-    The loop steps one spot and one variance row and copies them into
-    time-major storage at a kept step. One worker thread draws the normals
-    of the next `_DRAW_BLOCK` steps while this thread steps the current
-    block; the worker alone touches the generator, and a (steps, 2, n) fill
-    consumes the stream in the same order as a (z1, zp) pair of n-draws per
-    step.
+    The loop steps one spot and one variance row and copies each into its
+    time-major storage at a step where that array is stored. One worker
+    thread draws the normals of the next `_DRAW_BLOCK` steps while this
+    thread steps the current block; the worker alone touches the generator,
+    and a (steps, 2, n) fill consumes the stream in the same order as a
+    (z1, zp) pair of n-draws per step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
@@ -162,23 +177,20 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
     n = cfg.n_paths
     rng = _rng(cfg, stream)
 
-    steps = np.arange(n_steps + 1) if keep is None else np.asarray(keep)
-    if (steps.ndim != 1 or len(steps) == 0 or not np.issubdtype(steps.dtype, np.integer)
-            or steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
-        raise DomainError(f"keep must be strictly increasing step indices in 0..{n_steps}")
-    row_of = np.full(n_steps + 1, -1)  # storage row of each step, -1 when not kept
-    row_of[steps] = np.arange(len(steps))
+    spot_steps, spot_row = _storage_rows(spot_steps, n_steps, "spot_steps")
+    variance_steps, variance_row = _storage_rows(variance_steps, n_steps, "variance_steps")
 
     a = np.asarray(cfg.kernel_weights, dtype=float)
     b = np.asarray(cfg.kernel_rates, dtype=float)
     decay = np.exp(-b * dt)
 
-    spot = np.empty((len(steps), n))
-    variance = np.empty((len(steps), n))
+    spot = np.empty((len(spot_steps), n))
+    variance = np.empty((len(variance_steps), n))
     s = np.full(n, float(cfg.s0))
     v = np.full(n, float(cfg.v0))
-    if row_of[0] == 0:
+    if spot_row[0] == 0:
         spot[0] = s
+    if variance_row[0] == 0:
         variance[0] = v
 
     drift_acc = np.zeros(n)  # integral of kappa (theta - v)
@@ -205,19 +217,22 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
                 shock = cfg.sigma_volvol * sq_v_dt * z2
                 conv_states = decay[:, None] * (conv_states + shock[None, :])
                 v = cfg.v0 + drift_acc + a @ conv_states
-                row = row_of[step + 1]
+                row = spot_row[step + 1]
                 if row >= 0:
                     spot[row] = s
+                row = variance_row[step + 1]
+                if row >= 0:
                     variance[row] = v
 
-    return PathEnsemble(steps * dt, spot.T, variance.T, dt)
+    return PathEnsemble(spot_steps * dt, spot.T, variance_steps * dt, variance.T, dt)
 
 
-def _maturity_step(paths: PathEnsemble, T: float) -> int:
-    """Row of `paths` that stores the step at maturity T."""
-    row = int(np.searchsorted(paths.times, T - 1e-9))
-    if row == len(paths.times) or abs(paths.times[row] - T) > 1e-9:
-        raise DomainError(f"maturity {T} is not a stored step of the simulated paths")
+def _maturity_step(times: np.ndarray, T: float, name: str) -> int:
+    """Row of the stored `name` array, whose steps are at `times`, that
+    holds the step at maturity T."""
+    row = int(np.searchsorted(times, T - 1e-9))
+    if row == len(times) or abs(times[row] - T) > 1e-9:
+        raise DomainError(f"maturity {T} is not a stored {name} step of the simulated paths")
     return row
 
 
@@ -244,7 +259,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     calls = np.empty((L, M))
     puts = np.empty((L, M))
     for ell, T in enumerate(grid.maturities):
-        s_t = paths.spot[:, _maturity_step(paths, T)]
+        s_t = paths.spot[:, _maturity_step(paths.spot_times, T, "spot")]
         disc = np.exp(-grid.rate * T)
         calls[ell] = disc * np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
         puts[ell] = disc * np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
@@ -262,14 +277,23 @@ def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
     (trapezoid on the day grid, Delta = VIX_WINDOW_DAYS / 365).
 
     Dimensional analysis says the (1/Delta) time average is already an
-    annualized variance. Every step of the window must be stored.
+    annualized variance. Every step of the window must be stored in the
+    variance.
+
+    The proxy is reduced after the simulation, from stored windows, not
+    step by step inside its loop: a streaming prototype cut the peak memory
+    further with the same bits, but each in-loop `v @ w` is a threaded
+    OpenBLAS gemv whose workers spin while the drawer thread draws, which
+    raised process CPU from about 4.5 to 7.0 s per two default windows
+    on 2 vCPUs.
     """
     dt = paths.dt
+    times = paths.variance_times
     width = _vix_window_steps(dt)
-    i0 = _maturity_step(paths, T)
+    i0 = _maturity_step(times, T, "variance")
     i1 = i0 + width
     # stored steps strictly increase, so a last row `width` steps on closes the window
-    if i1 >= len(paths.times) or round((paths.times[i1] - paths.times[i0]) / dt) != width:
+    if i1 >= len(times) or round((times[i1] - times[i0]) / dt) != width:
         raise DomainError(f"the proxy window of maturity {T} is not stored in the simulated paths")
     # a C-ordered copy of the window keeps the BLAS summation order of v @ w
     v = np.maximum(np.ascontiguousarray(paths.variance[:, i0 : i1 + 1]), 0.0)
@@ -337,14 +361,15 @@ def add_noise_censor(
 
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
     """Simulate one window (window-indexed seed stream) and assemble the
-    panel. Only the steps the panel reads are stored: each maturity and the
-    rest of its proxy window."""
+    panel. Only the rows the panel reads are stored: the spot at each
+    maturity, which the oracle prices, and the variance over each
+    maturity's proxy window."""
     grid = make_grid(cfg)
     horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
     maturity_steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
     window = np.arange(_vix_window_steps(1.0 / cfg.steps_per_year) + 1)
-    keep = np.unique(maturity_steps[:, None] + window[None, :])
-    paths = simulate_paths(cfg, horizon, stream=window_index, keep=keep)
+    paths = simulate_paths(cfg, horizon, stream=window_index, spot_steps=maturity_steps,
+                           variance_steps=np.unique(maturity_steps[:, None] + window[None, :]))
     oracle = oracle_prices(paths, grid)
     vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
     panel = add_noise_censor(oracle, cfg, stream=window_index + 1)

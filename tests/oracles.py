@@ -142,7 +142,7 @@ def reference_paths(cfg, horizon, stream=0):
         variance[:, step + 1] = cfg.v0 + drift_acc + a @ conv_states
 
     times = np.arange(n_steps + 1) * dt
-    return PathEnsemble(times, spot, variance, dt)
+    return PathEnsemble(spot_times=times, spot=spot, variance_times=times, variance=variance, dt=dt)
 
 
 def masked_sigmoid(x):

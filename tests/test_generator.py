@@ -63,7 +63,7 @@ class TestSimulatePaths:
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         n_paths=20000, r=0.02, q=0.0)
         paths = simulate_paths(cfg, 1.0)
-        t = paths.times[-1]
+        t = paths.spot_times[-1]
         s_t = paths.spot[:, -1]
         disc = np.exp(-(cfg.r - cfg.q) * t) * s_t
         se = disc.std(ddof=1) / np.sqrt(len(disc))
@@ -97,7 +97,8 @@ class TestPathsMatchReference:
         paths = simulate_paths(cfg, horizon, stream)
         ref = reference_paths(cfg, horizon, stream)
         assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, n_steps + 1)
-        assert np.array_equal(paths.times, ref.times)
+        assert np.array_equal(paths.spot_times, ref.spot_times)
+        assert np.array_equal(paths.variance_times, ref.variance_times)
         for name in ("spot", "variance"):
             assert np.ascontiguousarray(getattr(paths, name)).tobytes() == getattr(ref, name).tobytes(), name
 
@@ -149,8 +150,8 @@ class TestPathsMatchReference:
 
 
 class TestKeptRows:
-    """`keep` stores a subset of the steps; each stored row is the full
-    simulation's row, byte for byte."""
+    """`spot_steps` and `variance_steps` each store a subset of the steps;
+    each stored row is the full simulation's row, byte for byte."""
 
     N_STEPS = 3 * _DRAW_BLOCK + 2
 
@@ -164,23 +165,40 @@ class TestKeptRows:
         list(range(1, N_STEPS)),
     ])
     def test_rows_equal_full_simulation(self, keep):
+        self.check_rows(keep, keep)
+
+    @pytest.mark.parametrize("spot_steps, variance_steps", [
+        ([0, 5], [1, 2, 3, N_STEPS]),  # disjoint
+        ([3, 9], list(range(2, 12))),  # spot inside the variance steps
+        (list(range(N_STEPS + 1)), [_DRAW_BLOCK, N_STEPS]),  # variance inside the spot steps
+        (None, [2, 7]),
+        ([_DRAW_BLOCK + 1], None),
+    ])
+    def test_arrays_stored_at_own_steps(self, spot_steps, variance_steps):
+        self.check_rows(spot_steps, variance_steps)
+
+    def check_rows(self, spot_steps, variance_steps):
         cfg = smoke_cfg(n_paths=301, steps_per_year=12)
         horizon = self.N_STEPS / cfg.steps_per_year
         full = simulate_paths(cfg, horizon, stream=2)
-        part = simulate_paths(cfg, horizon, stream=2, keep=np.array(keep))
+        part = simulate_paths(cfg, horizon, stream=2, spot_steps=spot_steps, variance_steps=variance_steps)
         assert part.dt == full.dt == 1.0 / cfg.steps_per_year
-        assert part.times.tobytes() == full.times[keep].tobytes()
-        for name in ("spot", "variance"):
-            got = np.ascontiguousarray(getattr(part, name)).tobytes()
-            assert got == np.ascontiguousarray(getattr(full, name)[:, keep]).tobytes(), name
+        for name, steps in (("spot", spot_steps), ("variance", variance_steps)):
+            steps = slice(None) if steps is None else steps
+            times = getattr(part, f"{name}_times")
+            assert times.tobytes() == getattr(full, f"{name}_times")[steps].tobytes(), name
+            got = np.ascontiguousarray(getattr(part, name))
+            assert got.shape == (cfg.n_paths, len(times)), name
+            assert got.tobytes() == np.ascontiguousarray(getattr(full, name)[:, steps]).tobytes(), name
 
     @pytest.mark.parametrize("keep", [
         [], [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]],
     ])
     def test_invalid_keep_rejected(self, keep):
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
-        with pytest.raises(DomainError, match="keep"):
-            simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, keep=np.array(keep))
+        for name in ("spot_steps", "variance_steps"):
+            with pytest.raises(DomainError, match=f"^{name} must be strictly increasing"):
+                simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **{name: np.array(keep)})
 
     @pytest.mark.parametrize("cfg, rows", [
         (GeneratorConfig(n_paths=200), 12 * 22),  # default shape: 12 disjoint maturity + 21-step windows
@@ -201,11 +219,13 @@ class TestKeptRows:
         (paths,) = stored
         dt = 1.0 / cfg.steps_per_year
         width = int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
-        read = sorted({m + i for m in np.rint(make_grid(cfg).maturities / dt).astype(int)
-                       for i in range(width + 1)})
-        assert rows is None or len(read) == rows
-        assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, len(read))
-        assert np.array_equal(np.rint(paths.times / dt), read)
+        maturities = np.rint(make_grid(cfg).maturities / dt).astype(int)
+        windows = sorted({m + i for m in maturities for i in range(width + 1)})
+        assert rows is None or len(windows) == rows
+        assert paths.spot.shape == (cfg.n_paths, cfg.n_maturities)
+        assert np.array_equal(np.rint(paths.spot_times / dt), maturities)
+        assert paths.variance.shape == (cfg.n_paths, len(windows))
+        assert np.array_equal(np.rint(paths.variance_times / dt), windows)
 
     def test_missing_rows_named_by_maturity(self):
         cfg = smoke_cfg(n_paths=1000)
@@ -215,21 +235,31 @@ class TestKeptRows:
         every = np.arange(int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) + 1)
         T1 = float(grid.maturities[1])
 
-        paths = simulate_paths(cfg, horizon, keep=np.setdiff1d(every, [steps[1]]))
-        for price in (lambda: oracle_prices(paths, grid), lambda: vix2_proxy(paths, T1)):
-            with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} "):
-                price()
+        # the spot row of one maturity is missing: the oracle cannot price
+        # it, the proxy still reads its variance window
+        paths = simulate_paths(cfg, horizon, spot_steps=np.setdiff1d(steps, [steps[1]]))
+        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a stored spot step"):
+            oracle_prices(paths, grid)
+        vix2_proxy(paths, T1)
+
+        # the variance row of one maturity is missing: the oracle prices,
+        # the proxy cannot open the window
+        paths = simulate_paths(cfg, horizon, spot_steps=steps,
+                               variance_steps=np.setdiff1d(every, [steps[1]]))
+        oracle_prices(paths, grid)
+        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a stored variance step"):
+            vix2_proxy(paths, T1)
 
         # a gap inside the proxy window of one maturity: its oracle row is
         # still there, its variance window is not
-        paths = simulate_paths(cfg, horizon, keep=np.setdiff1d(every, [steps[1] + 3]))
+        paths = simulate_paths(cfg, horizon, variance_steps=np.setdiff1d(every, [steps[1] + 3]))
         oracle_prices(paths, grid)
         vix2_proxy(paths, float(grid.maturities[0]))
         with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T1))} "):
             vix2_proxy(paths, T1)
 
-        # the stored rows end before the last proxy window closes
-        paths = simulate_paths(cfg, horizon, keep=every[: steps[-1] + 5])
+        # the stored variance ends before the last proxy window closes
+        paths = simulate_paths(cfg, horizon, variance_steps=every[: steps[-1] + 5])
         oracle_prices(paths, grid)
         T_last = float(grid.maturities[-1])
         with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T_last))} "):
