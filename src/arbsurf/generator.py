@@ -33,6 +33,7 @@ from .vix import write_vix2_csv
 ORACLE_REPAIR_TOL = 1e-6  # calendar defect above which the oracle is projected
 _DRAW_BLOCK = 4  # steps of normals drawn ahead of the stepping loop
 VIX_WINDOW_DAYS = 30  # calendar days of forward variance averaged by the VIX^2 proxy
+_PROXY_BLOCK_ROWS = 256  # rows per proxy gemv: a multiple of 4, and 256 x 22 stays on the calling thread
 
 
 @dataclass
@@ -94,15 +95,18 @@ class GeneratorConfig:
 class PathEnsemble:
     """Simulated paths at the stored steps of the day grid: spot
     (n_paths, K_s) at the K_s steps of spot_times, variance (n_paths, K_v)
-    at the K_v steps of variance_times (all N+1 steps by default), and the
-    exact step dt = 1 / steps_per_year. The two arrays are transposed views
-    of time-major (K, n_paths) storage, so one time slice `spot[:, i]` is
+    at the K_v steps of variance_times, the per-path VIX^2 proxy
+    (n_paths, K_p) of the K_p windows that open at proxy_times, and the
+    exact step dt = 1 / steps_per_year. The three arrays are transposed
+    views of time-major (K, n_paths) storage, so one column `spot[:, i]` is
     contiguous."""
 
     spot_times: np.ndarray
     spot: np.ndarray
     variance_times: np.ndarray
     variance: np.ndarray
+    proxy_times: np.ndarray
+    proxy: np.ndarray
     dt: float
 
 
@@ -142,43 +146,80 @@ def _rng(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[cfg.seed, stream]))
 
 
-def _storage_rows(steps, n_steps: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The stored steps (every step when None) and the storage row of each
-    step 0..n_steps, -1 where the step is not stored."""
-    steps = np.arange(n_steps + 1) if steps is None else np.asarray(steps)
-    if (steps.ndim != 1 or len(steps) == 0 or not np.issubdtype(steps.dtype, np.integer)
-            or steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
-        raise DomainError(f"{name} must be strictly increasing step indices in 0..{n_steps}")
+def _storage_rows(steps, n_steps: int, name: str, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The stored steps (when None, every step whose `width`-step window
+    ends by step n_steps) and the storage row of each step 0..n_steps, -1
+    where the step is not stored."""
+    last = n_steps - width
+    steps = np.arange(last + 1) if steps is None else np.asarray(steps)
+    if (steps.ndim != 1 or not np.issubdtype(steps.dtype, np.integer)
+            or np.any(steps < 0) or np.any(steps > last) or np.any(np.diff(steps) <= 0)):
+        window = f" (each {width}-step window ends by step {n_steps})" if width else ""
+        raise DomainError(f"{name} must be strictly increasing step indices in 0..{last}{window}")
     row_of = np.full(n_steps + 1, -1)
     row_of[steps] = np.arange(len(steps))
     return steps, row_of
 
 
+def _vix_window_steps(dt: float) -> int:
+    """Steps from a maturity to the end of its VIX^2 proxy window."""
+    return int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
+
+
+def _window_average(window: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path trapezoid time average of v^+ over a C-ordered
+    (n_paths, width + 1) window of variance steps.
+
+    The product runs over blocks of _PROXY_BLOCK_ROWS rows: each block is a
+    one-thread OpenBLAS gemv, and blocks of a multiple of 4 rows give the
+    bits of one whole-array, one-thread gemv whatever the thread count. A
+    last block of one row would be a dot product, so it joins the block
+    before it."""
+    w = np.full(window.shape[1], dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    out = np.empty(len(window))
+    start = 0
+    for stop in [*range(_PROXY_BLOCK_ROWS, len(window) - 1, _PROXY_BLOCK_ROWS), len(window)]:
+        out[start:stop] = np.maximum(window[start:stop], 0.0) @ w
+        start = stop
+    return out / w.sum()
+
+
 def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
-                   spot_steps=None, variance_steps=None) -> PathEnsemble:
+                   spot_steps=None, variance_steps=None, proxy_steps=None) -> PathEnsemble:
     """Euler full-truncation simulation to `horizon` (years), storing the
     spot at `spot_steps` and the variance at `variance_steps` (each strictly
-    increasing indices into 0..N; every step when None). A stored row holds
-    the same bytes whatever else is stored.
+    increasing indices into 0..N; every step when None, none when empty),
+    and the per-path VIX^2 proxy of each window [i, i + width] that opens
+    at a step i of `proxy_steps` (strictly increasing, each window ending by
+    step N; none when None). A stored row holds the same bytes whatever
+    else is stored.
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
     The loop steps one spot and one variance row and copies each into its
-    time-major storage at a step where that array is stored. One worker
-    thread draws the normals of the next `_DRAW_BLOCK` steps while this
-    thread steps the current block; the worker alone touches the generator,
-    and a (steps, 2, n) fill consumes the stream in the same order as a
-    (z1, zp) pair of n-draws per step.
+    time-major storage at a step where that array is stored. Each open
+    proxy window copies the variance into its own C-ordered
+    (n_paths, width + 1) buffer, which `_window_average` reduces to a proxy
+    row as the window closes; windows may overlap. One worker thread draws
+    the normals of the next `_DRAW_BLOCK` steps while this thread steps the
+    current block; the worker alone touches the generator, and a
+    (steps, 2, n) fill consumes the stream in the same order as a (z1, zp)
+    pair of n-draws per step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
     dt = 1.0 / cfg.steps_per_year
     n_steps = int(np.ceil(horizon * cfg.steps_per_year - 1e-9))
     n = cfg.n_paths
+    width = _vix_window_steps(dt)
     rng = _rng(cfg, stream)
 
     spot_steps, spot_row = _storage_rows(spot_steps, n_steps, "spot_steps")
     variance_steps, variance_row = _storage_rows(variance_steps, n_steps, "variance_steps")
+    proxy_steps, proxy_row = _storage_rows(np.zeros(0, int) if proxy_steps is None else proxy_steps,
+                                           n_steps, "proxy_steps", width)
 
     a = np.asarray(cfg.kernel_weights, dtype=float)
     b = np.asarray(cfg.kernel_rates, dtype=float)
@@ -186,13 +227,25 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
 
     spot = np.empty((len(spot_steps), n))
     variance = np.empty((len(variance_steps), n))
+    proxy = np.empty((len(proxy_steps), n))
+    windows = {}  # proxy row -> buffer of its open window
+
+    def store(step, s, v):
+        if spot_row[step] >= 0:
+            spot[spot_row[step]] = s
+        if variance_row[step] >= 0:
+            variance[variance_row[step]] = v
+        if proxy_row[step] >= 0:
+            windows[proxy_row[step]] = np.empty((n, width + 1))
+        for k, window in windows.items():
+            window[:, step - proxy_steps[k]] = v
+        closing = proxy_row[step - width] if step >= width else -1
+        if closing >= 0:
+            proxy[closing] = _window_average(windows.pop(closing), dt)
+
     s = np.full(n, float(cfg.s0))
     v = np.full(n, float(cfg.v0))
-    if spot_row[0] == 0:
-        spot[0] = s
-    if variance_row[0] == 0:
-        variance[0] = v
-
+    store(0, s, v)
     drift_acc = np.zeros(n)  # integral of kappa (theta - v)
     conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
     mu = cfg.r - cfg.q
@@ -217,28 +270,19 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
                 shock = cfg.sigma_volvol * sq_v_dt * z2
                 conv_states = decay[:, None] * (conv_states + shock[None, :])
                 v = cfg.v0 + drift_acc + a @ conv_states
-                row = spot_row[step + 1]
-                if row >= 0:
-                    spot[row] = s
-                row = variance_row[step + 1]
-                if row >= 0:
-                    variance[row] = v
+                store(step + 1, s, v)
 
-    return PathEnsemble(spot_steps * dt, spot.T, variance_steps * dt, variance.T, dt)
+    return PathEnsemble(spot_steps * dt, spot.T, variance_steps * dt, variance.T,
+                        proxy_steps * dt, proxy.T, dt)
 
 
-def _maturity_step(times: np.ndarray, T: float, name: str) -> int:
-    """Row of the stored `name` array, whose steps are at `times`, that
-    holds the step at maturity T."""
+def _maturity_step(times: np.ndarray, T: float, what: str) -> int:
+    """Column of the stored array whose steps are at `times` that holds
+    maturity T; `what` names that array's steps in the error."""
     row = int(np.searchsorted(times, T - 1e-9))
     if row == len(times) or abs(times[row] - T) > 1e-9:
-        raise DomainError(f"maturity {T} is not a stored {name} step of the simulated paths")
+        raise DomainError(f"maturity {T} is not {what} of the simulated paths")
     return row
-
-
-def _vix_window_steps(dt: float) -> int:
-    """Steps from a maturity to the end of its VIX^2 proxy window."""
-    return int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
 
 
 def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
@@ -259,7 +303,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     calls = np.empty((L, M))
     puts = np.empty((L, M))
     for ell, T in enumerate(grid.maturities):
-        s_t = paths.spot[:, _maturity_step(paths.spot_times, T, "spot")]
+        s_t = paths.spot[:, _maturity_step(paths.spot_times, T, "a stored spot step")]
         disc = np.exp(-grid.rate * T)
         calls[ell] = disc * np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
         puts[ell] = disc * np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
@@ -277,31 +321,16 @@ def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
     (trapezoid on the day grid, Delta = VIX_WINDOW_DAYS / 365).
 
     Dimensional analysis says the (1/Delta) time average is already an
-    annualized variance. Every step of the window must be stored in the
-    variance.
-
-    The proxy is reduced after the simulation, from stored windows, not
-    step by step inside its loop: a streaming prototype cut the peak memory
-    further with the same bits, but each in-loop `v @ w` is a threaded
-    OpenBLAS gemv whose workers spin while the drawer thread draws, which
-    raised process CPU from about 4.5 to 7.0 s per two default windows
-    on 2 vCPUs.
+    annualized variance. The per-path averages are reduced inside the
+    simulation loop as each window closes (`proxy_steps` of
+    `simulate_paths`), so no variance row need be stored; T must open one
+    of those windows. Each window is reduced in blocks of rows whose gemvs
+    run on the calling thread (`_window_average`): at the default 50 000
+    paths a whole-window gemv is threaded, its OpenBLAS worker spins while
+    the drawer thread draws, and the rows at its thread split round
+    differently with the thread count.
     """
-    dt = paths.dt
-    times = paths.variance_times
-    width = _vix_window_steps(dt)
-    i0 = _maturity_step(times, T, "variance")
-    i1 = i0 + width
-    # stored steps strictly increase, so a last row `width` steps on closes the window
-    if i1 >= len(times) or round((times[i1] - times[i0]) / dt) != width:
-        raise DomainError(f"the proxy window of maturity {T} is not stored in the simulated paths")
-    # a C-ordered copy of the window keeps the BLAS summation order of v @ w
-    v = np.maximum(np.ascontiguousarray(paths.variance[:, i0 : i1 + 1]), 0.0)
-    w = np.full(i1 - i0 + 1, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    span = w.sum()
-    per_path = (v @ w) / span
+    per_path = paths.proxy[:, _maturity_step(paths.proxy_times, T, "the start of a reduced proxy window")]
     est = float(per_path.mean())
     if return_se:
         se = float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
@@ -361,15 +390,16 @@ def add_noise_censor(
 
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
     """Simulate one window (window-indexed seed stream) and assemble the
-    panel. Only the rows the panel reads are stored: the spot at each
-    maturity, which the oracle prices, and the variance over each
-    maturity's proxy window."""
+    panel. The simulation runs exactly to the close of the last maturity's
+    proxy window and stores only what the panel reads: the spot at each
+    maturity, which the oracle prices, and the VIX^2 proxy of each
+    maturity's window, reduced in the loop; no variance row is stored."""
     grid = make_grid(cfg)
-    horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
     maturity_steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
-    window = np.arange(_vix_window_steps(1.0 / cfg.steps_per_year) + 1)
+    width = _vix_window_steps(1.0 / cfg.steps_per_year)
+    horizon = (maturity_steps[-1] + width) / cfg.steps_per_year
     paths = simulate_paths(cfg, horizon, stream=window_index, spot_steps=maturity_steps,
-                           variance_steps=np.unique(maturity_steps[:, None] + window[None, :]))
+                           variance_steps=np.zeros(0, int), proxy_steps=maturity_steps)
     oracle = oracle_prices(paths, grid)
     vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
     panel = add_noise_censor(oracle, cfg, stream=window_index + 1)

@@ -104,10 +104,27 @@ def brute_force_projection(calls, strikes, tol=1e-9):
     return best[1].reshape(L, M)
 
 
-def reference_paths(cfg, horizon, stream=0):
+def reference_proxy(variance, start, dt):
+    """Per-path VIX^2 proxy of the window that opens at column `start` of a
+    full (n_paths, N+1) variance array: the trapezoid time average of v^+
+    as one whole-array matrix-vector product over a C-ordered copy of the
+    window, divided by the window span."""
+    from arbsurf.generator import _vix_window_steps
+
+    width = _vix_window_steps(dt)
+    w = np.full(width + 1, dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    span = w.sum()
+    return (np.maximum(np.ascontiguousarray(variance[:, start : start + width + 1]), 0.0) @ w) / span
+
+
+def reference_paths(cfg, horizon, stream=0, proxy_steps=()):
     """Euler full-truncation paths, one step at a time: (n_paths, N+1)
     C-ordered spot and variance, each step drawing z1 then zp from the
-    Philox stream keyed (cfg.seed, stream) and writing one strided column."""
+    Philox stream keyed (cfg.seed, stream) and writing one strided column;
+    the proxy of each window opening at a step of `proxy_steps` is reduced
+    from the full variance after the loop."""
     from arbsurf.generator import PathEnsemble
 
     dt = 1.0 / cfg.steps_per_year
@@ -142,7 +159,10 @@ def reference_paths(cfg, horizon, stream=0):
         variance[:, step + 1] = cfg.v0 + drift_acc + a @ conv_states
 
     times = np.arange(n_steps + 1) * dt
-    return PathEnsemble(spot_times=times, spot=spot, variance_times=times, variance=variance, dt=dt)
+    proxy_steps = np.asarray(proxy_steps, dtype=int)
+    proxy = np.array([reference_proxy(variance, i, dt) for i in proxy_steps]).reshape(len(proxy_steps), n)
+    return PathEnsemble(spot_times=times, spot=spot, variance_times=times, variance=variance,
+                        proxy_times=proxy_steps * dt, proxy=proxy.T, dt=dt)
 
 
 def masked_sigmoid(x):

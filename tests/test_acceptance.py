@@ -253,7 +253,7 @@ class TestCriterion07GeneratorSanity:
             n_paths=400, steps_per_year=250, kernel_weights=(0.0,), kernel_rates=(1.0,),
             sigma_volvol=0.0, v0=0.09, theta_mean=0.04, kappa=1.5, seed=1,
         )
-        hpaths = simulate_paths(hcfg, 1.2)
+        hpaths = simulate_paths(hcfg, 1.2, proxy_steps=[round(0.5 * hcfg.steps_per_year)])
         est, se = vix2_proxy(hpaths, 0.5, return_se=True)
         from scipy.integrate import quad
 

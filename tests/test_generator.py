@@ -1,4 +1,6 @@
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -11,6 +13,7 @@ from arbsurf import cli, generator
 from arbsurf.decoder import static_arb_residuals
 from arbsurf.generator import (
     _DRAW_BLOCK,
+    _PROXY_BLOCK_ROWS,
     VIX_WINDOW_DAYS,
     Fold,
     GeneratorConfig,
@@ -26,7 +29,7 @@ from arbsurf.generator import (
 )
 from arbsurf.grids import DomainError
 
-from .oracles import reference_paths
+from .oracles import reference_paths, reference_proxy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -137,7 +140,8 @@ class TestPathsMatchReference:
 
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        ref = reference_paths(cfg, horizon, stream=window)
+        ref = reference_paths(cfg, horizon, stream=window,
+                              proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
         oracle = oracle_prices(ref, grid)
         quoted = add_noise_censor(oracle, cfg, stream=window + 1).quoted_surface
         vix2 = np.array([vix2_proxy(ref, T) for T in grid.maturities])
@@ -192,78 +196,134 @@ class TestKeptRows:
             assert got.tobytes() == np.ascontiguousarray(getattr(full, name)[:, steps]).tobytes(), name
 
     @pytest.mark.parametrize("keep", [
-        [], [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]],
+        [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]], [],
     ])
     def test_invalid_keep_rejected(self, keep):
+        # `[]` is a float array: only an integer array names an empty step set
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
         for name in ("spot_steps", "variance_steps"):
             with pytest.raises(DomainError, match=f"^{name} must be strictly increasing"):
                 simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **{name: np.array(keep)})
 
+    def test_empty_step_set_stores_nothing(self):
+        cfg = smoke_cfg(n_paths=11, steps_per_year=12)
+        none = np.array([], dtype=int)
+        paths = simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, spot_steps=none, variance_steps=none)
+        for name in ("spot", "variance", "proxy"):
+            assert getattr(paths, name).shape == (cfg.n_paths, 0), name
+            assert getattr(paths, f"{name}_times").shape == (0,), name
+
     @pytest.mark.parametrize("cfg, rows", [
-        (GeneratorConfig(n_paths=200), 12 * 22),  # default shape: 12 disjoint maturity + 21-step windows
+        # default shape: 12 disjoint 22-step windows, so one window buffer is open at a time
+        (GeneratorConfig(n_paths=200), 12 * 22),
         (smoke_cfg(n_paths=200), None),
     ])
     def test_make_panel_stores_only_rows_it_reads(self, monkeypatch, cfg, rows):
         stored = []
         simulate = generator.simulate_paths
 
-        def recording(*args, **kwargs):
-            stored.append(simulate(*args, **kwargs))
-            return stored[-1]
+        def recording(cfg, horizon, *args, **kwargs):
+            stored.append((horizon, simulate(cfg, horizon, *args, **kwargs)))
+            return stored[-1][1]
 
         monkeypatch.setattr(generator, "simulate_paths", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # few paths
             make_panel(cfg, 0)
-        (paths,) = stored
+        ((horizon, paths),) = stored
         dt = 1.0 / cfg.steps_per_year
         width = int(np.ceil(VIX_WINDOW_DAYS / 365.0 / dt - 1e-9))
         maturities = np.rint(make_grid(cfg).maturities / dt).astype(int)
         windows = sorted({m + i for m in maturities for i in range(width + 1)})
         assert rows is None or len(windows) == rows
+        # the simulation ends as the last proxy window closes: 521 steps at the defaults
+        assert int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) == maturities[-1] + width
         assert paths.spot.shape == (cfg.n_paths, cfg.n_maturities)
         assert np.array_equal(np.rint(paths.spot_times / dt), maturities)
-        assert paths.variance.shape == (cfg.n_paths, len(windows))
-        assert np.array_equal(np.rint(paths.variance_times / dt), windows)
+        assert paths.variance.shape == (cfg.n_paths, 0)
+        assert paths.proxy.shape == (cfg.n_paths, cfg.n_maturities)
+        assert np.array_equal(np.rint(paths.proxy_times / dt), maturities)
 
     def test_missing_rows_named_by_maturity(self):
         cfg = smoke_cfg(n_paths=1000)
         grid = make_grid(cfg)
         steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        every = np.arange(int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) + 1)
         T1 = float(grid.maturities[1])
 
         # the spot row of one maturity is missing: the oracle cannot price
-        # it, the proxy still reads its variance window
-        paths = simulate_paths(cfg, horizon, spot_steps=np.setdiff1d(steps, [steps[1]]))
+        # it, the proxy of its window is still there
+        paths = simulate_paths(cfg, horizon, spot_steps=np.setdiff1d(steps, [steps[1]]), proxy_steps=steps)
         with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a stored spot step"):
             oracle_prices(paths, grid)
         vix2_proxy(paths, T1)
 
-        # the variance row of one maturity is missing: the oracle prices,
-        # the proxy cannot open the window
-        paths = simulate_paths(cfg, horizon, spot_steps=steps,
-                               variance_steps=np.setdiff1d(every, [steps[1]]))
-        oracle_prices(paths, grid)
-        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a stored variance step"):
-            vix2_proxy(paths, T1)
-
-        # a gap inside the proxy window of one maturity: its oracle row is
-        # still there, its variance window is not
-        paths = simulate_paths(cfg, horizon, variance_steps=np.setdiff1d(every, [steps[1] + 3]))
+        # the proxy window of one maturity is not reduced: the oracle
+        # prices, the proxy cannot be read
+        paths = simulate_paths(cfg, horizon, spot_steps=steps, proxy_steps=np.setdiff1d(steps, [steps[1]]))
         oracle_prices(paths, grid)
         vix2_proxy(paths, float(grid.maturities[0]))
-        with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T1))} "):
+        with pytest.raises(DomainError,
+                           match=f"maturity {re.escape(str(T1))} is not the start of a reduced proxy window"):
             vix2_proxy(paths, T1)
 
-        # the stored variance ends before the last proxy window closes
-        paths = simulate_paths(cfg, horizon, variance_steps=every[: steps[-1] + 5])
-        oracle_prices(paths, grid)
-        T_last = float(grid.maturities[-1])
-        with pytest.raises(DomainError, match=f"proxy window of maturity {re.escape(str(T_last))} "):
-            vix2_proxy(paths, T_last)
+
+class TestProxyInLoop:
+    """The proxy windows reduced inside the stepping loop equal the
+    post-hoc, whole-array reduction of a full simulation, byte for byte."""
+
+    @pytest.mark.parametrize("steps_per_year, n_steps, proxy_steps", [
+        # width 1: a window at step 0, two overlapping, one closing at the last step
+        (12, 3 * _DRAW_BLOCK + 2, [0, 1, 2, 7, 3 * _DRAW_BLOCK + 1]),
+        # width 21: windows overlapping by 18 and by 14 steps, the last closing at step 50
+        (250, 50, [0, 3, 10, 29]),
+    ])
+    @pytest.mark.parametrize("n_paths", [301, 800, 1500, 5000])
+    def test_proxy_equals_full_simulation(self, steps_per_year, n_steps, proxy_steps, n_paths):
+        cfg = smoke_cfg(n_paths=n_paths, steps_per_year=steps_per_year)
+        horizon = n_steps / steps_per_year
+        paths = simulate_paths(cfg, horizon, stream=1, proxy_steps=proxy_steps)
+        ref = reference_paths(cfg, horizon, stream=1, proxy_steps=proxy_steps)
+        assert paths.proxy_times.tobytes() == ref.proxy_times.tobytes()
+        assert np.ascontiguousarray(paths.proxy).tobytes() == np.ascontiguousarray(ref.proxy).tobytes()
+        for T in ref.proxy_times:
+            assert vix2_proxy(paths, T, return_se=True) == vix2_proxy(ref, T, return_se=True)
+
+    @pytest.mark.parametrize("n_paths", [
+        _PROXY_BLOCK_ROWS, 4 * _PROXY_BLOCK_ROWS,  # block-aligned
+        1, 2, 3, _PROXY_BLOCK_ROWS + 1, _PROXY_BLOCK_ROWS + 2, 2 * _PROXY_BLOCK_ROWS + 3,
+        1001, 5003,  # ragged last block
+    ])
+    @pytest.mark.parametrize("steps_per_year", [120, 250])
+    def test_window_average_equals_whole_gemv(self, n_paths, steps_per_year):
+        dt = 1.0 / steps_per_year
+        width = generator._vix_window_steps(dt)
+        rng = np.random.default_rng(n_paths)
+        variance = 0.04 + 0.05 * rng.standard_normal((n_paths, width + 3))  # some v < 0
+        got = generator._window_average(np.ascontiguousarray(variance[:, 1 : width + 2]), dt)
+        assert got.tobytes() == reference_proxy(variance, 1, dt).tobytes()
+
+    @pytest.mark.parametrize("proxy_steps", [[3, 2], [2, 2], [-1], [0.0], [[0, 1]], [50 - 21 + 1], [0, 50]])
+    def test_invalid_proxy_steps_rejected(self, proxy_steps):
+        cfg = smoke_cfg(n_paths=11, steps_per_year=250)
+        with pytest.raises(DomainError, match=r"^proxy_steps must be strictly increasing step indices in 0\.\.29 "
+                                              r"\(each 21-step window ends by step 50\)"):
+            simulate_paths(cfg, 50 / cfg.steps_per_year, proxy_steps=np.array(proxy_steps))
+
+    def test_same_bytes_with_one_blas_thread(self):
+        # 50 003 paths: a threaded whole-window gemv splits the rows between
+        # its threads off the 4-row groups of the one-thread kernel
+        cfg = dict(n_paths=50_003, steps_per_year=250, seed=3)
+        script = (
+            "import sys; from arbsurf.generator import GeneratorConfig, simulate_paths; "
+            f"p = simulate_paths(GeneratorConfig(**{cfg!r}), 21 / 250, proxy_steps=[0]); "
+            "sys.stdout.write(p.proxy.tobytes().hex())"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        paths = simulate_paths(GeneratorConfig(**cfg), 21 / 250, proxy_steps=[0])
+        assert bytes.fromhex(out.stdout) == paths.proxy.tobytes()
 
 
 class TestSnappedMaturities:
@@ -331,7 +391,7 @@ class TestVix2Proxy:
     def test_constant_variance(self):
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         v0=0.05, theta_mean=0.05, n_paths=100)
-        paths = simulate_paths(cfg, 1.0)
+        paths = simulate_paths(cfg, 1.0, proxy_steps=[round(0.5 * cfg.steps_per_year)])
         assert vix2_proxy(paths, 0.5) == pytest.approx(0.05, rel=1e-12)
 
     def test_pure_heston_closed_form(self):
@@ -348,7 +408,7 @@ class TestVix2Proxy:
         # with sigma_volvol = 0 and a = 1 the variance path is the ODE
         # v' = kappa (theta - v) ... but the kernel damps the shock term only;
         # with no shocks the kernel plays no role and v is exactly the ODE.
-        paths = simulate_paths(cfg, 1.2)
+        paths = simulate_paths(cfg, 1.2, proxy_steps=[round(0.5 * cfg.steps_per_year)])
         T = 0.5
         delta = VIX_WINDOW_DAYS / 365.0
         est = vix2_proxy(paths, T)
@@ -471,7 +531,7 @@ class TestStripProxyConsistency:
         )
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        paths = simulate_paths(cfg, horizon)
+        paths = simulate_paths(cfg, horizon, proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
         oracle = oracle_prices(paths, grid)
         for ell, T in enumerate(grid.maturities):
             strip = vix_squared(oracle, ell)
