@@ -31,7 +31,7 @@ from configparser import Error as ConfigError
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .decoder import bl_density
 from .generator import (
@@ -522,7 +522,7 @@ def report(runlog_paths, out_dir) -> None:
         summary.append([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
         if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
             z = (vals.mean() - 0.9) / (vals.std(ddof=1) / np.sqrt(len(vals)))
-            p_values.append((metric, float(1.0 - norm.cdf(z))))
+            p_values.append((metric, 1.0 - float(ndtr(z))))
     _write_csv(os.path.join(out_dir, "summary.csv"), ["metric", "mean", "ci_lo", "ci_hi", "n"], summary)
     if p_values:
         rejections = holm_bonferroni([p for _, p in p_values])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,9 +32,11 @@ from .grids import DomainError, MarketGrid, PriceSurface, write_surface_csv
 from .vix import write_vix2_csv
 
 ORACLE_REPAIR_TOL = 1e-6  # calendar defect above which the oracle is projected
-_DRAW_BLOCK = 4  # steps of normals drawn ahead of the stepping loop
+_DRAW_BLOCK = 4  # steps of normals per draw of the drawer thread
+_DRAW_AHEAD = 2  # blocks the drawer runs ahead of the stepping loop, so it keeps drawing while a maturity is priced
 VIX_WINDOW_DAYS = 30  # calendar days of forward variance averaged by the VIX^2 proxy
 _PROXY_BLOCK_ROWS = 256  # rows per proxy gemv: a multiple of 4, and 256 x 22 stays on the calling thread
+_PRICE_BLOCK_ROWS = 2048  # rows per payoff block: a 2048 x 25 block stays in cache
 
 
 @dataclass
@@ -96,9 +99,11 @@ class PathEnsemble:
     """Simulated paths at the stored steps of the day grid: spot
     (n_paths, K_s) at the K_s steps of spot_times, variance (n_paths, K_v)
     at the K_v steps of variance_times, the per-path VIX^2 proxy
-    (n_paths, K_p) of the K_p windows that open at proxy_times, and the
-    exact step dt = 1 / steps_per_year. The three arrays are transposed
-    views of time-major (K, n_paths) storage, so one column `spot[:, i]` is
+    (n_paths, K_p) of the K_p windows that open at proxy_times, the mean
+    undiscounted call and put payoffs (K_q, M) at the M `strikes` of the
+    spot at the K_q steps of price_times, and the exact step
+    dt = 1 / steps_per_year. The three per-path arrays are transposed views
+    of time-major (K, n_paths) storage, so one column `spot[:, i]` is
     contiguous."""
 
     spot_times: np.ndarray
@@ -107,6 +112,10 @@ class PathEnsemble:
     variance: np.ndarray
     proxy_times: np.ndarray
     proxy: np.ndarray
+    price_times: np.ndarray
+    strikes: np.ndarray
+    call_payoffs: np.ndarray
+    put_payoffs: np.ndarray
     dt: float
 
 
@@ -186,15 +195,41 @@ def _window_average(window: np.ndarray, dt: float) -> np.ndarray:
     return out / w.sum()
 
 
+def _payoff_means(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean call and put payoffs max(s - K, 0) and max(K - s, 0) of the
+    spots `s` (n_paths,) at each of the M >= 2 `strikes`.
+
+    The payoffs are summed over blocks of _PRICE_BLOCK_ROWS rows, and each
+    block's first row takes the running sum, so the rows are added in row
+    order: the bits of the whole-matrix `.mean(axis=0)`, whose reduction
+    over the outer axis also adds row by row, without its (n_paths, M)
+    matrices. (With one strike that reduction is a pairwise sum instead.)"""
+    calls = np.zeros(len(strikes))
+    puts = np.zeros(len(strikes))
+    for start in range(0, len(s), _PRICE_BLOCK_ROWS):
+        block = s[start : start + _PRICE_BLOCK_ROWS, None]
+        call = np.maximum(block - strikes, 0.0)
+        call[0] += calls
+        calls = call.sum(axis=0)
+        put = np.maximum(strikes - block, 0.0)
+        put[0] += puts
+        puts = put.sum(axis=0)
+    return calls / len(s), puts / len(s)
+
+
 def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
-                   spot_steps=None, variance_steps=None, proxy_steps=None) -> PathEnsemble:
+                   spot_steps=None, variance_steps=None, proxy_steps=None,
+                   price_steps=None, strikes=None) -> PathEnsemble:
     """Euler full-truncation simulation to `horizon` (years), storing the
     spot at `spot_steps` and the variance at `variance_steps` (each strictly
     increasing indices into 0..N; every step when None, none when empty),
-    and the per-path VIX^2 proxy of each window [i, i + width] that opens
-    at a step i of `proxy_steps` (strictly increasing, each window ending by
-    step N; none when None). A stored row holds the same bytes whatever
-    else is stored.
+    the per-path VIX^2 proxy of each window [i, i + width] that opens at a
+    step i of `proxy_steps` (strictly increasing, each window ending by
+    step N; none when None), and the mean undiscounted call and put
+    payoffs at `strikes` (a 1-D array of at least 3) of the spot at each
+    step of `price_steps` (strictly increasing; the two are given together,
+    none priced when both are None). A stored row holds the same bytes
+    whatever else is stored.
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
@@ -202,14 +237,19 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
     time-major storage at a step where that array is stored. Each open
     proxy window copies the variance into its own C-ordered
     (n_paths, width + 1) buffer, which `_window_average` reduces to a proxy
-    row as the window closes; windows may overlap. One worker thread draws
-    the normals of the next `_DRAW_BLOCK` steps while this thread steps the
-    current block; the worker alone touches the generator, and a
+    row as the window closes; windows may overlap. At a priced step
+    `_payoff_means` prices the spot row, with the bits of the whole-matrix
+    mean over a stored spot column. One worker thread draws the normals of
+    the next `_DRAW_AHEAD` blocks of `_DRAW_BLOCK` steps while this thread
+    steps and prices the current block; the worker alone touches the
+    generator, runs its draws in the order they were submitted, and a
     (steps, 2, n) fill consumes the stream in the same order as a (z1, zp)
     pair of n-draws per step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
+    if (price_steps is None) != (strikes is None):
+        raise DomainError("price_steps and strikes must be given together")
     dt = 1.0 / cfg.steps_per_year
     n_steps = int(np.ceil(horizon * cfg.steps_per_year - 1e-9))
     n = cfg.n_paths
@@ -220,6 +260,14 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
     variance_steps, variance_row = _storage_rows(variance_steps, n_steps, "variance_steps")
     proxy_steps, proxy_row = _storage_rows(np.zeros(0, int) if proxy_steps is None else proxy_steps,
                                            n_steps, "proxy_steps", width)
+    price_steps, price_row = _storage_rows(np.zeros(0, int) if price_steps is None else price_steps,
+                                           n_steps, "price_steps")
+    if strikes is None:
+        strikes = np.zeros(0)
+    else:
+        strikes = np.asarray(strikes, dtype=float)
+        if strikes.ndim != 1 or len(strikes) < 3 or not np.all(np.isfinite(strikes)):
+            raise DomainError("strikes must be a 1-D array of at least 3 finite values")
 
     a = np.asarray(cfg.kernel_weights, dtype=float)
     b = np.asarray(cfg.kernel_rates, dtype=float)
@@ -228,11 +276,15 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
     spot = np.empty((len(spot_steps), n))
     variance = np.empty((len(variance_steps), n))
     proxy = np.empty((len(proxy_steps), n))
+    calls = np.empty((len(price_steps), len(strikes)))
+    puts = np.empty((len(price_steps), len(strikes)))
     windows = {}  # proxy row -> buffer of its open window
 
     def store(step, s, v):
         if spot_row[step] >= 0:
             spot[spot_row[step]] = s
+        if price_row[step] >= 0:
+            calls[price_row[step]], puts[price_row[step]] = _payoff_means(s, strikes)
         if variance_row[step] >= 0:
             variance[variance_row[step]] = v
         if proxy_row[step] >= 0:
@@ -250,15 +302,18 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
     conv_states = np.zeros((len(a), n))  # one exponential state per kernel term
     mu = cfg.r - cfg.q
     rho_perp = np.sqrt(max(0.0, 1.0 - cfg.rho**2))
-    normals = np.empty((2, _DRAW_BLOCK, 2, n))  # one block drawn while the other is stepped
+    starts = range(0, n_steps, _DRAW_BLOCK)
+    normals = np.empty((_DRAW_AHEAD + 1, _DRAW_BLOCK, 2, n))  # the block being stepped and those drawn ahead
     with ThreadPoolExecutor(1) as drawer:
-        pending = drawer.submit(rng.standard_normal, out=normals[0, : min(_DRAW_BLOCK, n_steps)])
-        for block, start in enumerate(range(0, n_steps, _DRAW_BLOCK)):
-            z = pending.result()
-            stop = start + len(z)
-            if stop < n_steps:
-                ahead = normals[(block + 1) % 2, : min(_DRAW_BLOCK, n_steps - stop)]
-                pending = drawer.submit(rng.standard_normal, out=ahead)
+        def draw(block):
+            out = normals[block % len(normals), : min(_DRAW_BLOCK, n_steps - starts[block])]
+            return drawer.submit(rng.standard_normal, out=out)
+
+        pending = deque(draw(block) for block in range(min(_DRAW_AHEAD, len(starts))))  # in stream order
+        for block, start in enumerate(starts):
+            z = pending.popleft().result()
+            if block + _DRAW_AHEAD < len(starts):
+                pending.append(draw(block + _DRAW_AHEAD))
             for step, (z1, zp) in enumerate(z, start):
                 z2 = cfg.rho * z1 + rho_perp * zp
 
@@ -273,12 +328,12 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
                 store(step + 1, s, v)
 
     return PathEnsemble(spot_steps * dt, spot.T, variance_steps * dt, variance.T,
-                        proxy_steps * dt, proxy.T, dt)
+                        proxy_steps * dt, proxy.T, price_steps * dt, strikes, calls, puts, dt)
 
 
 def _maturity_step(times: np.ndarray, T: float, what: str) -> int:
-    """Column of the stored array whose steps are at `times` that holds
-    maturity T; `what` names that array's steps in the error."""
+    """Index of maturity T among the stored steps at `times`; `what`
+    names those steps in the error."""
     row = int(np.searchsorted(times, T - 1e-9))
     if row == len(times) or abs(times[row] - T) > 1e-9:
         raise DomainError(f"maturity {T} is not {what} of the simulated paths")
@@ -286,7 +341,10 @@ def _maturity_step(times: np.ndarray, T: float, what: str) -> int:
 
 
 def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
-    """Monte Carlo oracle surface.
+    """Monte Carlo oracle surface: the mean payoffs priced inside the
+    simulation loop (`price_steps` and `strikes` of `simulate_paths`, which
+    must be the grid's strikes and include every maturity's step),
+    discounted.
 
     A common path set across strikes keeps the estimator convex and
     nonincreasing in strike exactly; calendar monotonicity holds up to Monte
@@ -299,14 +357,16 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     if n < 1000:
         _warnings.warn(f"only {n} paths; oracle precision will be poor", RuntimeWarning)
     strikes = grid.strikes
+    if not np.array_equal(paths.strikes, strikes):
+        raise DomainError("the paths were not priced at the grid's strikes")
     L, M = grid.n_maturities, len(strikes)
     calls = np.empty((L, M))
     puts = np.empty((L, M))
     for ell, T in enumerate(grid.maturities):
-        s_t = paths.spot[:, _maturity_step(paths.spot_times, T, "a stored spot step")]
+        row = _maturity_step(paths.price_times, T, "a priced step")
         disc = np.exp(-grid.rate * T)
-        calls[ell] = disc * np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
-        puts[ell] = disc * np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
+        calls[ell] = disc * paths.call_payoffs[row]
+        puts[ell] = disc * paths.put_payoffs[row]
     surface = PriceSurface.from_matrices(grid, calls, puts)
     cal_defect = float(arb_residual_arrays(calls, strikes, grid.spot).calendar.max(initial=0.0))
     if cal_defect > ORACLE_REPAIR_TOL:
@@ -391,15 +451,17 @@ def add_noise_censor(
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
     """Simulate one window (window-indexed seed stream) and assemble the
     panel. The simulation runs exactly to the close of the last maturity's
-    proxy window and stores only what the panel reads: the spot at each
-    maturity, which the oracle prices, and the VIX^2 proxy of each
-    maturity's window, reduced in the loop; no variance row is stored."""
+    proxy window and keeps only what the panel reads, reduced in the loop:
+    the mean payoffs at each maturity, which the oracle discounts, and the
+    VIX^2 proxy of each maturity's window; no spot or variance row is
+    stored."""
     grid = make_grid(cfg)
     maturity_steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
     width = _vix_window_steps(1.0 / cfg.steps_per_year)
     horizon = (maturity_steps[-1] + width) / cfg.steps_per_year
-    paths = simulate_paths(cfg, horizon, stream=window_index, spot_steps=maturity_steps,
-                           variance_steps=np.zeros(0, int), proxy_steps=maturity_steps)
+    none = np.zeros(0, int)
+    paths = simulate_paths(cfg, horizon, stream=window_index, spot_steps=none, variance_steps=none,
+                           proxy_steps=maturity_steps, price_steps=maturity_steps, strikes=grid.strikes)
     oracle = oracle_prices(paths, grid)
     vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
     panel = add_noise_censor(oracle, cfg, stream=window_index + 1)

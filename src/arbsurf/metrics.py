@@ -18,12 +18,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from .decoder import arb_residual_arrays
 from .grids import DomainError, PriceSurface
 
-Z_95 = float(_norm.ppf(0.5 * (1.0 + 0.95)))  # two-sided 95% normal quantile of every interval
+Z_95 = float(ndtri(0.5 * (1.0 + 0.95)))  # two-sided 95% normal quantile of every interval
 HOLM_ALPHA = 0.05  # family-wise level of the Holm-Bonferroni step-down
 CNAS_KAPPA = 10.0  # stiffness of the CNAS saturating hinge
 CNAS_SCALE = 1.0  # saturation cap of the CNAS hinge

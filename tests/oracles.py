@@ -119,12 +119,23 @@ def reference_proxy(variance, start, dt):
     return (np.maximum(np.ascontiguousarray(variance[:, start : start + width + 1]), 0.0) @ w) / span
 
 
-def reference_paths(cfg, horizon, stream=0, proxy_steps=()):
+def reference_payoffs(s_t, strikes):
+    """Mean undiscounted call and put payoffs of the spots s_t (n_paths,)
+    at each strike: whole (n_paths, M) payoff matrices averaged over the
+    path axis."""
+    calls = np.maximum(s_t[:, None] - strikes[None, :], 0.0).mean(axis=0)
+    puts = np.maximum(strikes[None, :] - s_t[:, None], 0.0).mean(axis=0)
+    return calls, puts
+
+
+def reference_paths(cfg, horizon, stream=0, proxy_steps=(), price_steps=(), strikes=()):
     """Euler full-truncation paths, one step at a time: (n_paths, N+1)
     C-ordered spot and variance, each step drawing z1 then zp from the
     Philox stream keyed (cfg.seed, stream) and writing one strided column;
     the proxy of each window opening at a step of `proxy_steps` is reduced
-    from the full variance after the loop."""
+    from the full variance, and the mean payoffs at `strikes` of the spot
+    at each step of `price_steps` are taken from the full spot, after the
+    loop."""
     from arbsurf.generator import PathEnsemble
 
     dt = 1.0 / cfg.steps_per_year
@@ -161,8 +172,15 @@ def reference_paths(cfg, horizon, stream=0, proxy_steps=()):
     times = np.arange(n_steps + 1) * dt
     proxy_steps = np.asarray(proxy_steps, dtype=int)
     proxy = np.array([reference_proxy(variance, i, dt) for i in proxy_steps]).reshape(len(proxy_steps), n)
+    price_steps = np.asarray(price_steps, dtype=int)
+    strikes = np.asarray(strikes, dtype=float)
+    calls = np.empty((len(price_steps), len(strikes)))
+    puts = np.empty_like(calls)
+    for row, i in enumerate(price_steps):
+        calls[row], puts[row] = reference_payoffs(spot[:, i], strikes)
     return PathEnsemble(spot_times=times, spot=spot, variance_times=times, variance=variance,
-                        proxy_times=proxy_steps * dt, proxy=proxy.T, dt=dt)
+                        proxy_times=proxy_steps * dt, proxy=proxy.T, price_times=price_steps * dt,
+                        strikes=strikes, call_payoffs=calls, put_payoffs=puts, dt=dt)
 
 
 def masked_sigmoid(x):

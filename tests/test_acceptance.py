@@ -235,7 +235,8 @@ class TestCriterion07GeneratorSanity:
 
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        paths = simulate_paths(cfg, horizon)
+        paths = simulate_paths(cfg, horizon, price_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int),
+                               strikes=grid.strikes)
         ok = True
         for T in grid.maturities:
             s_t = paths.spot[:, int(round(T * cfg.steps_per_year))]

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -539,6 +542,14 @@ class TestReport:
 
 
 class TestCliMain:
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about half a second of import and 46 MiB of RSS;
+        # the normal quantile and tail come from scipy.special
+        script = "import sys, arbsurf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_report_subcommand(self, tmp_path):
         from arbsurf.cli import main
 

@@ -12,7 +12,9 @@ import pytest
 from arbsurf import cli, generator
 from arbsurf.decoder import static_arb_residuals
 from arbsurf.generator import (
+    _DRAW_AHEAD,
     _DRAW_BLOCK,
+    _PRICE_BLOCK_ROWS,
     _PROXY_BLOCK_ROWS,
     VIX_WINDOW_DAYS,
     Fold,
@@ -29,7 +31,7 @@ from arbsurf.generator import (
 )
 from arbsurf.grids import DomainError
 
-from .oracles import reference_paths, reference_proxy
+from .oracles import reference_paths, reference_payoffs, reference_proxy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -45,6 +47,13 @@ def smoke_cfg(**kw):
     )
     base.update(kw)
     return GeneratorConfig(**base)
+
+
+def priced_paths(cfg, horizon, **kwargs):
+    """Paths priced at the strikes of the config's grid at each maturity."""
+    grid = make_grid(cfg)
+    steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+    return simulate_paths(cfg, horizon, price_steps=steps, strikes=grid.strikes, **kwargs)
 
 
 class TestKernelEval:
@@ -91,7 +100,8 @@ class TestPathsMatchReference:
     """The pipelined, time-major simulation reproduces the one-thread,
     path-major reference loop byte for byte."""
 
-    @pytest.mark.parametrize("n_steps", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 2])
+    @pytest.mark.parametrize("n_steps", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 2,
+                                         (_DRAW_AHEAD + 2) * _DRAW_BLOCK + 3])
     @pytest.mark.parametrize("stream", [0, 3])
     @pytest.mark.parametrize("seed", [7, 8])
     def test_same_bytes(self, n_steps, stream, seed):
@@ -107,13 +117,17 @@ class TestPathsMatchReference:
 
     def test_same_bytes_under_thread_contention(self):
         # three simulations at once (six threads on fewer cores) with a
-        # short switch interval: each stream still matches the reference
+        # short switch interval, each pricing a step in every block: each
+        # stream still matches the reference
         cfg = smoke_cfg(n_paths=301, steps_per_year=12)
-        horizon = (3 * _DRAW_BLOCK + 1) / cfg.steps_per_year
+        n_steps = 2 * (_DRAW_AHEAD + 1) * _DRAW_BLOCK + 1
+        horizon = n_steps / cfg.steps_per_year
+        price_steps = np.arange(1, n_steps + 1, _DRAW_BLOCK - 1)
+        strikes = make_grid(cfg).strikes
         results = {}
 
         def run(stream):
-            results[stream] = simulate_paths(cfg, horizon, stream)
+            results[stream] = simulate_paths(cfg, horizon, stream, price_steps=price_steps, strikes=strikes)
 
         threads = [threading.Thread(target=run, args=(stream,)) for stream in range(3)]
         interval = sys.getswitchinterval()
@@ -127,9 +141,11 @@ class TestPathsMatchReference:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for stream in range(3):
-            ref = reference_paths(cfg, horizon, stream)
+            ref = reference_paths(cfg, horizon, stream, price_steps=price_steps, strikes=strikes)
             assert np.ascontiguousarray(results[stream].spot).tobytes() == ref.spot.tobytes()
             assert np.ascontiguousarray(results[stream].variance).tobytes() == ref.variance.tobytes()
+            assert results[stream].call_payoffs.tobytes() == ref.call_payoffs.tobytes()
+            assert results[stream].put_payoffs.tobytes() == ref.put_payoffs.tobytes()
 
     @pytest.mark.parametrize("window", [0, 1])
     def test_panel_matches_reference_pricing(self, window):
@@ -140,8 +156,9 @@ class TestPathsMatchReference:
 
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        ref = reference_paths(cfg, horizon, stream=window,
-                              proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
+        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+        ref = reference_paths(cfg, horizon, stream=window, proxy_steps=steps, price_steps=steps,
+                              strikes=grid.strikes)
         oracle = oracle_prices(ref, grid)
         quoted = add_noise_censor(oracle, cfg, stream=window + 1).quoted_surface
         vix2 = np.array([vix2_proxy(ref, T) for T in grid.maturities])
@@ -201,9 +218,10 @@ class TestKeptRows:
     def test_invalid_keep_rejected(self, keep):
         # `[]` is a float array: only an integer array names an empty step set
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
-        for name in ("spot_steps", "variance_steps"):
+        for name, kwargs in (("spot_steps", {}), ("variance_steps", {}),
+                             ("price_steps", {"strikes": make_grid(cfg).strikes})):
             with pytest.raises(DomainError, match=f"^{name} must be strictly increasing"):
-                simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **{name: np.array(keep)})
+                simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **{name: np.array(keep)}, **kwargs)
 
     def test_empty_step_set_stores_nothing(self):
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
@@ -212,6 +230,8 @@ class TestKeptRows:
         for name in ("spot", "variance", "proxy"):
             assert getattr(paths, name).shape == (cfg.n_paths, 0), name
             assert getattr(paths, f"{name}_times").shape == (0,), name
+        assert paths.price_times.shape == (0,)
+        assert paths.call_payoffs.shape == paths.put_payoffs.shape == (0, 0)
 
     @pytest.mark.parametrize("cfg, rows", [
         # default shape: 12 disjoint 22-step windows, so one window buffer is open at a time
@@ -238,9 +258,9 @@ class TestKeptRows:
         assert rows is None or len(windows) == rows
         # the simulation ends as the last proxy window closes: 521 steps at the defaults
         assert int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) == maturities[-1] + width
-        assert paths.spot.shape == (cfg.n_paths, cfg.n_maturities)
-        assert np.array_equal(np.rint(paths.spot_times / dt), maturities)
-        assert paths.variance.shape == (cfg.n_paths, 0)
+        assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, 0)
+        assert paths.call_payoffs.shape == paths.put_payoffs.shape == (cfg.n_maturities, cfg.n_strikes)
+        assert np.array_equal(np.rint(paths.price_times / dt), maturities)
         assert paths.proxy.shape == (cfg.n_paths, cfg.n_maturities)
         assert np.array_equal(np.rint(paths.proxy_times / dt), maturities)
 
@@ -251,16 +271,18 @@ class TestKeptRows:
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
         T1 = float(grid.maturities[1])
 
-        # the spot row of one maturity is missing: the oracle cannot price
-        # it, the proxy of its window is still there
-        paths = simulate_paths(cfg, horizon, spot_steps=np.setdiff1d(steps, [steps[1]]), proxy_steps=steps)
-        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a stored spot step"):
+        # one maturity is not priced: the oracle cannot take it, the proxy
+        # of its window is still there
+        paths = simulate_paths(cfg, horizon, proxy_steps=steps, price_steps=np.setdiff1d(steps, [steps[1]]),
+                               strikes=grid.strikes)
+        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a priced step"):
             oracle_prices(paths, grid)
         vix2_proxy(paths, T1)
 
         # the proxy window of one maturity is not reduced: the oracle
         # prices, the proxy cannot be read
-        paths = simulate_paths(cfg, horizon, spot_steps=steps, proxy_steps=np.setdiff1d(steps, [steps[1]]))
+        paths = simulate_paths(cfg, horizon, proxy_steps=np.setdiff1d(steps, [steps[1]]), price_steps=steps,
+                               strikes=grid.strikes)
         oracle_prices(paths, grid)
         vix2_proxy(paths, float(grid.maturities[0]))
         with pytest.raises(DomainError,
@@ -326,6 +348,61 @@ class TestProxyInLoop:
         assert bytes.fromhex(out.stdout) == paths.proxy.tobytes()
 
 
+class TestPricesInLoop:
+    """The mean payoffs priced inside the stepping loop equal the post-hoc,
+    whole-matrix means over a full simulation's spot, byte for byte."""
+
+    N_STEPS = (_DRAW_AHEAD + 1) * _DRAW_BLOCK + 2
+
+    @pytest.mark.parametrize("n_paths", [
+        1, 2, 3, _PRICE_BLOCK_ROWS - 1, _PRICE_BLOCK_ROWS, _PRICE_BLOCK_ROWS + 1, 2 * _PRICE_BLOCK_ROWS + 1, 5003,
+    ])
+    @pytest.mark.parametrize("n_strikes", [3, 7, 25])
+    def test_payoffs_equal_full_simulation(self, n_paths, n_strikes):
+        cfg = smoke_cfg(n_paths=n_paths, steps_per_year=12, n_strikes=n_strikes)
+        strikes = make_grid(cfg).strikes
+        # step 0, one step on each side of a drawn block, and the last step
+        price_steps = [0, _DRAW_BLOCK - 1, _DRAW_BLOCK, self.N_STEPS]
+        horizon = self.N_STEPS / cfg.steps_per_year
+        none = np.zeros(0, int)
+        paths = simulate_paths(cfg, horizon, stream=1, spot_steps=none, variance_steps=none,
+                               price_steps=price_steps, strikes=strikes)
+        ref = reference_paths(cfg, horizon, stream=1, price_steps=price_steps, strikes=strikes)
+        assert paths.price_times.tobytes() == ref.price_times.tobytes()
+        assert paths.strikes.tobytes() == strikes.tobytes()
+        assert paths.call_payoffs.tobytes() == ref.call_payoffs.tobytes()
+        assert paths.put_payoffs.tobytes() == ref.put_payoffs.tobytes()
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 2047, 2048, 2049, 4097, 5003, 50_000, 50_003])
+    @pytest.mark.parametrize("n_strikes", [2, 3, 7, 9, 11, 25, 64])
+    def test_payoff_means_equal_whole_matrix_mean(self, n_paths, n_strikes):
+        rng = np.random.default_rng(n_paths + n_strikes)
+        s = 100.0 * np.exp(0.3 * rng.standard_normal(n_paths))
+        strikes = 100.0 * np.exp(np.linspace(-0.6, 0.6, n_strikes))
+        for got, ref in zip(generator._payoff_means(s, strikes), reference_payoffs(s, strikes)):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{"price_steps": [1]}, {"strikes": [90.0, 100.0, 110.0]}])
+    def test_steps_and_strikes_given_together(self, kwargs):
+        cfg = smoke_cfg(n_paths=11, steps_per_year=12)
+        with pytest.raises(DomainError, match="^price_steps and strikes must be given together"):
+            simulate_paths(cfg, 1.0, **kwargs)
+
+    @pytest.mark.parametrize("strikes", [[100.0], [90.0, 110.0], [[90.0, 100.0, 110.0]], [90.0, np.nan, 110.0]])
+    def test_invalid_strikes_rejected(self, strikes):
+        cfg = smoke_cfg(n_paths=11, steps_per_year=12)
+        with pytest.raises(DomainError, match="^strikes must be a 1-D array of at least 3 finite values"):
+            simulate_paths(cfg, 1.0, price_steps=[1], strikes=strikes)
+
+    def test_other_strikes_rejected(self):
+        cfg = smoke_cfg(n_paths=1000)
+        grid = make_grid(cfg)
+        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+        paths = simulate_paths(cfg, float(grid.maturities[-1]), price_steps=steps, strikes=grid.strikes[1:])
+        with pytest.raises(DomainError, match="^the paths were not priced at the grid's strikes"):
+            oracle_prices(paths, grid)
+
+
 class TestSnappedMaturities:
     @pytest.mark.parametrize(
         "config, steps",
@@ -360,7 +437,7 @@ class TestOraclePrices:
     def test_surface_feasible(self):
         cfg = smoke_cfg(n_paths=20000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         surf = oracle_prices(paths, grid)
         res = static_arb_residuals(surf)
         assert res.convexity.max(initial=0.0) < 1e-6
@@ -371,7 +448,7 @@ class TestOraclePrices:
     def test_parity_identity_on_shared_paths(self):
         cfg = smoke_cfg(n_paths=5000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         surf = oracle_prices(paths, grid)
         strikes = grid.strikes
         for ell, t in enumerate(grid.maturities):
@@ -382,7 +459,7 @@ class TestOraclePrices:
     def test_few_paths_warns(self):
         cfg = smoke_cfg(n_paths=200)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         with pytest.warns(RuntimeWarning):
             oracle_prices(paths, grid)
 
@@ -433,7 +510,7 @@ class TestNoiseCensor:
     def test_no_noise_no_censor(self):
         cfg = smoke_cfg(noise_scale=0.0, liq_a=0.0, n_paths=3000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         oracle = oracle_prices(paths, grid)
         panel = add_noise_censor(oracle, cfg)
         assert panel.quoted_surface.observed_fraction() == 1.0
@@ -443,7 +520,7 @@ class TestNoiseCensor:
     def test_everything_censored(self):
         cfg = smoke_cfg(liq_a=1e9, n_paths=2000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         oracle = oracle_prices(paths, grid)
         panel = add_noise_censor(oracle, cfg)
         assert panel.quoted_surface.n_observed() == 0
@@ -452,7 +529,7 @@ class TestNoiseCensor:
     def test_reproducible(self):
         cfg = smoke_cfg(n_paths=2000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
         oracle = oracle_prices(paths, grid)
         a = add_noise_censor(oracle, cfg)
         b = add_noise_censor(oracle, cfg)
@@ -531,7 +608,7 @@ class TestStripProxyConsistency:
         )
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        paths = simulate_paths(cfg, horizon, proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
+        paths = priced_paths(cfg, horizon, proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
         oracle = oracle_prices(paths, grid)
         for ell, T in enumerate(grid.maturities):
             strip = vix_squared(oracle, ell)
