@@ -386,7 +386,7 @@ def distorted_panel(panel: SyntheticPanel, gen: GeneratorConfig, strength: float
     if strength == 0.0:
         return panel
     noisy_cfg = replace(gen, noise_scale=gen.noise_scale * strength)
-    redraw = add_noise_censor(panel.oracle_surface, noisy_cfg, stream=90_000 + 101 * draw).quoted_surface
+    redraw, _ = add_noise_censor(panel.oracle_surface, noisy_cfg, stream=90_000 + 101 * draw)
     grid = panel.quoted_surface.grid
     shifted = MarketGrid(grid.maturities, grid.strikes, grid.spot,
                          grid.rate + STRESS_RATE_SHIFT * strength, grid.dividend_yield)

@@ -96,26 +96,23 @@ class GeneratorConfig:
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths at the stored steps of the day grid: spot
-    (n_paths, K_s) at the K_s steps of spot_times, variance (n_paths, K_v)
-    at the K_v steps of variance_times, the per-path VIX^2 proxy
-    (n_paths, K_p) of the K_p windows that open at proxy_times, the mean
-    undiscounted call and put payoffs (K_q, M) at the M `strikes` of the
-    spot at the K_q steps of price_times, and the exact step
-    dt = 1 / steps_per_year. The three per-path arrays are transposed views
-    of time-major (K, n_paths) storage, so one column `spot[:, i]` is
+    """What the loop reduced at each of the K steps of the day grid at
+    `times`: the mean undiscounted call and put payoffs (K, M) of the spot
+    at the M `strikes`, and the per-path VIX^2 proxy (n_paths, K) of the
+    window that opens there; then the per-path spot and variance
+    (n_paths, K_kept) at the steps of `kept_times`, and the exact step
+    dt = 1 / steps_per_year. The per-path arrays are transposed views of
+    time-major (K, n_paths) storage, so one column `spot[:, i]` is
     contiguous."""
 
-    spot_times: np.ndarray
-    spot: np.ndarray
-    variance_times: np.ndarray
-    variance: np.ndarray
-    proxy_times: np.ndarray
-    proxy: np.ndarray
-    price_times: np.ndarray
+    times: np.ndarray
     strikes: np.ndarray
     call_payoffs: np.ndarray
     put_payoffs: np.ndarray
+    proxy: np.ndarray
+    kept_times: np.ndarray
+    spot: np.ndarray
+    variance: np.ndarray
     dt: float
 
 
@@ -127,8 +124,8 @@ class SyntheticPanel:
     quoted_surface: PriceSurface
     vix2_observed: np.ndarray
     window_index: int
-    filter_rate: float = 0.0
-    clamp_count: int = 0
+    filter_rate: float
+    clamp_count: int
 
 
 def snapped_maturities(cfg: GeneratorConfig) -> np.ndarray:
@@ -156,11 +153,12 @@ def _rng(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
 
 
 def _storage_rows(steps, n_steps: int, name: str, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The stored steps (when None, every step whose `width`-step window
-    ends by step n_steps) and the storage row of each step 0..n_steps, -1
-    where the step is not stored."""
+    """The steps (an empty sequence names none) and the row of each step
+    0..n_steps among them, -1 where the step is not one of them."""
     last = n_steps - width
-    steps = np.arange(last + 1) if steps is None else np.asarray(steps)
+    steps = np.asarray(steps)
+    if steps.shape == (0,):
+        steps = steps.astype(int)
     if (steps.ndim != 1 or not np.issubdtype(steps.dtype, np.integer)
             or np.any(steps < 0) or np.any(steps > last) or np.any(np.diff(steps) <= 0)):
         window = f" (each {width}-step window ends by step {n_steps})" if width else ""
@@ -218,80 +216,67 @@ def _payoff_means(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
-                   spot_steps=None, variance_steps=None, proxy_steps=None,
-                   price_steps=None, strikes=None) -> PathEnsemble:
-    """Euler full-truncation simulation to `horizon` (years), storing the
-    spot at `spot_steps` and the variance at `variance_steps` (each strictly
-    increasing indices into 0..N; every step when None, none when empty),
-    the per-path VIX^2 proxy of each window [i, i + width] that opens at a
-    step i of `proxy_steps` (strictly increasing, each window ending by
-    step N; none when None), and the mean undiscounted call and put
-    payoffs at `strikes` (a 1-D array of at least 3) of the spot at each
-    step of `price_steps` (strictly increasing; the two are given together,
-    none priced when both are None). A stored row holds the same bytes
-    whatever else is stored.
+                   steps=(), strikes=(), keep=()) -> PathEnsemble:
+    """Euler full-truncation simulation to `horizon` (years), reduced
+    inside the stepping loop. At each of `steps` (strictly increasing, each
+    VIX^2 proxy window [i, i + width] ending by step N) the loop prices the
+    mean undiscounted call and put payoffs of the spot at `strikes` (a 1-D
+    array of at least 3 whenever `steps` is not empty) and opens the proxy
+    window of that step; it stores the per-path spot and variance at each
+    of `keep` (strictly increasing indices into 0..N). Every default names
+    nothing. A reduced or stored row holds the same bytes whatever else is
+    reduced or stored.
 
     Deterministic given (cfg.seed, stream); the counter-based generator
     makes the draws independent of any scheduling of the vectorized paths.
-    The loop steps one spot and one variance row and copies each into its
-    time-major storage at a step where that array is stored. Each open
-    proxy window copies the variance into its own C-ordered
-    (n_paths, width + 1) buffer, which `_window_average` reduces to a proxy
-    row as the window closes; windows may overlap. At a priced step
+    The loop steps one spot and one variance row. At a kept step it copies
+    both into their time-major storage. At a step of `steps`
     `_payoff_means` prices the spot row, with the bits of the whole-matrix
-    mean over a stored spot column. One worker thread draws the normals of
-    the next `_DRAW_AHEAD` blocks of `_DRAW_BLOCK` steps while this thread
-    steps and prices the current block; the worker alone touches the
-    generator, runs its draws in the order they were submitted, and a
-    (steps, 2, n) fill consumes the stream in the same order as a (z1, zp)
-    pair of n-draws per step.
+    mean over a stored spot column. Each open proxy window copies the
+    variance into its own C-ordered (n_paths, width + 1) buffer, which
+    `_window_average` reduces to a proxy row as the window closes; windows
+    may overlap. One worker thread draws the normals of the next
+    `_DRAW_AHEAD` blocks of `_DRAW_BLOCK` steps while this thread steps and
+    prices the current block; the worker alone touches the generator, runs
+    its draws in the order they were submitted, and a (steps, 2, n) fill
+    consumes the stream in the same order as a (z1, zp) pair of n-draws per
+    step.
     """
     if not (horizon > 0):
         raise DomainError("horizon must be positive")
-    if (price_steps is None) != (strikes is None):
-        raise DomainError("price_steps and strikes must be given together")
     dt = 1.0 / cfg.steps_per_year
     n_steps = int(np.ceil(horizon * cfg.steps_per_year - 1e-9))
     n = cfg.n_paths
     width = _vix_window_steps(dt)
     rng = _rng(cfg, stream)
 
-    spot_steps, spot_row = _storage_rows(spot_steps, n_steps, "spot_steps")
-    variance_steps, variance_row = _storage_rows(variance_steps, n_steps, "variance_steps")
-    proxy_steps, proxy_row = _storage_rows(np.zeros(0, int) if proxy_steps is None else proxy_steps,
-                                           n_steps, "proxy_steps", width)
-    price_steps, price_row = _storage_rows(np.zeros(0, int) if price_steps is None else price_steps,
-                                           n_steps, "price_steps")
-    if strikes is None:
-        strikes = np.zeros(0)
-    else:
-        strikes = np.asarray(strikes, dtype=float)
-        if strikes.ndim != 1 or len(strikes) < 3 or not np.all(np.isfinite(strikes)):
-            raise DomainError("strikes must be a 1-D array of at least 3 finite values")
+    steps, step_row = _storage_rows(steps, n_steps, "steps", width)
+    keep, kept_row = _storage_rows(keep, n_steps, "keep")
+    strikes = np.asarray(strikes, dtype=float)
+    if len(steps) and (strikes.ndim != 1 or len(strikes) < 3 or not np.all(np.isfinite(strikes))):
+        raise DomainError("strikes must be a 1-D array of at least 3 finite values when steps are given")
 
     a = np.asarray(cfg.kernel_weights, dtype=float)
     b = np.asarray(cfg.kernel_rates, dtype=float)
     decay = np.exp(-b * dt)
 
-    spot = np.empty((len(spot_steps), n))
-    variance = np.empty((len(variance_steps), n))
-    proxy = np.empty((len(proxy_steps), n))
-    calls = np.empty((len(price_steps), len(strikes)))
-    puts = np.empty((len(price_steps), len(strikes)))
-    windows = {}  # proxy row -> buffer of its open window
+    calls = np.empty((len(steps), strikes.size))
+    puts = np.empty((len(steps), strikes.size))
+    proxy = np.empty((len(steps), n))
+    spot = np.empty((len(keep), n))
+    variance = np.empty((len(keep), n))
+    windows = {}  # row of a step -> buffer of the proxy window it opened
 
     def store(step, s, v):
-        if spot_row[step] >= 0:
-            spot[spot_row[step]] = s
-        if price_row[step] >= 0:
-            calls[price_row[step]], puts[price_row[step]] = _payoff_means(s, strikes)
-        if variance_row[step] >= 0:
-            variance[variance_row[step]] = v
-        if proxy_row[step] >= 0:
-            windows[proxy_row[step]] = np.empty((n, width + 1))
+        if kept_row[step] >= 0:
+            spot[kept_row[step]] = s
+            variance[kept_row[step]] = v
+        if step_row[step] >= 0:
+            calls[step_row[step]], puts[step_row[step]] = _payoff_means(s, strikes)
+            windows[step_row[step]] = np.empty((n, width + 1))
         for k, window in windows.items():
-            window[:, step - proxy_steps[k]] = v
-        closing = proxy_row[step - width] if step >= width else -1
+            window[:, step - steps[k]] = v
+        closing = step_row[step - width] if step >= width else -1
         if closing >= 0:
             proxy[closing] = _window_average(windows.pop(closing), dt)
 
@@ -327,24 +312,21 @@ def simulate_paths(cfg: GeneratorConfig, horizon: float, stream: int = 0,
                 v = cfg.v0 + drift_acc + a @ conv_states
                 store(step + 1, s, v)
 
-    return PathEnsemble(spot_steps * dt, spot.T, variance_steps * dt, variance.T,
-                        proxy_steps * dt, proxy.T, price_steps * dt, strikes, calls, puts, dt)
+    return PathEnsemble(steps * dt, strikes, calls, puts, proxy.T, keep * dt, spot.T, variance.T, dt)
 
 
-def _maturity_step(times: np.ndarray, T: float, what: str) -> int:
-    """Index of maturity T among the stored steps at `times`; `what`
-    names those steps in the error."""
-    row = int(np.searchsorted(times, T - 1e-9))
-    if row == len(times) or abs(times[row] - T) > 1e-9:
-        raise DomainError(f"maturity {T} is not {what} of the simulated paths")
+def _maturity_step(paths: PathEnsemble, T: float) -> int:
+    """Row of maturity T among the reduction steps at `paths.times`."""
+    row = int(np.searchsorted(paths.times, T - 1e-9))
+    if row == len(paths.times) or abs(paths.times[row] - T) > 1e-9:
+        raise DomainError(f"maturity {T} is not one of the steps the paths were reduced at")
     return row
 
 
 def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     """Monte Carlo oracle surface: the mean payoffs priced inside the
-    simulation loop (`price_steps` and `strikes` of `simulate_paths`, which
-    must be the grid's strikes and include every maturity's step),
-    discounted.
+    simulation loop (`steps` and `strikes` of `simulate_paths`, which must
+    include every maturity's step and be the grid's strikes), discounted.
 
     A common path set across strikes keeps the estimator convex and
     nonincreasing in strike exactly; calendar monotonicity holds up to Monte
@@ -353,7 +335,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     """
     import warnings as _warnings
 
-    n = paths.spot.shape[0]
+    n = paths.proxy.shape[0]
     if n < 1000:
         _warnings.warn(f"only {n} paths; oracle precision will be poor", RuntimeWarning)
     strikes = grid.strikes
@@ -363,7 +345,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     calls = np.empty((L, M))
     puts = np.empty((L, M))
     for ell, T in enumerate(grid.maturities):
-        row = _maturity_step(paths.price_times, T, "a priced step")
+        row = _maturity_step(paths, T)
         disc = np.exp(-grid.rate * T)
         calls[ell] = disc * paths.call_payoffs[row]
         puts[ell] = disc * paths.put_payoffs[row]
@@ -382,15 +364,15 @@ def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
 
     Dimensional analysis says the (1/Delta) time average is already an
     annualized variance. The per-path averages are reduced inside the
-    simulation loop as each window closes (`proxy_steps` of
-    `simulate_paths`), so no variance row need be stored; T must open one
-    of those windows. Each window is reduced in blocks of rows whose gemvs
-    run on the calling thread (`_window_average`): at the default 50 000
-    paths a whole-window gemv is threaded, its OpenBLAS worker spins while
-    the drawer thread draws, and the rows at its thread split round
+    simulation loop as each window closes (the windows open at the `steps`
+    of `simulate_paths`), so no variance row need be stored; T must open
+    one of those windows. Each window is reduced in blocks of rows whose
+    gemvs run on the calling thread (`_window_average`): at the default
+    50 000 paths a whole-window gemv is threaded, its OpenBLAS worker spins
+    while the drawer thread draws, and the rows at its thread split round
     differently with the thread count.
     """
-    per_path = paths.proxy[:, _maturity_step(paths.proxy_times, T, "the start of a reduced proxy window")]
+    per_path = paths.proxy[:, _maturity_step(paths, T)]
     est = float(per_path.mean())
     if return_se:
         se = float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
@@ -405,10 +387,9 @@ def quote_noise_sd(cfg: GeneratorConfig, prices: np.ndarray, logm: np.ndarray,
     return strength * cfg.noise_scale * np.maximum(prices, cfg.noise_floor) * (1.0 + np.abs(logm))[None, :]
 
 
-def add_noise_censor(
-    oracle: PriceSurface, cfg: GeneratorConfig, stream: int = 1
-) -> SyntheticPanel:
-    """Quoted surface: heteroskedastic noise plus liquidity censoring.
+def add_noise_censor(oracle: PriceSurface, cfg: GeneratorConfig, stream: int = 1) -> tuple[PriceSurface, int]:
+    """Quoted surface and its clamp count: heteroskedastic noise plus
+    liquidity censoring.
 
     quoted = (oracle + eps) * 1{oracle >= tau_liq}, with eps zero-mean
     Gaussian of std noise_scale * max(price, floor) * (1 + |log-moneyness|)
@@ -436,38 +417,25 @@ def add_noise_censor(
         noisy = np.maximum(noisy, 0.0)
         noisy[~mask] = np.nan
         quoted[name] = noisy
-    quoted_surface = PriceSurface.from_matrices(grid, quoted["calls"], quoted["puts"], mask)
-    filter_rate = float(1.0 - mask.mean())
-    return SyntheticPanel(
-        oracle_surface=oracle,
-        quoted_surface=quoted_surface,
-        vix2_observed=np.array([]),
-        window_index=stream - 1,
-        filter_rate=filter_rate,
-        clamp_count=clamp_count,
-    )
+    return PriceSurface.from_matrices(grid, quoted["calls"], quoted["puts"], mask), clamp_count
 
 
 def make_panel(cfg: GeneratorConfig, window_index: int = 0) -> SyntheticPanel:
     """Simulate one window (window-indexed seed stream) and assemble the
     panel. The simulation runs exactly to the close of the last maturity's
-    proxy window and keeps only what the panel reads, reduced in the loop:
-    the mean payoffs at each maturity, which the oracle discounts, and the
-    VIX^2 proxy of each maturity's window; no spot or variance row is
-    stored."""
+    proxy window with the maturities as its reduction `steps`, so the loop
+    reduces only what the panel reads: the mean payoffs at each maturity,
+    which the oracle discounts, and the VIX^2 proxy of each maturity's
+    window; no spot or variance row is kept."""
     grid = make_grid(cfg)
     maturity_steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
     width = _vix_window_steps(1.0 / cfg.steps_per_year)
     horizon = (maturity_steps[-1] + width) / cfg.steps_per_year
-    none = np.zeros(0, int)
-    paths = simulate_paths(cfg, horizon, stream=window_index, spot_steps=none, variance_steps=none,
-                           proxy_steps=maturity_steps, price_steps=maturity_steps, strikes=grid.strikes)
+    paths = simulate_paths(cfg, horizon, stream=window_index, steps=maturity_steps, strikes=grid.strikes)
     oracle = oracle_prices(paths, grid)
     vix2 = np.array([vix2_proxy(paths, T) for T in grid.maturities])
-    panel = add_noise_censor(oracle, cfg, stream=window_index + 1)
-    panel.vix2_observed = vix2
-    panel.window_index = window_index
-    return panel
+    quoted, clamp_count = add_noise_censor(oracle, cfg, stream=window_index + 1)
+    return SyntheticPanel(oracle, quoted, vix2, window_index, float(1.0 - quoted.mask.mean()), clamp_count)
 
 
 @dataclass

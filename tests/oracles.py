@@ -128,14 +128,13 @@ def reference_payoffs(s_t, strikes):
     return calls, puts
 
 
-def reference_paths(cfg, horizon, stream=0, proxy_steps=(), price_steps=(), strikes=()):
+def reference_paths(cfg, horizon, stream=0, steps=(), strikes=()):
     """Euler full-truncation paths, one step at a time: (n_paths, N+1)
-    C-ordered spot and variance, each step drawing z1 then zp from the
-    Philox stream keyed (cfg.seed, stream) and writing one strided column;
-    the proxy of each window opening at a step of `proxy_steps` is reduced
-    from the full variance, and the mean payoffs at `strikes` of the spot
-    at each step of `price_steps` are taken from the full spot, after the
-    loop."""
+    C-ordered spot and variance, kept at every step, each step drawing z1
+    then zp from the Philox stream keyed (cfg.seed, stream) and writing one
+    strided column; at each of `steps` the mean payoffs at `strikes` are
+    taken from the full spot and the proxy of the window opening there is
+    reduced from the full variance, after the loop."""
     from arbsurf.generator import PathEnsemble
 
     dt = 1.0 / cfg.steps_per_year
@@ -169,18 +168,15 @@ def reference_paths(cfg, horizon, stream=0, proxy_steps=(), price_steps=(), stri
         conv_states = decay[:, None] * (conv_states + shock[None, :])
         variance[:, step + 1] = cfg.v0 + drift_acc + a @ conv_states
 
-    times = np.arange(n_steps + 1) * dt
-    proxy_steps = np.asarray(proxy_steps, dtype=int)
-    proxy = np.array([reference_proxy(variance, i, dt) for i in proxy_steps]).reshape(len(proxy_steps), n)
-    price_steps = np.asarray(price_steps, dtype=int)
+    steps = np.asarray(steps, dtype=int)
     strikes = np.asarray(strikes, dtype=float)
-    calls = np.empty((len(price_steps), len(strikes)))
+    calls = np.empty((len(steps), len(strikes)))
     puts = np.empty_like(calls)
-    for row, i in enumerate(price_steps):
+    for row, i in enumerate(steps):
         calls[row], puts[row] = reference_payoffs(spot[:, i], strikes)
-    return PathEnsemble(spot_times=times, spot=spot, variance_times=times, variance=variance,
-                        proxy_times=proxy_steps * dt, proxy=proxy.T, price_times=price_steps * dt,
-                        strikes=strikes, call_payoffs=calls, put_payoffs=puts, dt=dt)
+    proxy = np.array([reference_proxy(variance, i, dt) for i in steps]).reshape(len(steps), n)
+    return PathEnsemble(times=steps * dt, strikes=strikes, call_payoffs=calls, put_payoffs=puts, proxy=proxy.T,
+                        kept_times=np.arange(n_steps + 1) * dt, spot=spot, variance=variance, dt=dt)
 
 
 def masked_sigmoid(x):

@@ -235,11 +235,11 @@ class TestCriterion07GeneratorSanity:
 
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        paths = simulate_paths(cfg, horizon, price_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int),
-                               strikes=grid.strikes)
+        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
+        paths = simulate_paths(cfg, horizon, steps=steps, strikes=grid.strikes, keep=steps)
         ok = True
-        for T in grid.maturities:
-            s_t = paths.spot[:, int(round(T * cfg.steps_per_year))]
+        for row, T in enumerate(grid.maturities):
+            s_t = paths.spot[:, row]
             disc = np.exp(-(cfg.r - cfg.q) * T) * s_t
             se = disc.std(ddof=1) / np.sqrt(len(disc))
             ok &= abs(disc.mean() - cfg.s0) <= 3 * se
@@ -254,7 +254,7 @@ class TestCriterion07GeneratorSanity:
             n_paths=400, steps_per_year=250, kernel_weights=(0.0,), kernel_rates=(1.0,),
             sigma_volvol=0.0, v0=0.09, theta_mean=0.04, kappa=1.5, seed=1,
         )
-        hpaths = simulate_paths(hcfg, 1.2, proxy_steps=[round(0.5 * hcfg.steps_per_year)])
+        hpaths = simulate_paths(hcfg, 1.2, steps=[round(0.5 * hcfg.steps_per_year)], strikes=make_grid(hcfg).strikes)
         est, se = vix2_proxy(hpaths, 0.5, return_se=True)
         from scipy.integrate import quad
 

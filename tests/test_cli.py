@@ -541,6 +541,38 @@ class TestReport:
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == (tmp_path / "r2" / "metrics.csv").read_bytes()
 
 
+class TestBlasThreads:
+    # a fold trained in a fresh process prints the digests of its record
+    # file, its decoded surfaces and its primal parameters
+    SCRIPT = """
+import hashlib, json, sys
+from dataclasses import replace
+from arbsurf import cli
+from arbsurf.runlog import emit_log
+
+cfg = cli.load_config(sys.argv[1], None)
+cfg = replace(cfg, training=replace(cfg.training, max_steps=100))
+panels, fold, state, run, surfaces = cli._train_fold0(cfg)
+emit_log(run, sys.argv[2])
+with open(sys.argv[2], "rb") as fh:
+    record = hashlib.sha256(fh.read()).hexdigest()
+decoded = hashlib.sha256(b"".join(s.calls.tobytes() + s.puts.tobytes() for s in surfaces)).hexdigest()
+primal = hashlib.sha256(b"".join(k.encode() + state.primal[k].tobytes() for k in sorted(state.primal))).hexdigest()
+print(json.dumps({"record": record, "decoded": decoded, "primal": primal}))
+"""
+
+    def test_smoke_fold_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        ini = str(Path(__file__).resolve().parents[1] / "configs" / "smoke.ini")
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            out = subprocess.run([sys.executable, "-c", self.SCRIPT, ini, str(tmp_path / f"runlog_{threads}.json")],
+                                 env=env, capture_output=True, text=True, check=True)
+            digests[threads] = json.loads(out.stdout)
+        assert digests["1"] == digests["2"]
+
+
 class TestCliMain:
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats costs about half a second of import and 46 MiB of RSS;

@@ -49,11 +49,26 @@ def smoke_cfg(**kw):
     return GeneratorConfig(**base)
 
 
-def priced_paths(cfg, horizon, **kwargs):
-    """Paths priced at the strikes of the config's grid at each maturity."""
-    grid = make_grid(cfg)
-    steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
-    return simulate_paths(cfg, horizon, price_steps=steps, strikes=grid.strikes, **kwargs)
+def every_step(cfg, horizon):
+    """Each step 0..N of a simulation to `horizon`."""
+    return np.arange(int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) + 1)
+
+
+def maturity_steps(cfg):
+    return np.rint(make_grid(cfg).maturities * cfg.steps_per_year).astype(int)
+
+
+def panel_horizon(cfg):
+    """The horizon of `make_panel`: the last maturity's proxy window closes
+    at the last step."""
+    return (maturity_steps(cfg)[-1] + generator._vix_window_steps(1.0 / cfg.steps_per_year)) / cfg.steps_per_year
+
+
+def priced_paths(cfg, **kwargs):
+    """Paths reduced at each maturity, priced at the strikes of the config's
+    grid, to the horizon of `make_panel`."""
+    return simulate_paths(cfg, panel_horizon(cfg), steps=maturity_steps(cfg), strikes=make_grid(cfg).strikes,
+                          **kwargs)
 
 
 class TestKernelEval:
@@ -68,14 +83,14 @@ class TestSimulatePaths:
     def test_deterministic_variance_when_flat(self):
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         v0=0.04, theta_mean=0.04, n_paths=50)
-        paths = simulate_paths(cfg, 1.0)
+        paths = simulate_paths(cfg, 1.0, keep=every_step(cfg, 1.0))
         assert np.allclose(paths.variance, 0.04, atol=1e-14)
 
     def test_lognormal_martingale(self):
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         n_paths=20000, r=0.02, q=0.0)
-        paths = simulate_paths(cfg, 1.0)
-        t = paths.spot_times[-1]
+        paths = simulate_paths(cfg, 1.0, keep=every_step(cfg, 1.0))
+        t = paths.kept_times[-1]
         s_t = paths.spot[:, -1]
         disc = np.exp(-(cfg.r - cfg.q) * t) * s_t
         se = disc.std(ddof=1) / np.sqrt(len(disc))
@@ -83,14 +98,14 @@ class TestSimulatePaths:
 
     def test_determinism(self):
         cfg = smoke_cfg(n_paths=100)
-        a = simulate_paths(cfg, 0.5)
-        b = simulate_paths(cfg, 0.5)
+        a = simulate_paths(cfg, 0.5, keep=every_step(cfg, 0.5))
+        b = simulate_paths(cfg, 0.5, keep=every_step(cfg, 0.5))
         assert np.array_equal(a.spot, b.spot)
         assert np.array_equal(a.variance, b.variance)
 
     def test_full_truncation_keeps_variance_usable(self):
         cfg = smoke_cfg(n_paths=500, sigma_volvol=1.5)
-        paths = simulate_paths(cfg, 1.0)
+        paths = simulate_paths(cfg, 1.0, keep=every_step(cfg, 1.0))
         assert np.all(np.isfinite(paths.variance))
         assert np.all(np.isfinite(paths.spot))
         assert np.all(paths.spot > 0)
@@ -107,27 +122,27 @@ class TestPathsMatchReference:
     def test_same_bytes(self, n_steps, stream, seed):
         cfg = smoke_cfg(n_paths=301, steps_per_year=12, seed=seed)
         horizon = n_steps / cfg.steps_per_year
-        paths = simulate_paths(cfg, horizon, stream)
+        paths = simulate_paths(cfg, horizon, stream, keep=np.arange(n_steps + 1))
         ref = reference_paths(cfg, horizon, stream)
         assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, n_steps + 1)
-        assert np.array_equal(paths.spot_times, ref.spot_times)
-        assert np.array_equal(paths.variance_times, ref.variance_times)
+        assert np.array_equal(paths.kept_times, ref.kept_times)
         for name in ("spot", "variance"):
             assert np.ascontiguousarray(getattr(paths, name)).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_same_bytes_under_thread_contention(self):
         # three simulations at once (six threads on fewer cores) with a
-        # short switch interval, each pricing a step in every block: each
-        # stream still matches the reference
+        # short switch interval, each reducing at a step in every block:
+        # each stream still matches the reference
         cfg = smoke_cfg(n_paths=301, steps_per_year=12)
         n_steps = 2 * (_DRAW_AHEAD + 1) * _DRAW_BLOCK + 1
-        horizon = n_steps / cfg.steps_per_year
-        price_steps = np.arange(1, n_steps + 1, _DRAW_BLOCK - 1)
+        steps = np.arange(1, n_steps + 1, _DRAW_BLOCK - 1)
+        horizon = (n_steps + generator._vix_window_steps(1.0 / cfg.steps_per_year)) / cfg.steps_per_year
         strikes = make_grid(cfg).strikes
         results = {}
 
         def run(stream):
-            results[stream] = simulate_paths(cfg, horizon, stream, price_steps=price_steps, strikes=strikes)
+            results[stream] = simulate_paths(cfg, horizon, stream, steps=steps, strikes=strikes,
+                                             keep=every_step(cfg, horizon))
 
         threads = [threading.Thread(target=run, args=(stream,)) for stream in range(3)]
         interval = sys.getswitchinterval()
@@ -141,11 +156,12 @@ class TestPathsMatchReference:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for stream in range(3):
-            ref = reference_paths(cfg, horizon, stream, price_steps=price_steps, strikes=strikes)
+            ref = reference_paths(cfg, horizon, stream, steps=steps, strikes=strikes)
             assert np.ascontiguousarray(results[stream].spot).tobytes() == ref.spot.tobytes()
             assert np.ascontiguousarray(results[stream].variance).tobytes() == ref.variance.tobytes()
             assert results[stream].call_payoffs.tobytes() == ref.call_payoffs.tobytes()
             assert results[stream].put_payoffs.tobytes() == ref.put_payoffs.tobytes()
+            assert np.ascontiguousarray(results[stream].proxy).tobytes() == np.ascontiguousarray(ref.proxy).tobytes()
 
     @pytest.mark.parametrize("window", [0, 1])
     def test_panel_matches_reference_pricing(self, window):
@@ -156,11 +172,9 @@ class TestPathsMatchReference:
 
         grid = make_grid(cfg)
         horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
-        ref = reference_paths(cfg, horizon, stream=window, proxy_steps=steps, price_steps=steps,
-                              strikes=grid.strikes)
+        ref = reference_paths(cfg, horizon, stream=window, steps=maturity_steps(cfg), strikes=grid.strikes)
         oracle = oracle_prices(ref, grid)
-        quoted = add_noise_censor(oracle, cfg, stream=window + 1).quoted_surface
+        quoted, clamp_count = add_noise_censor(oracle, cfg, stream=window + 1)
         vix2 = np.array([vix2_proxy(ref, T) for T in grid.maturities])
         assert panel.oracle_surface.calls.tobytes() == oracle.calls.tobytes()
         assert panel.oracle_surface.puts.tobytes() == oracle.puts.tobytes()
@@ -168,11 +182,14 @@ class TestPathsMatchReference:
         assert panel.quoted_surface.puts.tobytes() == quoted.puts.tobytes()
         assert np.array_equal(panel.quoted_surface.mask, quoted.mask)
         assert panel.vix2_observed.tobytes() == vix2.tobytes()
+        assert panel.window_index == window
+        assert panel.filter_rate == float(1.0 - quoted.mask.mean())
+        assert panel.clamp_count == clamp_count
 
 
 class TestKeptRows:
-    """`spot_steps` and `variance_steps` each store a subset of the steps;
-    each stored row is the full simulation's row, byte for byte."""
+    """`keep` stores the spot and variance at a subset of the steps; each
+    stored row is the full simulation's row, byte for byte."""
 
     N_STEPS = 3 * _DRAW_BLOCK + 2
 
@@ -186,52 +203,35 @@ class TestKeptRows:
         list(range(1, N_STEPS)),
     ])
     def test_rows_equal_full_simulation(self, keep):
-        self.check_rows(keep, keep)
-
-    @pytest.mark.parametrize("spot_steps, variance_steps", [
-        ([0, 5], [1, 2, 3, N_STEPS]),  # disjoint
-        ([3, 9], list(range(2, 12))),  # spot inside the variance steps
-        (list(range(N_STEPS + 1)), [_DRAW_BLOCK, N_STEPS]),  # variance inside the spot steps
-        (None, [2, 7]),
-        ([_DRAW_BLOCK + 1], None),
-    ])
-    def test_arrays_stored_at_own_steps(self, spot_steps, variance_steps):
-        self.check_rows(spot_steps, variance_steps)
-
-    def check_rows(self, spot_steps, variance_steps):
         cfg = smoke_cfg(n_paths=301, steps_per_year=12)
         horizon = self.N_STEPS / cfg.steps_per_year
-        full = simulate_paths(cfg, horizon, stream=2)
-        part = simulate_paths(cfg, horizon, stream=2, spot_steps=spot_steps, variance_steps=variance_steps)
+        full = simulate_paths(cfg, horizon, stream=2, keep=every_step(cfg, horizon))
+        part = simulate_paths(cfg, horizon, stream=2, keep=keep)
         assert part.dt == full.dt == 1.0 / cfg.steps_per_year
-        for name, steps in (("spot", spot_steps), ("variance", variance_steps)):
-            steps = slice(None) if steps is None else steps
-            times = getattr(part, f"{name}_times")
-            assert times.tobytes() == getattr(full, f"{name}_times")[steps].tobytes(), name
+        assert part.kept_times.tobytes() == full.kept_times[keep].tobytes()
+        for name in ("spot", "variance"):
             got = np.ascontiguousarray(getattr(part, name))
-            assert got.shape == (cfg.n_paths, len(times)), name
-            assert got.tobytes() == np.ascontiguousarray(getattr(full, name)[:, steps]).tobytes(), name
+            assert got.shape == (cfg.n_paths, len(keep)), name
+            assert got.tobytes() == np.ascontiguousarray(getattr(full, name)[:, keep]).tobytes(), name
 
     @pytest.mark.parametrize("keep", [
-        [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]], [],
+        [3, 2], [2, 2], [-1, 3], [0, N_STEPS + 1], [0.0, 1.0], [[0, 1]],
     ])
     def test_invalid_keep_rejected(self, keep):
-        # `[]` is a float array: only an integer array names an empty step set
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
-        for name, kwargs in (("spot_steps", {}), ("variance_steps", {}),
-                             ("price_steps", {"strikes": make_grid(cfg).strikes})):
+        for name, kwargs in (("keep", {}), ("steps", {"strikes": make_grid(cfg).strikes})):
             with pytest.raises(DomainError, match=f"^{name} must be strictly increasing"):
                 simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **{name: np.array(keep)}, **kwargs)
 
     def test_empty_step_set_stores_nothing(self):
+        # the defaults and an empty sequence of any dtype name no step
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
-        none = np.array([], dtype=int)
-        paths = simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, spot_steps=none, variance_steps=none)
-        for name in ("spot", "variance", "proxy"):
-            assert getattr(paths, name).shape == (cfg.n_paths, 0), name
-            assert getattr(paths, f"{name}_times").shape == (0,), name
-        assert paths.price_times.shape == (0,)
-        assert paths.call_payoffs.shape == paths.put_payoffs.shape == (0, 0)
+        for empty in ({}, {"steps": [], "keep": []}, {"steps": (), "keep": np.array([], int)}):
+            paths = simulate_paths(cfg, self.N_STEPS / cfg.steps_per_year, **empty)
+            for name in ("spot", "variance", "proxy"):
+                assert getattr(paths, name).shape == (cfg.n_paths, 0), (name, empty)
+            assert paths.times.shape == paths.kept_times.shape == (0,)
+            assert paths.call_payoffs.shape == paths.put_payoffs.shape == (0, 0)
 
     @pytest.mark.parametrize("cfg, rows", [
         # default shape: 12 disjoint 22-step windows, so one window buffer is open at a time
@@ -260,33 +260,22 @@ class TestKeptRows:
         assert int(np.ceil(horizon * cfg.steps_per_year - 1e-9)) == maturities[-1] + width
         assert paths.spot.shape == paths.variance.shape == (cfg.n_paths, 0)
         assert paths.call_payoffs.shape == paths.put_payoffs.shape == (cfg.n_maturities, cfg.n_strikes)
-        assert np.array_equal(np.rint(paths.price_times / dt), maturities)
         assert paths.proxy.shape == (cfg.n_paths, cfg.n_maturities)
-        assert np.array_equal(np.rint(paths.proxy_times / dt), maturities)
+        assert np.array_equal(np.rint(paths.times / dt), maturities)
 
     def test_missing_rows_named_by_maturity(self):
+        # one maturity is not a reduction step: neither the oracle nor the
+        # proxy can take it, and both name it the same way
         cfg = smoke_cfg(n_paths=1000)
         grid = make_grid(cfg)
-        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
-        horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
+        steps = maturity_steps(cfg)
         T1 = float(grid.maturities[1])
-
-        # one maturity is not priced: the oracle cannot take it, the proxy
-        # of its window is still there
-        paths = simulate_paths(cfg, horizon, proxy_steps=steps, price_steps=np.setdiff1d(steps, [steps[1]]),
-                               strikes=grid.strikes)
-        with pytest.raises(DomainError, match=f"maturity {re.escape(str(T1))} is not a priced step"):
-            oracle_prices(paths, grid)
-        vix2_proxy(paths, T1)
-
-        # the proxy window of one maturity is not reduced: the oracle
-        # prices, the proxy cannot be read
-        paths = simulate_paths(cfg, horizon, proxy_steps=np.setdiff1d(steps, [steps[1]]), price_steps=steps,
-                               strikes=grid.strikes)
-        oracle_prices(paths, grid)
+        paths = simulate_paths(cfg, panel_horizon(cfg), steps=np.setdiff1d(steps, [steps[1]]), strikes=grid.strikes)
         vix2_proxy(paths, float(grid.maturities[0]))
-        with pytest.raises(DomainError,
-                           match=f"maturity {re.escape(str(T1))} is not the start of a reduced proxy window"):
+        message = f"^maturity {re.escape(str(T1))} is not one of the steps the paths were reduced at"
+        with pytest.raises(DomainError, match=message):
+            oracle_prices(paths, grid)
+        with pytest.raises(DomainError, match=message):
             vix2_proxy(paths, T1)
 
 
@@ -304,11 +293,12 @@ class TestProxyInLoop:
     def test_proxy_equals_full_simulation(self, steps_per_year, n_steps, proxy_steps, n_paths):
         cfg = smoke_cfg(n_paths=n_paths, steps_per_year=steps_per_year)
         horizon = n_steps / steps_per_year
-        paths = simulate_paths(cfg, horizon, stream=1, proxy_steps=proxy_steps)
-        ref = reference_paths(cfg, horizon, stream=1, proxy_steps=proxy_steps)
-        assert paths.proxy_times.tobytes() == ref.proxy_times.tobytes()
+        strikes = make_grid(cfg).strikes
+        paths = simulate_paths(cfg, horizon, stream=1, steps=proxy_steps, strikes=strikes)
+        ref = reference_paths(cfg, horizon, stream=1, steps=proxy_steps, strikes=strikes)
+        assert paths.times.tobytes() == ref.times.tobytes()
         assert np.ascontiguousarray(paths.proxy).tobytes() == np.ascontiguousarray(ref.proxy).tobytes()
-        for T in ref.proxy_times:
+        for T in ref.times:
             assert vix2_proxy(paths, T, return_se=True) == vix2_proxy(ref, T, return_se=True)
 
     @pytest.mark.parametrize("n_paths", [
@@ -328,9 +318,11 @@ class TestProxyInLoop:
     @pytest.mark.parametrize("proxy_steps", [[3, 2], [2, 2], [-1], [0.0], [[0, 1]], [50 - 21 + 1], [0, 50]])
     def test_invalid_proxy_steps_rejected(self, proxy_steps):
         cfg = smoke_cfg(n_paths=11, steps_per_year=250)
-        with pytest.raises(DomainError, match=r"^proxy_steps must be strictly increasing step indices in 0\.\.29 "
+        with pytest.raises(DomainError, match=r"^steps must be strictly increasing step indices in 0\.\.29 "
                                               r"\(each 21-step window ends by step 50\)"):
-            simulate_paths(cfg, 50 / cfg.steps_per_year, proxy_steps=np.array(proxy_steps))
+            simulate_paths(cfg, 50 / cfg.steps_per_year, steps=np.array(proxy_steps), strikes=make_grid(cfg).strikes)
+
+    STRIKES = [90.0, 100.0, 110.0]
 
     def test_same_bytes_with_one_blas_thread(self):
         # 50 003 paths: a threaded whole-window gemv splits the rows between
@@ -338,13 +330,13 @@ class TestProxyInLoop:
         cfg = dict(n_paths=50_003, steps_per_year=250, seed=3)
         script = (
             "import sys; from arbsurf.generator import GeneratorConfig, simulate_paths; "
-            f"p = simulate_paths(GeneratorConfig(**{cfg!r}), 21 / 250, proxy_steps=[0]); "
+            f"p = simulate_paths(GeneratorConfig(**{cfg!r}), 21 / 250, steps=[0], strikes={self.STRIKES!r}); "
             "sys.stdout.write(p.proxy.tobytes().hex())"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        paths = simulate_paths(GeneratorConfig(**cfg), 21 / 250, proxy_steps=[0])
+        paths = simulate_paths(GeneratorConfig(**cfg), 21 / 250, steps=[0], strikes=self.STRIKES)
         assert bytes.fromhex(out.stdout) == paths.proxy.tobytes()
 
 
@@ -361,14 +353,13 @@ class TestPricesInLoop:
     def test_payoffs_equal_full_simulation(self, n_paths, n_strikes):
         cfg = smoke_cfg(n_paths=n_paths, steps_per_year=12, n_strikes=n_strikes)
         strikes = make_grid(cfg).strikes
-        # step 0, one step on each side of a drawn block, and the last step
-        price_steps = [0, _DRAW_BLOCK - 1, _DRAW_BLOCK, self.N_STEPS]
-        horizon = self.N_STEPS / cfg.steps_per_year
-        none = np.zeros(0, int)
-        paths = simulate_paths(cfg, horizon, stream=1, spot_steps=none, variance_steps=none,
-                               price_steps=price_steps, strikes=strikes)
-        ref = reference_paths(cfg, horizon, stream=1, price_steps=price_steps, strikes=strikes)
-        assert paths.price_times.tobytes() == ref.price_times.tobytes()
+        # step 0, one step on each side of a drawn block, and step N_STEPS,
+        # whose proxy window closes at the last step
+        steps = [0, _DRAW_BLOCK - 1, _DRAW_BLOCK, self.N_STEPS]
+        horizon = (self.N_STEPS + generator._vix_window_steps(1.0 / cfg.steps_per_year)) / cfg.steps_per_year
+        paths = simulate_paths(cfg, horizon, stream=1, steps=steps, strikes=strikes)
+        ref = reference_paths(cfg, horizon, stream=1, steps=steps, strikes=strikes)
+        assert paths.times.tobytes() == ref.times.tobytes()
         assert paths.strikes.tobytes() == strikes.tobytes()
         assert paths.call_payoffs.tobytes() == ref.call_payoffs.tobytes()
         assert paths.put_payoffs.tobytes() == ref.put_payoffs.tobytes()
@@ -382,23 +373,21 @@ class TestPricesInLoop:
         for got, ref in zip(generator._payoff_means(s, strikes), reference_payoffs(s, strikes)):
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("kwargs", [{"price_steps": [1]}, {"strikes": [90.0, 100.0, 110.0]}])
-    def test_steps_and_strikes_given_together(self, kwargs):
+    def test_steps_need_strikes(self):
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
-        with pytest.raises(DomainError, match="^price_steps and strikes must be given together"):
-            simulate_paths(cfg, 1.0, **kwargs)
+        with pytest.raises(DomainError, match="^strikes must be .* when steps are given"):
+            simulate_paths(cfg, 1.0, steps=[1])
 
     @pytest.mark.parametrize("strikes", [[100.0], [90.0, 110.0], [[90.0, 100.0, 110.0]], [90.0, np.nan, 110.0]])
     def test_invalid_strikes_rejected(self, strikes):
         cfg = smoke_cfg(n_paths=11, steps_per_year=12)
         with pytest.raises(DomainError, match="^strikes must be a 1-D array of at least 3 finite values"):
-            simulate_paths(cfg, 1.0, price_steps=[1], strikes=strikes)
+            simulate_paths(cfg, 1.0, steps=[1], strikes=strikes)
 
     def test_other_strikes_rejected(self):
         cfg = smoke_cfg(n_paths=1000)
         grid = make_grid(cfg)
-        steps = np.rint(grid.maturities * cfg.steps_per_year).astype(int)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]), price_steps=steps, strikes=grid.strikes[1:])
+        paths = simulate_paths(cfg, panel_horizon(cfg), steps=maturity_steps(cfg), strikes=grid.strikes[1:])
         with pytest.raises(DomainError, match="^the paths were not priced at the grid's strikes"):
             oracle_prices(paths, grid)
 
@@ -426,9 +415,9 @@ class TestOraclePrices:
     def test_forward_identity_at_zero_strike_limit(self):
         cfg = smoke_cfg(n_paths=20000)
         grid = make_grid(cfg)
-        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01)
         t = grid.maturities[0]
-        s_t = paths.spot[:, int(round(t * cfg.steps_per_year))]
+        paths = simulate_paths(cfg, float(grid.maturities[-1]) + 0.01, keep=[int(round(t * cfg.steps_per_year))])
+        s_t = paths.spot[:, 0]
         # discounted mean payoff at K -> 0 equals the dividend-discounted spot
         c0 = np.exp(-cfg.r * t) * s_t.mean()
         se = np.exp(-cfg.r * t) * s_t.std(ddof=1) / np.sqrt(len(s_t))
@@ -437,7 +426,7 @@ class TestOraclePrices:
     def test_surface_feasible(self):
         cfg = smoke_cfg(n_paths=20000)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg)
         surf = oracle_prices(paths, grid)
         res = static_arb_residuals(surf)
         assert res.convexity.max(initial=0.0) < 1e-6
@@ -448,18 +437,18 @@ class TestOraclePrices:
     def test_parity_identity_on_shared_paths(self):
         cfg = smoke_cfg(n_paths=5000)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg, keep=maturity_steps(cfg))
         surf = oracle_prices(paths, grid)
         strikes = grid.strikes
         for ell, t in enumerate(grid.maturities):
-            s_t = paths.spot[:, int(round(t * cfg.steps_per_year))]
+            s_t = paths.spot[:, ell]
             rhs = np.exp(-cfg.r * t) * (s_t.mean() - strikes)
             assert np.allclose(surf.calls[ell] - surf.puts[ell], rhs, atol=1e-9)
 
     def test_few_paths_warns(self):
         cfg = smoke_cfg(n_paths=200)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg)
         with pytest.warns(RuntimeWarning):
             oracle_prices(paths, grid)
 
@@ -468,7 +457,7 @@ class TestVix2Proxy:
     def test_constant_variance(self):
         cfg = smoke_cfg(kernel_weights=(0.0,), kernel_rates=(1.0,), sigma_volvol=0.0,
                         v0=0.05, theta_mean=0.05, n_paths=100)
-        paths = simulate_paths(cfg, 1.0, proxy_steps=[round(0.5 * cfg.steps_per_year)])
+        paths = simulate_paths(cfg, 1.0, steps=[round(0.5 * cfg.steps_per_year)], strikes=make_grid(cfg).strikes)
         assert vix2_proxy(paths, 0.5) == pytest.approx(0.05, rel=1e-12)
 
     def test_pure_heston_closed_form(self):
@@ -485,7 +474,7 @@ class TestVix2Proxy:
         # with sigma_volvol = 0 and a = 1 the variance path is the ODE
         # v' = kappa (theta - v) ... but the kernel damps the shock term only;
         # with no shocks the kernel plays no role and v is exactly the ODE.
-        paths = simulate_paths(cfg, 1.2, proxy_steps=[round(0.5 * cfg.steps_per_year)])
+        paths = simulate_paths(cfg, 1.2, steps=[round(0.5 * cfg.steps_per_year)], strikes=make_grid(cfg).strikes)
         T = 0.5
         delta = VIX_WINDOW_DAYS / 365.0
         est = vix2_proxy(paths, T)
@@ -510,32 +499,32 @@ class TestNoiseCensor:
     def test_no_noise_no_censor(self):
         cfg = smoke_cfg(noise_scale=0.0, liq_a=0.0, n_paths=3000)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg)
         oracle = oracle_prices(paths, grid)
-        panel = add_noise_censor(oracle, cfg)
-        assert panel.quoted_surface.observed_fraction() == 1.0
-        assert np.allclose(panel.quoted_surface.calls_matrix(), oracle.calls_matrix())
-        assert panel.filter_rate == 0.0
+        quoted, clamp_count = add_noise_censor(oracle, cfg)
+        assert quoted.observed_fraction() == 1.0
+        assert np.allclose(quoted.calls_matrix(), oracle.calls_matrix())
+        assert clamp_count == 0
 
     def test_everything_censored(self):
         cfg = smoke_cfg(liq_a=1e9, n_paths=2000)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg)
         oracle = oracle_prices(paths, grid)
-        panel = add_noise_censor(oracle, cfg)
-        assert panel.quoted_surface.n_observed() == 0
-        assert panel.filter_rate == 1.0
+        quoted, clamp_count = add_noise_censor(oracle, cfg)
+        assert quoted.n_observed() == 0
+        assert clamp_count == 0
 
     def test_reproducible(self):
         cfg = smoke_cfg(n_paths=2000)
         grid = make_grid(cfg)
-        paths = priced_paths(cfg, float(grid.maturities[-1]) + 0.01)
+        paths = priced_paths(cfg)
         oracle = oracle_prices(paths, grid)
-        a = add_noise_censor(oracle, cfg)
-        b = add_noise_censor(oracle, cfg)
-        am, bm = a.quoted_surface.calls_matrix(), b.quoted_surface.calls_matrix()
-        assert np.array_equal(a.quoted_surface.mask_matrix(), b.quoted_surface.mask_matrix())
-        obs = a.quoted_surface.mask_matrix()
+        (a, a_clamps), (b, b_clamps) = add_noise_censor(oracle, cfg), add_noise_censor(oracle, cfg)
+        am, bm = a.calls_matrix(), b.calls_matrix()
+        assert np.array_equal(a.mask_matrix(), b.mask_matrix())
+        assert a_clamps == b_clamps
+        obs = a.mask_matrix()
         assert np.array_equal(am[obs], bm[obs])
 
 
@@ -607,8 +596,7 @@ class TestStripProxyConsistency:
             seed=9,
         )
         grid = make_grid(cfg)
-        horizon = float(grid.maturities[-1]) + VIX_WINDOW_DAYS / 365.0 + 2.0 / cfg.steps_per_year
-        paths = priced_paths(cfg, horizon, proxy_steps=np.rint(grid.maturities * cfg.steps_per_year).astype(int))
+        paths = priced_paths(cfg)
         oracle = oracle_prices(paths, grid)
         for ell, T in enumerate(grid.maturities):
             strip = vix_squared(oracle, ell)
