@@ -26,11 +26,19 @@ differences in the test suite. Each layer's reverse pass sits beside its
 forward (`decoder.decode_backward`, `decoder.arb_residual_backward`,
 `operator.scan_adjoint`, `operator.gate_density_backward`);
 `primal_gradient` chains them with the objective heads and the feature
-integration. The update is a two-time-scale projected extragradient: half
-step at the current point, full step evaluated at the half point,
-multipliers clipped at zero, and the safety projections (nonnegativity
-clamp on the convex path, spectral ball on the linear maps, spectral-radius
-guard on the transitions) applied after every parameter update.
+integration.
+
+The solver is written once, as two model-free functions over dict-valued
+points that the tests also drive on games with known answers.
+`_extragradient` is one two-time-scale projected extragradient step: half
+step at the current point, full step evaluated at the half point, each new
+point projected. `extragradient_step` binds it to the model: a forward and
+`_descent` as the oracle, the multipliers clipped at zero with per-block
+steps, and the safety projections (nonnegativity clamp on the convex path,
+spectral ball on the linear maps, spectral-radius guard on the transitions)
+after every parameter update. `_saddle_gap` is the gap estimator, k
+projected ascent steps in the duals against k descent steps in the primal;
+`empirical_gap_from_state` binds it to the model on a held-out batch.
 
 Each step also evaluates the held-out saddle gap that the stopping rule
 watches. Its dual half runs no forward pass of its own: the objective is
@@ -39,9 +47,8 @@ the fixed primal point, and the one forward at the current point (shared
 with the first primal-descent step) yields every ascent step and the value
 at the ascended multipliers, with the arithmetic of a forward per step.
 
-`train` is the one saddle loop: it stops on `stop_test` and records the
-last logged gap as DualGap, and both extragradient halves and the gap's
-primal half descend along `_descent`.
+`train` is the one saddle loop: it runs at least one step, stops on
+`stop_test` and records the last logged gap as DualGap.
 The gap estimator runs one step behind, in a worker process forked at the
 start of the loop (a fold uses two processes): step t + 1 never reads gap t,
 so it runs while the worker computes gap t, and it is discarded when gap t
@@ -131,7 +138,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, n_slices=1, k_inner=1,
-                              depth=0, max_steps=0, patience=1).items():
+                              depth=0, max_steps=1, patience=1).items():
             if getattr(self, name) < low:
                 raise DomainError(f"[training] {name} must be >= {low}")
         # NaN fails both comparisons; inf passes (an unclipped gradient, a stop rule that always holds)
@@ -310,8 +317,10 @@ def to_operator_params(primal: dict) -> OperatorParams:
     )
 
 
-def _pv_add(a: dict, b: dict, alpha: float) -> dict:
-    return {k: a[k] + alpha * b[k] for k in a}
+def _pv_add(a: dict, b: dict, alpha) -> dict:
+    """a + alpha * b block by block; alpha is one step or a dict of steps per block."""
+    steps = alpha if isinstance(alpha, dict) else dict.fromkeys(a, alpha)
+    return {k: a[k] + steps[k] * b[k] for k in a}
 
 
 def _clip_gradient(g: dict, clip_norm: float) -> dict:
@@ -485,8 +494,8 @@ def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> floa
     return value
 
 
-def dual_gradient(fw: ForwardCache, cfg: TrainingConfig, n_mart: int) -> dict:
-    g_mart = np.zeros(n_mart)
+def dual_gradient(fw: ForwardCache, cfg: TrainingConfig) -> dict:
+    g_mart = np.zeros(len(fw.mres))
     g_mart[fw.slices] = cfg.gamma * fw.mres[fw.slices]
     return {"na": fw.r_na, "mart": g_mart, "vix": cfg.xi * fw.r_vix}
 
@@ -618,37 +627,51 @@ def lipschitz_surrogate(pre: dict, post: dict) -> tuple:
 # --- extragradient -----------------------------------------------------------
 
 
-def _dual_add(duals: dict, g: dict, eta: float, mults: dict | None = None) -> dict:
-    """Projected dual step: the multipliers clipped at zero."""
-    mults = mults or {}
-    return {k: np.maximum(duals[k] + eta * mults.get(k, 1.0) * g[k], 0.0) for k in duals}
+def _nonnegative(duals: dict) -> dict:
+    """Projection of the multipliers: clipped at zero."""
+    return {k: np.maximum(v, 0.0) for k, v in duals.items()}
+
+
+def _extragradient(x: dict, y: dict, oracle, project_x, project_y, eta_x: float, eta_y) -> tuple:
+    """One projected extragradient (Korpelevich) step of min over x, max over
+    y, on dict points and free of any model.
+
+    `oracle(x, y)` returns (descent direction in x, ascent direction in y,
+    aux). The oracle at (x, y) gives the half point, the oracle at the half
+    point moves (x, y), and each new point is projected. eta_y is one step or
+    a dict of steps per block. Returns (x', y', aux at (x, y))."""
+    gx, gy, aux = oracle(x, y)
+    x_half, y_half = project_x(_pv_add(x, gx, -eta_x)), project_y(_pv_add(y, gy, eta_y))
+    gx, gy, _ = oracle(x_half, y_half)
+    return project_x(_pv_add(x, gx, -eta_x)), project_y(_pv_add(y, gy, eta_y)), aux
 
 
 def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfig,
                        rng: np.random.Generator) -> ForwardCache:
-    """One predict-then-correct update; returns the step's first forward
-    cache, taken at the pre-step primal and duals (the stop diagnostics and
-    the record's ratio_log and martingale residual read it)."""
+    """One `_extragradient` step of the model: the oracle is a forward, the
+    clipped reverse pass `_descent` and `dual_gradient` on one draw of
+    slices, the primal projection is the safety pass `apply_qalign` and the
+    duals take their per-block steps `DUAL_MULTS`. Returns the step's first
+    forward cache, taken at the pre-step primal and duals (the stop
+    diagnostics and the record's ratio_log and martingale residual read it)."""
     L = batch.n_maturities
     slices = np.sort(rng.choice(L, size=min(cfg.n_slices, L), replace=False))
-    eta_p = state.cfg.step_primal
     eta_d = state.dual_step_now()
 
-    fw0 = model_forward(state.primal, state.duals, batch, cfg, slices)
-    gp0 = _descent(state.primal, state.duals, batch, cfg, fw0)
-    gd0 = dual_gradient(fw0, cfg, L)
+    def oracle(primal, duals):
+        fw = model_forward(primal, duals, batch, cfg, slices)
+        return _descent(primal, duals, batch, cfg, fw), dual_gradient(fw, cfg), fw
 
-    half_primal = _pv_add(state.primal, gp0, -eta_p)
-    apply_qalign(half_primal, batch, cfg, state.guard)
-    half_duals = _dual_add(state.duals, gd0, eta_d, DUAL_MULTS)
+    passes = []  # the pre-pass primal of each safety pass; the state keeps the last
 
-    fw1 = model_forward(half_primal, half_duals, batch, cfg, slices)
-    gp1 = _descent(half_primal, half_duals, batch, cfg, fw1)
-    gd1 = dual_gradient(fw1, cfg, L)
+    def safety_pass(primal):
+        passes.append(apply_qalign(primal, batch, cfg, state.guard))
+        return primal
 
-    state.primal = _pv_add(state.primal, gp1, -eta_p)
-    state.pre_pass = apply_qalign(state.primal, batch, cfg, state.guard)
-    state.duals = _dual_add(state.duals, gd1, eta_d, DUAL_MULTS)
+    state.primal, state.duals, fw0 = _extragradient(
+        state.primal, state.duals, oracle, safety_pass, _nonnegative, state.cfg.step_primal,
+        {k: eta_d * DUAL_MULTS[k] for k in state.duals})
+    state.pre_pass = passes[-1]
     state.step += 1
     return fw0
 
@@ -656,37 +679,53 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 # --- empirical saddle gap ----------------------------------------------------
 
 
-def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
-    """Model-bound gap estimator on a held-out batch (all maturities).
+def _saddle_gap(x: dict, y: dict, value, grad_x, grad_y, project_x, project_y, k: int,
+                eta_x: float, eta_y: float) -> float:
+    """Model-free saddle gap at (x, y): the value after k projected ascent
+    steps in y at x, minus the value after k projected descent steps in x at
+    y. `grad_x` is a descent direction, `grad_y` an ascent direction."""
+    x_k, y_k = x, y
+    for _ in range(k):
+        y_k = project_y(_pv_add(y_k, grad_y(x, y_k), eta_y))
+    sup_val = value(x, y_k)
+    for _ in range(k):
+        x_k = project_x(_pv_add(x_k, grad_x(x_k, y), -eta_x))
+    return float(sup_val - value(x_k, y))
 
-    k projected ascent steps on the duals at the current primal point, minus
-    k descent steps on the primal at the current duals. The dual half needs
-    no forward of its own: the dual gradient is the residual vector, which
-    depends on the primal point only, so the one forward at the current
-    point gives every ascent step and, the objective being linear in the
-    duals, the value at the ascended duals too. That forward is also the
-    first step of the primal half, so a call runs k + 1 forwards and k
-    reverse passes, with the same arithmetic as evaluating each step anew.
+
+def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
+    """`_saddle_gap` of the model on a held-out batch (all maturities), with
+    cfg.k_inner steps of cfg.step_primal and cfg.step_dual, the convex-path
+    clamp as the primal projection and the multipliers clipped at zero.
+
+    The dual half needs no forward of its own: the dual gradient is the
+    residual vector, which depends on the primal point only, and the
+    objective is linear in the duals, so the one forward at the current
+    point gives every ascent step and the value at the ascended duals. That
+    forward is also the first step of the primal half: the closures share
+    one forward per primal point, so a call runs k + 1 forwards and k reverse
+    passes, with the same arithmetic as evaluating each step anew.
     """
     cfg = state.cfg
-    k = cfg.k_inner
-    eta_p, eta_d = cfg.step_primal, cfg.step_dual
+    last = [None, None]  # the latest primal point and its forward
 
-    fw0 = model_forward(state.primal, state.duals, heldout, cfg)
-    g = dual_gradient(fw0, cfg, heldout.n_maturities)
-    duals = state.duals
-    for _ in range(k):
-        duals = _dual_add(duals, g, eta_d)
-    sup_val = _objective_value(fw0, duals, cfg)
+    def forward(primal):
+        if last[0] is not primal:
+            last[:] = primal, model_forward(primal, state.duals, heldout, cfg)
+        return last[1]
 
-    primal, fw = state.primal, fw0
-    for _ in range(k):
-        primal = _pv_add(primal, _descent(primal, state.duals, heldout, cfg, fw), -eta_p)
+    def clamp(primal):
         for key in primal:
             if key.startswith("wz"):
                 np.maximum(primal[key], 0.0, out=primal[key])
-        fw = model_forward(primal, state.duals, heldout, cfg)
-    return float(sup_val - fw.value)
+        return primal
+
+    return _saddle_gap(
+        state.primal, state.duals,
+        lambda primal, duals: _objective_value(forward(primal), duals, cfg),
+        lambda primal, duals: _descent(primal, duals, heldout, cfg, forward(primal)),
+        lambda primal, duals: dual_gradient(forward(primal), cfg),
+        clamp, _nonnegative, cfg.k_inner, cfg.step_primal, cfg.step_dual)
 
 
 # --- stopping ----------------------------------------------------------------
@@ -816,10 +855,9 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
     the rule has not stopped the run; a stop, or a divergence of gap t, leaves
     the state of step t, as a loop running the two in turn would. Returns
     (state, the last logged step's first forward, the duals that forward
-    saw); the forward and duals are None when no step ran."""
+    saw)."""
     rng = np.random.default_rng(cfg.seed + 1)
     hist = state.history
-    fw = duals = None
     t0 = time.perf_counter()
     gaps = _GapWorker(heldout, cfg)
     try:
@@ -861,7 +899,7 @@ def train(cfg: TrainingConfig, data: FoldData):
     and `cli.run_fold` fills in NAS, CNAS, Stability and the OOS fields.
 
     Stops at the first step where `stop_test` holds on the logged pairs, or
-    after cfg.max_steps. The held-out gap of each step runs in a forked
+    after cfg.max_steps (at least 1). The held-out gap of each step runs in a forked
     worker process while the next step runs, so a fold uses two processes;
     when the rule stops the run, the step taken past it is discarded. The
     state and record are those of running step and gap in turn. The
@@ -890,23 +928,15 @@ def train(cfg: TrainingConfig, data: FoldData):
 
     heldout = build_batch([data.val_panel], cfg)
     state, fw, duals = _saddle_loop(state, batch, heldout, cfg)
-    hist = state.history
-    # the initial safety pass when no step ran
     state.guard.lambda_lip_before, state.guard.lambda_lip_after = lipschitz_surrogate(
         state.pre_pass, state.primal)
-
-    final_ratio = None
-    if fw is None:  # no step ran: the defect at the initial point, all maturities
-        fw = model_forward(state.primal, state.duals, batch, cfg)
-    else:
-        na, mart, vix = _dual_terms(fw, duals, cfg)
-        final_ratio = ratio_log(fw.mse, na + mart + vix)
+    na, mart, vix = _dual_terms(fw, duals, cfg)
     run = RunLog(
-        DualGap=hist.gap[-1] if hist.gap else None,
+        DualGap=state.history.gap[-1],
         spec_guard_hits=state.guard.spec_guard_hits,
         projection_distance=state.guard.projection_distance,
         max_rho_dt=state.guard.max_rho_dt,
-        ratio_log=final_ratio,
+        ratio_log=ratio_log(fw.mse, na + mart + vix),
         enter_representer_at_step=None if trigger_coverage is None else 0,
         coverage_min=cover.coverage_min,
         coverage_mean=cover.coverage_mean,
@@ -916,5 +946,5 @@ def train(cfg: TrainingConfig, data: FoldData):
         lambda_lip_after=state.guard.lambda_lip_after,
         filter_rate=float(np.mean([p.filter_rate for p in data.train_panels + [data.val_panel]])),
     )
-    run.stopped = hist.stopped_at is not None
+    run.stopped = state.history.stopped_at is not None
     return state, run

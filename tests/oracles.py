@@ -11,10 +11,13 @@ path-major storage and two draws per step in one thread, the logistic
 function by boolean masks, the scan and its adjoint one maturity at a
 time, the held-out gap estimator with one forward pass per step of each
 half, the saddle loop that runs each step and its gap in turn in one
-process, and the Lipschitz surrogate logged at every safety pass. The
-softplus oracle evaluates each element with the C library's exp and log1p,
-which numpy's vector loops may round differently by an ulp. `inv_softplus`
-builds gate pre-activations whose softplus is a given density.
+process, and the Lipschitz surrogate logged at every safety pass. A
+quadratic saddle game carries the closed forms the model-free solver is
+checked against: its saddle point, the linear map of one extragradient
+step and the gap of k gradient steps. The softplus oracle evaluates each
+element with the C library's exp and log1p, which numpy's vector loops may
+round differently by an ulp. `inv_softplus` builds gate pre-activations
+whose softplus is a given density.
 """
 
 import itertools
@@ -257,24 +260,27 @@ def stepwise_gap(state, heldout):
     Each of the k dual-ascent steps runs its own forward at the current
     primal point, the ascended duals get a forward of their own, and the
     primal half runs a forward per descent step plus one at its end point.
+    The model's forward and gradients come from the package; the steps and
+    projections are written here in plain numpy, apart from its solver.
     """
-    from arbsurf.training import _descent, _dual_add, _pv_add, dual_gradient, model_forward
+    from arbsurf.training import _descent, dual_gradient, model_forward
 
     cfg = state.cfg
     k = cfg.k_inner
     duals = {name: v.copy() for name, v in state.duals.items()}
     for _ in range(k):
-        fw = model_forward(state.primal, duals, heldout, cfg)
-        duals = _dual_add(duals, dual_gradient(fw, cfg, heldout.n_maturities), cfg.step_dual)
+        g = dual_gradient(model_forward(state.primal, duals, heldout, cfg), cfg)
+        duals = {name: np.maximum(v + cfg.step_dual * g[name], 0.0) for name, v in duals.items()}
     sup_val = model_forward(state.primal, duals, heldout, cfg).value
 
     primal = {name: v.copy() for name, v in state.primal.items()}
     for _ in range(k):
         fw = model_forward(primal, state.duals, heldout, cfg)
-        primal = _pv_add(primal, _descent(primal, state.duals, heldout, cfg, fw), -cfg.step_primal)
+        d = _descent(primal, state.duals, heldout, cfg, fw)
+        primal = {name: v - cfg.step_primal * d[name] for name, v in primal.items()}
         for name in primal:
             if name.startswith("wz"):
-                np.maximum(primal[name], 0.0, out=primal[name])
+                primal[name] = np.maximum(primal[name], 0.0)
     inf_val = model_forward(primal, state.duals, heldout, cfg).value
     return float(sup_val - inf_val)
 
@@ -328,3 +334,72 @@ def near_degenerate(a, b):
     if a >= 2:
         w[1] = 1.19 / np.sqrt(b)
     return w
+
+
+class QuadraticGame:
+    """L(x, y) = a|x|^2/2 + x.By - c|y|^2/2 + x.p - y.q on dict points
+    {"v": vector}: strongly convex in x and strongly concave in y for a, c > 0,
+    with the closed forms the solver is checked against. For a quadratic, k
+    gradient steps are a linear recursion, so every answer here is exact up
+    to rounding."""
+
+    def __init__(self, a, B, c, p=None, q=None):
+        self.a, self.B, self.c = float(a), np.atleast_2d(np.asarray(B, dtype=float)), float(c)
+        n, m = self.B.shape
+        self.p = np.zeros(n) if p is None else np.asarray(p, dtype=float)
+        self.q = np.zeros(m) if q is None else np.asarray(q, dtype=float)
+
+    def value(self, x, y):
+        x, y = x["v"], y["v"]
+        return float(0.5 * self.a * x @ x + x @ self.B @ y - 0.5 * self.c * y @ y + x @ self.p - y @ self.q)
+
+    def grad_x(self, x, y):
+        """Descent direction in x: dL/dx."""
+        return {"v": self.a * x["v"] + self.B @ y["v"] + self.p}
+
+    def grad_y(self, x, y):
+        """Ascent direction in y: dL/dy."""
+        return {"v": self.B.T @ x["v"] - self.c * y["v"] - self.q}
+
+    def oracle(self, x, y):
+        return self.grad_x(x, y), self.grad_y(x, y), None
+
+    def operator(self):
+        """(M, r) with F(z) = M z + r = (dL/dx, -dL/dy) at z = (x, y)."""
+        n, m = self.B.shape
+        M = np.block([[self.a * np.eye(n), self.B], [-self.B.T, self.c * np.eye(m)]])
+        return M, np.concatenate([self.p, self.q])
+
+    def saddle(self):
+        """(x*, y*), the zero of F."""
+        M, r = self.operator()
+        z = np.linalg.solve(M, -r)
+        return z[: len(self.p)], z[len(self.p):]
+
+    def step_matrix(self, eta):
+        """I - eta M + eta^2 M^2: one unprojected extragradient step at step
+        eta, applied to the distance from the saddle point."""
+        M, _ = self.operator()
+        return np.eye(len(M)) - eta * M + eta**2 * M @ M
+
+    def gap(self, x, y, k, eta_x, eta_y):
+        """Saddle gap of k unprojected ascent steps in y at x against k descent
+        steps in x at y: y_k = y* + (1 - eta c)^k (y - y*), with y* = (B'x - q)/c
+        the maximizer at x, and x_k = x* + (1 - eta a)^k (x - x*), with
+        x* = -(By + p)/a the minimizer at y."""
+        y_star = (self.B.T @ x["v"] - self.q) / self.c
+        y_k = y_star + (1.0 - eta_y * self.c) ** k * (y["v"] - y_star)
+        x_star = -(self.B @ y["v"] + self.p) / self.a
+        x_k = x_star + (1.0 - eta_x * self.a) ** k * (x["v"] - x_star)
+        return self.value(x, {"v": y_k}) - self.value({"v": x_k}, y)
+
+
+def sampled_oracle(a, B, c, ps, qs, n_slices, rng):
+    """Stochastic oracle of the mean over blocks of `QuadraticGame(a, B, c,
+    ps[l], qs[l])`: one draw of n_slices blocks, as `extragradient_step`
+    draws maturities, and the gradient of the mean over the drawn blocks
+    (the game of their mean linear terms). Both calls of one step use the
+    same draw."""
+    L = len(ps)
+    slices = np.sort(rng.choice(L, size=min(n_slices, L), replace=False))
+    return QuadraticGame(a, B, c, ps[slices].mean(axis=0), qs[slices].mean(axis=0)).oracle

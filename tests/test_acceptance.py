@@ -31,6 +31,7 @@ from arbsurf.qalign import cfl_indicator, spectral_norm
 from arbsurf.runlog import NULLABLE_FIELDS, SCHEMA_FIELDS, emit_log
 from arbsurf.training import (
     TrainingConfig,
+    _extragradient,
     apply_qalign,
     build_batch,
     extragradient_step,
@@ -271,19 +272,26 @@ class TestCriterion07GeneratorSanity:
 
 class TestCriterion08ExtragradientRate:
     def test_bilinear_noise_ball(self):
+        # F(z) = (z1, -z0), the field of L(x, y) = x * y at z = (x, y), run
+        # through the package's extragradient core with no projection
         t0 = time.time()
         eta = 0.1
-        z = np.array([1.0, 1.0])
+        x, y = {"z": np.array(1.0)}, {"z": np.array(1.0)}
 
-        def F(z):
-            return np.array([z[1], -z[0]])
+        def oracle(x, y):  # (dL/dx, dL/dy) = (z1, z0)
+            return {"z": y["z"]}, {"z": x["z"]}, None
+
+        def F(x, y):
+            return np.array([y["z"], -x["z"]])
+
+        def unprojected(point):
+            return point
 
         best = {}
         running = np.inf
         for k in range(1, 1001):
-            zh = z - eta * F(z)
-            z = z - eta * F(zh)
-            running = min(running, float(F(z) @ F(z)))
+            x, y, _ = _extragradient(x, y, oracle, unprojected, unprojected, eta, eta)
+            running = min(running, float(F(x, y) @ F(x, y)))
             if k in (100, 1000):
                 best[k] = running
         elapsed = time.time() - t0

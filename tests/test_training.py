@@ -18,6 +18,9 @@ from arbsurf.training import (
     SaddleState,
     TrainingConfig,
     TrainingDivergence,
+    _extragradient,
+    _nonnegative,
+    _saddle_gap,
     apply_qalign,
     build_batch,
     decode_window,
@@ -214,7 +217,7 @@ class TestGradient:
         cfg, batch, state = self._setup()
         slices = np.array([1])
         fw = model_forward(state.primal, state.duals, batch, cfg, slices)
-        g = dual_gradient(fw, cfg, batch.n_maturities)
+        g = dual_gradient(fw, cfg)
         assert np.array_equal(g["na"], fw.r_na)
         assert g["mart"][1] == cfg.gamma * fw.mres[1]
         assert g["mart"][0] == 0.0  # unsampled slice
@@ -226,42 +229,64 @@ class TestGradient:
         fw.r_na[:] = 0.0
         fw.mres[:] = 0.0
         fw.r_vix[:] = 0.0
-        g = dual_gradient(fw, cfg, batch.n_maturities)
+        g = dual_gradient(fw, cfg)
         assert all(np.all(v == 0.0) for v in g.values())
+
+
+def unprojected(point):
+    return point
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of `arbsurf.training` to count its calls."""
+    import arbsurf.training as training
+
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+    return calls
 
 
 class TestExtragradient:
     def test_bilinear_hand_values(self):
-        # L(x, y) = x * y from (1, 1), eta = 0.1:
+        # L(x, y) = x * y from (1, 1), eta = 0.1, through the package's core:
         # half point (0.9, 1.1); full step (1 - 0.1*1.1, 1 + 0.1*0.9)
-        eta = 0.1
-        x, y = 1.0, 1.0
-        xh = x - eta * y
-        yh = y + eta * x
-        x1 = x - eta * yh
-        y1 = y + eta * xh
-        assert (xh, yh) == (0.9, 1.1)
-        assert x1 == pytest.approx(0.89)
-        assert y1 == pytest.approx(1.09)
+        seen = []
 
-    def test_bilinear_noise_ball_rate(self):
-        # deterministic bilinear saddle: best residual at K=1000 is
-        # far below a tenth of the best at K=100
-        eta = 0.1
-        z = np.array([1.0, 1.0])
+        def oracle(x, y):  # (dL/dx, dL/dy)
+            seen.append((float(x["z"]), float(y["z"])))
+            return {"z": y["z"]}, {"z": x["z"]}, len(seen)
 
-        def field_op(z):
-            return np.array([z[1], -z[0]])
+        x1, y1, aux = _extragradient({"z": np.array(1.0)}, {"z": np.array(1.0)}, oracle,
+                                     unprojected, unprojected, 0.1, 0.1)
+        assert seen == [(1.0, 1.0), (0.9, 1.1)]
+        assert aux == 1  # the oracle's aux at the starting point
+        assert float(x1["z"]) == pytest.approx(0.89)
+        assert float(y1["z"]) == pytest.approx(1.09)
 
-        best = {}
-        running = np.inf
-        for k in range(1, 1001):
-            zh = z - eta * field_op(z)
-            z = z - eta * field_op(zh)
-            running = min(running, float(field_op(z) @ field_op(z)))
-            if k in (100, 1000):
-                best[k] = running
-        assert best[1000] <= 0.1 * best[100]
+    def test_per_block_dual_steps_and_projections(self):
+        # each dual block moves by its own step, then both points are projected
+        def oracle(x, y):
+            return {"p": np.array([1.0])}, {"a": np.array([-1.0]), "b": np.array([1.0])}, None
+
+        x1, y1, _ = _extragradient({"p": np.array([0.0])}, {"a": np.array([0.5]), "b": np.array([0.5])},
+                                   oracle, lambda x: {"p": np.maximum(x["p"], -0.05)}, _nonnegative,
+                                   0.1, {"a": 1.0, "b": 0.25})
+        assert x1["p"][0] == -0.05
+        assert y1["a"][0] == 0.0 and y1["b"][0] == 0.75
+
+    def test_two_forwards_and_reverse_passes_per_step(self, monkeypatch):
+        cfg, batch, state = tiny_state()
+        calls = count_calls(monkeypatch, "model_forward", "primal_gradient")
+        extragradient_step(state, batch, cfg, np.random.default_rng(1))
+        assert calls == {"model_forward": 2, "primal_gradient": 2}
 
     def test_duals_stay_nonnegative(self):
         cfg, batch, state = tiny_state()
@@ -330,6 +355,107 @@ class TestExtragradient:
         to_decoder_params(state.primal).validate_nonnegative()
 
 
+class TestSolverCore:
+    """The model-free solver on `oracles.QuadraticGame`, against its closed
+    forms: the extragradient step is the linear map I - eta M + eta^2 M^2 on
+    the distance from the saddle, and k gradient steps of the gap estimator
+    are linear recursions."""
+
+    def test_contracts_at_spectral_radius(self):
+        # a = b = c = 1, eta = 0.1: M = [[1, 1], [-1, 1]] is normal, so every
+        # step shrinks the distance to the saddle (0, 0) by the same factor
+        from .oracles import QuadraticGame
+
+        game, eta = QuadraticGame(1.0, 1.0, 1.0), 0.1
+        rho = max(abs(np.linalg.eigvals(game.step_matrix(eta))))
+        assert rho == pytest.approx(np.hypot(0.9, 0.08), rel=1e-14)  # 0.903549...
+        x, y = {"v": np.array([1.0])}, {"v": np.array([1.0])}
+        norms = [np.hypot(1.0, 1.0)]
+        for _ in range(50):
+            x, y, _ = _extragradient(x, y, game.oracle, unprojected, unprojected, eta, eta)
+            norms.append(np.hypot(x["v"][0], y["v"][0]))
+        assert np.allclose(np.array(norms[1:]) / norms[:-1], rho, rtol=1e-12, atol=0.0)
+
+    def test_iterates_follow_step_matrix(self):
+        # a non-normal game with its saddle away from the origin: after n steps
+        # the distance from the saddle is T^n times the first one, and it
+        # decays at rho(T) per step
+        from .oracles import QuadraticGame
+
+        rng = np.random.default_rng(0)
+        game = QuadraticGame(1.5, rng.standard_normal((2, 3)), 0.5,
+                             p=rng.standard_normal(2), q=rng.standard_normal(3))
+        eta = 0.1
+        T = game.step_matrix(eta)
+        rho = max(abs(np.linalg.eigvals(T)))
+        x_star, y_star = game.saddle()
+        x, y = {"v": np.zeros(2)}, {"v": np.zeros(3)}
+        z0 = -np.concatenate([x_star, y_star])
+        dist = {}
+        for n in range(1, 501):
+            x, y, _ = _extragradient(x, y, game.oracle, unprojected, unprojected, eta, eta)
+            z = np.concatenate([x["v"] - x_star, y["v"] - y_star])
+            dist[n] = np.linalg.norm(z)
+            if n in (1, 50, 300):
+                assert np.allclose(z, np.linalg.matrix_power(T, n) @ z0, rtol=0.0, atol=1e-14)
+        assert rho < 1.0
+        assert (np.log(dist[500]) - np.log(dist[300])) / 200 == pytest.approx(np.log(rho), rel=1e-3)
+
+    def test_gap_hand_value(self):
+        # L = x^2/2 + xy - y^2/2 at x = 1, y = 0.5, k = 5, eta = 0.1:
+        # y_5 = 1 - 0.5 * 0.9^5, x_5 = -0.5 + 1.5 * 0.9^5
+        from .oracles import QuadraticGame
+
+        game = QuadraticGame(1.0, 1.0, 1.0)
+        x, y = {"v": np.array([1.0])}, {"v": np.array([0.5])}
+        gap = _saddle_gap(x, y, game.value, game.grad_x, game.grad_y, unprojected, _nonnegative,
+                          5, 0.1, 0.1)
+        assert gap == pytest.approx(game.gap(x, y, 5, 0.1, 0.1), rel=1e-14)
+        assert gap == pytest.approx(0.8141519498750001, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_gap_equals_linear_recursion(self, k):
+        # both halves move toward interior optima (y stays positive, so the
+        # clip at zero is inactive), with different steps in x and y
+        from .oracles import QuadraticGame
+
+        game = QuadraticGame(2.0, [[1.0, -0.5, 0.3], [0.2, 0.4, -1.0]], 0.5, q=[-2.0, -1.5, -1.0])
+        x, y = {"v": np.array([1.0, -1.0])}, {"v": np.array([0.5, 1.0, 2.0])}
+        gap = _saddle_gap(x, y, game.value, game.grad_x, game.grad_y, unprojected, _nonnegative,
+                          k, 0.1, 0.3)
+        assert gap == pytest.approx(game.gap(x, y, k, 0.1, 0.3), rel=1e-13)
+        assert np.array_equal(x["v"], [1.0, -1.0]) and np.array_equal(y["v"], [0.5, 1.0, 2.0])
+
+    def test_stochastic_noise_ball_shrinks_with_step(self):
+        # the mean of six block games that differ in their linear terms, three
+        # blocks drawn per step as `extragradient_step` draws maturities: the
+        # exact gradient stays at the saddle, the sampled one settles in a
+        # ball around it, and quartering the step shrinks the ball
+        from .oracles import QuadraticGame, sampled_oracle
+
+        rng = np.random.default_rng(11)
+        n_blocks, B = 6, rng.standard_normal((2, 2))
+        ps, qs = rng.standard_normal((n_blocks, 2)), rng.standard_normal((n_blocks, 2)) - 3.0
+        x_star, y_star = QuadraticGame(1.0, B, 1.0, ps.mean(axis=0), qs.mean(axis=0)).saddle()
+        assert np.all(y_star > 1.0)  # an interior saddle of the clipped duals
+
+        def ball(eta, n_slices, steps=4000):
+            """Mean squared distance from the saddle over the last half of the run."""
+            draws = np.random.default_rng(7)
+            x, y = {"v": x_star.copy()}, {"v": y_star.copy()}
+            sq = []
+            for t in range(steps):
+                oracle = sampled_oracle(1.0, B, 1.0, ps, qs, n_slices, draws)
+                x, y, _ = _extragradient(x, y, oracle, unprojected, _nonnegative, eta, eta)
+                if t >= steps // 2:
+                    sq.append(np.sum((x["v"] - x_star) ** 2) + np.sum((y["v"] - y_star) ** 2))
+            return float(np.mean(sq))
+
+        assert ball(0.2, n_blocks) < 1e-20
+        wide, narrow = ball(0.2, 3), ball(0.05, 3)
+        assert 0.0 < narrow < 0.5 * wide
+
+
 class TestSafetyPass:
     def test_near_degenerate_maps_capped(self):
         # maps whose top singular direction a power iteration from the
@@ -386,18 +512,10 @@ class TestGapEstimator:
 
     @pytest.mark.parametrize("k_inner", [1, 5])
     def test_forwards_per_call(self, k_inner, monkeypatch):
-        import arbsurf.training as training
-
         cfg, batch, state = tiny_state(tiny_cfg(k_inner=k_inner))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return model_forward(*args, **kwargs)
-
-        monkeypatch.setattr(training, "model_forward", counted)
+        calls = count_calls(monkeypatch, "model_forward", "primal_gradient")
         empirical_gap_from_state(state, batch)
-        assert len(calls) == k_inner + 1
+        assert calls == {"model_forward": k_inner + 1, "primal_gradient": k_inner}
 
     def test_gap_leaves_state_untouched(self):
         cfg, batch, state = tiny_state()
@@ -523,12 +641,17 @@ class TestTrainLoop:
         panels = [tiny_panel(seed=3), tiny_panel(seed=4), tiny_panel(seed=5)]
         return FoldData(panels[:1], panels[1], panels[2:])
 
-    def test_zero_steps_returns_initial(self):
-        cfg = tiny_cfg(max_steps=0)
-        state, run = train(cfg, self._data())
-        assert state.step == 0
-        assert state.history.stopped_at is None
-        assert run.spec_guard_hits >= 0
+    def test_zero_steps_rejected_at_load(self, tmp_path):
+        # a run that trains nothing has no gap to record: rejected before any
+        # panel is generated, naming the field
+        from arbsurf.cli import load_config
+
+        path = tmp_path / "zero.ini"
+        path.write_text("[training]\nmax_steps = 0\n")
+        with pytest.raises(DomainError, match=r"^\[training\] max_steps must be >= 1$"):
+            load_config(path)
+        with pytest.raises(DomainError, match="max_steps"):
+            tiny_cfg(max_steps=0)
 
     def test_deterministic_given_seed(self):
         cfg = tiny_cfg(max_steps=6)
@@ -847,7 +970,7 @@ class TestLipschitzSurrogate:
     of the last step kept; the values equal those of logging it at every
     safety pass (`oracles.surrogate_logging_pass`) on the same trajectory."""
 
-    @pytest.mark.parametrize("max_steps", [0, 1, 6])
+    @pytest.mark.parametrize("max_steps", [1, 6])
     def test_once_per_fold_equals_per_pass(self, max_steps, monkeypatch):
         import arbsurf.training as training
 
