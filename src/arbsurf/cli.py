@@ -31,7 +31,6 @@ from configparser import Error as ConfigError
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .decoder import bl_density
 from .generator import (
@@ -522,7 +521,7 @@ def report(runlog_paths, out_dir) -> None:
         summary.append([metric, f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}", len(vals)])
         if metric in ("NAS", "CNAS") and len(vals) >= 2 and vals.std(ddof=1) > 0:
             z = (vals.mean() - 0.9) / (vals.std(ddof=1) / np.sqrt(len(vals)))
-            p_values.append((metric, 1.0 - float(ndtr(z))))
+            p_values.append((metric, 0.5 * math.erfc(z / math.sqrt(2.0))))  # upper tail, no cancellation
     _write_csv(os.path.join(out_dir, "summary.csv"), ["metric", "mean", "ci_lo", "ci_hi", "n"], summary)
     if p_values:
         rejections = holm_bonferroni([p for _, p in p_values])

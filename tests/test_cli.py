@@ -540,6 +540,29 @@ class TestReport:
         report([p], tmp_path / "r2")
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == (tmp_path / "r2" / "metrics.csv").read_bytes()
 
+    def test_tail_p_values_keep_precision(self, tmp_path, monkeypatch):
+        # NAS z ~ 7 and CNAS z ~ 9 over two records: 1 - Phi(z) cancels to a
+        # wrong sixth digit at 7 and to exactly 0 past about 8.3
+        from scipy.special import ndtr
+
+        pairs = {"NAS": (0.96, 0.98), "CNAS": (0.98, 1.0)}
+        paths = []
+        for i in range(2):
+            run = RunLog(**{f: 0.5 for f in SCHEMA_FIELDS if f not in NULLABLE_FIELDS})
+            run = replace(run, **{m: v[i] for m, v in pairs.items()})
+            paths.append(tmp_path / f"r{i}.json")
+            emit_log(run, paths[-1])
+        seen, holm = [], cli.holm_bonferroni
+        monkeypatch.setattr(cli, "holm_bonferroni", lambda ps: seen.extend(ps) or holm(ps))
+        report(paths, tmp_path / "rep")
+        z = [(np.mean(v) - 0.9) / (np.std(v, ddof=1) / np.sqrt(2)) for v in pairs.values()]
+        np.testing.assert_allclose(z, [7.0, 9.0], atol=1e-6)
+        expected = [float(ndtr(-zi)) for zi in z]
+        np.testing.assert_allclose(seen, expected, rtol=1e-12, atol=0.0)
+        with open(tmp_path / "rep" / "holm.csv", newline="") as fh:
+            written = [row["p_value"] for row in csv.DictReader(fh)]
+        assert written == [f"{p:.6g}" for p in expected]
+
 
 class TestBlasThreads:
     # a fold trained in a fresh process prints the digests of its record
@@ -574,13 +597,37 @@ print(json.dumps({"record": record, "decoded": decoded, "primal": primal}))
 
 
 class TestCliMain:
-    def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats costs about half a second of import and 46 MiB of RSS;
-        # the normal quantile and tail come from scipy.special
-        script = "import sys, arbsurf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    def test_import_leaves_out_scipy(self):
+        # the runtime needs numpy alone: scipy.special would add about 26 MiB
+        # of RSS and a quarter second of import for one constant and one tail
+        script = "import sys, arbsurf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_reproduce_and_report_run_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import raise
+        ini = tmp_path / "smoke5.ini"
+        smoke = (Path(__file__).resolve().parents[1] / "configs" / "smoke.ini").read_text()
+        assert "max_steps = 4000" in smoke
+        ini.write_text(smoke.replace("max_steps = 4000", "max_steps = 5"))
+        for i, nas_value in enumerate((0.96, 0.98)):
+            emit_log(RunLog(**{f: nas_value for f in SCHEMA_FIELDS if f not in NULLABLE_FIELDS}), tmp_path / f"r{i}.json")
+        script = """
+import sys
+sys.modules["scipy"] = None
+from arbsurf import cli
+out, ini, a, b = sys.argv[1:]
+sys.exit(cli.main(["--config", ini, "--out", out + "/smoke", "reproduce"])
+         or cli.main(["--out", out + "/report", "report", a, b]))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(ini),
+                              str(tmp_path / "r0.json"), str(tmp_path / "r1.json")],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "smoke" / "report" / "summary.csv").exists()
+        assert (tmp_path / "report" / "holm.csv").exists()
 
     def test_report_subcommand(self, tmp_path):
         from arbsurf.cli import main

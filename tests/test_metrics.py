@@ -3,6 +3,7 @@ import pytest
 
 from arbsurf.grids import DomainError, MarketGrid, PriceSurface
 from arbsurf.metrics import (
+    Z_95,
     cnas,
     cnas_from_residuals,
     effective_dimension,
@@ -232,6 +233,11 @@ class TestHac:
         half = norm.ppf(0.975) * np.sqrt(x.var() / len(x))
         assert lo == pytest.approx(mean - half, rel=1e-12)
         assert hi == pytest.approx(mean + half, rel=1e-12)
+
+    def test_z95_is_the_quantile_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        assert Z_95 == float(ndtri(0.975))
 
     def test_short_series_rejected(self):
         with pytest.raises(DomainError):
