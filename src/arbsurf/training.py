@@ -49,15 +49,18 @@ at the ascended multipliers, with the arithmetic of a forward per step.
 
 `train` is the one saddle loop: it runs at least one step, stops on
 `stop_test` and records the last logged gap as DualGap.
-The gap estimator runs one step behind, in a worker process forked at the
-start of the loop (a fold uses two processes): step t + 1 never reads gap t,
-so it runs while the worker computes gap t, and it is discarded when gap t
-stops the run. States, histories and records are byte-identical to running
-step and gap in turn.
+No step reads a gap, so the loop runs a few steps past the last logged gap
+and shares the gaps with a worker process forked at the start of the loop (a
+fold uses two processes): the worker takes the oldest gaps no process has
+taken, and the loop, when it may not step further, computes the newest one
+itself. Gaps are logged in step order, and the steps past a stop are
+discarded. States, histories and records are byte-identical to running step
+and gap in turn.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
@@ -355,7 +358,7 @@ def load_checkpoint(path) -> dict:
 @dataclass
 class TrainHistory:
     """Per step: held-out gap, the stop rule's (|delta gap|, dual residual)
-    pair and seconds since the loop began."""
+    pair and seconds since the loop began, taken when the gap is logged."""
 
     gap: list = field(default_factory=list)
     stop_pairs: list = field(default_factory=list)
@@ -788,16 +791,35 @@ def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> P
     return decode_surface(to_decoder_params(primal), trajectory, grid)
 
 
+_LEAD = 4  # most steps the loop runs ahead of the last logged gap
+_QUEUE = 2  # most gaps the worker owes: one it computes, one waiting on the pipe
+
+
+@dataclass
+class _Pending:
+    """A step taken past the last logged gap: its state, its first forward,
+    the duals that forward saw, and its gap once known (a float, or the
+    exception the estimator raised); `owed` while the worker holds it."""
+
+    state: SaddleState
+    fw: ForwardCache
+    duals: dict
+    gap: float | Exception | None = None
+    owed: bool = False
+
+
 class _GapWorker:
-    """The held-out gap estimator in a forked process, one step behind the
-    saddle loop: `submit` hands it the primal and duals of a step, `result`
-    waits for that step's gap and raises what the estimator raised.
+    """A forked process that computes held-out gaps in the order it is handed
+    them: `feed` hands it the oldest gaps no process has taken, up to
+    `_QUEUE` at a time, `collect` stores the gaps it has returned without
+    waiting, and `wait` waits for the oldest gap it owes, raising an error
+    naming that step if the worker died.
 
     Fork gives the child the held-out batch and cfg without pickling them,
     and the module attributes as they are when `train` starts. The child
     closes its inherited copy of the parent's end, so closing that end (or
     the parent dying) reaches it as EOF and it exits; a worker that dies
-    reaches the parent as EOF and raises an error naming the step."""
+    reaches the parent as EOF after its last result."""
 
     def __init__(self, heldout: TrainBatch, cfg: TrainingConfig):
         ctx = multiprocessing.get_context("fork")
@@ -808,27 +830,45 @@ class _GapWorker:
                                  name="arbsurf-gap-worker", daemon=True)
         self._proc.start()
         child_end.close()
-        self.pending = None  # the step whose gap the worker owes
+        self.owed = collections.deque()  # the pending steps whose gaps the worker owes, in order
+        self.dead = False  # EOF read: no further gap will come
 
-    def submit(self, state: SaddleState) -> None:
-        self.pending = state.step
-        self._conn.send((state.primal, state.duals))
+    def feed(self, ahead) -> None:
+        for pending in ahead:
+            if len(self.owed) >= _QUEUE:
+                return
+            if pending.gap is None and not pending.owed:
+                pending.owed = True
+                self.owed.append(pending)
+                try:
+                    self._conn.send((pending.state.step, pending.state.primal, pending.state.duals))
+                except OSError:  # the worker died: its gaps are read up to EOF, then `wait` raises
+                    pass
 
-    def result(self) -> float:
+    def _receive(self) -> None:
         try:
-            ok, value = self._conn.recv()
-        except EOFError as err:
+            gap = self._conn.recv()
+        except (EOFError, ConnectionResetError):  # reset: it died with a task unread
+            self.dead = True
+            return
+        pending = self.owed.popleft()
+        pending.gap, pending.owed = gap, False
+
+    def collect(self) -> None:
+        while self.owed and not self.dead and self._conn.poll():
+            self._receive()
+
+    def wait(self) -> None:
+        if not self.dead:
+            self._receive()
+        if self.dead:
             self._proc.join()
-            raise RuntimeError(f"gap worker exited with code {self._proc.exitcode} before "
-                               f"returning the held-out gap of step {self.pending}") from err
-        self.pending = None
-        if not ok:
-            raise value
-        return value
+            raise RuntimeError(f"gap worker exited with code {self._proc.exitcode} before returning "
+                               f"the held-out gap of step {self.owed[0].state.step}")
 
     def close(self) -> None:
         self._conn.close()
-        if self.pending is not None:  # left mid-gap by an error: its result is not wanted
+        if self.owed:  # left mid-gap by a stop or an error: its results are not wanted
             self._proc.terminate()
         self._proc.join()
 
@@ -837,59 +877,76 @@ def _gap_worker(conn, parent_end, heldout: TrainBatch, cfg: TrainingConfig) -> N
     parent_end.close()
     while True:
         try:
-            primal, duals = conn.recv()
+            step, primal, duals = conn.recv()
         except EOFError:  # the loop closed its end: no more steps
             return
         try:
-            reply = True, empirical_gap_from_state(SaddleState(primal, duals, cfg), heldout)
-        except Exception as err:  # the loop raises it as the serial loop would
-            reply = False, err
+            reply = empirical_gap_from_state(SaddleState(primal, duals, cfg, step), heldout)
+        except Exception as err:  # the loop raises it at the step's turn
+            reply = err
         conn.send(reply)
 
 
 def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                  cfg: TrainingConfig):
     """Extragradient steps until `stop_test` holds or cfg.max_steps, the
-    held-out gap of step t computed by a `_GapWorker` while step t + 1 runs
-    on a copy of the state. Step t + 1 is kept only once gap t is logged and
-    the rule has not stopped the run; a stop, or a divergence of gap t, leaves
-    the state of step t, as a loop running the two in turn would. Returns
-    (state, the last logged step's first forward, the duals that forward
-    saw)."""
+    held-out gaps shared between this process and a `_GapWorker`.
+
+    No step reads a gap, so the loop runs up to `_LEAD` steps past the last
+    logged gap, each on a copy of the state before it. The worker takes the
+    oldest gaps no process has taken; when the loop cannot step, it computes
+    the newest such gap itself. Gaps are logged strictly in step order. A
+    stop discards every step past it, and a divergence of a step or of a
+    gap, or a dead worker, is raised at that step's turn with that step's
+    state, as a loop running step and gap in turn would. Returns (state, the
+    last logged step's first forward, the duals that forward saw)."""
     rng = np.random.default_rng(cfg.seed + 1)
     hist = state.history
     t0 = time.perf_counter()
+    ahead = collections.deque()  # the steps past `state`, oldest first
+    last, error = state, None  # the newest state, and the divergence of the step after it
     gaps = _GapWorker(heldout, cfg)
     try:
         while True:
-            ahead = replace(state, guard=replace(state.guard))
-            ahead_fw = error = None
-            if ahead.step < cfg.max_steps:
-                try:
-                    ahead_fw = extragradient_step(ahead, batch, cfg, rng)
-                except Exception as err:  # raised only if gap t does not stop the run
-                    error = err
-            if gaps.pending is not None:
-                gap = gaps.result()
-                delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
-                hist.gap.append(gap)
-                hist.stop_pairs.append((delta_gap, dual_residual_norm(fw, cfg)))
+            gaps.collect()
+            while ahead and ahead[0].gap is not None:
+                done = ahead.popleft()
+                state = done.state
+                if isinstance(done.gap, Exception):
+                    raise done.gap
+                delta_gap = abs(done.gap - hist.gap[-1]) if hist.gap else float("inf")
+                hist.gap.append(done.gap)
+                hist.stop_pairs.append((delta_gap, dual_residual_norm(done.fw, cfg)))
                 hist.wall.append(time.perf_counter() - t0)
+                fw, duals = done.fw, done.duals
                 if stop_test(hist.stop_pairs, cfg):
                     hist.stopped_at = state.step
-                    break
-            if error is not None:
-                state = ahead
+                    return state, fw, duals
+            gaps.feed(ahead)
+            free = [pending for pending in ahead if pending.gap is None and not pending.owed]
+            if error is None and last.step < cfg.max_steps and len(ahead) < _LEAD:
+                nxt = replace(last, guard=replace(last.guard))
+                try:
+                    ahead.append(_Pending(nxt, extragradient_step(nxt, batch, cfg, rng), last.duals))
+                except Exception as err:  # raised only if no gap before it stops the run
+                    error = err
+                last = nxt
+            elif free:
+                try:
+                    free[-1].gap = empirical_gap_from_state(free[-1].state, heldout)
+                except Exception as err:  # raised at the step's turn
+                    free[-1].gap = err
+            elif ahead:  # every gap not yet known is owed, the oldest first
+                gaps.wait()
+            elif error is not None:
+                state = last
                 raise error
-            if ahead_fw is None:
-                break
-            state, fw, duals = ahead, ahead_fw, state.duals
-            gaps.submit(state)
+            else:
+                return state, fw, duals
     except TrainingDivergence as err:
         raise TrainingDivergence(str(err), state=state) from err
     finally:
         gaps.close()
-    return state, fw, duals
 
 
 def train(cfg: TrainingConfig, data: FoldData):
@@ -899,14 +956,14 @@ def train(cfg: TrainingConfig, data: FoldData):
     and `cli.run_fold` fills in NAS, CNAS, Stability and the OOS fields.
 
     Stops at the first step where `stop_test` holds on the logged pairs, or
-    after cfg.max_steps (at least 1). The held-out gap of each step runs in a forked
-    worker process while the next step runs, so a fold uses two processes;
-    when the rule stops the run, the step taken past it is discarded. The
-    state and record are those of running step and gap in turn. The
-    record's Lipschitz surrogate is computed once, after the loop, for the
-    last safety pass kept (`SaddleState.pre_pass` and the state's primal).
-    Deterministic given cfg.seed. Divergence raises TrainingDivergence with
-    the last valid state attached.
+    after cfg.max_steps (at least 1). The loop runs a few steps ahead and
+    shares the held-out gaps with a forked worker process, so a fold uses two
+    processes; when the rule stops the run, the steps taken past it are
+    discarded. The state and record are those of running step and gap in
+    turn. The record's Lipschitz surrogate is computed once, after the loop,
+    for the last safety pass kept (`SaddleState.pre_pass` and the state's
+    primal). Deterministic given cfg.seed. Divergence raises
+    TrainingDivergence with the last valid state attached.
     """
     panels = list(data.train_panels)
     cover = coverage_stats([p.quoted_surface for p in panels + [data.val_panel]])

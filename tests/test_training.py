@@ -730,9 +730,10 @@ def deadline(seconds):
 
 
 class TestPipelinedLoop:
-    """`train` computes each held-out gap in a worker process one step
-    behind the loop; its states, histories and records equal those of the
-    serial loop in `oracles.serial_saddle_loop`, on every way a run ends."""
+    """`train` shares the held-out gaps between the loop and one worker
+    process while the loop runs steps ahead; its states, histories and
+    records equal those of the serial loop in `oracles.serial_saddle_loop`,
+    on every way a run ends and whichever process computes each gap."""
 
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
@@ -806,33 +807,37 @@ class TestPipelinedLoop:
         assert state.step == 3 and len(state.history.gap) == 2
 
     @staticmethod
-    def _patch_gap(monkeypatch, on_call):
-        """Replace the gap estimator by one that runs `on_call(n)` on its
-        n-th call (n from 1) and then returns the true gap; fork carries the
-        patch into the worker, which makes the calls in step order."""
+    def _patch_gap(monkeypatch, on_call, log=None):
+        """Replace the gap estimator by one that runs `on_call(state)` and
+        then returns the true gap; fork carries the patch into the worker.
+        With a `log` path, each call first appends "<pid> <step>" to it."""
         import arbsurf.training as training
 
-        true_gap, calls = training.empirical_gap_from_state, []
+        true_gap = training.empirical_gap_from_state
 
         def gap(state, heldout):
-            calls.append(1)
-            on_call(len(calls))
+            if log is not None:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {state.step}\n")
+            on_call(state)
             return true_gap(state, heldout)
 
         monkeypatch.setattr(training, "empirical_gap_from_state", gap)
 
+    @staticmethod
+    def _gap_calls(log):
+        """(pid, step) of every gap call that `_patch_gap` logged."""
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
     def test_gap_divergence_reraised_with_state_of_its_step(self, monkeypatch):
-        def diverge(n):
-            if n == 3:
+        def diverge(state):
+            if state.step == 3:
                 raise TrainingDivergence("planted gap divergence")
 
         cfg = tiny_cfg(max_steps=10)
         data = self._data()
-        runs = []
-        for serial in (False, True):
-            self._patch_gap(monkeypatch, diverge)
-            runs.append(self._train(cfg, data, monkeypatch, serial=serial))
-            monkeypatch.undo()  # a fresh call count for the next run
+        self._patch_gap(monkeypatch, diverge)
+        runs = [self._train(cfg, data, monkeypatch, serial=serial) for serial in (False, True)]
         self._assert_same(*runs)
         state, message = runs[0]
         assert message == "planted gap divergence"
@@ -862,17 +867,116 @@ class TestPipelinedLoop:
             if stopped_at is None:
                 assert outcome == "planted step divergence"
 
-    def test_dead_worker_raises_naming_the_step(self, monkeypatch):
-        def die(n):
-            if n == 2:
+    def test_dead_worker_raises_naming_the_step(self, monkeypatch, tmp_path):
+        test_pid, owed = os.getpid(), tmp_path / "owed"
+
+        def die(state):
+            if os.getpid() != test_pid and state.step >= 2:
+                owed.write_text(str(state.step))
                 os._exit(7)
 
         self._patch_gap(monkeypatch, die)
         start = time.perf_counter()
-        with deadline(60), pytest.raises(RuntimeError, match="gap worker exited with code 7 "
-                                         "before returning the held-out gap of step 2"):
+        with deadline(60), pytest.raises(RuntimeError) as err:
             train(tiny_cfg(max_steps=10), self._data())
+        assert int(owed.read_text()) >= 2
+        assert str(err.value) == ("gap worker exited with code 7 before returning the held-out gap "
+                                  f"of step {owed.read_text()}")
         assert time.perf_counter() - start < 30
+
+    SLOW = 0.05  # seconds of a worker's gap, or of a step, that the other process outpaces
+
+    @pytest.mark.parametrize("end", ["rule", "max_steps", "step_divergence", "gap_divergence"])
+    @pytest.mark.parametrize("slow", ["worker", "loop"])
+    def test_scheduling_extremes_equal_serial(self, slow, end, monkeypatch, tmp_path):
+        """A slow worker leaves gaps to the loop; slow steps leave every gap
+        to the worker. Either way the run equals the serial loop, on each way
+        a run ends."""
+        import arbsurf.training as training
+
+        test_pid, true_step = os.getpid(), training.extragradient_step
+        cfg = {"rule": tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6),
+               "max_steps": tiny_cfg(max_steps=7)}.get(end, tiny_cfg(max_steps=10))
+
+        def step(state, *args):
+            if slow == "loop":
+                time.sleep(self.SLOW)
+            if end == "step_divergence" and state.step == 4:
+                raise TrainingDivergence("planted step divergence")
+            return true_step(state, *args)
+
+        def on_gap(state):
+            if slow == "worker" and os.getpid() != test_pid:
+                time.sleep(self.SLOW)
+            if end == "gap_divergence" and state.step == 3:
+                raise TrainingDivergence("planted gap divergence")
+
+        log, data = tmp_path / "gaps", self._data()
+        monkeypatch.setattr(training, "extragradient_step", step)
+        self._patch_gap(monkeypatch, on_gap, log)
+        piped = self._train(cfg, data, monkeypatch)
+        pids = {pid for pid, _ in self._gap_calls(log)}
+        self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+        state, outcome = piped
+        steps, gaps, stopped_at, message = {
+            "rule": (6, 6, 6, None),
+            "max_steps": (7, 7, None, None),
+            "step_divergence": (4, 4, None, "planted step divergence"),
+            "gap_divergence": (3, 2, None, "planted gap divergence"),
+        }[end]
+        assert (state.step, len(state.history.gap), state.history.stopped_at) == (steps, gaps, stopped_at)
+        if message is not None:
+            assert outcome == message
+        if slow == "worker":
+            assert len(pids) == 2 and test_pid in pids
+        else:
+            assert len(pids) == 1 and test_pid not in pids
+
+    def test_loop_gap_divergence_past_a_stop_dropped(self, monkeypatch, tmp_path):
+        """Gap 4 stops the run (patience 3, loose thresholds) while the worker
+        still computes it; meanwhile the loop, unable to step further, computes
+        gap 6, which diverges. The divergence is dropped with step 6."""
+        import arbsurf.training as training
+
+        test_pid, true_step, log = os.getpid(), training.extragradient_step, tmp_path / "gaps"
+
+        def slow_step(state, *args):
+            time.sleep(self.SLOW)  # the worker keeps up with every step but the one it sleeps on
+            return true_step(state, *args)
+
+        def on_gap(state):
+            if os.getpid() != test_pid and state.step == 4:
+                time.sleep(1.0)
+            if state.step == 6:
+                raise TrainingDivergence("planted gap divergence")
+
+        cfg = tiny_cfg(max_steps=10, patience=3, delta_gap_tol=1e6, dual_residual_eps=1e6)
+        data = self._data()
+        monkeypatch.setattr(training, "extragradient_step", slow_step)
+        self._patch_gap(monkeypatch, on_gap, log)
+        piped = self._train(cfg, data, monkeypatch)
+        by_step = {step: pid for pid, step in self._gap_calls(log)}
+        self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
+        state, run = piped
+        assert run.stopped and state.history.stopped_at == state.step == 4
+        assert by_step[4] != test_pid and by_step[6] == test_pid
+
+    def test_fold_uses_two_processes(self, monkeypatch, tmp_path):
+        """Each gap is computed once, in the test process or in one worker: a
+        fold uses exactly two processes, which a pool of folds counts on."""
+        test_pid, log = os.getpid(), tmp_path / "gaps"
+
+        def slow_worker(state):
+            if os.getpid() != test_pid:
+                time.sleep(0.02)  # the loop takes a share of the gaps
+
+        self._patch_gap(monkeypatch, slow_worker, log)
+        cfg = tiny_cfg(max_steps=30)
+        self._train(cfg, self._data(), monkeypatch)
+        calls = self._gap_calls(log)
+        assert sorted(step for _, step in calls) == list(range(1, cfg.max_steps + 1))
+        pids = {pid for pid, _ in calls}
+        assert len(pids) == 2 and test_pid in pids
 
 
 class TestSigmoid:
