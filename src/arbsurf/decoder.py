@@ -43,6 +43,7 @@ from .operator import LatentTrajectory
 K_SCALE = 0.1  # the convex path sees (K/S0 - 1) / K_SCALE
 OUT_SCALE = 0.5  # weight of the learned potential in the decoded price
 ANCHOR_WIDTH = 0.10  # width of the smoothed-intrinsic anchor
+NOARB_MAX_ROUNDS = 1000  # alternating rounds before the no-arbitrage projection fails
 
 
 class InvariantViolation(ValueError):
@@ -110,24 +111,6 @@ class DecoderParams:
     @property
     def n_layers(self) -> int:
         return len(self.layer_weights_z)
-
-    @classmethod
-    def random(
-        cls,
-        rng: np.random.Generator,
-        context_dim: int,
-        n_maturities: int,
-        width: int = 16,
-        depth: int = 2,
-        scale: float = 0.1,
-        slope_raw: float = -2.0,
-    ) -> "DecoderParams":
-        """Random admissible parameters (convex-path weights folded positive)."""
-        sizes = [1] + [width] * depth + [1]
-        wz = [np.abs(rng.standard_normal((sizes[i + 1], sizes[i]))) * scale for i in range(len(sizes) - 1)]
-        wx = [rng.standard_normal((sizes[i + 1], 1 + context_dim)) * scale for i in range(len(sizes) - 1)]
-        b = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-        return cls(wz, wx, b, np.full(n_maturities, slope_raw))
 
 
 def icnn_forward(params: DecoderParams, k: np.ndarray, context: np.ndarray):
@@ -334,16 +317,18 @@ def legendre_conjugate(
 
 
 def bl_density(surface: PriceSurface, ell: int) -> np.ndarray:
-    """Implied density at interior strikes from discrete call curvature:
-    f(K_i) = e^{rT} (C_{i-1} - 2 C_i + C_{i+1}) / ((K_{i+1}-K_i)(K_i-K_{i-1}))."""
+    """Implied density at interior strikes from the second divided
+    difference of the calls, exact for quadratics on any strike spacing
+    (Breeden & Litzenberger 1978):
+    f(K_i) = e^{rT} 2 [(C_{i+1}-C_i)/(K_{i+1}-K_i) - (C_i-C_{i-1})/(K_i-K_{i-1})] / (K_{i+1}-K_{i-1})."""
     grid = surface.grid
     strikes = grid.strikes
     c = surface.calls[ell]
     if not np.all(surface.mask[ell]):
         raise DomainError("density needs a fully observed maturity row")
-    num = c[:-2] - 2.0 * c[1:-1] + c[2:]
-    den = (strikes[2:] - strikes[1:-1]) * (strikes[1:-1] - strikes[:-2])
-    return np.exp(grid.rate * grid.maturities[ell]) * num / den
+    slopes = np.diff(c) / np.diff(strikes)
+    curvature = 2.0 * np.diff(slopes) / (strikes[2:] - strikes[:-2])
+    return np.exp(grid.rate * grid.maturities[ell]) * curvature
 
 
 @dataclass
@@ -484,9 +469,7 @@ def _project_convex_1d(c: np.ndarray, strikes: np.ndarray, tol: float) -> np.nda
     return x
 
 
-def noarb_project(
-    surface: PriceSurface, tol: float = 1e-8, max_rounds: int = 1000
-) -> tuple[PriceSurface, dict]:
+def noarb_project(surface: PriceSurface, tol: float = 1e-8) -> tuple[PriceSurface, dict]:
     """Least-squares nearest surface that is convex in strike and
     nondecreasing in maturity.
 
@@ -506,7 +489,7 @@ def noarb_project(
     inner_tol = min(tol * 1e-2, 1e-10)
     viol = np.inf
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, NOARB_MAX_ROUNDS + 1):
         xp = x + p
         y = np.vstack([_project_convex_1d(xp[ell], strikes, inner_tol) for ell in range(L)])
         p = xp - y
@@ -521,7 +504,7 @@ def noarb_project(
             break
     else:
         raise ProjectionFailure(
-            f"no-arbitrage projection did not converge in {max_rounds} rounds "
+            f"no-arbitrage projection did not converge in {NOARB_MAX_ROUNDS} rounds "
             f"(violation {viol:.3e})",
             final_violation=viol,
         )

@@ -356,7 +356,7 @@ def oracle_prices(paths: PathEnsemble, grid: MarketGrid) -> PriceSurface:
     return surface
 
 
-def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
+def vix2_proxy(paths: PathEnsemble, T: float) -> float:
     """Average forward variance over the proxy window:
 
     mean over paths of (1/Delta) int_T^{T+Delta} v_s^+ ds
@@ -372,12 +372,7 @@ def vix2_proxy(paths: PathEnsemble, T: float, return_se: bool = False):
     while the drawer thread draws, and the rows at its thread split round
     differently with the thread count.
     """
-    per_path = paths.proxy[:, _maturity_step(paths, T)]
-    est = float(per_path.mean())
-    if return_se:
-        se = float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
-        return est, se
-    return est
+    return float(paths.proxy[:, _maturity_step(paths, T)].mean())
 
 
 def quote_noise_sd(cfg: GeneratorConfig, prices: np.ndarray, logm: np.ndarray,

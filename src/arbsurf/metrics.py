@@ -27,6 +27,7 @@ HOLM_ALPHA = 0.05  # family-wise level of the Holm-Bonferroni step-down
 CNAS_KAPPA = 10.0  # stiffness of the CNAS saturating hinge
 CNAS_SCALE = 1.0  # saturation cap of the CNAS hinge
 CNAS_TAU = 1e-4  # default CNAS tolerance; the only part of the shaping that is tuned
+HAC_C = 1.0  # Newey-West bandwidth rule: lag = floor(HAC_C * T^(1/4))
 
 
 # --- arbitrage scores -------------------------------------------------------
@@ -261,11 +262,11 @@ def newey_west_lrv(series: np.ndarray, lag: int) -> float:
     return max(lrv, 0.0)
 
 
-def hac_lag(t: int, c: float = 1.0) -> int:
-    return int(np.floor(c * t**0.25))
+def hac_lag(t: int) -> int:
+    return int(np.floor(HAC_C * t**0.25))
 
 
-def hac_ci(series: np.ndarray, c: float = 1.0):
+def hac_ci(series: np.ndarray):
     """Mean with a 95% autocorrelation-robust interval.
 
     Sample autocovariances use the 1/T convention, so at lag 0 the interval
@@ -275,7 +276,7 @@ def hac_ci(series: np.ndarray, c: float = 1.0):
     t = len(x)
     if t < 8:
         raise DomainError("need at least 8 observations")
-    lag = hac_lag(t, c)
+    lag = hac_lag(t)
     lrv = newey_west_lrv(x, lag)
     half = Z_95 * np.sqrt(lrv / t)
     mean = float(x.mean())
@@ -310,17 +311,13 @@ def holm_bonferroni(p_values: Sequence[float]) -> np.ndarray:
     return reject
 
 
-def novikov_kazamaki_rate(
-    blocks: Sequence[np.ndarray],
-    n_threshold: float | None = None,
-    z_cap: float | None = None,
-):
+def novikov_kazamaki_rate(blocks: Sequence[np.ndarray]):
     """Heuristic switch-rate monitor on blocked martingale increments.
 
     Per block computes the exponential-moment statistics
     log N = 0.5 * sum x^2 and log Z = 0.5 * sum x. A block "switches" when
-    log N exceeds `n_threshold` (default: pooled 75th percentile) while
-    |log Z| stays within `z_cap` (default: pooled 90th percentile). Returns
+    log N exceeds the pooled 75th percentile of log N while |log Z| stays
+    within the pooled 90th percentile of |log Z|. Returns
     (rate, ci_low, ci_high) with a 95% interval, NaN with fewer than 8 blocks.
     """
     clean = [np.asarray(b, dtype=float) for b in blocks if len(b) > 0]
@@ -333,10 +330,8 @@ def novikov_kazamaki_rate(
         raise DomainError("no usable blocks")
     log_n = np.array([0.5 * float(b @ b) for b in clean])
     log_z = np.array([0.5 * float(b.sum()) for b in clean])
-    if n_threshold is None:
-        n_threshold = float(np.quantile(log_n, 0.75))
-    if z_cap is None:
-        z_cap = float(np.quantile(np.abs(log_z), 0.90))
+    n_threshold = float(np.quantile(log_n, 0.75))
+    z_cap = float(np.quantile(np.abs(log_z), 0.90))
     switches = (log_n > n_threshold) & (np.abs(log_z) <= z_cap)
     rate = float(switches.mean())
     if len(clean) >= 8:

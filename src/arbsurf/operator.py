@@ -4,7 +4,7 @@ Green kernel it unrolls into, the strike-normalized measure gate, the
 discounted price functional and the martingale defect of the gate-implied
 forward.
 
-Indexing convention (0-based): states[0] is the initial latent state;
+Indexing convention (0-based): states[0] is the initial latent state, zero;
 transitions[i] propagates the state across (T_{i-1}, T_i] (with T_{-1} = 0),
 injections[i] feeds the maturity-i features into the state read at T_i:
 
@@ -72,20 +72,12 @@ class OperatorParams:
                 raise DomainError("operator parameters must be finite")
 
     @property
-    def rank(self) -> int:
-        return self.transitions.shape[1]
-
-    @property
     def n_maturities(self) -> int:
         return self.transitions.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.injections.shape[2]
-
-    @property
-    def readout_dim(self) -> int:
-        return self.readouts.shape[1]
 
 
 @dataclass
@@ -103,17 +95,16 @@ class LatentTrajectory:
 
 
 def scan_recursion(transitions: np.ndarray, injections: np.ndarray, readouts: np.ndarray,
-                   inputs: np.ndarray, h0: np.ndarray | None = None):
-    """The latent recursion over inputs (..., L, d), leading axes (the
-    windows of a fold) run side by side; returns (states (..., L+1, m),
-    outputs (..., L, p)). Only the transition product is sequential; the
-    injection drive and the readouts are one batched product each, and every
-    product is bit-equal to the loop over maturities of one window."""
+                   inputs: np.ndarray):
+    """The latent recursion from the zero state over inputs (..., L, d),
+    leading axes (the windows of a fold) run side by side; returns (states
+    (..., L+1, m), outputs (..., L, p)). Only the transition product is
+    sequential; the injection drive and the readouts are one batched product
+    each, and every product is bit-equal to the loop over maturities of one
+    window."""
     L, m = transitions.shape[0], transitions.shape[1]
     drive = (injections @ inputs[..., None])[..., 0]
     states = np.zeros(inputs.shape[:-2] + (L + 1, m))
-    if h0 is not None:
-        states[..., 0, :] = h0
     for i in range(L):
         states[..., i + 1, :] = (transitions[i] @ states[..., i, :, None])[..., 0] + drive[..., i, :]
     outputs = (readouts @ states[..., 1:, :, None])[..., 0]
@@ -137,10 +128,10 @@ def scan_adjoint(transitions: np.ndarray, injections: np.ndarray, readouts: np.n
     return dh, (injections.transpose(0, 2, 1) @ dh[..., None])[..., 0]
 
 
-def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | None = None) -> LatentTrajectory:
-    """Run the latent recursion over all maturities.
+def scan_forward(params: OperatorParams, inputs: np.ndarray) -> LatentTrajectory:
+    """Run the latent recursion over all maturities from the zero state.
 
-    inputs: (L, d) one feature vector per maturity; h0 defaults to zero.
+    inputs: (L, d) one feature vector per maturity; states[0] is zero.
     """
     inputs = np.asarray(inputs, dtype=float)
     L = params.n_maturities
@@ -148,11 +139,7 @@ def scan_forward(params: OperatorParams, inputs: np.ndarray, h0: np.ndarray | No
         raise DomainError(f"inputs must be (L, d) = ({L}, {params.feature_dim})")
     if not np.all(np.isfinite(inputs)):
         raise DomainError("inputs must be finite")
-    if h0 is not None:
-        h0 = np.asarray(h0, dtype=float)
-        if h0.shape != (params.rank,):
-            raise DomainError("h0 must be an m-vector")
-    states, outputs = scan_recursion(params.transitions, params.injections, params.readouts, inputs, h0)
+    states, outputs = scan_recursion(params.transitions, params.injections, params.readouts, inputs)
     return LatentTrajectory(states, outputs)
 
 

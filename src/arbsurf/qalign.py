@@ -8,7 +8,9 @@ each map from its singular values (`spectral_norms`) and the radius the
 guard compares with its bound from its eigenvalues (`spectral_radius`),
 both batched over an (L, a, b) stack. `spectral_norm` is the paper's
 deterministic power iteration from a fixed start vector (normalized
-all-ones), kept as the estimator that the spectral oracle criterion audits.
+all-ones), kept as the estimator that the spectral oracle criterion audits;
+it runs at most POWER_ITERS iterations and stops once the estimate moves by
+at most POWER_TOL relatively, the budget that criterion's 1e-8 bound needs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DomainError
+
+POWER_ITERS = 2000  # most power iterations of `spectral_norm`
+POWER_TOL = 1e-13  # relative change of the estimate that stops them early
 
 
 @dataclass
@@ -57,19 +62,17 @@ class GuardLog:
     clamp_hits: int = field(default=0)
 
 
-def spectral_norm(W: np.ndarray, *, iters: int = 50, tol: float = 1e-9) -> float:
+def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value of W by power iteration on W^T W.
 
-    Runs at most `iters` (>= 1) iterations, stopping early once the
-    estimate moves by less than `tol` relatively. Exact 0 for the zero
+    Runs at most POWER_ITERS iterations, stopping early once the estimate
+    moves by at most POWER_TOL relatively. Exact 0 for the zero
     matrix. The iteration runs on W / max|W| and scales the result back, so
     very large or very small entries neither overflow nor underflow the
     iterate. The safety pass does not call it: its norms are exact
     (`spectral_norms`); this estimator is what the spectral oracle
     criterion audits.
     """
-    if iters < 1:
-        raise DomainError("spectral_norm needs iters >= 1")
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise DomainError("spectral_norm expects a matrix")
@@ -82,7 +85,7 @@ def spectral_norm(W: np.ndarray, *, iters: int = 50, tol: float = 1e-9) -> float
     n = W.shape[1]
     v = np.ones(n) / np.sqrt(n)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         u = W @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:
@@ -95,7 +98,7 @@ def spectral_norm(W: np.ndarray, *, iters: int = 50, tol: float = 1e-9) -> float
         if sigma_new == 0.0:
             return 0.0
         v = v_new / sigma_new
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
+        if abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new, 1e-300):
             return float(sigma_new * scale)
         sigma = sigma_new
     return float(sigma * scale)

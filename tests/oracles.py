@@ -14,7 +14,8 @@ half, the saddle loop that runs each step and its gap in turn in one
 process, and the Lipschitz surrogate logged at every safety pass. A
 quadratic saddle game carries the closed forms the model-free solver is
 checked against: its saddle point, the linear map of one extragradient
-step and the gap of k gradient steps. The softplus oracle evaluates each
+step and the gap of k gradient steps. `random_decoder` draws admissible
+decoder parameters for the decoder tests. The softplus oracle evaluates each
 element with the C library's exp and log1p, which numpy's vector loops may
 round differently by an ulp. `inv_softplus` builds gate pre-activations
 whose softplus is a given density.
@@ -209,13 +210,12 @@ def inv_softplus(y):
     return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
-def loop_scan_recursion(transitions, injections, readouts, inputs, h0=None):
-    """The latent recursion with every product taken one maturity at a time."""
+def loop_scan_recursion(transitions, injections, readouts, inputs):
+    """The latent recursion from the zero state with every product taken one
+    maturity at a time."""
     L, m = transitions.shape[0], transitions.shape[1]
     states = np.zeros((L + 1, m))
     outputs = np.zeros((L, readouts.shape[1]))
-    if h0 is not None:
-        states[0] = h0
     for i in range(L):
         states[i + 1] = transitions[i] @ states[i] + injections[i] @ inputs[i]
         outputs[i] = readouts[i] @ states[i + 1]
@@ -322,6 +322,19 @@ def loop_green_kernel(transitions, injections, ell, s):
     for j in range(s + 1, ell + 1):
         G = transitions[j] @ G
     return G
+
+
+def random_decoder(rng, context_dim, n_maturities, width=16, depth=2, scale=0.1, slope_raw=-2.0):
+    """Random admissible decoder parameters: `depth` hidden layers of
+    `width`, convex-path weights folded positive, zero biases and one
+    maturity slope for all maturities."""
+    from arbsurf.decoder import DecoderParams
+
+    sizes = [1] + [width] * depth + [1]
+    wz = [np.abs(rng.standard_normal((sizes[i + 1], sizes[i]))) * scale for i in range(len(sizes) - 1)]
+    wx = [rng.standard_normal((sizes[i + 1], 1 + context_dim)) * scale for i in range(len(sizes) - 1)]
+    b = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+    return DecoderParams(wz, wx, b, np.full(n_maturities, slope_raw))
 
 
 def near_degenerate(a, b):

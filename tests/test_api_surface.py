@@ -1,10 +1,14 @@
-"""Guard against dead code: every public function, class and method under
-src/arbsurf/ has a reference outside its own body in the package or in the
-benchmark harness. Tests do not count as callers.
+"""Guard against dead code and dead options: every public function, class
+and method under src/arbsurf/ has a reference outside its own body in the
+package or in the benchmark harness, and every defaulted parameter of a
+function or method there is passed by some call in them. Tests do not count
+as callers.
 
-A reference is a name or an attribute access with the definition's name,
-so the check is by name, not by resolved binding: it catches a definition
-nothing mentions, which is what deleted call sites leave behind.
+A reference is a name, or an attribute access with the definition's name
+that is not an attribute of a module outside arbsurf, so the check is by
+name, not by resolved binding: it catches a definition nothing mentions,
+which is what deleted call sites leave behind. A call passes a parameter by
+keyword or by position, the call of a class passing its `__init__`'s.
 """
 
 import ast
@@ -40,14 +44,30 @@ def _definitions():
                         yield path, f"{node.name}.{sub.name}", sub
 
 
+def _foreign_modules(tree):
+    """Names that `import` statements of a file bind to modules outside
+    arbsurf (`np` for `import numpy as np`, `os` for `import os.path`)."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "arbsurf"}
+
+
 def _references():
-    """(file, name, line) of every name and attribute access in the callers."""
+    """(file, name, line) of every name and attribute access in the callers.
+    An attribute of a module outside arbsurf (`np.random`, `os.path.join`)
+    names nothing of the package, so it is no reference."""
     for path in CALLERS:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        foreign = _foreign_modules(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 yield path, node.id, node.lineno
             elif isinstance(node, ast.Attribute):
-                yield path, node.attr, node.lineno
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if not (isinstance(base, ast.Name) and base.id in foreign):
+                    yield path, node.attr, node.lineno
 
 
 def test_every_public_definition_has_a_caller():
@@ -66,3 +86,81 @@ def test_every_public_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     defined = {node.name for _, _, node in _definitions()}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+# defaulted parameters kept although no caller in src/ or benchmarks/ passes
+# them, each for a stated reason
+OPTIONS_ALLOWED = {
+    "simulate_paths.keep": "stored spot and variance rows, which criterion 7 and the path tests read until the generator's remnant moves",
+    "run_stress_to_fail.state": "a trained fold state, for a later `--from` that loads instead of retraining",
+    "run_stress_to_fail.panels": "the panels that state is scored on, for the same `--from`",
+}
+
+
+def _functions():
+    """(file, name, node, bound) of every top-level function and every
+    method; bound counts the leading parameters a call fills implicitly
+    (self or cls)."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, node.name, node, 0
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in sub.decorator_list)
+                        name = node.name if sub.name == "__init__" else sub.name
+                        yield path, name, sub, 0 if static else 1
+
+
+def _defaulted(node, bound):
+    """(name, position or None) of each parameter with a default; position
+    counts from the first parameter a call passes explicitly."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[first:], start=first - bound):
+        yield a.arg, i
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield a.arg, None
+
+
+def _calls():
+    """(file, callee name, line, positional count or None, keywords or None)
+    of every call in the callers; None stands for a `*` or `**` unpacking,
+    which may pass anything."""
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield (path, name, node.lineno, None if starred else len(node.args),
+                   None if None in keywords else keywords)
+
+
+def test_every_option_has_a_caller():
+    calls = list(_calls())
+    unused = []
+    for path, name, node, bound in _functions():
+        outside = [(n_pos, kws) for where, callee, line, n_pos, kws in calls
+                   if callee == name and not (where == path and node.lineno <= line <= node.end_lineno)]
+        for param, position in _defaulted(node, bound):
+            if f"{name}.{param}" in OPTIONS_ALLOWED:
+                continue
+            if not any(n_pos is None or kws is None or param in kws
+                       or (position is not None and n_pos > position)
+                       for n_pos, kws in outside):
+                unused.append(f"{path.name}: {name}.{param}")
+    assert unused == [], "defaulted parameters no caller in src/ or benchmarks/ passes: " + ", ".join(unused)
+
+
+def test_option_allowlist_names_existing_parameters():
+    defined = {f"{name}.{param}" for _, name, node, bound in _functions() for param, _ in _defaulted(node, bound)}
+    assert set(OPTIONS_ALLOWED) <= defined, sorted(set(OPTIONS_ALLOWED) - defined)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arbsurf import decoder
 from arbsurf.decoder import (
     ArbResiduals,
     DecoderParams,
@@ -19,10 +20,11 @@ from arbsurf.decoder import (
     static_arb_residuals,
     strike_coordinate,
 )
+from arbsurf.generator import GeneratorConfig, make_grid as generator_grid
 from arbsurf.grids import DomainError, MarketGrid, PriceSurface
 from arbsurf.operator import LatentTrajectory
 
-from .oracles import brute_force_projection, bs_call, bs_put, lognormal_density
+from .oracles import brute_force_projection, bs_call, bs_put, lognormal_density, random_decoder
 
 
 def make_grid(L=3, M=9, spot=100.0, rate=0.01, q=0.0, k_lo=80.0, k_hi=120.0):
@@ -53,7 +55,7 @@ class TestIcnnEval:
         rng = np.random.default_rng(7)
         ks = np.linspace(-1.0, 1.0, 400)
         for _ in range(25):
-            params = DecoderParams.random(rng, context_dim=3, n_maturities=2, width=8, depth=2, scale=0.7)
+            params = random_decoder(rng, context_dim=3, n_maturities=2, width=8, depth=2, scale=0.7)
             ctx = rng.standard_normal(3)
             phi, _ = icnn_forward(params, ks, np.tile(ctx, (len(ks), 1)))
             second = np.diff(phi, 2)
@@ -61,7 +63,7 @@ class TestIcnnEval:
 
     def test_zero_convex_weights_flat_in_k(self):
         rng = np.random.default_rng(3)
-        params = DecoderParams.random(rng, context_dim=2, n_maturities=2, width=6, depth=1)
+        params = random_decoder(rng, context_dim=2, n_maturities=2, width=6, depth=1)
         for w in params.layer_weights_z:
             w[:] = 0.0
         for w in params.layer_weights_x:
@@ -72,14 +74,14 @@ class TestIcnnEval:
 
     def test_negative_weight_rejected(self):
         rng = np.random.default_rng(5)
-        params = DecoderParams.random(rng, context_dim=2, n_maturities=2)
+        params = random_decoder(rng, context_dim=2, n_maturities=2)
         params.layer_weights_z[1][0, 0] = -0.1
         with pytest.raises(InvariantViolation):
             icnn_eval(params, 0.0, np.zeros(2))
 
     def test_param_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        params = DecoderParams.random(rng, context_dim=2, n_maturities=2, width=5, depth=2, scale=0.5)
+        params = random_decoder(rng, context_dim=2, n_maturities=2, width=5, depth=2, scale=0.5)
         k = np.array([0.3, -0.2])
         ctx = rng.standard_normal((2, 2))
         _, cache = icnn_forward(params, k, ctx)
@@ -107,7 +109,7 @@ class TestDecodeSurface:
         rng = np.random.default_rng(1)
         grid = make_grid()
         traj = make_trajectory(rng=rng)
-        params = DecoderParams.random(rng, context_dim=3, n_maturities=3, slope_raw=-40.0)
+        params = random_decoder(rng, context_dim=3, n_maturities=3, slope_raw=-40.0)
         surf = decode_surface(params, traj, grid)
         c = surf.calls_matrix()
         assert np.max(np.abs(c - c[0])) < 1e-12
@@ -116,7 +118,7 @@ class TestDecodeSurface:
         rng = np.random.default_rng(2)
         grid = make_grid()
         traj = make_trajectory(rng=rng)
-        params = DecoderParams.random(rng, context_dim=3, n_maturities=3, slope_raw=0.5)
+        params = random_decoder(rng, context_dim=3, n_maturities=3, slope_raw=0.5)
         c = decode_surface(params, traj, grid).calls_matrix()
         assert np.min(c[1:] - c[:-1]) >= -1e-12
 
@@ -124,7 +126,7 @@ class TestDecodeSurface:
         rng = np.random.default_rng(3)
         grid = make_grid(rate=0.03, q=0.01)
         traj = make_trajectory(rng=rng)
-        params = DecoderParams.random(rng, context_dim=3, n_maturities=3)
+        params = random_decoder(rng, context_dim=3, n_maturities=3)
         surf = decode_surface(params, traj, grid)
         strikes = grid.strikes
         for ell, T in enumerate(grid.maturities):
@@ -137,7 +139,7 @@ class TestDecodeSurface:
         grid = make_grid(L=4, M=40)
         for _ in range(20):
             traj = make_trajectory(L=4, rng=rng)
-            params = DecoderParams.random(
+            params = random_decoder(
                 rng, context_dim=3, n_maturities=4, scale=0.8, slope_raw=float(rng.normal())
             )
             res = static_arb_residuals(decode_surface(params, traj, grid))
@@ -161,7 +163,7 @@ class TestLegendre:
 
     def test_fenchel_young(self):
         rng = np.random.default_rng(9)
-        params = DecoderParams.random(rng, context_dim=2, n_maturities=2, scale=0.6)
+        params = random_decoder(rng, context_dim=2, n_maturities=2, scale=0.6)
         ctx = rng.standard_normal(2)
         dom = (-3.0, 3.0)
         for _ in range(100):
@@ -201,9 +203,40 @@ class TestBlDensity:
         rng = np.random.default_rng(12)
         grid = make_grid(L=3, M=30)
         traj = make_trajectory(rng=rng)
-        params = DecoderParams.random(rng, context_dim=3, n_maturities=3)
+        params = random_decoder(rng, context_dim=3, n_maturities=3)
         surf = decode_surface(params, traj, grid)
         for ell in range(3):
+            assert bl_density(surf, ell).min() >= -1e-10
+
+    def test_black_scholes_density_on_log_spaced_strikes(self):
+        # the generator's strikes are evenly spaced in log-moneyness (step
+        # h); the divided difference averages the density against a hat of
+        # half-widths K h, whose leading relative error is
+        # (h^2 / 12) (z^2 - 1) / (sigma^2 T) at standardized log-strike z
+        gcfg = GeneratorConfig()
+        grid = generator_grid(gcfg)
+        sigma, h = 0.2, np.diff(np.log(grid.strikes))[0]
+        s0, r, q = grid.spot, grid.rate, grid.dividend_yield
+        calls = np.vstack([bs_call(s0, grid.strikes, t, r, q, sigma) for t in grid.maturities])
+        surf = PriceSurface.from_matrices(grid, calls, calls)
+        k = grid.strikes[1:-1]
+        for ell, t in enumerate(grid.maturities):
+            sd = sigma * np.sqrt(t)
+            z = (np.log(k / s0) - (r - q - 0.5 * sigma**2) * t) / sd
+            exact = lognormal_density(k, s0, t, r, q, sigma)
+            rel = np.abs(bl_density(surf, ell) / exact - 1.0)[np.abs(z) <= 2.0]
+            assert rel.max() <= (h / sd) ** 2 / 3.0, (t, rel.max())
+
+    def test_convex_surface_nonnegative_density_on_log_spaced_strikes(self):
+        # discounted forward intrinsic values: linear in the money, where a
+        # second difference unweighted for the spacing goes negative
+        grid = generator_grid(GeneratorConfig())
+        t = grid.maturities[:, None]
+        fwd = grid.spot * np.exp((grid.rate - grid.dividend_yield) * t)
+        calls = np.exp(-grid.rate * t) * np.maximum(fwd - grid.strikes, 0.0)
+        surf = PriceSurface.from_matrices(grid, calls, calls)
+        assert static_arb_residuals(surf).convexity.max(initial=0.0) < 1e-12  # convex up to rounding
+        for ell in range(grid.n_maturities):
             assert bl_density(surf, ell).min() >= -1e-10
 
     def test_needs_three_strikes(self):
@@ -361,11 +394,12 @@ class TestNoArbProject:
         assert res.convexity.max(initial=0.0) < 1e-8
         assert res.calendar.max(initial=0.0) < 1e-8
 
-    def test_failure_carries_residual(self):
+    def test_failure_carries_residual(self, monkeypatch):
         calls = np.array([[10.0, 4.0, 10.0], [9.0, 5.0, 9.0]])
         surf = self.make_surface(calls)
+        monkeypatch.setattr(decoder, "NOARB_MAX_ROUNDS", 1)
         with pytest.raises(ProjectionFailure) as err:
-            noarb_project(surf, tol=1e-16, max_rounds=1)
+            noarb_project(surf, tol=1e-16)
         assert err.value.final_violation >= 0.0
 
 

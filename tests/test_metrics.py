@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arbsurf import metrics
 from arbsurf.grids import DomainError, MarketGrid, PriceSurface
 from arbsurf.metrics import (
     Z_95,
@@ -224,10 +225,11 @@ class TestHac:
         lrv = newey_west_lrv(x, hac_lag(len(x)))
         assert lrv == pytest.approx(x.var(), rel=0.05)
 
-    def test_lag_zero_matches_iid(self):
+    def test_lag_zero_matches_iid(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(100)
-        mean, lo, hi = hac_ci(x, c=0.0)  # floor(0 * T^(1/4)) = 0
+        monkeypatch.setattr(metrics, "HAC_C", 0.0)  # floor(0 * T^(1/4)) = 0
+        mean, lo, hi = hac_ci(x)
         from scipy.stats import norm
 
         half = norm.ppf(0.975) * np.sqrt(x.var() / len(x))
@@ -280,19 +282,18 @@ class TestNovikovKazamaki:
         rate, lo, hi = novikov_kazamaki_rate(blocks)
         assert rate == 0.0
 
-    def test_rough_blocks_switch_more(self):
-        rng = np.random.default_rng(9)
-        n, n_blocks = 50, 60
-        smooth = [rng.normal(0, 0.06, n) for _ in range(n_blocks)]
-        rough = []
-        for _ in range(n_blocks):
-            spikes = rng.random(n) < 0.1
-            x = np.where(spikes, rng.normal(0, 0.25, n), rng.normal(0, 0.03, n))
-            rough.append(x)
-        thresh = 0.5 * 50 * 0.06**2 * 1.5  # between the two populations
-        r_rough, *_ = novikov_kazamaki_rate(rough, n_threshold=thresh, z_cap=np.inf)
-        r_smooth, *_ = novikov_kazamaki_rate(smooth, n_threshold=thresh, z_cap=np.inf)
-        assert r_rough > r_smooth
+    def test_hand_worked_percentile_rule(self):
+        # log N = (a^2 + b^2) / 2 and log Z = (a + b) / 2 per block (a, b):
+        # log N sorted is 0, .01, .04, .09, .16, .25, .36, 1, 1.04, so its
+        # 75th percentile (index 6 of 8) is .36, which the block (.6, -.6)
+        # only reaches; |log Z| sorted is seven zeros, .2, 1, so its 90th
+        # percentile (index 7.2) is .2 + .2 * (1 - .2) = .36. Of the two
+        # blocks above .36 in log N, (1.2, -.8) switches and (1, 1), at
+        # |log Z| = 1, is excluded by the |log Z| cap alone.
+        blocks = [np.array([s, -s]) for s in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        blocks += [np.array([1.2, -0.8]), np.array([1.0, 1.0])]
+        switches = np.array([0, 0, 0, 0, 0, 0, 0, 1, 0], dtype=float)
+        assert novikov_kazamaki_rate(blocks) == (1 / 9, *hac_ci(switches)[1:])
 
     def test_empty_blocks_skipped(self):
         blocks = [np.zeros(8), np.array([]), np.zeros(8)]

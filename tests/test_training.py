@@ -631,7 +631,7 @@ class TestOperatorViews:
     def test_operator_view(self):
         cfg, batch, state = tiny_state()
         op = to_operator_params(state.primal)
-        assert op.rank == cfg.rank
+        assert op.transitions.shape[1] == cfg.rank
         assert op.transitions.shape[0] == batch.n_maturities
 
 
