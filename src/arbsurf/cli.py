@@ -72,7 +72,7 @@ LOGGER = logging.getLogger("arbsurf")
 STRESS_RATE_SHIFT = 0.01  # numeraire-shift axis: r -> r + 0.01 * strength
 NAS_FAILURE_LEVEL = 0.9  # stress-to-fail: first strength whose mean NAS drops below this
 CNAS_TUNE_TAUS = (0.0, 1e-5, 1e-4, 1e-3)  # tolerance grid of the in-window CNAS tuning
-LEDGER_HEADER = ("seed", "gamma", "beta_nov", "xi", "lr_multiplier", "config_hash", "run_log")
+LEDGER_HEADER = ("seed", "lr_multiplier", "config_hash", "run_log")
 
 
 @dataclass
@@ -174,8 +174,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _ledger_row(cfg: ExperimentConfig, lr_multiplier: float, path) -> list:
-    t = cfg.training
-    return [t.seed, t.gamma, t.beta_nov, t.xi, lr_multiplier, cfg.hash(), path]
+    return [cfg.training.seed, lr_multiplier, cfg.hash(), path]
 
 
 def _gate_log_density_blocks(surfaces) -> list:
@@ -188,7 +187,7 @@ def _gate_log_density_blocks(surfaces) -> list:
         dens = []
         for ell in range(grid.n_maturities):
             row = bl_density(surf, ell)
-            dens.append(max(float(row[min(j - 1, len(row) - 1)]), 1e-12))
+            dens.append(max(float(row[min(max(j - 1, 0), len(row) - 1)]), 1e-12))
         blocks.append(np.diff(np.log(dens)))
     return blocks
 

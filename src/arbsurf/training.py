@@ -1,13 +1,13 @@
 """
 Saddle training of the scan operator plus convex-monotone decoder.
 
-Objective (multipliers lambda >= 0, penalty weights gamma/xi/beta_nov):
+Objective (multipliers lambda >= 0, fixed penalty weights GAMMA/XI/BETA_NOV):
 
     L = pricing MSE on observed cells (spot-normalized prices)
       + <lambda_na, static-arbitrage residuals of the normalized surface>
-      + gamma * <lambda_mart, gate-forward defects on sampled slices>
-      + xi * <lambda_vix, w(T) * squared variance-replication residuals>
-      + beta_nov * mean(defect^2 on sampled slices)
+      + GAMMA * <lambda_mart, gate-forward defects on N_SLICES sampled slices>
+      + XI * <lambda_vix, w(T) * squared variance-replication residuals>
+      + BETA_NOV * mean(defect^2 on sampled slices)
 
     The replication block uses the squared residual with maturity weights
     (the weights tame the short end's 1/T amplification); an absolute-value
@@ -48,7 +48,9 @@ with the first primal-descent step) yields every ascent step and the value
 at the ascended multipliers, with the arithmetic of a forward per step.
 
 `train` is the one saddle loop: it runs at least one step, stops on
-`stop_test` and records the last logged gap as DualGap.
+`stop_test` and records the last logged gap as DualGap. The penalty weights,
+the stopping rule and the solver's inner settings are module constants, not
+`TrainingConfig` fields, so no config can change them.
 No step reads a gap, so the loop runs a few steps past the last logged gap
 and shares the gaps with a worker process forked at the start of the loop (a
 fold uses two processes): the worker takes the oldest gaps no process has
@@ -102,11 +104,21 @@ from .runlog import RunLog
 from .vix import strip_coefficients
 
 
-# Fixed step policy of the saddle loop.
+# Fixed protocol of the saddle loop: step policy, penalty weights and stopping
+# rule. None of these is a config key.
 FEATURE_SCALE = 5.0  # input scaling that keeps the bin features O(1)
 GATE_LR_MULT = 50.0  # larger fixed step of the gate block
 DUAL_MULTS = {"na": 10.0, "mart": 1.0, "vix": 20.0}  # per-block dual step multipliers
 DUAL_RAMP_START, DUAL_RAMP_STEPS = 0.1, 500  # dual step ramps from 0.1x to 1x over 500 steps
+N_SLICES = 8  # maturities sampled per step for the martingale and roughness terms
+CLIP_NORM = 5.0  # global-norm budget of the primal descent direction
+K_INNER = 5  # ascent and descent steps of each held-out gap
+GAMMA = 1.0  # weight of the martingale dual term
+XI = 0.5  # weight of the replication dual term
+BETA_NOV = 0.1  # weight of the roughness penalty
+DELTA_GAP_TOL = 1e-3  # stop threshold on |change of the held-out gap|
+DUAL_RESIDUAL_EPS = 1e-3  # stop threshold on the dual residual's infinity norm
+PATIENCE = 1000  # consecutive steps both statistics must stay below their thresholds
 
 
 class TrainingDivergence(RuntimeError):
@@ -117,19 +129,15 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class TrainingConfig:
-    gamma: float = 1.0
-    beta_nov: float = 0.1
-    xi: float = 0.5
-    delta_gap_tol: float = 1e-3
-    dual_residual_eps: float = 1e-3
-    patience: int = 1000
-    max_steps: int = 20_000
-    n_slices: int = 8
+    """The settings a run may vary: seed, step budget, step sizes, the
+    model's shape, the two ablation switches and the safety guard. The
+    objective's weights, the stopping rule and the solver's inner settings
+    are the module constants above."""
+
     seed: int = 0
+    max_steps: int = 20_000
     step_primal: float = 3e-3
     step_dual: float = 1e-3
-    clip_norm: float = 5.0
-    k_inner: int = 5
     rank: int = 8
     feature_bins: int = 8
     readout_dim: int = 4
@@ -140,15 +148,10 @@ class TrainingConfig:
     guard: GuardConfig = field(default_factory=GuardConfig)
 
     def __post_init__(self):
-        for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, n_slices=1, k_inner=1,
-                              depth=0, max_steps=1, patience=1).items():
+        for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, depth=0, max_steps=1).items():
             if getattr(self, name) < low:
                 raise DomainError(f"[training] {name} must be >= {low}")
-        # NaN fails both comparisons; inf passes (an unclipped gradient, a stop rule that always holds)
-        for name in ("gamma", "beta_nov", "xi"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"[training] {name} must be >= 0")
-        for name in ("step_primal", "step_dual", "clip_norm", "delta_gap_tol", "dual_residual_eps"):
+        for name in ("step_primal", "step_dual"):  # NaN fails the comparison
             if not getattr(self, name) > 0:
                 raise DomainError(f"[training] {name} must be > 0")
 
@@ -326,14 +329,12 @@ def _pv_add(a: dict, b: dict, alpha) -> dict:
     return {k: a[k] + steps[k] * b[k] for k in a}
 
 
-def _clip_gradient(g: dict, clip_norm: float) -> dict:
-    """Global-norm clip; inactive when the norm is inside the budget."""
-    if not np.isfinite(clip_norm):
-        return g
+def _clip_gradient(g: dict) -> dict:
+    """Global-norm clip to CLIP_NORM; inactive when the norm is inside the budget."""
     total = np.sqrt(sum(float((v**2).sum()) for v in g.values()))
-    if total <= clip_norm:
+    if total <= CLIP_NORM:
         return g
-    scale = clip_norm / total
+    scale = CLIP_NORM / total
     return {k: v * scale for k, v in g.items()}
 
 
@@ -427,7 +428,8 @@ class ForwardCache:
     value: float
     mse: float
     w_den: np.ndarray
-    mres: np.ndarray
+    defect: np.ndarray     # signed gate-implied forward minus forward (L,)
+    mres: np.ndarray       # |defect| / forward (L,)
     r_na: np.ndarray
     r_vix: np.ndarray
     u: np.ndarray          # scan inputs (W, L, d)
@@ -451,8 +453,7 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     if slices is None:
         slices = np.arange(batch.n_maturities)
     w_den, gate_mass, gate_exp = _gate_density(primal, batch, cfg)
-    fwd_gate = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1)
-    mres = np.abs(fwd_gate - batch.forwards) / batch.forwards
+    defect = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1) - batch.forwards
 
     dec = to_decoder_params(primal)
     u = _features(w_den, batch, cfg)
@@ -465,51 +466,51 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
     q = otm_values(batch.strikes, batch.forwards, parity_puts(batch.grid, calls), calls)
     vix_resid = batch.vix2_obs - ((batch.vix_coef * q).sum(axis=-1) - batch.vix_adj)
     W = batch.n_windows
-    fw = ForwardCache(0.0, float((diff**2).sum()) / batch.n_obs, w_den, mres,
+    fw = ForwardCache(0.0, float((diff**2).sum()) / batch.n_obs, w_den, defect, np.abs(defect) / batch.forwards,
                       res.flatten().sum(axis=0) / W, (batch.vix_weights * vix_resid**2).sum(axis=0) / W,
                       u, hs, cnorm, diff, res, vix_resid, dec_cache, slices, gate_mass, gate_exp, dec)
-    fw.value = _objective_value(fw, duals, cfg)
+    fw.value = _objective_value(fw, duals)
     return fw
 
 
-def _dual_terms(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> tuple:
+def _dual_terms(fw: ForwardCache, duals: dict) -> tuple:
     """(no-arbitrage, martingale, replication) dual terms of the objective,
     from the residuals of a forward pass."""
     s = fw.slices
     return (
         float(duals["na"] @ fw.r_na),
-        cfg.gamma * float(duals["mart"][s] @ fw.mres[s]),
-        cfg.xi * float(duals["vix"] @ fw.r_vix),
+        GAMMA * float(duals["mart"][s] @ fw.mres[s]),
+        XI * float(duals["vix"] @ fw.r_vix),
     )
 
 
-def _objective_value(fw: ForwardCache, duals: dict, cfg: TrainingConfig) -> float:
+def _objective_value(fw: ForwardCache, duals: dict) -> float:
     """Objective at the duals given, from the residuals of a forward pass.
 
     The objective is linear in the duals, so one forward serves any duals at
     the same primal point; every objective value is summed here, in one
     operand order, so values computed either way agree bit for bit.
     """
-    na, mart, vix = _dual_terms(fw, duals, cfg)
-    value = fw.mse + na + mart + vix + cfg.beta_nov * float(np.mean(fw.mres[fw.slices] ** 2))
+    na, mart, vix = _dual_terms(fw, duals)
+    value = fw.mse + na + mart + vix + BETA_NOV * float(np.mean(fw.mres[fw.slices] ** 2))
     if not np.isfinite(value):
         raise TrainingDivergence(f"non-finite objective ({value})")
     return value
 
 
-def dual_gradient(fw: ForwardCache, cfg: TrainingConfig) -> dict:
+def dual_gradient(fw: ForwardCache) -> dict:
     g_mart = np.zeros(len(fw.mres))
-    g_mart[fw.slices] = cfg.gamma * fw.mres[fw.slices]
-    return {"na": fw.r_na, "mart": g_mart, "vix": cfg.xi * fw.r_vix}
+    g_mart[fw.slices] = GAMMA * fw.mres[fw.slices]
+    return {"na": fw.r_na, "mart": g_mart, "vix": XI * fw.r_vix}
 
 
-def dual_residual_norm(fw: ForwardCache, cfg: TrainingConfig) -> float:
+def dual_residual_norm(fw: ForwardCache) -> float:
     """Infinity norm of the full constraint-residual vector (all slices)."""
     return float(
         max(
             fw.r_na.max(initial=0.0),
-            cfg.gamma * fw.mres.max(initial=0.0),
-            cfg.xi * fw.r_vix.max(initial=0.0),
+            GAMMA * fw.mres.max(initial=0.0),
+            XI * fw.r_vix.max(initial=0.0),
         )
     )
 
@@ -528,20 +529,17 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     grads = {k: np.zeros_like(v) for k, v in primal.items()}
 
     # martingale and roughness-penalty paths (gate only)
-    sign = np.sign(
-        (fw.w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1) - batch.forwards
-    )
     coef = np.zeros(L)
     coef[fw.slices] = (
-        cfg.gamma * duals["mart"][fw.slices]
-        + 2.0 * cfg.beta_nov * fw.mres[fw.slices] / len(fw.slices)
+        GAMMA * duals["mart"][fw.slices]
+        + 2.0 * BETA_NOV * fw.mres[fw.slices] / len(fw.slices)
     )
-    dw_den = (coef * sign / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
+    dw_den = (coef * np.sign(fw.defect) / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
 
     dcnorm = 2.0 * fw.diff / batch.n_obs
     dcnorm += arb_residual_backward(fw.res, duals["na"], fw.cnorm, batch.strikes, 1.0, 1.0 / W)
     # squared-residual head: R = obs - v2m, v2m linear in spot * cnorm
-    dv2m = -(cfg.xi / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid
+    dv2m = -(XI / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid
     dcnorm += dv2m[..., None] * batch.vix_coef * batch.grid.spot
     g_dec, dy = decode_backward(fw.dec, fw.dec_cache, dcnorm)
     grads["slope_raw"] = g_dec["maturity_slope_raw"]
@@ -572,7 +570,7 @@ def _descent(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
     """Primal descent direction at the forward's point: the reverse pass,
     clipped to the global norm budget, with the gate block scaled up (the
     gate's normalization shrinks its gradients by the softplus mass)."""
-    g = _clip_gradient(primal_gradient(primal, duals, batch, cfg, fw), cfg.clip_norm)
+    g = _clip_gradient(primal_gradient(primal, duals, batch, cfg, fw))
     return {**g, "gate_raw": g["gate_raw"] * GATE_LR_MULT}
 
 
@@ -658,12 +656,12 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
     forward cache, taken at the pre-step primal and duals (the stop
     diagnostics and the record's ratio_log and martingale residual read it)."""
     L = batch.n_maturities
-    slices = np.sort(rng.choice(L, size=min(cfg.n_slices, L), replace=False))
+    slices = np.sort(rng.choice(L, size=min(N_SLICES, L), replace=False))
     eta_d = state.dual_step_now()
 
     def oracle(primal, duals):
         fw = model_forward(primal, duals, batch, cfg, slices)
-        return _descent(primal, duals, batch, cfg, fw), dual_gradient(fw, cfg), fw
+        return _descent(primal, duals, batch, cfg, fw), dual_gradient(fw), fw
 
     passes = []  # the pre-pass primal of each safety pass; the state keeps the last
 
@@ -698,7 +696,7 @@ def _saddle_gap(x: dict, y: dict, value, grad_x, grad_y, project_x, project_y, k
 
 def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
     """`_saddle_gap` of the model on a held-out batch (all maturities), with
-    cfg.k_inner steps of cfg.step_primal and cfg.step_dual, the convex-path
+    K_INNER steps of cfg.step_primal and cfg.step_dual, the convex-path
     clamp as the primal projection and the multipliers clipped at zero.
 
     The dual half needs no forward of its own: the dual gradient is the
@@ -725,28 +723,29 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
 
     return _saddle_gap(
         state.primal, state.duals,
-        lambda primal, duals: _objective_value(forward(primal), duals, cfg),
+        lambda primal, duals: _objective_value(forward(primal), duals),
         lambda primal, duals: _descent(primal, duals, heldout, cfg, forward(primal)),
-        lambda primal, duals: dual_gradient(forward(primal), cfg),
-        clamp, _nonnegative, cfg.k_inner, cfg.step_primal, cfg.step_dual)
+        lambda primal, duals: dual_gradient(forward(primal)),
+        clamp, _nonnegative, K_INNER, cfg.step_primal, cfg.step_dual)
 
 
 # --- stopping ----------------------------------------------------------------
 
 
-def stop_test(pairs, cfg: TrainingConfig) -> bool:
-    """True iff both stopping statistics stayed below their thresholds for
-    the `patience` most recent (|delta gap|, dual residual) pairs.
+def stop_test(pairs) -> bool:
+    """True iff the PATIENCE most recent (|delta gap|, dual residual) pairs
+    all have |delta gap| < DELTA_GAP_TOL and dual residual <
+    DUAL_RESIDUAL_EPS: the paper's fixed, falsifiable stopping rule.
 
     Walks back from the newest pair and returns at the first one that misses
     a threshold, so a call costs at most the current streak and copies
     nothing."""
     streak = 0
     for dg, dr in reversed(pairs):
-        if not (dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps):
+        if not (dg < DELTA_GAP_TOL and dr < DUAL_RESIDUAL_EPS):
             return False
         streak += 1
-        if streak >= cfg.patience:
+        if streak >= PATIENCE:
             return True
     return False
 
@@ -916,10 +915,10 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                     raise done.gap
                 delta_gap = abs(done.gap - hist.gap[-1]) if hist.gap else float("inf")
                 hist.gap.append(done.gap)
-                hist.stop_pairs.append((delta_gap, dual_residual_norm(done.fw, cfg)))
+                hist.stop_pairs.append((delta_gap, dual_residual_norm(done.fw)))
                 hist.wall.append(time.perf_counter() - t0)
                 fw, duals = done.fw, done.duals
-                if stop_test(hist.stop_pairs, cfg):
+                if stop_test(hist.stop_pairs):
                     hist.stopped_at = state.step
                     return state, fw, duals
             gaps.feed(ahead)
@@ -987,7 +986,7 @@ def train(cfg: TrainingConfig, data: FoldData):
     state, fw, duals = _saddle_loop(state, batch, heldout, cfg)
     state.guard.lambda_lip_before, state.guard.lambda_lip_after = lipschitz_surrogate(
         state.pre_pass, state.primal)
-    na, mart, vix = _dual_terms(fw, duals, cfg)
+    na, mart, vix = _dual_terms(fw, duals)
     run = RunLog(
         DualGap=state.history.gap[-1],
         spec_guard_hits=state.guard.spec_guard_hits,

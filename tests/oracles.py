@@ -263,13 +263,13 @@ def stepwise_gap(state, heldout):
     The model's forward and gradients come from the package; the steps and
     projections are written here in plain numpy, apart from its solver.
     """
-    from arbsurf.training import _descent, dual_gradient, model_forward
+    from arbsurf.training import K_INNER, _descent, dual_gradient, model_forward
 
     cfg = state.cfg
-    k = cfg.k_inner
+    k = K_INNER
     duals = {name: v.copy() for name, v in state.duals.items()}
     for _ in range(k):
-        g = dual_gradient(model_forward(state.primal, duals, heldout, cfg), cfg)
+        g = dual_gradient(model_forward(state.primal, duals, heldout, cfg))
         duals = {name: np.maximum(v + cfg.step_dual * g[name], 0.0) for name, v in duals.items()}
     sup_val = model_forward(state.primal, duals, heldout, cfg).value
 
@@ -305,9 +305,9 @@ def serial_saddle_loop(state, batch, heldout, cfg):
             gap = training.empirical_gap_from_state(state, heldout)
             delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
             hist.gap.append(gap)
-            hist.stop_pairs.append((delta_gap, training.dual_residual_norm(fw, cfg)))
+            hist.stop_pairs.append((delta_gap, training.dual_residual_norm(fw)))
             hist.wall.append(time.perf_counter() - t0)
-            if training.stop_test(hist.stop_pairs, cfg):
+            if training.stop_test(hist.stop_pairs):
                 hist.stopped_at = state.step
                 break
     except training.TrainingDivergence as err:

@@ -1,8 +1,9 @@
 """Guard against dead code and dead options: every public function, class
 and method under src/arbsurf/ has a reference outside its own body in the
-package or in the benchmark harness, and every defaulted parameter of a
-function or method there is passed by some call in them. Tests do not count
-as callers.
+package or in the benchmark harness, every defaulted parameter of a
+function or method there is passed by some call in them, and every
+`TrainingConfig` field is set by a shipped config, a call or a benchmark.
+Tests do not count as callers.
 
 A reference is a name, or an attribute access with the definition's name
 that is not an attribute of a module outside arbsurf, so the check is by
@@ -12,9 +13,12 @@ keyword or by position, the call of a class passing its `__init__`'s.
 """
 
 import ast
+import dataclasses
+from configparser import ConfigParser
 from pathlib import Path
 
 import arbsurf
+from arbsurf.training import TrainingConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "arbsurf").glob("*.py"))
@@ -164,3 +168,34 @@ def test_every_option_has_a_caller():
 def test_option_allowlist_names_existing_parameters():
     defined = {f"{name}.{param}" for _, name, node, bound in _functions() for param, _ in _defaulted(node, bound)}
     assert set(OPTIONS_ALLOWED) <= defined, sorted(set(OPTIONS_ALLOWED) - defined)
+
+
+# TrainingConfig fields kept although no config, call or benchmark sets them,
+# each for a stated reason
+FIELDS_ALLOWED = {
+    "depth": "the decoder's depth, part of the model's shape that a grid sets together with rank and width",
+    "readout_dim": "the scan's readout size, part of the model's shape that a grid sets together with rank and width",
+    "guard": "the safety guard's settings, which the benchmark checks read and which have their own roadmap item",
+}
+
+
+def test_every_training_field_is_set():
+    """A field is set by a [training] key of a config in configs/, a keyword
+    of a call in src/ or benchmarks/ outside the class's own body
+    (`replace(t, step_primal=...)`), or a string key of a dict in
+    benchmarks/ (the overrides of a generated config). The other fields are
+    constants of the protocol, not settings."""
+    parser = ConfigParser()
+    parser.read(sorted((ROOT / "configs").glob("*.ini")), encoding="utf-8")
+    names = set(parser["training"])
+    own_path, _, own = next(d for d in _definitions() if d[1] == "TrainingConfig")
+    names |= {kw for where, _, line, _, kws in _calls() if kws is not None
+              and not (where == own_path and own.lineno <= line <= own.end_lineno) for kw in kws}
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        names |= {key.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Dict) for key in node.keys
+                  if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    fields = [f.name for f in dataclasses.fields(TrainingConfig)]
+    assert set(FIELDS_ALLOWED) <= set(fields), sorted(set(FIELDS_ALLOWED) - set(fields))
+    unset = [name for name in fields if name not in names and name not in FIELDS_ALLOWED]
+    assert unset == [], "TrainingConfig fields no config, call or benchmark sets: " + ", ".join(unset)

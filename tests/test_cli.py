@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -88,8 +89,8 @@ class TestRunLogSchema:
         path = tmp_path / "ledger.csv"
         cli._write_csv(path, cli.LEDGER_HEADER, [cli._ledger_row(cfg, 1.0, "run.json")])
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "seed,gamma,beta_nov,xi,lr_multiplier,config_hash,run_log"
-        assert lines[1] == f"11,1.0,0.1,0.5,1.0,{cfg.hash()},run.json"
+        assert lines[0] == "seed,lr_multiplier,config_hash,run_log"
+        assert lines[1] == f"11,1.0,{cfg.hash()},run.json"
         assert len(lines) == 2
 
 
@@ -142,6 +143,10 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[run\] {key}"):
             load_config(path)
 
+    # a bad [training] value fails at load in one line naming the key; the
+    # penalty weights, the stopping rule and the solver's inner settings are
+    # constants of `training`, not fields, so a config that sets one fails as
+    # an unknown key, whatever its value
     @pytest.mark.parametrize("key,value", [
         ("rank", 0), ("feature_bins", 0), ("readout_dim", 0), ("width", 0), ("n_slices", 0),
         ("k_inner", 0), ("depth", -1), ("max_steps", -5), ("step_primal", -1.0), ("step_primal", 0.0),
@@ -151,11 +156,13 @@ class TestConfigFile:
         ("patience", 0),
     ])
     def test_training_shape_and_steps_validated(self, tmp_path, key, value):
-        with pytest.raises(DomainError, match=rf"\[training\] {key}"):
+        field = key in {f.name for f in dataclasses.fields(TrainingConfig)}
+        with pytest.raises(DomainError if field else TypeError, match=rf"\b{key}\b"):
             TrainingConfig(**{key: value})
         path = tmp_path / "training.ini"
         path.write_text(f"[training]\n{key} = {value}\n")
-        with pytest.raises(DomainError, match=rf"\[training\] {key}"):
+        message = rf"^\[training\] {key} must be" if field else rf"^unknown config key \[training\] {key}$"
+        with pytest.raises(DomainError, match=message):
             load_config(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -338,6 +345,23 @@ class TestRunFold:
             with pytest.raises(DomainError, match="out-of-sample"):
                 cli.run_fold(panels, Fold(train=[0], val=1, oos=[]), cfg.training)
         assert trained == []
+
+    def test_density_blocks_clamp_to_first_interior_strike(self):
+        # every strike above spot: the strike nearest spot is the first, whose
+        # density is the first interior one, not the far tail's
+        from arbsurf.decoder import bl_density
+        from arbsurf.grids import MarketGrid, PriceSurface
+
+        from .oracles import bs_call
+
+        mats = np.array([0.25, 0.5, 1.0])
+        strikes = 100.0 * np.exp(np.linspace(0.05, 0.6, 9))
+        grid = MarketGrid(mats, strikes, 100.0, 0.01, 0.0)
+        calls = np.vstack([bs_call(100.0, strikes, t, 0.01, 0.0, 0.2) for t in mats])
+        surf = PriceSurface.from_matrices(grid, calls, calls)
+        first = [bl_density(surf, ell)[0] for ell in range(len(mats))]
+        [block] = cli._gate_log_density_blocks([surf])
+        assert np.array_equal(block, np.diff(np.log(first)))
 
 
 class TestStress:

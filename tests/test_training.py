@@ -4,16 +4,19 @@ import signal
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from arbsurf import training
 from arbsurf.decoder import decode_surface
 from arbsurf.generator import GeneratorConfig, make_panel
 from arbsurf.grids import DomainError
 from arbsurf.operator import measure_gate, scan_forward
 from arbsurf.training import (
+    BETA_NOV,
+    GAMMA,
+    XI,
     FoldData,
     SaddleState,
     TrainingConfig,
@@ -59,9 +62,23 @@ def tiny_panel(seed=3, **kw):
 
 
 def tiny_cfg(**kw):
-    base = dict(rank=2, feature_bins=3, readout_dim=2, width=4, depth=2, seed=5, n_slices=3)
+    base = dict(rank=2, feature_bins=3, readout_dim=2, width=4, depth=2, seed=5)
     base.update(kw)
     return TrainingConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def three_slices(monkeypatch):
+    """The tiny runs sample three maturities per step (a forked gap worker
+    inherits the patched constant)."""
+    monkeypatch.setattr(training, "N_SLICES", 3)
+
+
+def loose_stop(monkeypatch, patience):
+    """Stop thresholds so loose that the rule holds after `patience` pairs."""
+    monkeypatch.setattr(training, "PATIENCE", patience)
+    monkeypatch.setattr(training, "DELTA_GAP_TOL", 1e6)
+    monkeypatch.setattr(training, "DUAL_RESIDUAL_EPS", 1e6)
 
 
 def tiny_state(cfg=None, panel=None):
@@ -146,7 +163,7 @@ class TestSaddleObjective:
         fw2 = model_forward(state.primal, state.duals, batch, cfg)
         assert fw2.mse == pytest.approx(0.0, abs=1e-24)
         # duals are zero at init, so only the roughness penalty remains
-        assert fw2.value == pytest.approx(cfg.beta_nov * np.mean(fw2.mres[fw2.slices] ** 2), rel=1e-12)
+        assert fw2.value == pytest.approx(BETA_NOV * np.mean(fw2.mres[fw2.slices] ** 2), rel=1e-12)
 
     def test_unit_residual_with_dual_two(self):
         cfg, batch, state = tiny_state()
@@ -155,7 +172,7 @@ class TestSaddleObjective:
         # exactly 2 * xi * residual
         state.duals["vix"][1] = 2.0
         fw2 = model_forward(state.primal, state.duals, batch, cfg)
-        assert fw2.value - fw.value == pytest.approx(cfg.xi * 2.0 * fw.r_vix[1], rel=1e-12)
+        assert fw2.value - fw.value == pytest.approx(XI * 2.0 * fw.r_vix[1], rel=1e-12)
 
     def test_term_by_term_oracle(self):
         cfg, batch, state = tiny_state()
@@ -166,9 +183,9 @@ class TestSaddleObjective:
         expected = (
             fw.mse
             + float(state.duals["na"] @ fw.r_na)
-            + cfg.gamma * float(state.duals["mart"][slices] @ fw.mres[slices])
-            + cfg.xi * float(state.duals["vix"] @ fw.r_vix)
-            + cfg.beta_nov * float(np.mean(fw.mres[slices] ** 2))
+            + GAMMA * float(state.duals["mart"][slices] @ fw.mres[slices])
+            + XI * float(state.duals["vix"] @ fw.r_vix)
+            + BETA_NOV * float(np.mean(fw.mres[slices] ** 2))
         )
         assert fw.value == pytest.approx(expected, rel=1e-12)
 
@@ -217,11 +234,11 @@ class TestGradient:
         cfg, batch, state = self._setup()
         slices = np.array([1])
         fw = model_forward(state.primal, state.duals, batch, cfg, slices)
-        g = dual_gradient(fw, cfg)
+        g = dual_gradient(fw)
         assert np.array_equal(g["na"], fw.r_na)
-        assert g["mart"][1] == cfg.gamma * fw.mres[1]
+        assert g["mart"][1] == GAMMA * fw.mres[1]
         assert g["mart"][0] == 0.0  # unsampled slice
-        assert np.allclose(g["vix"], cfg.xi * fw.r_vix)
+        assert np.allclose(g["vix"], XI * fw.r_vix)
 
     def test_zero_residual_zero_dual_gradient(self):
         cfg, batch, state = self._setup()
@@ -229,7 +246,7 @@ class TestGradient:
         fw.r_na[:] = 0.0
         fw.mres[:] = 0.0
         fw.r_vix[:] = 0.0
-        g = dual_gradient(fw, cfg)
+        g = dual_gradient(fw)
         assert all(np.all(v == 0.0) for v in g.values())
 
 
@@ -239,8 +256,6 @@ def unprojected(point):
 
 def count_calls(monkeypatch, *names):
     """Wrap each named function of `arbsurf.training` to count its calls."""
-    import arbsurf.training as training
-
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -495,7 +510,7 @@ class TestSafetyPass:
 
 
 class TestGapEstimator:
-    def test_shared_forward_matches_stepwise_estimator(self):
+    def test_shared_forward_matches_stepwise_estimator(self, monkeypatch):
         from .oracles import stepwise_gap
 
         cfg = tiny_cfg()
@@ -507,12 +522,13 @@ class TestGapEstimator:
             extragradient_step(state, batch, cfg, rng)
             assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
         for k in (1, 3):
-            at_k = replace(state, cfg=replace(cfg, k_inner=k))
-            assert empirical_gap_from_state(at_k, heldout) == stepwise_gap(at_k, heldout)
+            monkeypatch.setattr(training, "K_INNER", k)
+            assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
 
     @pytest.mark.parametrize("k_inner", [1, 5])
     def test_forwards_per_call(self, k_inner, monkeypatch):
-        cfg, batch, state = tiny_state(tiny_cfg(k_inner=k_inner))
+        monkeypatch.setattr(training, "K_INNER", k_inner)
+        cfg, batch, state = tiny_state()
         calls = count_calls(monkeypatch, "model_forward", "primal_gradient")
         empirical_gap_from_state(state, batch)
         assert calls == {"model_forward": k_inner + 1, "primal_gradient": k_inner}
@@ -531,20 +547,18 @@ class TestGapEstimator:
 
 class TestStopTest:
     def test_patience_reached(self):
-        cfg = tiny_cfg(patience=1000)
         history = [(5e-4, 5e-4)] * 1000
-        assert stop_test(history, cfg)
+        assert stop_test(history)
 
     def test_patience_boundary(self):
-        cfg = tiny_cfg(patience=1000)
         history = [(5e-4, 5e-4)] * 999
-        assert not stop_test(history, cfg)
+        assert not stop_test(history)
 
-    def test_threshold_violation_resets(self):
-        cfg = tiny_cfg(patience=10)
+    def test_threshold_violation_resets(self, monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 10)
         history = [(5e-4, 5e-4)] * 9 + [(2e-3, 5e-4)] + [(5e-4, 5e-4)] * 9
-        assert not stop_test(history, cfg)
-        assert stop_test(history + [(5e-4, 5e-4)], cfg)
+        assert not stop_test(history)
+        assert stop_test(history + [(5e-4, 5e-4)])
 
 
 class TestRatioLog:
@@ -663,16 +677,16 @@ class TestTrainLoop:
         for k in s1.primal:
             assert np.array_equal(s1.primal[k], s2.primal[k])
 
-    def test_stop_pairs_consistent_when_stopped(self):
+    def test_stop_pairs_consistent_when_stopped(self, monkeypatch):
         # loose thresholds so the tiny run stops quickly, then replay the
         # logged pairs against the thresholds and the stop rule
-        cfg = tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6)
-        state, run = train(cfg, self._data())
+        loose_stop(monkeypatch, 5)
+        state, run = train(tiny_cfg(max_steps=40), self._data())
         assert run.stopped
         pairs = state.history.stop_pairs
-        tail = pairs[-cfg.patience :]
-        assert all(dg < cfg.delta_gap_tol and dr < cfg.dual_residual_eps for dg, dr in tail)
-        first = next(k for k in range(len(pairs) + 1) if stop_test(pairs[:k], cfg))
+        tail = pairs[-5:]
+        assert all(dg < training.DELTA_GAP_TOL and dr < training.DUAL_RESIDUAL_EPS for dg, dr in tail)
+        first = next(k for k in range(len(pairs) + 1) if stop_test(pairs[:k]))
         assert state.history.stopped_at == first == len(pairs) == state.step
 
     def test_dual_gap_is_heldout_gap_of_final_state(self):
@@ -686,8 +700,6 @@ class TestTrainLoop:
         # the record's ratio_log compares the pricing loss of the last step's
         # first forward with the dual part at the duals that forward saw,
         # not at the duals the step has already updated
-        import arbsurf.training as training
-
         seen = []
 
         def recorded(state, *args):
@@ -702,8 +714,8 @@ class TestTrainLoop:
         duals, fw = seen[-1]
         dual_part = (
             float(duals["na"] @ fw.r_na)
-            + cfg.gamma * float(duals["mart"][fw.slices] @ fw.mres[fw.slices])
-            + cfg.xi * float(duals["vix"] @ fw.r_vix)
+            + GAMMA * float(duals["mart"][fw.slices] @ fw.mres[fw.slices])
+            + XI * float(duals["vix"] @ fw.r_vix)
         )
         assert len(seen) == 2
         assert not all(np.array_equal(duals[k], state.duals[k]) for k in duals)
@@ -745,8 +757,6 @@ class TestPipelinedLoop:
     @staticmethod
     def _train(cfg, data, monkeypatch, serial=False):
         """(state, run) of `train`, or (state of the divergence, message)."""
-        import arbsurf.training as training
-
         from .oracles import serial_saddle_loop
 
         with monkeypatch.context() as patch, deadline(60):
@@ -778,13 +788,14 @@ class TestPipelinedLoop:
             assert vars(ra) == vars(rb)
 
     def test_stopped_by_rule_discards_step_ahead(self, monkeypatch):
-        cfg = tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6)
+        loose_stop(monkeypatch, 5)
+        cfg = tiny_cfg(max_steps=40)
         data = self._data()
         piped = self._train(cfg, data, monkeypatch)
         self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
         state, run = piped
         assert run.stopped
-        assert state.history.stopped_at == state.step == cfg.patience + 1 < cfg.max_steps
+        assert state.history.stopped_at == state.step == 5 + 1 < cfg.max_steps
 
     def test_runs_to_max_steps(self, monkeypatch):
         cfg = tiny_cfg(max_steps=7)
@@ -798,7 +809,8 @@ class TestPipelinedLoop:
     def test_divergence_after_steps(self, monkeypatch):
         # an unclipped step of 1e3 overflows the held-out gap's descent at
         # step 3, so the divergence surfaces from the worker
-        cfg = tiny_cfg(max_steps=20, step_primal=1e3, clip_norm=np.inf)
+        monkeypatch.setattr(training, "CLIP_NORM", np.inf)
+        cfg = tiny_cfg(max_steps=20, step_primal=1e3)
         data = self._data()
         piped = self._train(cfg, data, monkeypatch)
         self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
@@ -811,8 +823,6 @@ class TestPipelinedLoop:
         """Replace the gap estimator by one that runs `on_call(state)` and
         then returns the true gap; fork carries the patch into the worker.
         With a `log` path, each call first appends "<pid> <step>" to it."""
-        import arbsurf.training as training
-
         true_gap = training.empirical_gap_from_state
 
         def gap(state, heldout):
@@ -846,8 +856,6 @@ class TestPipelinedLoop:
     def test_divergence_of_step_ahead_dropped_when_rule_stops(self, monkeypatch):
         # a constant gap and loose thresholds stop the run at step 4
         # (patience 3 after the first pair's infinite delta); step 5 diverges
-        import arbsurf.training as training
-
         step = training.extragradient_step
 
         def diverging_step(state, *args):
@@ -859,7 +867,8 @@ class TestPipelinedLoop:
         monkeypatch.setattr(training, "empirical_gap_from_state", lambda state, heldout: 0.0)
         data = self._data()
         for patience, stopped_at in ((3, 4), (10, None)):
-            cfg = tiny_cfg(max_steps=10, patience=patience, delta_gap_tol=1e6, dual_residual_eps=1e6)
+            loose_stop(monkeypatch, patience)
+            cfg = tiny_cfg(max_steps=10)
             piped = self._train(cfg, data, monkeypatch)
             self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
             state, outcome = piped
@@ -892,11 +901,10 @@ class TestPipelinedLoop:
         """A slow worker leaves gaps to the loop; slow steps leave every gap
         to the worker. Either way the run equals the serial loop, on each way
         a run ends."""
-        import arbsurf.training as training
-
         test_pid, true_step = os.getpid(), training.extragradient_step
-        cfg = {"rule": tiny_cfg(max_steps=40, patience=5, delta_gap_tol=1e6, dual_residual_eps=1e6),
-               "max_steps": tiny_cfg(max_steps=7)}.get(end, tiny_cfg(max_steps=10))
+        cfg = tiny_cfg(max_steps={"rule": 40, "max_steps": 7}.get(end, 10))
+        if end == "rule":
+            loose_stop(monkeypatch, 5)
 
         def step(state, *args):
             if slow == "loop":
@@ -936,8 +944,6 @@ class TestPipelinedLoop:
         """Gap 4 stops the run (patience 3, loose thresholds) while the worker
         still computes it; meanwhile the loop, unable to step further, computes
         gap 6, which diverges. The divergence is dropped with step 6."""
-        import arbsurf.training as training
-
         test_pid, true_step, log = os.getpid(), training.extragradient_step, tmp_path / "gaps"
 
         def slow_step(state, *args):
@@ -950,7 +956,8 @@ class TestPipelinedLoop:
             if state.step == 6:
                 raise TrainingDivergence("planted gap divergence")
 
-        cfg = tiny_cfg(max_steps=10, patience=3, delta_gap_tol=1e6, dual_residual_eps=1e6)
+        loose_stop(monkeypatch, 3)
+        cfg = tiny_cfg(max_steps=10)
         data = self._data()
         monkeypatch.setattr(training, "extragradient_step", slow_step)
         self._patch_gap(monkeypatch, on_gap, log)
@@ -1076,8 +1083,6 @@ class TestLipschitzSurrogate:
 
     @pytest.mark.parametrize("max_steps", [1, 6])
     def test_once_per_fold_equals_per_pass(self, max_steps, monkeypatch):
-        import arbsurf.training as training
-
         from .oracles import serial_saddle_loop, surrogate_logging_pass
 
         cfg, data = tiny_cfg(max_steps=max_steps), TestTrainLoop._data()
