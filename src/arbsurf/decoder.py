@@ -361,8 +361,8 @@ def arb_residual_arrays(calls: np.ndarray, strikes: np.ndarray, spot: float) -> 
     static-arbitrage stencil of the package."""
     c = np.asarray(calls, dtype=float)
     ks = np.asarray(strikes, dtype=float)
-    dk = np.diff(ks)
-    slopes = np.diff(c, axis=-1) / dk
+    dk = ks[1:] - ks[:-1]
+    slopes = (c[..., 1:] - c[..., :-1]) / dk
     mono = np.maximum(slopes, 0.0)
     conv = np.maximum(-(slopes[..., 1:] - slopes[..., :-1]), 0.0)
     cal = np.maximum(-(c[..., 1:, :] - c[..., :-1, :]), 0.0)
@@ -376,11 +376,13 @@ def arb_residual_backward(res: ArbResiduals, lam: np.ndarray, calls: np.ndarray,
     summed over the leading indices, where res = arb_residual_arrays(calls,
     strikes, spot); lam is split by the shapes of res's fields on their last
     two axes."""
-    shapes = [f.shape[-2:] for f in res.fields()]
-    ends = np.cumsum([a * b for a, b in shapes])
-    lam_mono, lam_conv, lam_cal, lam_bounds = (
-        lam[end - a * b:end].reshape(a, b) for (a, b), end in zip(shapes, ends))
-    dk = np.diff(strikes)
+    blocks, start = [], 0
+    for f in res.fields():
+        a, b = f.shape[-2:]
+        blocks.append(lam[start:start + a * b].reshape(a, b))
+        start += a * b
+    lam_mono, lam_conv, lam_cal, lam_bounds = blocks
+    dk = strikes[1:] - strikes[:-1]
     dc = np.zeros_like(calls)
     act_m = (res.monotonicity > 0.0) * lam_mono * scale / dk
     dc[..., 1:] += act_m

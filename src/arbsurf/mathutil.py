@@ -14,8 +14,12 @@ def softplus_exp(x):
     vector loops round a few percent of values an ulp or two away from it.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.maximum(x, 0.0) + np.log1p(e), e
+    e = np.abs(x, out=np.empty_like(x))  # an array even for 0-d x, so the steps below stay in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sp = np.maximum(x, 0.0)
+    sp += np.log1p(e)
+    return sp, e
 
 
 def softplus(x):
@@ -33,5 +37,4 @@ def sigmoid(x, e=None):
     x = np.asarray(x, dtype=float)
     if e is None:
         e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

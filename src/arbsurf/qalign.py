@@ -3,10 +3,13 @@ Spectral-norm estimation, projection of linear maps onto a spectral ball,
 and the transition-matrix safety projection (spectral radius x time step
 kept below 1 - epsilon), with audit counters.
 
-The safety pass takes every quantity from the exact spectrum: the norm of
-each map from its singular values (`spectral_norms`) and the radius the
-guard compares with its bound from its eigenvalues (`spectral_radius`),
-both batched over an (L, a, b) stack. `spectral_norm` is the paper's
+The safety pass first tests each map's Frobenius norm, an upper bound on
+its spectral norm: a map whose Frobenius norm is at most tau (1 -
+FROB_MARGIN) lies inside the ball and is left as it is without an SVD.
+Every other quantity comes from the exact spectrum: the norm of each map
+from its singular values (`spectral_norms`) and the radius the guard
+compares with its bound from its eigenvalues (`spectral_radius`), both
+batched over an (L, a, b) stack. `spectral_norm` is the paper's
 deterministic power iteration from a fixed start vector (normalized
 all-ones), kept as the estimator that the spectral oracle criterion audits;
 it runs at most POWER_ITERS iterations and stops once the estimate moves by
@@ -23,6 +26,7 @@ from .grids import DomainError
 
 POWER_ITERS = 2000  # most power iterations of `spectral_norm`
 POWER_TOL = 1e-13  # relative change of the estimate that stops them early
+FROB_MARGIN = 1e-9  # relative margin below tau of the Frobenius test, far above either norm's rounding
 
 
 @dataclass
@@ -138,6 +142,16 @@ def spectral_radius(A: np.ndarray):
     return _largest(A, np.linalg.eigvals)
 
 
+def _frobenius_inside(W: np.ndarray, tau: float) -> bool:
+    """True when every matrix of W has ||W||_F <= tau (1 - FROB_MARGIN), so
+    ||W||_2 <= ||W||_F puts it inside the ball; the margin keeps out every
+    map that the SVD path would scale. An entry above tau, or a non-finite
+    one, fails before any square is taken, so none overflows."""
+    if not np.abs(W).max(initial=0.0) <= tau:
+        return False
+    return bool(np.einsum("...ij,...ij->...", W, W).max(initial=0.0) <= (tau * (1.0 - FROB_MARGIN)) ** 2)
+
+
 def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np.ndarray, float]:
     """Scale W, or each matrix of an (n, a, b) stack, onto the spectral ball
     of radius tau.
@@ -146,10 +160,12 @@ def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np
     distance = ||W - W_hat||_F, summed over a stack in index order; it is
     taken as (||W||_2 / tau - 1) ||W_hat||_F, which does not overflow for
     huge maps. Points inside the ball, and non-finite matrices, are
-    unchanged.
+    unchanged; a map that the Frobenius bound places inside takes no SVD.
     """
     cfg = cfg or GuardConfig()
     W = np.asarray(W, dtype=float)
+    if _frobenius_inside(W, cfg.tau):
+        return W, 0.0
     sigma = np.asarray(spectral_norms(W))
     over = sigma > cfg.tau
     if not over.any():
@@ -173,8 +189,9 @@ def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np
 
     The minimal Frobenius-distance correction is the scaling
     A <- A * (1 - eps) / (rho(A) dt). Counters are updated in both branches
-    (max_rho_dt tracks the post-projection indicator), matrix by matrix in
-    index order, so a stack logs exactly what per-matrix calls would.
+    (max_rho_dt tracks the post-projection indicator, skipping a NaN radius),
+    the distances added in index order, so a stack logs exactly what
+    per-matrix calls would.
     """
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt > 0):
@@ -184,10 +201,9 @@ def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np
     hit = rho_dt > 1.0 - cfg.epsilon
     scale = (1.0 - cfg.epsilon) / np.where(hit, rho_dt, 1.0)
     A_hat = np.where(hit[..., None, None], scale[..., None, None] * A, A) if hit.any() else A
-    for i, (r, s, h) in enumerate(zip(rho_dt.ravel(), scale.ravel(), hit.ravel())):
-        if h:
-            log.spec_guard_hits += 1
-            log.projection_distance += float(np.linalg.norm(_as_stack(A)[i] - _as_stack(A_hat)[i]))
-            r = r * s
-        log.max_rho_dt = max(log.max_rho_dt, float(r))
+    log.spec_guard_hits += int(hit.sum())
+    for i in np.flatnonzero(hit):
+        log.projection_distance += float(np.linalg.norm(_as_stack(A)[i] - _as_stack(A_hat)[i]))
+    rho_dt = np.where(hit, rho_dt * scale, rho_dt)  # the post-projection indicator
+    log.max_rho_dt = float(np.fmax.reduce(rho_dt, axis=None, initial=log.max_rho_dt))
     return A_hat

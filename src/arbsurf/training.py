@@ -51,9 +51,9 @@ at the ascended multipliers, with the arithmetic of a forward per step.
 `stop_test` and records the last logged gap as DualGap. The penalty weights,
 the stopping rule and the solver's inner settings are module constants, not
 `TrainingConfig` fields, so no config can change them.
-No step reads a gap, so the loop runs a few steps past the last logged gap
-and shares the gaps with a worker process forked at the start of the loop (a
-fold uses two processes): the worker takes the oldest gaps no process has
+No step reads a gap, so the loop runs up to eight steps past the last logged
+gap and shares the gaps with a worker process forked at the start of the loop
+(a fold uses two processes): the worker takes the oldest gaps no process has
 taken, and the loop, when it may not step further, computes the newest one
 itself. Gaps are logged in step order, and the steps past a stop are
 discarded. States, histories and records are byte-identical to running step
@@ -526,7 +526,7 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     over the windows."""
     L = batch.n_maturities
     W = batch.n_windows
-    grads = {k: np.zeros_like(v) for k, v in primal.items()}
+    grads = dict.fromkeys(primal)  # the primal's block order, which the clip norm sums in
 
     # martingale and roughness-penalty paths (gate only)
     coef = np.zeros(L)
@@ -551,17 +551,19 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     # the weight gradients are outer products, formed for all windows and
     # maturities at once
     dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
-    grads["readouts"] += (dy[..., None] * fw.hs[:, 1:, None, :]).sum(axis=0)
-    grads["transitions"] += (dh[..., None] * fw.hs[:, :-1, None, :]).sum(axis=0)
-    grads["injections"] += (dh[..., None] * fw.u[:, :, None, :]).sum(axis=0)
+    grads["readouts"] = (dy[..., None] * fw.hs[:, 1:, None, :]).sum(axis=0)
+    grads["transitions"] = (dh[..., None] * fw.hs[:, :-1, None, :]).sum(axis=0)
+    grads["injections"] = (dh[..., None] * fw.u[:, :, None, :]).sum(axis=0)
 
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
         # gated feature integration: u = FEATURE_SCALE * bin sums of w * dk * mask * q
         dw_den += (FEATURE_SCALE * du[..., batch.bin_index] * batch.q_feat * batch.dk
                    * batch.mask).sum(axis=0)
-        grads["gate_raw"] += gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
-                                                   fw.gate_exp, dw_den)
+        grads["gate_raw"] = gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
+                                                  fw.gate_exp, dw_den)
+    else:
+        grads["gate_raw"] = np.zeros_like(primal["gate_raw"])
     return grads
 
 
@@ -790,19 +792,25 @@ def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> P
     return decode_surface(to_decoder_params(primal), trajectory, grid)
 
 
-_LEAD = 4  # most steps the loop runs ahead of the last logged gap
-_QUEUE = 2  # most gaps the worker owes: one it computes, one waiting on the pipe
+_LEAD = 8  # most steps the loop runs ahead of the last logged gap
+_QUEUE = 3  # most gaps the worker owes: one it computes, two waiting, so it never idles on a busy loop
+
+
+def _first_forward(fw: ForwardCache, duals: dict) -> tuple:
+    """What the loop and `train` read of a step's first forward, taken at the
+    duals it saw: (dual residual norm, mse, dual terms, mres). The reverse
+    pass's caches are left behind."""
+    return dual_residual_norm(fw), fw.mse, _dual_terms(fw, duals), fw.mres
 
 
 @dataclass
 class _Pending:
-    """A step taken past the last logged gap: its state, its first forward,
-    the duals that forward saw, and its gap once known (a float, or the
-    exception the estimator raised); `owed` while the worker holds it."""
+    """A step taken past the last logged gap: its state, `_first_forward` of
+    it, and its gap once known (a float, or the exception the estimator
+    raised); `owed` while the worker holds it."""
 
     state: SaddleState
-    fw: ForwardCache
-    duals: dict
+    first: tuple
     gap: float | Exception | None = None
     owed: bool = False
 
@@ -897,8 +905,8 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
     the newest such gap itself. Gaps are logged strictly in step order. A
     stop discards every step past it, and a divergence of a step or of a
     gap, or a dead worker, is raised at that step's turn with that step's
-    state, as a loop running step and gap in turn would. Returns (state, the
-    last logged step's first forward, the duals that forward saw)."""
+    state, as a loop running step and gap in turn would. Returns (state,
+    `_first_forward` of the last logged step)."""
     rng = np.random.default_rng(cfg.seed + 1)
     hist = state.history
     t0 = time.perf_counter()
@@ -914,19 +922,20 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                 if isinstance(done.gap, Exception):
                     raise done.gap
                 delta_gap = abs(done.gap - hist.gap[-1]) if hist.gap else float("inf")
+                first = done.first
                 hist.gap.append(done.gap)
-                hist.stop_pairs.append((delta_gap, dual_residual_norm(done.fw)))
+                hist.stop_pairs.append((delta_gap, first[0]))  # its dual residual norm
                 hist.wall.append(time.perf_counter() - t0)
-                fw, duals = done.fw, done.duals
                 if stop_test(hist.stop_pairs):
                     hist.stopped_at = state.step
-                    return state, fw, duals
+                    return state, first
             gaps.feed(ahead)
             free = [pending for pending in ahead if pending.gap is None and not pending.owed]
             if error is None and last.step < cfg.max_steps and len(ahead) < _LEAD:
                 nxt = replace(last, guard=replace(last.guard))
                 try:
-                    ahead.append(_Pending(nxt, extragradient_step(nxt, batch, cfg, rng), last.duals))
+                    first_step = _first_forward(extragradient_step(nxt, batch, cfg, rng), last.duals)
+                    ahead.append(_Pending(nxt, first_step))
                 except Exception as err:  # raised only if no gap before it stops the run
                     error = err
                 last = nxt
@@ -941,7 +950,7 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                 state = last
                 raise error
             else:
-                return state, fw, duals
+                return state, first
     except TrainingDivergence as err:
         raise TrainingDivergence(str(err), state=state) from err
     finally:
@@ -955,9 +964,9 @@ def train(cfg: TrainingConfig, data: FoldData):
     and `cli.run_fold` fills in NAS, CNAS, Stability and the OOS fields.
 
     Stops at the first step where `stop_test` holds on the logged pairs, or
-    after cfg.max_steps (at least 1). The loop runs a few steps ahead and
-    shares the held-out gaps with a forked worker process, so a fold uses two
-    processes; when the rule stops the run, the steps taken past it are
+    after cfg.max_steps (at least 1). The loop runs up to eight steps ahead
+    and shares the held-out gaps with a forked worker process, so a fold uses
+    two processes; when the rule stops the run, the steps taken past it are
     discarded. The state and record are those of running step and gap in
     turn. The record's Lipschitz surrogate is computed once, after the loop,
     for the last safety pass kept (`SaddleState.pre_pass` and the state's
@@ -983,21 +992,20 @@ def train(cfg: TrainingConfig, data: FoldData):
         batch = build_batch(panels, cfg)
 
     heldout = build_batch([data.val_panel], cfg)
-    state, fw, duals = _saddle_loop(state, batch, heldout, cfg)
+    state, (_, mse, (na, mart, vix), mres) = _saddle_loop(state, batch, heldout, cfg)
     state.guard.lambda_lip_before, state.guard.lambda_lip_after = lipschitz_surrogate(
         state.pre_pass, state.primal)
-    na, mart, vix = _dual_terms(fw, duals)
     run = RunLog(
         DualGap=state.history.gap[-1],
         spec_guard_hits=state.guard.spec_guard_hits,
         projection_distance=state.guard.projection_distance,
         max_rho_dt=state.guard.max_rho_dt,
-        ratio_log=ratio_log(fw.mse, na + mart + vix),
+        ratio_log=ratio_log(mse, na + mart + vix),
         enter_representer_at_step=None if trigger_coverage is None else 0,
         coverage_min=cover.coverage_min,
         coverage_mean=cover.coverage_mean,
         coverage_at_trigger=trigger_coverage,
-        martingale_residual=float(fw.mres.mean()),
+        martingale_residual=float(mres.mean()),
         lambda_lip_before=state.guard.lambda_lip_before,
         lambda_lip_after=state.guard.lambda_lip_after,
         filter_rate=float(np.mean([p.filter_rate for p in data.train_panels + [data.val_panel]])),

@@ -312,7 +312,7 @@ def serial_saddle_loop(state, batch, heldout, cfg):
                 break
     except training.TrainingDivergence as err:
         raise training.TrainingDivergence(str(err), state=state) from err
-    return state, fw, duals
+    return state, training._first_forward(fw, duals)
 
 
 def loop_green_kernel(transitions, injections, ell, s):
@@ -347,6 +347,23 @@ def near_degenerate(a, b):
     if a >= 2:
         w[1] = 1.19 / np.sqrt(b)
     return w
+
+
+def loop_guard_log(A, dts, cfg, log):
+    """The guard's counters matrix by matrix, in index order, with Python's
+    max (which keeps the running max against a NaN radius): the reference
+    `qalign.spec_guard_project` logs against."""
+    from arbsurf.qalign import spectral_radius
+
+    for a, dt in zip(A, dts):
+        r = spectral_radius(a) * dt
+        if r > 1.0 - cfg.epsilon:
+            s = (1.0 - cfg.epsilon) / r
+            log.spec_guard_hits += 1
+            log.projection_distance += float(np.linalg.norm(a - s * a))
+            r = r * s
+        log.max_rho_dt = max(log.max_rho_dt, float(r))
+    return log
 
 
 class QuadraticGame:

@@ -14,6 +14,7 @@ keyword or by position, the call of a class passing its `__init__`'s.
 
 import ast
 import dataclasses
+import sys
 from configparser import ConfigParser
 from pathlib import Path
 
@@ -179,23 +180,68 @@ FIELDS_ALLOWED = {
 }
 
 
-def test_every_training_field_is_set():
-    """A field is set by a [training] key of a config in configs/, a keyword
-    of a call in src/ or benchmarks/ outside the class's own body
-    (`replace(t, step_primal=...)`), or a string key of a dict in
-    benchmarks/ (the overrides of a generated config). The other fields are
-    constants of the protocol, not settings."""
+def _training_keywords(tree):
+    """Keywords of the calls in a module that set `TrainingConfig` fields:
+    `TrainingConfig(...)`, and `replace(x, ...)` where x is a training
+    config by annotation, by being a `.training` attribute, or by an
+    assignment from one in the same function (`t = cfg.training`). Calls of
+    other callees, and `replace` on other dataclasses, do not count."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        names = set()
+        if isinstance(scope, ast.FunctionDef):
+            args = scope.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs if a.annotation is not None
+                     and any(isinstance(n, ast.Name) and n.id == "TrainingConfig" for n in ast.walk(a.annotation))}
+
+        def is_config(node):
+            return ((isinstance(node, ast.Attribute) and node.attr == "training")
+                    or (isinstance(node, ast.Name) and node.id in names))
+
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and is_config(node.value):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "TrainingConfig" or (name == "replace" and node.args and is_config(node.args[0])):
+                yield from (k.arg for k in node.keywords if k.arg is not None)
+
+
+def _unset_training_fields():
+    """`TrainingConfig` fields, in order, outside FIELDS_ALLOWED that no
+    [training] key of a config in configs/, no keyword of a call in src/ or
+    benchmarks/ that sets a training config (`_training_keywords`) and no
+    string key of a dict in benchmarks/ (the overrides of a generated
+    config) sets."""
     parser = ConfigParser()
     parser.read(sorted((ROOT / "configs").glob("*.ini")), encoding="utf-8")
     names = set(parser["training"])
-    own_path, _, own = next(d for d in _definitions() if d[1] == "TrainingConfig")
-    names |= {kw for where, _, line, _, kws in _calls() if kws is not None
-              and not (where == own_path and own.lineno <= line <= own.end_lineno) for kw in kws}
+    for path in CALLERS:
+        names |= set(_training_keywords(ast.parse(path.read_text(encoding="utf-8"))))
     for path in sorted((ROOT / "benchmarks").glob("*.py")):
         names |= {key.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if isinstance(node, ast.Dict) for key in node.keys
                   if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    return [f.name for f in dataclasses.fields(TrainingConfig) if f.name not in names and f.name not in FIELDS_ALLOWED]
+
+
+def test_every_training_field_is_set():
+    """Every field is set by a shipped config, a call or a benchmark
+    (`_unset_training_fields`); the other fields are constants of the
+    protocol, not settings."""
     fields = [f.name for f in dataclasses.fields(TrainingConfig)]
     assert set(FIELDS_ALLOWED) <= set(fields), sorted(set(FIELDS_ALLOWED) - set(fields))
-    unset = [name for name in fields if name not in names and name not in FIELDS_ALLOWED]
+    unset = _unset_training_fields()
     assert unset == [], "TrainingConfig fields no config, call or benchmark sets: " + ", ".join(unset)
+
+
+def test_training_field_scan_names_exactly_the_allowlist(monkeypatch):
+    """Without its allowlist the scan names each entry: `guard=` in
+    `replace(last, guard=...)` on a saddle state, and `readout_dim=` and
+    `depth=` in a `dict(...)`, set no training config."""
+    monkeypatch.setattr(sys.modules[__name__], "FIELDS_ALLOWED", {})
+    assert _unset_training_fields() == ["readout_dim", "depth", "guard"]

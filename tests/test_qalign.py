@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from arbsurf import qalign
 from arbsurf.grids import DomainError
 from arbsurf.qalign import (
+    FROB_MARGIN,
     GuardConfig,
     GuardLog,
     cfl_indicator,
@@ -13,7 +17,7 @@ from arbsurf.qalign import (
     spectral_radius,
 )
 
-from .oracles import near_degenerate
+from .oracles import loop_guard_log, near_degenerate
 
 
 class TestSpectralNorm:
@@ -223,3 +227,75 @@ class TestExactNorms:
         assert np.array_equal(out[1:], stack[1:], equal_nan=True)
         assert log.spec_guard_hits == 1
         assert log.max_rho_dt == pytest.approx(0.9, rel=1e-12)
+
+
+    def test_guard_counters_equal_loop_oracle(self):
+        rng = np.random.default_rng(53)
+        stack = rng.standard_normal((9, 3, 3)) * rng.uniform(0.1, 3.0, (9, 1, 1))
+        stack[4] = np.nan
+        dts = rng.uniform(0.05, 1.0, 9)
+        for start in (0.0, 5.0):  # a running max below and above every radius
+            cfg, log = GuardConfig(epsilon=0.1), GuardLog(max_rho_dt=start, projection_distance=0.25)
+            spec_guard_project(stack, dts, cfg, log)
+            want = loop_guard_log(stack, dts, cfg, GuardLog(max_rho_dt=start, projection_distance=0.25))
+            assert 0 < log.spec_guard_hits < len(stack)
+            assert vars(log) == vars(want)
+
+
+class TestFrobeniusShortcut:
+    """A map whose Frobenius norm is at most tau (1 - FROB_MARGIN) takes no
+    SVD; every other map takes the SVD path, which the shortcut matches bit
+    for bit."""
+
+    TAU = 0.9
+
+    @staticmethod
+    def _no_svd(monkeypatch):
+        def refuse(W):
+            raise AssertionError("SVD taken")
+
+        monkeypatch.setattr(qalign, "spectral_norms", refuse)
+
+    @staticmethod
+    def _svd_path(W, cfg, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(qalign, "_frobenius_inside", lambda W, tau: False)
+            return lipschitz_project(W, cfg)
+
+    def test_inside_by_frobenius_takes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        bound = self.TAU * (1.0 - FROB_MARGIN)
+        single = rng.standard_normal((4, 3))
+        single *= bound / np.linalg.norm(single) * (1.0 - 1e-12)
+        stack = rng.standard_normal((5, 3, 4)) * rng.uniform(0.05, 0.2, (5, 1, 1))
+        stack[0] = single.T
+        cfg = GuardConfig(tau=self.TAU)
+        want = [self._svd_path(w, cfg, monkeypatch) for w in (single, stack)]
+        self._no_svd(monkeypatch)
+        for w, (w_svd, d_svd) in zip((single, stack), want):
+            w_hat, dist = lipschitz_project(w, cfg)
+            assert w_hat is w and dist == 0.0
+            assert np.array_equal(w_svd, w) and d_svd == 0.0
+
+    def test_frobenius_above_tau_inside_ball_through_svd(self, monkeypatch):
+        w = 0.8 * np.eye(3)
+        assert np.linalg.norm(w) > 1.0 >= np.linalg.norm(w, 2)
+        calls = []
+        monkeypatch.setattr(qalign, "spectral_norms", lambda W: calls.append(W) or spectral_norms(W))
+        w_hat, dist = lipschitz_project(w, GuardConfig(tau=1.0))
+        assert len(calls) == 1
+        assert np.array_equal(w_hat, w) and dist == 0.0
+
+    def test_rank_one_at_tau_equals_svd_path(self, monkeypatch):
+        w = np.outer([0.6, 0.8], [1.0, 0.0, 0.0]) * self.TAU
+        cfg = GuardConfig(tau=self.TAU)
+        w_hat, dist = lipschitz_project(w, cfg)
+        w_svd, d_svd = self._svd_path(w, cfg, monkeypatch)
+        assert np.array_equal(w_hat, w_svd) and dist == d_svd
+
+    def test_huge_map_raises_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w_hat, dist = lipschitz_project(np.full((3, 3), 1e200), GuardConfig(tau=1.0))
+        assert np.linalg.norm(w_hat, 2) == pytest.approx(1.0, rel=1e-12)
+        assert dist == pytest.approx(3e200, rel=1e-12)

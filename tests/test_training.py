@@ -508,6 +508,36 @@ class TestSafetyPass:
         assert log.spec_guard_hits == 0
         assert log.projection_distance == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("step_primal", [3e-3, 0.3])
+    def test_frobenius_shortcut_changes_no_bit(self, step_primal, monkeypatch):
+        """20 steps with every map sent through the SVD equal the default,
+        which skips the SVD of each map its Frobenius norm places inside the
+        ball; the larger step pushes some maps past the ball."""
+        from arbsurf import qalign
+        from arbsurf.qalign import spectral_norms
+
+        def run(shortcut):
+            svds = []
+            with monkeypatch.context() as patch:
+                patch.setattr(qalign, "spectral_norms", lambda W: svds.append(1) or spectral_norms(W))
+                if not shortcut:
+                    patch.setattr(qalign, "_frobenius_inside", lambda W, tau: False)
+                cfg, batch, state = tiny_state(tiny_cfg(step_primal=step_primal))
+                rng = np.random.default_rng(6)
+                for _ in range(20):
+                    extragradient_step(state, batch, cfg, rng)
+            return state, len(svds)
+
+        (fast, fast_svds), (full, full_svds) = run(True), run(False)
+        for name in ("primal", "duals"):
+            x, y = getattr(fast, name), getattr(full, name)
+            assert x.keys() == y.keys()
+            for k in x:
+                assert np.array_equal(x[k], y[k]), (name, k)
+        assert vars(fast.guard) == vars(full.guard)
+        assert fast_svds < full_svds
+        assert (fast_svds > 0) == (step_primal > 0.1)
+
 
 class TestGapEstimator:
     def test_shared_forward_matches_stepwise_estimator(self, monkeypatch):
@@ -942,9 +972,25 @@ class TestPipelinedLoop:
 
     def test_loop_gap_divergence_past_a_stop_dropped(self, monkeypatch, tmp_path):
         """Gap 4 stops the run (patience 3, loose thresholds) while the worker
-        still computes it; meanwhile the loop, unable to step further, computes
-        gap 6, which diverges. The divergence is dropped with step 6."""
+        still computes it; meanwhile the loop, four steps ahead and unable to
+        step further, computes gap 6 (the worker owing gaps 4 and 5), which
+        diverges. The divergence is dropped with step 6."""
+        monkeypatch.setattr(training, "_LEAD", 4)
+        monkeypatch.setattr(training, "_QUEUE", 2)
+        self._loop_gap_divergence_past_a_stop(monkeypatch, tmp_path)
+
+    def test_loop_gap_divergence_past_a_stop_dropped_at_default_depth(self, monkeypatch, tmp_path):
+        """The same scenario at the module's `_LEAD` and `_QUEUE`."""
+        self._loop_gap_divergence_past_a_stop(monkeypatch, tmp_path)
+
+    def _loop_gap_divergence_past_a_stop(self, monkeypatch, tmp_path):
+        """While the worker sleeps on gap 4, the loop steps to 3 + _LEAD and
+        computes the gaps the worker does not owe newest first; the second of
+        them, _LEAD + 2, diverges. Gap 4 stops the run and the divergence is
+        dropped."""
         test_pid, true_step, log = os.getpid(), training.extragradient_step, tmp_path / "gaps"
+        planted = training._LEAD + 2
+        assert planted > 3 + training._QUEUE  # a gap the worker never owes
 
         def slow_step(state, *args):
             time.sleep(self.SLOW)  # the worker keeps up with every step but the one it sleeps on
@@ -953,11 +999,11 @@ class TestPipelinedLoop:
         def on_gap(state):
             if os.getpid() != test_pid and state.step == 4:
                 time.sleep(1.0)
-            if state.step == 6:
+            if state.step == planted:
                 raise TrainingDivergence("planted gap divergence")
 
         loose_stop(monkeypatch, 3)
-        cfg = tiny_cfg(max_steps=10)
+        cfg = tiny_cfg(max_steps=training._LEAD + 6)
         data = self._data()
         monkeypatch.setattr(training, "extragradient_step", slow_step)
         self._patch_gap(monkeypatch, on_gap, log)
@@ -966,7 +1012,7 @@ class TestPipelinedLoop:
         self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
         state, run = piped
         assert run.stopped and state.history.stopped_at == state.step == 4
-        assert by_step[4] != test_pid and by_step[6] == test_pid
+        assert by_step[4] != test_pid and by_step[planted] == test_pid
 
     def test_fold_uses_two_processes(self, monkeypatch, tmp_path):
         """Each gap is computed once, in the test process or in one worker: a
