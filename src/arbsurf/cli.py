@@ -89,8 +89,13 @@ class RunConfig:
             raise DomainError("[run] n_windows must be >= 3 (blocked folds need three windows)")
         if self.stress_draws < 1:
             raise DomainError("[run] stress_draws must be >= 1")
-        if not all(s >= 0 for s in self.stress_strengths):  # NaN fails the comparison
-            raise DomainError("[run] stress_strengths must all be >= 0")
+        for name, positive in (("stress_strengths", False), ("sweep_lr_multipliers", True),
+                               ("sweep_seeds", False), ("ablation_seeds", False)):
+            values = getattr(self, name)
+            if not values:
+                raise DomainError(f"[run] {name} must not be empty")
+            if not all(v > 0 if positive else v >= 0 for v in values):  # NaN fails the comparison
+                raise DomainError(f"[run] {name} must all be {'> 0' if positive else '>= 0'}")
 
 
 @dataclass
@@ -154,12 +159,14 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
                 except ValueError as err:
                     raise DomainError(f"config key [{section}] {key} = {raw!r}: {err}") from err
                 setattr(target, key, value)
-        cfg.generator.__post_init__()
-        cfg.training.__post_init__()
-        cfg.run.__post_init__()
     if seed is not None:
+        if seed < 0:
+            raise DomainError("--seed must be >= 0")
         cfg.generator.seed = seed
         cfg.training.seed = seed
+    cfg.generator.__post_init__()
+    cfg.training.__post_init__()
+    cfg.run.__post_init__()
     return cfg
 
 

@@ -86,6 +86,8 @@ class GeneratorConfig:
         for name in ("n_paths", "steps_per_year"):
             if getattr(self, name) < 1:
                 raise DomainError(f"[generator] {name} must be positive")
+        if self.seed < 0:
+            raise DomainError("[generator] seed must be >= 0")
         lo_hi = self.maturity_range
         if len(lo_hi) != 2 or not 0 < lo_hi[0] < lo_hi[1]:
             raise DomainError("[generator] maturity_range must be two numbers with 0 < lo < hi")

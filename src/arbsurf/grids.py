@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -206,7 +206,6 @@ class CoverageStats:
 
     coverage_min: float
     coverage_mean: float
-    per_window: list = field(default_factory=list)
     flagged: bool = False
 
     def __post_init__(self):
@@ -225,7 +224,7 @@ def coverage_stats(surfaces: Sequence[PriceSurface]) -> CoverageStats:
     per = [s.observed_fraction() for s in surfaces]
     cmin = float(min(per))
     cmean = float(np.mean(per))
-    return CoverageStats(cmin, cmean, per, flagged=cmin < COVERAGE_FLOOR)
+    return CoverageStats(cmin, cmean, flagged=cmin < COVERAGE_FLOOR)
 
 
 # --- CSV interchange -------------------------------------------------------

@@ -154,19 +154,13 @@ def ni(model_windows: Sequence[PriceSurface], oracle_windows: Sequence[PriceSurf
 
 
 def stability(runs: Sequence) -> float:
-    """Fraction of runs that stayed spectrally safe (max rho dt <= 1), ended
-    with the martingale defect at most 1e-2, and stopped within budget."""
+    """Fraction of runs (records, read by attribute) that stayed spectrally
+    safe (max rho dt <= 1), ended with the martingale defect at most 1e-2,
+    and stopped within budget."""
     if len(runs) == 0:
         raise DomainError("need at least one run")
-    ok = 0
-    for r in runs:
-        get = r.get if isinstance(r, dict) else lambda k, _r=r: getattr(_r, k)
-        passed = (
-            float(get("max_rho_dt")) <= 1.0
-            and float(get("martingale_residual")) <= 1e-2
-            and bool(get("stopped"))
-        )
-        ok += int(passed)
+    ok = sum(float(r.max_rho_dt) <= 1.0 and float(r.martingale_residual) <= 1e-2 and bool(r.stopped)
+             for r in runs)
     return ok / len(runs)
 
 

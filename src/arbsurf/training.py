@@ -120,6 +120,14 @@ DELTA_GAP_TOL = 1e-3  # stop threshold on |change of the held-out gap|
 DUAL_RESIDUAL_EPS = 1e-3  # stop threshold on the dual residual's infinity norm
 PATIENCE = 1000  # consecutive steps both statistics must stay below their thresholds
 
+# The decoder's layout: DECODER_DEPTH hidden layers and the output layer, each
+# with a convex-path map wz (kept nonnegative), an input map wx and a bias b.
+DECODER_DEPTH = 2
+CONVEX_MAPS = tuple(f"wz{i}" for i in range(DECODER_DEPTH + 1))
+INPUT_MAPS = tuple(f"wx{i}" for i in range(DECODER_DEPTH + 1))
+BIASES = tuple(f"b{i}" for i in range(DECODER_DEPTH + 1))
+DECODER_MAPS = tuple(k for pair in zip(CONVEX_MAPS, INPUT_MAPS) for k in pair)  # wz0, wx0, wz1, ...
+
 
 class TrainingDivergence(RuntimeError):
     def __init__(self, message, state=None):
@@ -130,9 +138,9 @@ class TrainingDivergence(RuntimeError):
 @dataclass
 class TrainingConfig:
     """The settings a run may vary: seed, step budget, step sizes, the
-    model's shape, the two ablation switches and the safety guard. The
-    objective's weights, the stopping rule and the solver's inner settings
-    are the module constants above."""
+    scan's and the decoder's widths, the two ablation switches and the
+    safety guard. The decoder's depth, the objective's weights, the stopping
+    rule and the solver's inner settings are the module constants above."""
 
     seed: int = 0
     max_steps: int = 20_000
@@ -142,13 +150,12 @@ class TrainingConfig:
     feature_bins: int = 8
     readout_dim: int = 4
     width: int = 16
-    depth: int = 2
     gate_enabled: bool = True
     specguard_enabled: bool = True
     guard: GuardConfig = field(default_factory=GuardConfig)
 
     def __post_init__(self):
-        for name, low in dict(rank=1, feature_bins=1, readout_dim=1, width=1, depth=0, max_steps=1).items():
+        for name, low in dict(seed=0, rank=1, feature_bins=1, readout_dim=1, width=1, max_steps=1).items():
             if getattr(self, name) < low:
                 raise DomainError(f"[training] {name} must be >= {low}")
         for name in ("step_primal", "step_dual"):  # NaN fails the comparison
@@ -280,36 +287,28 @@ def init_primal(cfg: TrainingConfig, batch: TrainBatch, rng: np.random.Generator
         centers[ell] = 0.5 * (lo + hi)
     primal["gate_raw"] = -(((logm[None, :] - centers[:, None]) / width) ** 2)
 
-    sizes = [1] + [cfg.width] * cfg.depth + [1]
+    sizes = [1] + [cfg.width] * DECODER_DEPTH + [1]
     ctx = p + 1
-    for i in range(len(sizes) - 1):
-        primal[f"wz{i}"] = np.abs(rng.standard_normal((sizes[i + 1], sizes[i]))) * 0.05
-        primal[f"wx{i}"] = rng.standard_normal((sizes[i + 1], 1 + ctx)) * 0.05
-        primal[f"b{i}"] = np.zeros(sizes[i + 1])
+    for i, (wz, wx, b) in enumerate(zip(CONVEX_MAPS, INPUT_MAPS, BIASES)):
+        primal[wz] = np.abs(rng.standard_normal((sizes[i + 1], sizes[i]))) * 0.05
+        primal[wx] = rng.standard_normal((sizes[i + 1], 1 + ctx)) * 0.05
+        primal[b] = np.zeros(sizes[i + 1])
     # near-zero output layer: the decoded surface starts essentially at the
     # anchor plus the small calendar lift, the layer wakes up through its
     # gradients, and the logged Lipschitz product stays positive (an exact
     # zero factor would annihilate it)
-    out = len(sizes) - 2
-    primal[f"wz{out}"][:] = np.abs(rng.standard_normal(primal[f"wz{out}"].shape)) * 1e-3
-    primal[f"wx{out}"][:] = rng.standard_normal(primal[f"wx{out}"].shape) * 1e-3
+    wz, wx = CONVEX_MAPS[-1], INPUT_MAPS[-1]
+    primal[wz][:] = np.abs(rng.standard_normal(primal[wz].shape)) * 1e-3
+    primal[wx][:] = rng.standard_normal(primal[wx].shape) * 1e-3
     primal["slope_raw"] = np.full(L, -4.0)
     return primal
 
 
-def _decoder_layer_names(primal: dict):
-    n = 0
-    while f"wz{n}" in primal:
-        n += 1
-    return n
-
-
 def to_decoder_params(primal: dict) -> DecoderParams:
-    n = _decoder_layer_names(primal)
     return DecoderParams(
-        layer_weights_z=[primal[f"wz{i}"] for i in range(n)],
-        layer_weights_x=[primal[f"wx{i}"] for i in range(n)],
-        biases=[primal[f"b{i}"] for i in range(n)],
+        layer_weights_z=[primal[k] for k in CONVEX_MAPS],
+        layer_weights_x=[primal[k] for k in INPUT_MAPS],
+        biases=[primal[k] for k in BIASES],
         maturity_slope_raw=primal["slope_raw"],
     )
 
@@ -543,10 +542,8 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     dcnorm += dv2m[..., None] * batch.vix_coef * batch.grid.spot
     g_dec, dy = decode_backward(fw.dec, fw.dec_cache, dcnorm)
     grads["slope_raw"] = g_dec["maturity_slope_raw"]
-    for i in range(fw.dec.n_layers):
-        grads[f"wz{i}"] = g_dec["layer_weights_z"][i]
-        grads[f"wx{i}"] = g_dec["layer_weights_x"][i]
-        grads[f"b{i}"] = g_dec["biases"][i]
+    for names, part in ((CONVEX_MAPS, "layer_weights_z"), (INPUT_MAPS, "layer_weights_x"), (BIASES, "biases")):
+        grads.update(zip(names, g_dec[part]))
 
     # the weight gradients are outer products, formed for all windows and
     # maturities at once
@@ -579,14 +576,10 @@ def _descent(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingConfig,
 # --- safety pass -------------------------------------------------------------
 
 
-def _decoder_map_keys(primal: dict):
-    return [f"{kind}{i}" for i in range(_decoder_layer_names(primal)) for kind in ("wz", "wx")]
-
-
 def _lip_product(primal: dict) -> float:
     """Product of the spectral norms of every linear map of the model."""
     prod = float(np.prod([spectral_norms(primal[k]) for k in ("transitions", "injections", "readouts")]))
-    for key in _decoder_map_keys(primal):
+    for key in DECODER_MAPS:
         prod *= spectral_norms(primal[key])
     return prod
 
@@ -599,8 +592,8 @@ def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: Guar
     array is written, so the returned shallow copy of the dict taken before
     the pass is the pre-pass primal `lipschitz_surrogate` reads."""
     before = dict(primal)
-    for key in _decoder_map_keys(primal) + ["injections", "readouts"]:
-        if key.startswith("wz"):
+    for key in DECODER_MAPS + ("injections", "readouts"):
+        if key in CONVEX_MAPS:
             neg = np.minimum(primal[key], 0.0)
             if np.any(neg < 0.0):
                 log.projection_distance += float(np.linalg.norm(neg))
@@ -612,8 +605,8 @@ def apply_qalign(primal: dict, batch: TrainBatch, cfg: TrainingConfig, log: Guar
     if cfg.specguard_enabled:
         primal["transitions"] = spec_guard_project(primal["transitions"], batch.dts, cfg.guard, log)
     else:
-        for rho_dt in spectral_radius(primal["transitions"]) * batch.dts:
-            log.max_rho_dt = max(log.max_rho_dt, float(rho_dt))
+        log.max_rho_dt = float(np.fmax.reduce(spectral_radius(primal["transitions"]) * batch.dts,
+                                              initial=log.max_rho_dt))
     return before
 
 
@@ -718,9 +711,8 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
         return last[1]
 
     def clamp(primal):
-        for key in primal:
-            if key.startswith("wz"):
-                np.maximum(primal[key], 0.0, out=primal[key])
+        for key in CONVEX_MAPS:
+            np.maximum(primal[key], 0.0, out=primal[key])
         return primal
 
     return _saddle_gap(

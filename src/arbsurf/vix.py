@@ -134,22 +134,6 @@ def replication_residual(model_surface: PriceSurface, observed_vix2: np.ndarray)
     return replicate_surface(model_surface, observed_vix2).residuals
 
 
-def read_vix2_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the `T,vix2` interchange file; returns (maturities, vix2)."""
-    ts, vs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["T", "vix2"]:
-            raise DomainError(f"unexpected vix2 CSV header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
-    return np.array(ts), np.array(vs)
-
-
 def write_vix2_csv(path, maturities: np.ndarray, vix2: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

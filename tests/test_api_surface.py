@@ -27,9 +27,8 @@ CALLERS = SOURCES + sorted((ROOT / "benchmarks").glob("*.py"))
 
 # public definitions kept without a caller, each for a stated reason
 ALLOWED = {
-    "read_vix2_csv": "interchange reader of the vix2.csv that write_panel writes",
-    "gap_representer_regression": "acceptance criterion 11 reads it",
-    "legendre_conjugate": "the paper's Legendre duality of the decoded potential",
+    "gap_representer_regression": "acceptance criterion 11 reads it; stays until `report` calls it or it moves to the tests",
+    "legendre_conjugate": "the paper's Legendre duality of the decoded potential; stays until a check calls it",
     "save_checkpoint": "fold checkpoints, for a later `--from` that loads instead of retraining",
     "load_checkpoint": "fold checkpoints, for a later `--from` that loads instead of retraining",
 }
@@ -174,9 +173,7 @@ def test_option_allowlist_names_existing_parameters():
 # TrainingConfig fields kept although no config, call or benchmark sets them,
 # each for a stated reason
 FIELDS_ALLOWED = {
-    "depth": "the decoder's depth, part of the model's shape that a grid sets together with rank and width",
-    "readout_dim": "the scan's readout size, part of the model's shape that a grid sets together with rank and width",
-    "guard": "the safety guard's settings, which the benchmark checks read and which have their own roadmap item",
+    "guard": "the safety guard's settings, which the benchmark checks read; a config file cannot set a nested group yet",
 }
 
 
@@ -240,8 +237,7 @@ def test_every_training_field_is_set():
 
 
 def test_training_field_scan_names_exactly_the_allowlist(monkeypatch):
-    """Without its allowlist the scan names each entry: `guard=` in
-    `replace(last, guard=...)` on a saddle state, and `readout_dim=` and
-    `depth=` in a `dict(...)`, set no training config."""
+    """Without its allowlist the scan names its entry: `guard=` in
+    `replace(last, guard=...)` on a saddle state sets no training config."""
     monkeypatch.setattr(sys.modules[__name__], "FIELDS_ALLOWED", {})
-    assert _unset_training_fields() == ["readout_dim", "depth", "guard"]
+    assert _unset_training_fields() == ["guard"]

@@ -39,8 +39,7 @@ SMOKE_GEN = dict(
     n_paths=800, steps_per_year=60, n_maturities=4, n_strikes=7,
     maturity_range=(0.25, 1.0), seed=11,
 )
-SMOKE_TRAIN = dict(rank=3, feature_bins=4, readout_dim=2, width=6, depth=2,
-                   max_steps=25, seed=11)
+SMOKE_TRAIN = dict(rank=3, feature_bins=4, readout_dim=2, width=6, max_steps=25, seed=11)
 
 
 def smoke_cfg(**run_kw):
@@ -135,8 +134,12 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=rf"\[{section}\] {key}"):
             load_config(path)
 
-    @pytest.mark.parametrize("key,value", [("n_windows", 2), ("stress_draws", 0),
-                                           ("stress_strengths", "0 -1"), ("stress_strengths", "0 nan")])
+    @pytest.mark.parametrize("key,value", [
+        ("n_windows", 2), ("stress_draws", 0), ("stress_strengths", "0 -1"), ("stress_strengths", "0 nan"),
+        ("stress_strengths", ""), ("sweep_seeds", ""), ("ablation_seeds", ""), ("sweep_lr_multipliers", ""),
+        ("sweep_lr_multipliers", "0 1"), ("sweep_lr_multipliers", "1 -0.5"), ("sweep_lr_multipliers", "nan"),
+        ("sweep_seeds", "0 -1"), ("ablation_seeds", "-2"),
+    ])
     def test_run_keys_validated_at_load(self, tmp_path, key, value):
         path = tmp_path / "run.ini"
         path.write_text(f"[run]\n{key} = {value}\n")
@@ -144,12 +147,12 @@ class TestConfigFile:
             load_config(path)
 
     # a bad [training] value fails at load in one line naming the key; the
-    # penalty weights, the stopping rule and the solver's inner settings are
-    # constants of `training`, not fields, so a config that sets one fails as
-    # an unknown key, whatever its value
+    # decoder's depth, the penalty weights, the stopping rule and the solver's
+    # inner settings are constants of `training`, not fields, so a config that
+    # sets one fails as an unknown key, whatever its value
     @pytest.mark.parametrize("key,value", [
         ("rank", 0), ("feature_bins", 0), ("readout_dim", 0), ("width", 0), ("n_slices", 0),
-        ("k_inner", 0), ("depth", -1), ("max_steps", -5), ("step_primal", -1.0), ("step_primal", 0.0),
+        ("k_inner", 0), ("depth", -1), ("seed", -1), ("max_steps", -5), ("step_primal", -1.0), ("step_primal", 0.0),
         ("step_dual", 0.0), ("step_dual", float("nan")), ("clip_norm", -5.0), ("clip_norm", 0.0),
         ("clip_norm", float("nan")), ("gamma", -1.0), ("xi", -2.0), ("beta_nov", -1.0), ("gamma", float("nan")),
         ("delta_gap_tol", float("nan")), ("dual_residual_eps", float("nan")), ("delta_gap_tol", 0.0),
@@ -186,7 +189,7 @@ class TestConfigFile:
         ("v0", -0.01), ("v0", float("nan")), ("kappa", float("nan")), ("theta_mean", -0.04),
         ("sigma_volvol", float("nan")), ("rho", float("nan")), ("rho", 1.5), ("rho", -1.01),
         ("kernel_weights", (float("nan"), 0.4)), ("kernel_weights", (0.6, -0.4)),
-        ("kernel_rates", (float("nan"), 0.5)), ("kernel_rates", (5.0, 0.0)),
+        ("kernel_rates", (float("nan"), 0.5)), ("kernel_rates", (5.0, 0.0)), ("seed", -1),
     ])
     def test_generator_model_parameters_validated(self, tmp_path, key, value):
         # NaN used to load and fail later in make_panel with an unrelated message
@@ -236,6 +239,14 @@ class TestConfigFile:
     def test_seed_override(self):
         cfg = load_config(None, seed=42)
         assert cfg.generator.seed == 42 and cfg.training.seed == 42
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match=r"^--seed must be >= 0$"):
+            load_config(None, seed=-1)
+        path = tmp_path / "seeded.ini"
+        path.write_text("[generator]\nseed = 3\n[training]\nseed = 3\n")
+        with pytest.raises(DomainError, match=r"^--seed must be >= 0$"):
+            load_config(path, seed=-1)
 
 
 class TestAblationConfig:
@@ -687,6 +698,17 @@ sys.exit(cli.main(["--config", ini, "--out", out + "/smoke", "reproduce"])
         (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
         assert "[generator] rho" in rec.getMessage()
         assert rec.exc_info is None
+        assert not (tmp_path / "out").exists()  # nothing ran
+
+    def test_negative_seed_is_one_line_before_panels(self, tmp_path, monkeypatch, caplog):
+        calls = []
+        monkeypatch.setattr(cli, "make_panel", lambda *args: calls.append(args))
+        rc = cli.main(["--seed", "-1", "--out", str(tmp_path / "out"), "reproduce"])
+        assert rc == 1
+        (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+        assert "--seed must be >= 0" in rec.getMessage()
+        assert rec.exc_info is None
+        assert calls == []
         assert not (tmp_path / "out").exists()  # nothing ran
 
     def test_config_error_is_one_line(self, tmp_path, caplog):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -115,15 +117,15 @@ class TestNi:
 
 class TestStability:
     def test_all_pass(self):
-        runs = [dict(max_rho_dt=0.9, martingale_residual=1e-3, stopped=True)] * 4
+        runs = [SimpleNamespace(max_rho_dt=0.9, martingale_residual=1e-3, stopped=True)] * 4
         assert stability(runs) == 1.0
 
     def test_three_of_four(self):
         runs = [
-            dict(max_rho_dt=0.9, martingale_residual=1e-3, stopped=True),
-            dict(max_rho_dt=1.2, martingale_residual=1e-3, stopped=True),
-            dict(max_rho_dt=0.5, martingale_residual=1e-3, stopped=True),
-            dict(max_rho_dt=0.5, martingale_residual=1e-4, stopped=True),
+            SimpleNamespace(max_rho_dt=0.9, martingale_residual=1e-3, stopped=True),
+            SimpleNamespace(max_rho_dt=1.2, martingale_residual=1e-3, stopped=True),
+            SimpleNamespace(max_rho_dt=0.5, martingale_residual=1e-3, stopped=True),
+            SimpleNamespace(max_rho_dt=0.5, martingale_residual=1e-4, stopped=True),
         ]
         assert stability(runs) == 0.75
 

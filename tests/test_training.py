@@ -62,7 +62,7 @@ def tiny_panel(seed=3, **kw):
 
 
 def tiny_cfg(**kw):
-    base = dict(rank=2, feature_bins=3, readout_dim=2, width=4, depth=2, seed=5)
+    base = dict(rank=2, feature_bins=3, readout_dim=2, width=4, seed=5)
     base.update(kw)
     return TrainingConfig(**base)
 
@@ -507,6 +507,28 @@ class TestSafetyPass:
                 assert np.linalg.norm(w, 2) <= tau * (1 + 1e-12)
         assert log.spec_guard_hits == 0
         assert log.projection_distance == pytest.approx(expected, rel=1e-12)
+
+    def test_unguarded_max_rho_dt_is_the_loop_max_skipping_nan(self):
+        """With the guard off the pass logs max rho*dt with `np.fmax.reduce`,
+        which gives what a loop of Python `max` over the stack gives: a NaN
+        radius is skipped by both."""
+        from arbsurf.qalign import GuardLog, spectral_radius
+
+        cfg, batch, state = tiny_state(tiny_cfg(specguard_enabled=False))
+        L, m = batch.n_maturities, cfg.rank
+        transitions = np.stack([np.eye(m) * (0.5 + 3.0 * ell) for ell in range(L)])
+        transitions[-1, 0, 0] = np.nan
+        radii = spectral_radius(transitions) * batch.dts
+        assert np.isnan(radii[-1]) and np.isfinite(radii[:-1]).all()
+        for start in (0.0, float(radii[0]) * 1.5):
+            want = start
+            for rho_dt in radii:
+                want = max(want, float(rho_dt))
+            log = GuardLog(max_rho_dt=start)
+            primal = {**state.primal, "transitions": transitions}
+            apply_qalign(primal, batch, cfg, log)
+            assert primal["transitions"] is transitions  # no guard: the stack is left alone
+            assert log.max_rho_dt == want and not np.isnan(want)
 
     @pytest.mark.parametrize("step_primal", [3e-3, 0.3])
     def test_frobenius_shortcut_changes_no_bit(self, step_primal, monkeypatch):
@@ -1116,7 +1138,7 @@ class TestSoftplus:
         dec = fw.dec_cache
         pairs.append((dec["e_phi"], dec["phi_i"]))
         for cache in (dec["cache0"], dec["cache_i"]):
-            assert len(cache["exps"]) == cfg.depth
+            assert len(cache["exps"]) == training.DECODER_DEPTH
             pairs += list(zip(cache["exps"], cache["pres"]))
         for e, x in pairs:
             assert np.array_equal(sigmoid(x, e).view(np.int64), sigmoid(x).view(np.int64))

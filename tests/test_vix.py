@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from arbsurf.vix import (
     ReplicationResult,
     interpolate_missing,
     otm_strip,
-    read_vix2_csv,
     replicate_surface,
     replication_residual,
     tail_truncated,
@@ -169,7 +170,10 @@ class TestVixCsv:
         v2 = np.array([0.04, 0.05])
         path = tmp_path / "vix2.csv"
         write_vix2_csv(path, mats, v2)
-        ts, vs = read_vix2_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["T", "vix2"]
+        ts, vs = np.array(rows, dtype=float).T
         assert np.allclose(ts, mats)
         assert np.allclose(vs, v2)
 
