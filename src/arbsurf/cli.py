@@ -140,12 +140,14 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
             raise DomainError(f"cannot read config file {path}: {err.strerror}") from err
         except ConfigError as err:  # no section header, a duplicate key, a bad interpolation
             raise DomainError(f"malformed config file {path}: {err.message.splitlines()[0]}") from err
-        for section, target in (
-            ("generator", cfg.generator),
-            ("training", cfg.training),
-            ("run", cfg.run),
-        ):
-            for key, raw in sections.get(section, ()):
+        targets = {"generator": cfg.generator, "training": cfg.training, "run": cfg.run}
+        if parser.defaults():  # ConfigParser merges [DEFAULT] into every section, or drops it when none follows
+            raise DomainError(f"unknown config section [{parser.default_section}]")
+        for section, items in sections.items():
+            target = targets.get(section)
+            if target is None:
+                raise DomainError(f"unknown config section [{section}]")
+            for key, raw in items:
                 if not hasattr(target, key):
                     raise DomainError(f"unknown config key [{section}] {key}")
                 current = getattr(target, key)
@@ -162,8 +164,8 @@ def load_config(path=None, seed=None) -> ExperimentConfig:
     if seed is not None:
         if seed < 0:
             raise DomainError("--seed must be >= 0")
-        cfg.generator.seed = seed
-        cfg.training.seed = seed
+        cfg.generator.seed = cfg.training.seed = seed
+        cfg.run.sweep_seeds = cfg.run.ablation_seeds = (seed,)
     cfg.generator.__post_init__()
     cfg.training.__post_init__()
     cfg.run.__post_init__()

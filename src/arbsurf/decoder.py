@@ -31,7 +31,6 @@ fold's windows) in one network call, the shared base rows in it once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +171,6 @@ def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
     return {"layer_weights_z": g_wz, "layer_weights_x": g_wx, "biases": g_b}, dx_full[:, 1:]
 
 
-def icnn_eval(params: DecoderParams, k: float, context: np.ndarray) -> float:
-    """Potential value at one strike coordinate for a fixed context."""
-    params.validate_nonnegative()
-    context = np.atleast_1d(np.asarray(context, dtype=float))
-    if context.shape != (params.context_dim,):
-        raise DomainError("context dimension mismatch")
-    phi, _ = icnn_forward(params, np.array([float(k)]), context[None, :])
-    return float(phi[0])
-
-
 def strike_coordinate(strikes: np.ndarray, spot: float) -> np.ndarray:
     """Affine strike coordinate fed to the convex path: K/S0 - 1."""
     return np.asarray(strikes, dtype=float) / spot - 1.0
@@ -264,56 +253,6 @@ def decode_surface(
     cnorm, _ = decode_normalized(params, km, trajectory.outputs, grid.maturities)
     calls = grid.spot * cnorm
     return PriceSurface.from_matrices(grid, calls, parity_puts(grid, calls), require_nonnegative=False)
-
-
-def legendre_conjugate(
-    potential,
-    p: float,
-    context: np.ndarray | None,
-    k_domain: tuple[float, float],
-) -> float:
-    """Convex conjugate sup_k { p*k - phi(k) } over a bounded domain.
-
-    `potential` is either DecoderParams (evaluated at the given context) or
-    any convex callable phi(k). Maximization on a 512-point grid refined by
-    80 ternary-search steps (the objective is concave since phi is convex).
-    A maximizer at the domain boundary means the true conjugate lives
-    outside the domain; a truncation warning is emitted in that case.
-    """
-    lo, hi = float(k_domain[0]), float(k_domain[1])
-    if not (hi > lo):
-        raise DomainError("k_domain must be a nonempty interval")
-    if isinstance(potential, DecoderParams):
-        ctx = np.atleast_1d(np.asarray(context, dtype=float))
-
-        def phi_vec(ks):
-            vals, _ = icnn_forward(potential, ks, np.tile(ctx, (len(ks), 1)))
-            return vals
-
-    else:
-
-        def phi_vec(ks):
-            return np.array([float(potential(k)) for k in ks])
-
-    ks = np.linspace(lo, hi, 512)
-    obj = p * ks - phi_vec(ks)
-    j = int(np.argmax(obj))
-    if j in (0, 511):
-        warnings.warn("conjugate maximizer at domain boundary; value is truncated", RuntimeWarning)
-        return float(obj[j])
-    a, b = ks[j - 1], ks[j + 1]
-
-    def f(k):
-        return p * k - float(phi_vec(np.array([k]))[0])
-
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) < f(m2):
-            a = m1
-        else:
-            b = m2
-    return f(0.5 * (a + b))
 
 
 def bl_density(surface: PriceSurface, ell: int) -> np.ndarray:

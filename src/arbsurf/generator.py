@@ -83,9 +83,9 @@ class GeneratorConfig:
             raise DomainError("[generator] kernel_weights entries must be >= 0")
         if not all(b > 0 for b in self.kernel_rates):
             raise DomainError("[generator] kernel_rates entries must be > 0")
-        for name in ("n_paths", "steps_per_year"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"[generator] {name} must be positive")
+        for name, least in (("n_paths", 1), ("steps_per_year", 1), ("n_maturities", 2), ("n_strikes", 3)):
+            if getattr(self, name) < least:
+                raise DomainError(f"[generator] {name} must be >= {least}")
         if self.seed < 0:
             raise DomainError("[generator] seed must be >= 0")
         lo_hi = self.maturity_range

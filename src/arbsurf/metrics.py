@@ -333,30 +333,3 @@ def novikov_kazamaki_rate(blocks: Sequence[np.ndarray]):
     else:
         lo = hi = float("nan")
     return rate, lo, hi
-
-
-def gap_representer_regression(gaps: np.ndarray, rep_errors: np.ndarray):
-    """Least squares of fallback error on the saddle gap with a 95%
-    autocorrelation-robust slope interval. Returns
-    (slope, intercept, (ci_low, ci_high))."""
-    g = np.asarray(gaps, dtype=float)
-    e = np.asarray(rep_errors, dtype=float)
-    t = len(g)
-    if t < 8 or g.shape != e.shape:
-        raise DomainError("need matched series of length >= 8")
-    if np.std(g) < 1e-14:
-        raise DomainError("degenerate regressor")
-    X = np.column_stack([np.ones(t), g])
-    beta, *_ = np.linalg.lstsq(X, e, rcond=None)
-    resid = e - X @ beta
-    lag = hac_lag(t)
-    scores = X * resid[:, None]
-    s_mat = scores.T @ scores / t
-    for k in range(1, lag + 1):
-        gam = scores[k:].T @ scores[:-k] / t
-        s_mat += (1.0 - k / (lag + 1.0)) * (gam + gam.T)
-    xtx_inv = np.linalg.inv(X.T @ X / t)
-    cov = xtx_inv @ s_mat @ xtx_inv / t
-    half = Z_95 * np.sqrt(max(cov[1, 1], 0.0))
-    slope = float(beta[1])
-    return slope, float(beta[0]), (slope - half, slope + half)

@@ -1,7 +1,7 @@
 """
-Spectral-norm estimation, projection of linear maps onto a spectral ball,
-and the transition-matrix safety projection (spectral radius x time step
-kept below 1 - epsilon), with audit counters.
+Exact spectral norms and radii, projection of linear maps onto a spectral
+ball, and the transition-matrix safety projection (spectral radius x time
+step kept below 1 - epsilon), with audit counters.
 
 The safety pass first tests each map's Frobenius norm, an upper bound on
 its spectral norm: a map whose Frobenius norm is at most tau (1 -
@@ -9,11 +9,8 @@ FROB_MARGIN) lies inside the ball and is left as it is without an SVD.
 Every other quantity comes from the exact spectrum: the norm of each map
 from its singular values (`spectral_norms`) and the radius the guard
 compares with its bound from its eigenvalues (`spectral_radius`), both
-batched over an (L, a, b) stack. `spectral_norm` is the paper's
-deterministic power iteration from a fixed start vector (normalized
-all-ones), kept as the estimator that the spectral oracle criterion audits;
-it runs at most POWER_ITERS iterations and stops once the estimate moves by
-at most POWER_TOL relatively, the budget that criterion's 1e-8 bound needs.
+batched over an (L, a, b) stack. Each quantity has this one estimator,
+which the acceptance criteria audit against independent oracles.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import numpy as np
 
 from .grids import DomainError
 
-POWER_ITERS = 2000  # most power iterations of `spectral_norm`
-POWER_TOL = 1e-13  # relative change of the estimate that stops them early
 FROB_MARGIN = 1e-9  # relative margin below tau of the Frobenius test, far above either norm's rounding
 
 
@@ -64,48 +59,6 @@ class GuardLog:
     lambda_lip_before: float = float("nan")
     lambda_lip_after: float = float("nan")
     clamp_hits: int = field(default=0)
-
-
-def spectral_norm(W: np.ndarray) -> float:
-    """Largest singular value of W by power iteration on W^T W.
-
-    Runs at most POWER_ITERS iterations, stopping early once the estimate
-    moves by at most POWER_TOL relatively. Exact 0 for the zero
-    matrix. The iteration runs on W / max|W| and scales the result back, so
-    very large or very small entries neither overflow nor underflow the
-    iterate. The safety pass does not call it: its norms are exact
-    (`spectral_norms`); this estimator is what the spectral oracle
-    criterion audits.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise DomainError("spectral_norm expects a matrix")
-    if not np.all(np.isfinite(W)):
-        raise DomainError("matrix must be finite")
-    scale = np.abs(W).max(initial=0.0)
-    if scale == 0.0:
-        return 0.0
-    W = W / scale
-    n = W.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    sigma = 0.0
-    for _ in range(POWER_ITERS):
-        u = W @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            # start vector lies in the null space; perturb deterministically
-            v = v + np.linspace(1e-6, 2e-6, n)
-            v /= np.linalg.norm(v)
-            continue
-        v_new = W.T @ (u / nu)
-        sigma_new = np.linalg.norm(v_new)
-        if sigma_new == 0.0:
-            return 0.0
-        v = v_new / sigma_new
-        if abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new, 1e-300):
-            return float(sigma_new * scale)
-        sigma = sigma_new
-    return float(sigma * scale)
 
 
 def _as_stack(A: np.ndarray) -> np.ndarray:
@@ -174,13 +127,6 @@ def lipschitz_project(W: np.ndarray, cfg: GuardConfig | None = None) -> tuple[np
     W_hat = np.where(over[..., None, None], scale[..., None, None] * W, W)
     dists = [np.linalg.norm(w) * (s / cfg.tau - 1.0) for w, s in zip(_as_stack(W_hat)[over.ravel()], sigma[over])]
     return W_hat, float(sum(dists))
-
-
-def cfl_indicator(A: np.ndarray, dt: float) -> float:
-    """Safety quantity rho(A) * dt (spectral radius; equals ||A||_2 dt for symmetric A)."""
-    if not (dt > 0):
-        raise DomainError("dt must be positive")
-    return spectral_radius(A) * dt
 
 
 def spec_guard_project(A: np.ndarray, dt, cfg: GuardConfig, log: GuardLog) -> np.ndarray:

@@ -109,12 +109,10 @@ def strip_coefficients(grid: MarketGrid, ell: int) -> tuple:
     return coef, fwd_excess * fwd_excess / T
 
 
-def replicate_surface(
-    surface: PriceSurface,
-    observed_vix2: np.ndarray | None = None,
-) -> ReplicationResult:
-    """Strip replication across all maturities, with tail flags and, when an
-    observed variance curve is supplied, the replication residuals."""
+def replicate_surface(surface: PriceSurface, observed_vix2: np.ndarray | None) -> ReplicationResult:
+    """Strip replication across all maturities, with tail flags and the
+    replication residuals R(T_l) = observed variance minus the strip
+    estimate; NaN residuals when the observed curve is None."""
     grid = surface.grid
     L = grid.n_maturities
     v2 = np.array([vix_squared(surface, ell) for ell in range(L)])
@@ -127,11 +125,6 @@ def replicate_surface(
             raise DomainError("observed variance curve length mismatch")
         res = observed_vix2 - v2
     return ReplicationResult(v2, res, flags)
-
-
-def replication_residual(model_surface: PriceSurface, observed_vix2: np.ndarray) -> np.ndarray:
-    """R(T_l) = observed variance minus the model surface's strip estimate."""
-    return replicate_surface(model_surface, observed_vix2).residuals
 
 
 def write_vix2_csv(path, maturities: np.ndarray, vix2: np.ndarray) -> None:

@@ -1,7 +1,9 @@
 """Independent test oracles: closed-form pricing, a brute-force projection,
+spectral norms and radii by other LAPACK routes than the package's,
 reference forms of the path simulation and of the model and training
-kernels, and a map that defeats a power iteration started from the all-ones
-vector.
+kernels, a map that defeats a power iteration started from the all-ones
+vector, and two statistics only the tests read (the Legendre conjugate of a
+convex potential and the regression of fallback error on the saddle gap).
 
 The pricing and projection oracles are written against scipy/numpy
 primitives and stay independent of the package's own code paths. The
@@ -23,8 +25,10 @@ whose softplus is a given density.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
+from scipy.linalg import schur, svd
 from scipy.stats import norm
 
 
@@ -349,6 +353,18 @@ def near_degenerate(a, b):
     return w
 
 
+def svd_norm(w):
+    """Largest singular value by LAPACK's QR-iteration SVD (gesvd), not the
+    divide-and-conquer driver (gesdd) behind `np.linalg.svd`."""
+    return float(svd(w, compute_uv=False, lapack_driver="gesvd")[0])
+
+
+def rho_dt(a, dt):
+    """Spectral radius times dt, the radius the largest diagonal modulus of
+    the complex Schur form, not the eigenvalues of `np.linalg.eigvals`."""
+    return float(np.abs(np.diag(schur(a, output="complex")[0])).max()) * dt
+
+
 def loop_guard_log(A, dts, cfg, log):
     """The guard's counters matrix by matrix, in index order, with Python's
     max (which keeps the running max against a NaN radius): the reference
@@ -433,3 +449,61 @@ def sampled_oracle(a, B, c, ps, qs, n_slices, rng):
     L = len(ps)
     slices = np.sort(rng.choice(L, size=min(n_slices, L), replace=False))
     return QuadraticGame(a, B, c, ps[slices].mean(axis=0), qs[slices].mean(axis=0)).oracle
+
+
+def legendre_conjugate(phi, p, k_domain):
+    """Convex conjugate sup_k { p k - phi(k) } of a convex phi, vectorized
+    over an array of k, on a bounded domain: the best of a 512-point grid,
+    refined by 80 ternary-search steps (the objective is concave). A
+    maximizer at the domain boundary means the true conjugate lies outside
+    the domain; the value is then truncated and a warning says so."""
+    lo, hi = float(k_domain[0]), float(k_domain[1])
+    ks = np.linspace(lo, hi, 512)
+    obj = p * ks - phi(ks)
+    j = int(np.argmax(obj))
+    if j in (0, 511):
+        warnings.warn("conjugate maximizer at domain boundary; value is truncated", RuntimeWarning)
+        return float(obj[j])
+    a, b = ks[j - 1], ks[j + 1]
+
+    def f(k):
+        return p * k - float(phi(np.array([k]))[0])
+
+    for _ in range(80):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if f(m1) < f(m2):
+            a = m1
+        else:
+            b = m2
+    return f(0.5 * (a + b))
+
+
+def gap_representer_regression(gaps, rep_errors):
+    """Least squares of fallback error on the saddle gap with a 95%
+    autocorrelation-robust (Newey-West, Bartlett weights, `metrics.hac_lag`
+    lags) slope interval. Returns (slope, intercept, (ci_low, ci_high))."""
+    from arbsurf.grids import DomainError
+    from arbsurf.metrics import Z_95, hac_lag
+
+    g = np.asarray(gaps, dtype=float)
+    e = np.asarray(rep_errors, dtype=float)
+    t = len(g)
+    if t < 8 or g.shape != e.shape:
+        raise DomainError("need matched series of length >= 8")
+    if np.std(g) < 1e-14:
+        raise DomainError("degenerate regressor")
+    X = np.column_stack([np.ones(t), g])
+    beta, *_ = np.linalg.lstsq(X, e, rcond=None)
+    resid = e - X @ beta
+    lag = hac_lag(t)
+    scores = X * resid[:, None]
+    s_mat = scores.T @ scores / t
+    for k in range(1, lag + 1):
+        gam = scores[k:].T @ scores[:-k] / t
+        s_mat += (1.0 - k / (lag + 1.0)) * (gam + gam.T)
+    xtx_inv = np.linalg.inv(X.T @ X / t)
+    cov = xtx_inv @ s_mat @ xtx_inv / t
+    half = Z_95 * np.sqrt(max(cov[1, 1], 0.0))
+    slope = float(beta[1])
+    return slope, float(beta[0]), (slope - half, slope + half)

@@ -27,8 +27,6 @@ CALLERS = SOURCES + sorted((ROOT / "benchmarks").glob("*.py"))
 
 # public definitions kept without a caller, each for a stated reason
 ALLOWED = {
-    "gap_representer_regression": "acceptance criterion 11 reads it; stays until `report` calls it or it moves to the tests",
-    "legendre_conjugate": "the paper's Legendre duality of the decoded potential; stays until a check calls it",
     "save_checkpoint": "fold checkpoints, for a later `--from` that loads instead of retraining",
     "load_checkpoint": "fold checkpoints, for a later `--from` that loads instead of retraining",
 }

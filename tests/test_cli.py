@@ -115,6 +115,18 @@ class TestConfigFile:
         with pytest.raises(DomainError, match=r"unknown config key \[training\] bogus_key$"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,section", [
+        ("[trainng]\nmax_steps = 3\n", "trainng"),
+        ("[training]\nrank = 4\n[run]\nn_windows = 5\n[stress]\ndraws = 2\n", "stress"),
+        ("[DEFAULT]\nmax_steps = 3\n", "DEFAULT"),
+        ("[DEFAULT]\nmax_steps = 3\n[training]\nrank = 4\n", "DEFAULT"),
+    ])
+    def test_unknown_section_rejected(self, tmp_path, text, section):
+        path = tmp_path / "typo.ini"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=rf"^unknown config section \[{section}\]$"):
+            load_config(path)
+
     # fixed conventions are module constants, not settings; log_every was read by nothing
     @pytest.mark.parametrize("section,key", [
         ("training", "gate_lr_mult"), ("training", "feature_scale"), ("training", "dual_mult_vix"),
@@ -173,7 +185,7 @@ class TestConfigFile:
         ("maturity_range", (0.1, 0.5, 1.0)), ("log_moneyness_range", (0.6, -0.6)),
         ("log_moneyness_range", (0.2, 0.2)), ("noise_scale", -0.01), ("noise_scale", float("nan")),
         ("noise_floor", -0.05), ("liq_a", float("nan")), ("liq_a", -0.1), ("liq_b", -1.0),
-        ("liq_c", float("nan")),
+        ("liq_c", float("nan")), ("n_maturities", 1), ("n_maturities", 0), ("n_strikes", 2),
     ])
     def test_generator_ranges_and_noise_validated(self, tmp_path, key, value):
         with pytest.raises(DomainError, match=rf"\[generator\] {key}"):
@@ -239,6 +251,7 @@ class TestConfigFile:
     def test_seed_override(self):
         cfg = load_config(None, seed=42)
         assert cfg.generator.seed == 42 and cfg.training.seed == 42
+        assert cfg.run.sweep_seeds == (42,) and cfg.run.ablation_seeds == (42,)
 
     def test_negative_seed_override_rejected(self, tmp_path):
         with pytest.raises(DomainError, match=r"^--seed must be >= 0$"):
@@ -700,6 +713,20 @@ sys.exit(cli.main(["--config", ini, "--out", out + "/smoke", "reproduce"])
         assert rec.exc_info is None
         assert not (tmp_path / "out").exists()  # nothing ran
 
+    @pytest.mark.parametrize("text,fragment", [
+        ("[trainng]\nmax_steps = 3\n", "unknown config section [trainng]"),
+        ("[generator]\nn_maturities = 1\n[training]\nmax_steps = 3\n", "[generator] n_maturities"),
+    ])
+    def test_load_error_is_one_line(self, tmp_path, caplog, text, fragment):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "reproduce"])
+        assert rc == 1
+        (rec,) = [r for r in caplog.records if r.name == "arbsurf" and r.levelname == "ERROR"]
+        assert fragment in rec.getMessage()
+        assert rec.exc_info is None
+        assert not (tmp_path / "out").exists()  # nothing ran
+
     def test_negative_seed_is_one_line_before_panels(self, tmp_path, monkeypatch, caplog):
         calls = []
         monkeypatch.setattr(cli, "make_panel", lambda *args: calls.append(args))
@@ -756,6 +783,17 @@ class TestSweepSmoke:
         assert tuple(rec.keys()) == SCHEMA_FIELDS
         # three windows leave cnas_frozen_drop NaN, which a plain == of the dicts rejects
         assert json.dumps(rec) == json.dumps(run.to_dict())
+
+    def test_seed_option_sets_the_trial_seed(self, tmp_path):
+        four = Path(__file__).resolve().parents[1] / "configs" / "four.ini"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(["--config", str(four), "--seed", "5", "--out", str(tmp_path), "sweep"])
+        assert rc == 0
+        with open(tmp_path / "sweep_ledger.csv", newline="", encoding="utf-8") as fh:
+            ledger = list(csv.DictReader(fh))
+        assert [row["seed"] for row in ledger] == ["5"]
+        assert Path(ledger[0]["run_log"]).name == "runlog_seed5_lr1.0.json"
 
     def test_divergence_is_a_logged_trial(self, tmp_path, monkeypatch, caplog):
         run_fold, base = cli.run_fold, TrainingConfig(**SMOKE_TRAIN)

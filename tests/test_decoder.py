@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,7 @@ from arbsurf.decoder import (
     bl_density,
     decode_surface,
     icnn_backward,
-    icnn_eval,
     icnn_forward,
-    legendre_conjugate,
     noarb_project,
     pava,
     static_arb_residuals,
@@ -24,7 +24,7 @@ from arbsurf.generator import GeneratorConfig, make_grid as generator_grid
 from arbsurf.grids import DomainError, MarketGrid, PriceSurface
 from arbsurf.operator import LatentTrajectory
 
-from .oracles import brute_force_projection, bs_call, bs_put, lognormal_density, random_decoder
+from .oracles import brute_force_projection, bs_call, bs_put, legendre_conjugate, lognormal_density, random_decoder
 
 
 def make_grid(L=3, M=9, spot=100.0, rate=0.01, q=0.0, k_lo=80.0, k_hi=120.0):
@@ -40,6 +40,14 @@ def make_trajectory(L=3, p=2, rng=None):
     return LatentTrajectory(states, outputs)
 
 
+def potential(params, k, context):
+    """The potential at strike coordinates k (a scalar or a vector) for one
+    fixed context, by `icnn_forward`."""
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    phi, _ = icnn_forward(params, ks, np.tile(np.asarray(context, dtype=float), (len(ks), 1)))
+    return phi if np.ndim(k) else float(phi[0])
+
+
 class TestIcnnEval:
     def test_affine_single_layer(self):
         params = DecoderParams(
@@ -49,7 +57,7 @@ class TestIcnnEval:
             maturity_slope_raw=np.zeros(3),
         )
         for k in (-1.0, 0.0, 2.5):
-            assert icnn_eval(params, k, np.zeros(2)) == pytest.approx(k + 4.0)
+            assert potential(params, k, np.zeros(2)) == pytest.approx(k + 4.0)
 
     def test_convexity_by_construction(self):
         rng = np.random.default_rng(7)
@@ -69,7 +77,7 @@ class TestIcnnEval:
         for w in params.layer_weights_x:
             w[:, 0] = 0.0  # remove the strike column of the context path too
         ctx = rng.standard_normal(2)
-        vals = [icnn_eval(params, k, ctx) for k in (-0.5, 0.0, 0.7)]
+        vals = [potential(params, k, ctx) for k in (-0.5, 0.0, 0.7)]
         assert np.allclose(vals, vals[0])
 
     def test_negative_weight_rejected(self):
@@ -77,7 +85,9 @@ class TestIcnnEval:
         params = random_decoder(rng, context_dim=2, n_maturities=2)
         params.layer_weights_z[1][0, 0] = -0.1
         with pytest.raises(InvariantViolation):
-            icnn_eval(params, 0.0, np.zeros(2))
+            params.validate_nonnegative()
+        with pytest.raises(InvariantViolation):
+            DecoderParams(params.layer_weights_z, params.layer_weights_x, params.biases, params.maturity_slope_raw)
 
     def test_param_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -151,15 +161,15 @@ class TestLegendre:
     def test_quadratic_conjugate(self):
         # closed form: (k^2/2)* = p^2/2
         for p in (-1.0, -0.3, 0.0, 0.8, 1.5):
-            val = legendre_conjugate(lambda k: 0.5 * k * k, p, None, (-4.0, 4.0))
+            val = legendre_conjugate(lambda k: 0.5 * k * k, p, (-4.0, 4.0))
             assert val == pytest.approx(0.5 * p * p, abs=1e-6)
 
     def test_affine_conjugate(self):
         a, b = 1.3, -0.7
-        val = legendre_conjugate(lambda k: a * k + b, a, None, (-2.0, 2.0))
+        val = legendre_conjugate(lambda k: a * k + b, a, (-2.0, 2.0))
         assert val == pytest.approx(-b, abs=1e-9)
         with pytest.warns(RuntimeWarning):
-            legendre_conjugate(lambda k: a * k + b, a + 0.5, None, (-2.0, 2.0))
+            legendre_conjugate(lambda k: a * k + b, a + 0.5, (-2.0, 2.0))
 
     def test_fenchel_young(self):
         rng = np.random.default_rng(9)
@@ -169,12 +179,10 @@ class TestLegendre:
         for _ in range(100):
             k = rng.uniform(-1.0, 1.0)
             p = rng.uniform(-1.5, 1.5)
-            phi_k = icnn_eval(params, k, ctx)
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                conj = legendre_conjugate(params, p, ctx, dom)
+            phi_k = potential(params, k, ctx)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                conj = legendre_conjugate(lambda ks: potential(params, ks, ctx), p, dom)
             assert phi_k + conj >= p * k - 1e-8
 
 

@@ -10,7 +10,6 @@ from arbsurf.metrics import (
     cnas,
     cnas_from_residuals,
     effective_dimension,
-    gap_representer_regression,
     gen_gap_p95,
     hac_ci,
     hac_lag,
@@ -23,7 +22,7 @@ from arbsurf.metrics import (
     surface_wasserstein,
 )
 
-from .oracles import bs_call
+from .oracles import bs_call, gap_representer_regression
 
 
 def surface_from(calls, strikes, mats, spot=100.0, rate=0.0, q=0.0):

@@ -9,43 +9,43 @@ from arbsurf.qalign import (
     FROB_MARGIN,
     GuardConfig,
     GuardLog,
-    cfl_indicator,
     lipschitz_project,
     spec_guard_project,
-    spectral_norm,
     spectral_norms,
     spectral_radius,
 )
 
-from .oracles import loop_guard_log, near_degenerate
+from .oracles import loop_guard_log, near_degenerate, rho_dt, svd_norm
 
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
+        assert spectral_norms(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
 
     def test_diagonal(self):
-        assert spectral_norm(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-10)
+        assert spectral_norms(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-10)
 
     def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert spectral_norms(np.zeros((4, 4))) == 0.0
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             w = rng.standard_normal((6, 6))
-            exact = np.linalg.svd(w, compute_uv=False)[0]
-            assert spectral_norm(w) == pytest.approx(exact, rel=1e-8)
+            assert spectral_norms(w) == pytest.approx(svd_norm(w), rel=1e-8)
 
     def test_rectangular(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((5, 9))
-        exact = np.linalg.svd(w, compute_uv=False)[0]
-        assert spectral_norm(w) == pytest.approx(exact, rel=1e-8)
+        assert spectral_norms(w) == pytest.approx(svd_norm(w), rel=1e-8)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    def test_nonfinite_is_nan(self):
+        assert np.isnan(spectral_norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_scale_free(self, magnitude):
+        w = np.full((3, 3), magnitude)
+        assert spectral_norms(w) == pytest.approx(svd_norm(w), rel=1e-8)
 
 
 class TestLipschitzProject:
@@ -85,10 +85,10 @@ class TestLipschitzProject:
 
 class TestSpectralRadius:
     def test_zero(self):
-        assert cfl_indicator(np.zeros((3, 3)), 1.0) == 0.0
+        assert spectral_radius(np.zeros((3, 3))) == 0.0
 
     def test_diagonal(self):
-        assert cfl_indicator(np.diag([0.5, 0.1]), 1.0) == pytest.approx(0.5, rel=1e-9)
+        assert spectral_radius(np.diag([0.5, 0.1])) == pytest.approx(0.5, rel=1e-9)
 
     def test_complex_spectrum_oracle(self):
         # rotation-scaling block with known modulus 0.9, plus a weaker block
@@ -99,21 +99,21 @@ class TestSpectralRadius:
         a[2:, 2:] = np.diag([0.3, -0.2])
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
         a = q @ a @ q.T  # similarity keeps the spectrum
-        exact = np.max(np.abs(np.linalg.eigvals(a)))
-        assert cfl_indicator(a, 1.0) == pytest.approx(exact, abs=1e-6)
+        assert spectral_radius(a) == pytest.approx(rho_dt(a, 1.0), abs=1e-6)
 
     def test_random_matrices_vs_eig_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             a = rng.standard_normal((5, 5))
-            exact = np.max(np.abs(np.linalg.eigvals(a)))
-            assert spectral_radius(a) == pytest.approx(exact, rel=1e-6)
+            assert spectral_radius(a) == pytest.approx(rho_dt(a, 1.0), rel=1e-6)
 
     def test_dt_scaling(self):
         a = np.diag([2.0, 0.5])
-        assert cfl_indicator(a, 0.25) == pytest.approx(0.5, rel=1e-9)
-        with pytest.raises(DomainError):
-            cfl_indicator(a, 0.0)
+        log = GuardLog()
+        assert rho_dt(a, 0.25) == pytest.approx(0.5, rel=1e-9)
+        assert np.array_equal(spec_guard_project(a, 0.25, GuardConfig(epsilon=0.1), log), a)
+        assert log.spec_guard_hits == 0
+        assert log.max_rho_dt == pytest.approx(0.5, rel=1e-9)
 
 
 class TestSpecGuard:
@@ -134,7 +134,7 @@ class TestSpecGuard:
         out = spec_guard_project(a, 1.0, cfg, log)
         assert np.allclose(out, 0.45 * a, rtol=1e-8)
         assert log.spec_guard_hits == 1
-        assert cfl_indicator(out, 1.0) == pytest.approx(0.9, rel=1e-8)
+        assert rho_dt(out, 1.0) == pytest.approx(0.9, rel=1e-8)
 
     def test_frobenius_distance_logged(self):
         log = GuardLog()
@@ -160,18 +160,22 @@ class TestSpecGuard:
             a = rng.standard_normal((5, 5)) * rng.uniform(0.1, 4.0)
             dt = rng.uniform(0.05, 1.5)
             out = spec_guard_project(a, dt, cfg, log)
-            assert cfl_indicator(out, dt) <= (1 - cfg.epsilon) * (1 + 1e-9)
+            assert rho_dt(out, dt) <= (1 - cfg.epsilon) * (1 + 1e-9)
         # counters are nondecreasing by construction
         assert log.spec_guard_hits >= 0 and log.projection_distance >= 0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.25, [0.25, 0.0], [0.5, -0.1]])
+    def test_nonpositive_dt_rejected(self, dt):
+        a = np.diag([2.0, 0.5])
+        a = a if np.ndim(dt) == 0 else np.stack([a, a])
+        log = GuardLog()
+        with pytest.raises(DomainError, match="dt must be positive"):
+            spec_guard_project(a, dt, GuardConfig(), log)
+        assert vars(log) == vars(GuardLog())
 
 
 
 class TestExactNorms:
-    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
-    def test_power_iteration_scale_free(self, magnitude):
-        w = np.full((3, 3), magnitude)
-        assert spectral_norm(w) == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
-
     def test_near_degenerate_map_capped(self):
         w = near_degenerate(2, 3)
         assert np.linalg.norm(w, 2) == pytest.approx(1.2, rel=1e-14)

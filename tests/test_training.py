@@ -323,14 +323,14 @@ class TestExtragradient:
         assert all(d2 >= d1 - 1e-15 for d1, d2 in zip(dist, dist[1:]))
 
     def test_cfl_safe_after_every_step(self):
-        from arbsurf.qalign import cfl_indicator
+        from .oracles import rho_dt
 
         cfg, batch, state = tiny_state()
         rng = np.random.default_rng(4)
         for _ in range(5):
             extragradient_step(state, batch, cfg, rng)
             for i in range(batch.n_maturities):
-                ind = cfl_indicator(state.primal["transitions"][i], float(batch.dts[i]))
+                ind = rho_dt(state.primal["transitions"][i], float(batch.dts[i]))
                 assert ind <= (1 - cfg.guard.epsilon) * (1 + 1e-9)
 
     def test_guard_catches_non_normal_near_threshold_stack(self):
@@ -655,7 +655,7 @@ class TestPublicKernels:
 
         panel, cfg, batch, state, fw, surf = self._trained()
         trained = batch.vix2_obs[0] - fw.vix_resid[0]
-        public = replicate_surface(surf).vix_squared_per_maturity
+        public = replicate_surface(surf, None).vix_squared_per_maturity
         np.testing.assert_allclose(public, trained, rtol=1e-12, atol=0.0)
 
 

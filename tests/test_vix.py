@@ -9,7 +9,6 @@ from arbsurf.vix import (
     interpolate_missing,
     otm_strip,
     replicate_surface,
-    replication_residual,
     tail_truncated,
     vix_squared,
     write_vix2_csv,
@@ -142,20 +141,20 @@ class TestVixSquared:
 class TestReplicationResidual:
     def test_zero_for_self(self):
         surf = bs_surface(M=301)
-        own = replicate_surface(surf).vix_squared_per_maturity
-        res = replication_residual(surf, own)
+        own = replicate_surface(surf, None).vix_squared_per_maturity
+        res = replicate_surface(surf, own).residuals
         assert np.allclose(res, 0.0, atol=1e-14)
 
     def test_affine_shift(self):
         surf = bs_surface(M=301)
-        own = replicate_surface(surf).vix_squared_per_maturity
-        res = replication_residual(surf, own + 0.01)
+        own = replicate_surface(surf, None).vix_squared_per_maturity
+        res = replicate_surface(surf, own + 0.01).residuals
         assert np.allclose(res, 0.01, atol=1e-14)
 
     def test_length_mismatch(self):
         surf = bs_surface(M=101)
         with pytest.raises(DomainError):
-            replication_residual(surf, np.array([0.04]))
+            replicate_surface(surf, np.array([0.04]))
 
     def test_result_container(self):
         surf = bs_surface(M=101)
