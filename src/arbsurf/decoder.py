@@ -26,7 +26,10 @@ and constant in maturity, so both guarantees survive, and the learned maps
 can stay inside the unit spectral ball the safety pass enforces.
 
 The decode and its reverse pass take scan outputs with leading axes (a
-fold's windows) in one network call, the shared base rows in it once.
+fold's windows) in one network call, the shared base rows in it once. The
+network, the decode and their reverse passes also take an optional leading
+point axis on the parameters (see `mathutil`): one call runs every point,
+each point's rows the same BLAS calls as a call of that point alone.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, parity_puts
-from .mathutil import sigmoid, softplus, softplus_exp
+from .mathutil import sigmoid, softplus, softplus_exp, window_axis
 from .operator import LatentTrajectory
 
 K_SCALE = 0.1  # the convex path sees (K/S0 - 1) / K_SCALE
@@ -86,14 +89,14 @@ class DecoderParams:
             raise DomainError("layer lists must have equal nonzero length")
         prev = 1
         for i, (wz, wx, b) in enumerate(zip(self.layer_weights_z, self.layer_weights_x, self.biases)):
-            if wz.shape[1] != prev:
+            if wz.shape[-1] != prev:
                 raise DomainError(f"layer {i}: convex-path shape mismatch")
-            if wx.shape[0] != wz.shape[0] or b.shape != (wz.shape[0],):
+            if wx.shape[:-1] != wz.shape[:-1] or b.shape != wz.shape[:-1]:
                 raise DomainError(f"layer {i}: context-path/bias shape mismatch")
-            prev = wz.shape[0]
+            prev = wz.shape[-2]
         if prev != 1:
             raise DomainError("output layer must have width 1")
-        widths = {w.shape[1] for w in self.layer_weights_x}
+        widths = {w.shape[-1] for w in self.layer_weights_x}
         if len(widths) != 1:
             raise DomainError("context-path input width must be constant")
         self.validate_nonnegative()
@@ -105,7 +108,7 @@ class DecoderParams:
 
     @property
     def context_dim(self) -> int:
-        return self.layer_weights_x[0].shape[1] - 1
+        return self.layer_weights_x[0].shape[-1] - 1
 
     @property
     def n_layers(self) -> int:
@@ -115,20 +118,22 @@ class DecoderParams:
 def icnn_forward(params: DecoderParams, k: np.ndarray, context: np.ndarray):
     """Batched potential evaluation.
 
-    k: (n,) strike coordinates; context: (n, context_dim).
-    Returns (phi (n,), cache) where the cache holds pre-activations, the
-    softplus exponentials of the hidden layers and the layer inputs for the
-    backward pass. Rows are independent: `_cache_rows` cuts the cache of a
-    block of rows out of a stacked call.
+    k: (n,) strike coordinates; context: (n, context_dim), or (P, n,
+    context_dim) for parameters with a point axis, every point on the same k.
+    Returns (phi (n,) or (P, n), cache) where the cache holds
+    pre-activations, the softplus exponentials of the hidden layers and the
+    layer inputs for the backward pass. Rows are independent: `_cache_rows`
+    cuts the cache of a block of rows out of a stacked call.
     """
     k = np.asarray(k, dtype=float)
     context = np.asarray(context, dtype=float)
-    x_full = np.concatenate([k[:, None], context], axis=1)
     z = k[:, None]
+    x_full = np.concatenate([np.broadcast_to(z, context.shape[:-1] + (1,)), context], axis=-1)
     zs, pres, exps = [z], [], []
     n_layers = params.n_layers
     for i in range(n_layers):
-        a = z @ params.layer_weights_z[i].T + x_full @ params.layer_weights_x[i].T + params.biases[i]
+        a = (z @ params.layer_weights_z[i].swapaxes(-1, -2) + x_full @ params.layer_weights_x[i].swapaxes(-1, -2)
+             + params.biases[i][..., None, :])
         pres.append(a)
         if i < n_layers - 1:
             z, e = softplus_exp(a)
@@ -136,39 +141,43 @@ def icnn_forward(params: DecoderParams, k: np.ndarray, context: np.ndarray):
         else:
             z = a
         zs.append(z)
-    return z[:, 0], {"zs": zs, "pres": pres, "exps": exps, "x_full": x_full}
+    return z[..., 0], {"zs": zs, "pres": pres, "exps": exps, "x_full": x_full}
 
 
 def _cache_rows(cache: dict, rows: slice) -> dict:
     """The `icnn_forward` cache of a block of rows, as views."""
-    return {name: ([a[rows] for a in v] if isinstance(v, list) else v[rows])
+    return {name: ([a[..., rows, :] for a in v] if isinstance(v, list) else v[..., rows, :])
             for name, v in cache.items()}
 
 
-def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray):
+def icnn_backward(params: DecoderParams, cache: dict, dphi: np.ndarray, dcontext: bool = True):
     """Reverse pass for `icnn_forward`.
 
-    dphi: (n,) upstream gradient of the potential values.
+    dphi: (n,) or (P, n) upstream gradient of the potential values.
     Returns (param_grads, dcontext) where param_grads has keys
     'layer_weights_z', 'layer_weights_x', 'biases' mirroring the parameter
-    lists.
+    lists, each summed over the rows of its point; dcontext is None when
+    not asked for.
     """
     zs, pres, exps, x_full = cache["zs"], cache["pres"], cache["exps"], cache["x_full"]
     n_layers = params.n_layers
-    dz = dphi[:, None]
+    dz = dphi[..., None]
     g_wz = [None] * n_layers
     g_wx = [None] * n_layers
     g_b = [None] * n_layers
-    dx_full = np.zeros_like(x_full)
+    dx_full = np.zeros_like(x_full) if dcontext else None
     for i in range(n_layers - 1, -1, -1):
         da = dz if i == n_layers - 1 else dz * sigmoid(pres[i], exps[i])
-        g_wz[i] = da.T @ zs[i]
-        g_wx[i] = da.T @ x_full
-        g_b[i] = da.sum(axis=0)
-        dx_full += da @ params.layer_weights_x[i]
+        da_t = da.swapaxes(-1, -2)
+        g_wz[i] = da_t @ zs[i]
+        g_wx[i] = da_t @ x_full
+        g_b[i] = da.sum(axis=-2)
+        if dcontext:
+            dx_full += da @ params.layer_weights_x[i]
         if i:
             dz = da @ params.layer_weights_z[i]
-    return {"layer_weights_z": g_wz, "layer_weights_x": g_wx, "biases": g_b}, dx_full[:, 1:]
+    grads = {"layer_weights_z": g_wz, "layer_weights_x": g_wx, "biases": g_b}
+    return grads, dx_full[..., 1:] if dcontext else None
 
 
 def strike_coordinate(strikes: np.ndarray, spot: float) -> np.ndarray:
@@ -182,11 +191,31 @@ def decode_anchor(km: np.ndarray) -> np.ndarray:
     return ANCHOR_WIDTH * softplus(-km / ANCHOR_WIDTH)
 
 
-def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray,
-                      maturities: np.ndarray):
+@dataclass(frozen=True)
+class DecodeRows:
+    """What a decode reads that no parameter moves, for one grid and one
+    number of context rows: the anchor, the maturities, the network's strike
+    column (the base rows' M, then M per context row) and the base rows'
+    zero context."""
+
+    anchor: np.ndarray        # decode_anchor(km), (M,)
+    maturities: np.ndarray    # (L,)
+    k_net: np.ndarray         # km / K_SCALE tiled 1 + W L times
+    base_context: np.ndarray  # (M, context_dim) zeros
+
+
+def decode_rows(km: np.ndarray, maturities: np.ndarray, n_windows: int, context_dim: int) -> DecodeRows:
+    """The `DecodeRows` of n_windows windows of scan outputs on the strike
+    coordinates km and the maturities given."""
+    return DecodeRows(decode_anchor(km), maturities, np.tile(km / K_SCALE, n_windows * len(maturities) + 1),
+                      np.zeros((len(km), context_dim)))
+
+
+def decode_normalized(params: DecoderParams, rows: DecodeRows, outputs: np.ndarray):
     """Spot-normalized calls C/S0 (..., L, M) on the grid for scan outputs
     (..., L, p), leading axes (the windows of a fold) side by side, plus the
-    cache `decode_backward` reads.
+    cache `decode_backward` reads; parameters with a point axis take outputs
+    (P, W, L, p). `rows` holds the fixed inputs of that many windows.
 
     C/S0 (k, T_l) = anchor(k) + OUT_SCALE * [ phi(k'; 0)
                     + sum_{i<=l} sp(s_i) * sp(phi(k'; ctx_i)) ]
@@ -195,20 +224,20 @@ def decode_normalized(params: DecoderParams, km: np.ndarray, outputs: np.ndarray
     training loop calls this directly so non-finite parameters reach its
     objective check.
     """
-    M = len(km)
-    k_net = km / K_SCALE
+    M = len(rows.anchor)
+    points = params.maturity_slope_raw.shape[:-1]
     lead = outputs.shape[:-1]
-    ctx = np.concatenate([outputs, np.zeros(lead + (1,)) + maturities[:, None]], axis=-1)
-    ctx = ctx.reshape(-1, ctx.shape[-1])
+    ctx = np.concatenate([outputs, np.broadcast_to(rows.maturities[:, None], lead + (1,))], axis=-1)
+    ctx = ctx.reshape(points + (-1, ctx.shape[-1]))
     # one network call: M rows of the base potential (zero context), shared
     # by every window, then M rows per maturity of each window
-    phi, cache = icnn_forward(params, np.tile(k_net, len(ctx) + 1),
-                              np.concatenate([np.zeros((M, ctx.shape[1])), np.repeat(ctx, M, axis=0)]))
-    phi0, phi_i = phi[:M], phi[M:].reshape(lead + (M,))
-    sp_slope = softplus(params.maturity_slope_raw)
+    base = np.broadcast_to(rows.base_context, points + rows.base_context.shape)
+    phi, cache = icnn_forward(params, rows.k_net, np.concatenate([base, np.repeat(ctx, M, axis=-2)], axis=-2))
+    phi0, phi_i = phi[..., :M], phi[..., M:].reshape(lead + (M,))
+    sp_slope = window_axis(softplus(params.maturity_slope_raw), 1)[..., None]
     sp_phi, e_phi = softplus_exp(phi_i)
-    inc = sp_slope[:, None] * sp_phi
-    cnorm = decode_anchor(km) + OUT_SCALE * (phi0 + np.cumsum(inc, axis=-2))
+    inc = sp_slope * sp_phi
+    cnorm = rows.anchor + OUT_SCALE * (window_axis(phi0, 1)[..., None, :] + np.cumsum(inc, axis=-2))
     return cnorm, {"cache0": _cache_rows(cache, slice(None, M)), "phi_i": phi_i,
                    "cache_i": _cache_rows(cache, slice(M, None)), "sp_slope": sp_slope,
                    "sp_phi": sp_phi, "e_phi": e_phi}
@@ -219,17 +248,19 @@ def decode_backward(params: DecoderParams, cache: dict, dcnorm: np.ndarray):
     gradient of C/S0, over the cache of that one call.
 
     Returns (grads, dy): grads keyed like `DecoderParams`, summed over every
-    window, the context rows' part first and the shared base potential's
-    last; dy the (..., L, p) gradient of the scan outputs (the maturity
-    channel dropped).
+    window of a point, the context rows' part first and the shared base
+    potential's last; dy the (..., L, p) gradient of the scan outputs (the
+    maturity channel dropped).
     """
     L, M = dcnorm.shape[-2:]
+    points = params.maturity_slope_raw.shape[:-1]
     # OUT_SCALE chains into both learned legs
     dinc = OUT_SCALE * np.cumsum(dcnorm[..., ::-1, :], axis=-2)[..., ::-1, :]
-    d_slope = (dinc * cache["sp_phi"]).sum(axis=-1).reshape(-1, L).sum(axis=0)
-    dphi_i = dinc * cache["sp_slope"][:, None] * sigmoid(cache["phi_i"], cache["e_phi"])
-    grads, dctx = icnn_backward(params, cache["cache_i"], dphi_i.ravel())
-    g0, _ = icnn_backward(params, cache["cache0"], OUT_SCALE * dcnorm.reshape(-1, M).sum(axis=0))
+    d_slope = (dinc * cache["sp_phi"]).sum(axis=-1).reshape(points + (-1, L)).sum(axis=-2)
+    dphi_i = dinc * cache["sp_slope"] * sigmoid(cache["phi_i"], cache["e_phi"])
+    grads, dctx = icnn_backward(params, cache["cache_i"], dphi_i.reshape(points + (-1,)))
+    g0, _ = icnn_backward(params, cache["cache0"], OUT_SCALE * dcnorm.reshape(points + (-1, M)).sum(axis=-2),
+                          dcontext=False)
     grads = {name: [g + b for g, b in zip(grads[name], g0[name])] for name in grads}
     grads["maturity_slope_raw"] = sigmoid(params.maturity_slope_raw) * d_slope
     return grads, dctx.reshape(dcnorm.shape + (-1,))[..., :-1].sum(axis=-2)
@@ -250,7 +281,8 @@ def decode_surface(
     if params.context_dim != trajectory.outputs.shape[1] + 1:
         raise DomainError("decoder context dimension must be readout_dim + 1")
     km = strike_coordinate(grid.strikes, grid.spot)
-    cnorm, _ = decode_normalized(params, km, trajectory.outputs, grid.maturities)
+    cnorm, _ = decode_normalized(params, decode_rows(km, grid.maturities, 1, params.context_dim),
+                                 trajectory.outputs)
     calls = grid.spot * cnorm
     return PriceSurface.from_matrices(grid, calls, parity_puts(grid, calls), require_nonnegative=False)
 
@@ -314,11 +346,11 @@ def arb_residual_backward(res: ArbResiduals, lam: np.ndarray, calls: np.ndarray,
     """Subgradient in calls (..., L, M) of scale * <lam, res.flatten()>,
     summed over the leading indices, where res = arb_residual_arrays(calls,
     strikes, spot); lam is split by the shapes of res's fields on their last
-    two axes."""
+    two axes, and a lam with a point axis, (P, n), meets calls (P, W, L, M)."""
     blocks, start = [], 0
     for f in res.fields():
         a, b = f.shape[-2:]
-        blocks.append(lam[start:start + a * b].reshape(a, b))
+        blocks.append(window_axis(lam[..., start:start + a * b].reshape(lam.shape[:-1] + (a, b)), 2))
         start += a * b
     lam_mono, lam_conv, lam_cal, lam_bounds = blocks
     dk = strikes[1:] - strikes[:-1]

@@ -108,11 +108,23 @@ def nearest_strike_below_forward(grid: MarketGrid, ell: int) -> float:
     return float(below[-1])
 
 
-def parity_puts(grid: MarketGrid, calls: np.ndarray) -> np.ndarray:
-    """Puts of an (L, M) call matrix by put-call parity:
-    P = C - S0 e^{-qT} + K e^{-rT}."""
+def parity_terms(grid: MarketGrid) -> tuple:
+    """(S0 e^{-qT} (L, 1), e^{-rT} K (L, M)): the terms of put-call parity
+    P = C - S0 e^{-qT} + K e^{-rT} on the grid."""
     T = grid.maturities[:, None]
-    return calls - grid.spot * np.exp(-grid.dividend_yield * T) + np.exp(-grid.rate * T) * grid.strikes[None, :]
+    return grid.spot * np.exp(-grid.dividend_yield * T), np.exp(-grid.rate * T) * grid.strikes[None, :]
+
+
+def parity_puts(grid: MarketGrid, calls: np.ndarray) -> np.ndarray:
+    """Puts of an (L, M) call matrix by put-call parity (`parity_terms`)."""
+    spot_term, strike_term = parity_terms(grid)
+    return calls - spot_term + strike_term
+
+
+def otm_is_put(strikes: np.ndarray, forwards) -> np.ndarray:
+    """Where the out-of-the-money quote is the put: K < F, one forward per
+    row as in `otm_values`."""
+    return strikes < np.asarray(forwards)[..., None]
 
 
 def otm_values(strikes: np.ndarray, forwards, puts: np.ndarray, calls: np.ndarray) -> np.ndarray:
@@ -121,7 +133,7 @@ def otm_values(strikes: np.ndarray, forwards, puts: np.ndarray, calls: np.ndarra
     forwards is one forward per row of puts/calls: a scalar for one
     maturity's (M,) strip, an (L,) vector for an (L, M) surface.
     """
-    return np.where(strikes < np.asarray(forwards)[..., None], puts, calls)
+    return np.where(otm_is_put(strikes, forwards), puts, calls)
 
 
 def strike_spacings(strikes: Sequence[float]) -> np.ndarray:

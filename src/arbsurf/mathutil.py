@@ -1,4 +1,12 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric helpers shared across modules.
+
+The training kernels take an optional leading point axis on the
+parameters: parameters (P, ...) broadcast against data (P, W, ...), a
+window axis W after the point axis, and every window sum or mean runs over
+the window axis, none over points. Each point's products are the same
+per-slice BLAS calls, and its sums the same reductions, as a call without
+the point axis, so each point's results are bit-equal to that call's.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +28,15 @@ def softplus_exp(x):
     sp = np.maximum(x, 0.0)
     sp += np.log1p(e)
     return sp, e
+
+
+def window_axis(param, core: int):
+    """A parameter ready to meet data with a window axis. A parameter with a
+    leading point axis, (P, *core) for `core` axes of its own, gains a unit
+    window axis, (P, 1, *core), so it broadcasts against data (P, W, ...);
+    one without it broadcasts against (W, ...) as it is and is returned
+    unchanged."""
+    return param[:, None] if param.ndim > core else param
 
 
 def softplus(x):

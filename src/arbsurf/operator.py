@@ -20,7 +20,9 @@ transitions).
 kernels behind `scan_forward`, `measure_gate` and `green_kernel`, and
 `scan_adjoint` and `gate_density_backward` are the reverse passes of the
 scan and the gate; the training loop calls them directly, so non-finite
-parameters reach its objective check instead of raising here. `green_sums`,
+parameters reach its objective check instead of raising here. These four
+take an optional leading point axis on the parameters (see `mathutil`), so
+the held-out gaps of several points run as one batch. `green_sums`,
 the per-maturity sum of Green-kernel norms, is the summability factor of
 the training loop's Lipschitz surrogate. Every Green kernel (`green_kernel`,
 `green_sums`, the representer's similarity) is read from the one
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, MarketGrid, PriceSurface, forward_price, strike_spacings
-from .mathutil import sigmoid, softplus_exp
+from .mathutil import sigmoid, softplus_exp, window_axis
 from .qalign import spectral_norms
 
 
@@ -98,16 +100,18 @@ def scan_recursion(transitions: np.ndarray, injections: np.ndarray, readouts: np
                    inputs: np.ndarray):
     """The latent recursion from the zero state over inputs (..., L, d),
     leading axes (the windows of a fold) run side by side; returns (states
-    (..., L+1, m), outputs (..., L, p)). Only the transition product is
-    sequential; the injection drive and the readouts are one batched product
-    each, and every product is bit-equal to the loop over maturities of one
-    window."""
-    L, m = transitions.shape[0], transitions.shape[1]
-    drive = (injections @ inputs[..., None])[..., 0]
-    states = np.zeros(inputs.shape[:-2] + (L + 1, m))
+    (..., L+1, m), outputs (..., L, p)). The maps may carry a leading point
+    axis, (P, L, m, m) against inputs (P, W, L, d) (see `mathutil`). Only
+    the transition product is sequential; the injection drive and the
+    readouts are one batched product each, and every product is bit-equal
+    to the loop over maturities of one window."""
+    L, m = transitions.shape[-3], transitions.shape[-2]
+    trans, inj, read = (window_axis(a, 3) for a in (transitions, injections, readouts))
+    drive = (inj @ inputs[..., None])[..., 0]
+    states = np.zeros(drive.shape[:-2] + (L + 1, m))
     for i in range(L):
-        states[..., i + 1, :] = (transitions[i] @ states[..., i, :, None])[..., 0] + drive[..., i, :]
-    outputs = (readouts @ states[..., 1:, :, None])[..., 0]
+        states[..., i + 1, :] = (trans[..., i, :, :] @ states[..., i, :, None])[..., 0] + drive[..., i, :]
+    outputs = (read @ states[..., 1:, :, None])[..., 0]
     return states, outputs
 
 
@@ -118,14 +122,15 @@ def scan_adjoint(transitions: np.ndarray, injections: np.ndarray, readouts: np.n
     (through every later output) and of the inputs. Only the transposed
     transition product is sequential; read^T dy and inj^T dh are one batched
     product each, and every product is bit-equal to the loop of one window."""
-    L = transitions.shape[0]
-    read_dy = (readouts.transpose(0, 2, 1) @ dy[..., None])[..., 0]
+    L = transitions.shape[-3]
+    trans, inj, read = (window_axis(a, 3).swapaxes(-1, -2) for a in (transitions, injections, readouts))
+    read_dy = (read @ dy[..., None])[..., 0]
     dh = np.empty(read_dy.shape)
     dh_next = 0.0
     for i in range(L - 1, -1, -1):
         dh[..., i, :] = read_dy[..., i, :] + dh_next
-        dh_next = (transitions[i].T @ dh[..., i, :, None])[..., 0]
-    return dh, (injections.transpose(0, 2, 1) @ dh[..., None])[..., 0]
+        dh_next = (trans[..., i, :, :] @ dh[..., i, :, None])[..., 0]
+    return dh, (inj @ dh[..., None])[..., 0]
 
 
 def scan_forward(params: OperatorParams, inputs: np.ndarray) -> LatentTrajectory:
@@ -195,7 +200,7 @@ def gate_density(gate_raw: np.ndarray, dk: np.ndarray) -> tuple:
     mass = sp @ dk
     if np.any(mass <= 0.0):
         raise DomainError("degenerate gate row: softplus mass vanished")
-    return sp / mass[:, None], mass, e
+    return sp / mass[..., None], mass, e
 
 
 def gate_density_backward(gate_raw: np.ndarray, dk: np.ndarray, w: np.ndarray, mass: np.ndarray,
@@ -203,8 +208,8 @@ def gate_density_backward(gate_raw: np.ndarray, dk: np.ndarray, w: np.ndarray, m
     """Reverse pass of `gate_density` (whose (w, mass, e) it takes): the
     gradient in gate_raw for dw, the gradient in w, through the
     normalization w_j = sp_j / sum_i sp_i dk_i."""
-    inner = (dw * w).sum(axis=1, keepdims=True)
-    return sigmoid(gate_raw, e) * (dw - inner * dk[None, :]) / mass[:, None]
+    inner = (dw * w).sum(axis=-1, keepdims=True)
+    return sigmoid(gate_raw, e) * (dw - inner * dk) / mass[..., None]
 
 
 def price_functional(w: np.ndarray, payoff: np.ndarray, grid: MarketGrid, ell: int) -> float:

@@ -47,22 +47,27 @@ the fixed primal point, and the one forward at the current point (shared
 with the first primal-descent step) yields every ascent step and the value
 at the ascended multipliers, with the arithmetic of a forward per step.
 
+The forward, the reverse pass, the objective and the clip take an optional
+leading point axis on the primal and duals (see `mathutil`). The step runs
+without it; the gap estimator stacks the states it is given on it and runs
+them as one batch, each point bit-equal to its own unbatched run.
+
 `train` is the one saddle loop: it runs at least one step, stops on
 `stop_test` and records the last logged gap as DualGap. The penalty weights,
 the stopping rule and the solver's inner settings are module constants, not
 `TrainingConfig` fields, so no config can change them.
-No step reads a gap, so the loop runs up to eight steps past the last logged
-gap and shares the gaps with a worker process forked at the start of the loop
-(a fold uses two processes): the worker takes the oldest gaps no process has
-taken, and the loop, when it may not step further, computes the newest one
-itself. Gaps are logged in step order, and the steps past a stop are
-discarded. States, histories and records are byte-identical to running step
-and gap in turn.
+No step reads a gap, so the loop runs up to sixteen steps past the last
+logged gap and leaves every gap to a worker process forked at the start of
+the loop (a fold uses two processes): the worker takes the steps waiting for
+it, up to eight, and computes their gaps as one batch. Gaps are logged in
+step order, and the steps past a stop are discarded. States, histories and
+records are byte-identical to running step and gap in turn.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
@@ -71,17 +76,28 @@ import numpy as np
 
 from .decoder import (
     ArbResiduals,
+    DecodeRows,
     DecoderParams,
     arb_residual_arrays,
     arb_residual_backward,
     decode_backward,
     decode_normalized,
+    decode_rows,
     decode_surface,
     strike_coordinate,
 )
 from .generator import Fold, SyntheticPanel
-from .grids import DomainError, MarketGrid, PriceSurface, coverage_stats, otm_values, parity_puts, strike_spacings
-from .mathutil import softplus
+from .grids import (
+    DomainError,
+    MarketGrid,
+    PriceSurface,
+    coverage_stats,
+    otm_is_put,
+    otm_values,
+    parity_terms,
+    strike_spacings,
+)
+from .mathutil import softplus, window_axis
 from .operator import (
     OperatorParams,
     gate_density,
@@ -175,9 +191,13 @@ class TrainBatch:
     mask: np.ndarray        # (W, L, M) bool
     q_feat: np.ndarray      # normalized OTM quotes for features (W, L, M), 0 at masked
     vix2_obs: np.ndarray    # (W, L)
-    km: np.ndarray          # strike coordinate (M,)
+    decode: DecodeRows      # the decode's fixed inputs for W windows
     strikes: np.ndarray     # (M,)
     dk: np.ndarray          # quadrature spacings (M,)
+    strikes_dk: np.ndarray  # strikes * dk (M,)
+    parity_spot: np.ndarray     # S0 e^{-qT} (L, 1) and
+    parity_strikes: np.ndarray  # e^{-rT} K (L, M): puts = calls - parity_spot + parity_strikes
+    otm_put: np.ndarray     # (L, M) bool: K < F, where the out-of-the-money quote is the put
     dts: np.ndarray         # per-maturity propagation steps (L,)
     forwards: np.ndarray    # (L,)
     vix_coef: np.ndarray    # (L, M): (2 e^{rT}/T) dK / K^2
@@ -201,7 +221,8 @@ class TrainBatch:
 
 def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     """Assemble the static arrays and the stacked window data the loop
-    consumes."""
+    consumes, with every per-batch constant of the forward (the decode's
+    fixed inputs, the parity rows, the out-of-the-money mask) computed once."""
     if not panels:
         raise DomainError("empty batch")
     grid = panels[0].quoted_surface.grid
@@ -230,15 +251,21 @@ def build_batch(panels: list, cfg: TrainingConfig) -> TrainBatch:
     n_obs = int(mask.sum())
     if n_obs == 0:
         raise DomainError("no observed cells in batch")
+    dk = strike_spacings(strikes)
+    parity_spot, parity_strikes = parity_terms(grid)
     return TrainBatch(
         grid=grid,
         cq=calls,
         mask=mask,
         q_feat=otm_values(strikes, forwards, puts, calls),
         vix2_obs=np.array([panel.vix2_observed for panel in panels], dtype=float),
-        km=strike_coordinate(strikes, spot),
+        decode=decode_rows(strike_coordinate(strikes, spot), T, len(panels), cfg.readout_dim + 1),
         strikes=strikes,
-        dk=strike_spacings(strikes),
+        dk=dk,
+        strikes_dk=strikes * dk,
+        parity_spot=parity_spot,
+        parity_strikes=parity_strikes,
+        otm_put=otm_is_put(strikes, forwards),
         dts=grid.time_steps(),
         forwards=forwards,
         vix_coef=np.stack([coef for coef, _ in strip]),
@@ -329,12 +356,18 @@ def _pv_add(a: dict, b: dict, alpha) -> dict:
 
 
 def _clip_gradient(g: dict) -> dict:
-    """Global-norm clip to CLIP_NORM; inactive when the norm is inside the budget."""
-    total = np.sqrt(sum(float((v**2).sum()) for v in g.values()))
-    if total <= CLIP_NORM:
+    """Global-norm clip to CLIP_NORM, one norm per point; inactive where the
+    norm is inside the budget. Each norm adds its block sums from zero in the
+    primal's block order, as a Python `sum` over the blocks would."""
+    points = g["slope_raw"].shape[:-1]
+    total = 0.0
+    for v in g.values():
+        total = total + (v**2).reshape(points + (-1,)).sum(axis=-1)
+    total = np.sqrt(total)
+    if np.all(total <= CLIP_NORM):
         return g
-    scale = CLIP_NORM / total
-    return {k: v * scale for k, v in g.items()}
+    scale = np.where(total <= CLIP_NORM, 1.0, CLIP_NORM / total)
+    return {k: v * scale.reshape(points + (1,) * (v.ndim - len(points))) for k, v in g.items()}
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -399,21 +432,21 @@ def _gate_density(primal: dict, batch: TrainBatch, cfg: TrainingConfig):
     """(w, softplus mass, softplus exponential) of the gate; the ablation's
     uniform density has neither."""
     if not cfg.gate_enabled:
-        L, M = primal["gate_raw"].shape
-        return np.full((L, M), 1.0 / batch.dk.sum()), None, None
+        return np.full(primal["gate_raw"].shape, 1.0 / batch.dk.sum()), None, None
     return gate_density(primal["gate_raw"], batch.dk)
 
 
 def _features(w_den, batch: TrainBatch, cfg: TrainingConfig):
-    """Integrated bin features u (W, L, d) of every window."""
+    """Integrated bin features u (W, L, d) of every window, (P, W, L, d) for
+    a gate with a point axis; the ablation's features have none."""
     if cfg.gate_enabled:
-        omega = w_den * batch.dk * batch.mask
+        omega = window_axis(w_den, 2) * batch.dk * batch.mask
     else:
         raw = batch.dk * batch.mask
         denom = np.maximum(raw.sum(axis=-1, keepdims=True), 1e-300)
         omega = raw / denom
     weighted = omega * batch.q_feat
-    u = np.zeros(batch.mask.shape[:-1] + (cfg.feature_bins,))
+    u = np.zeros(weighted.shape[:-1] + (cfg.feature_bins,))
     np.add.at(u.T, batch.bin_index, weighted.T)
     # fixed input scaling keeps features O(1) so the norm-capped injections
     # can actually transmit them
@@ -422,7 +455,9 @@ def _features(w_den, batch: TrainBatch, cfg: TrainingConfig):
 
 @dataclass
 class ForwardCache:
-    """One forward over every window: the objective parts and what the reverse pass reuses."""
+    """One forward over every window: the objective parts and what the
+    reverse pass reuses. For a primal with a point axis, the values are (P,)
+    arrays and the arrays that depend on the primal gain a leading P axis."""
 
     value: float
     mse: float
@@ -448,28 +483,39 @@ def model_forward(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingCon
                   slices: np.ndarray | None = None) -> ForwardCache:
     """Objective value plus everything the reverse pass reuses; the training
     windows run as one batch through features, scan, decode and stencil, and
-    the residual blocks are averaged over them."""
+    the residual blocks are averaged over them. A primal and duals with a
+    leading point axis run every point at once, each point bit-equal to a
+    call of its own."""
     if slices is None:
         slices = np.arange(batch.n_maturities)
     w_den, gate_mass, gate_exp = _gate_density(primal, batch, cfg)
-    defect = (w_den * batch.strikes[None, :] * batch.dk[None, :]).sum(axis=1) - batch.forwards
+    defect = (w_den * batch.strikes * batch.dk).sum(axis=-1) - batch.forwards
 
     dec = to_decoder_params(primal)
     u = _features(w_den, batch, cfg)
     hs, y = scan_recursion(primal["transitions"], primal["injections"], primal["readouts"], u)
-    cnorm, dec_cache = decode_normalized(dec, batch.km, y, batch.grid.maturities)
+    cnorm, dec_cache = decode_normalized(dec, batch.decode, y)
     diff = (cnorm - batch.cq) * batch.mask
     res = arb_residual_arrays(cnorm, batch.strikes, 1.0)
-    # replication residual: observed minus the strip variance of the decoded surfaces
+    # replication residual: observed minus the strip variance of the decoded
+    # surfaces, whose out-of-the-money puts follow by parity
     calls = batch.grid.spot * cnorm
-    q = otm_values(batch.strikes, batch.forwards, parity_puts(batch.grid, calls), calls)
+    q = np.where(batch.otm_put, calls - batch.parity_spot + batch.parity_strikes, calls)
     vix_resid = batch.vix2_obs - ((batch.vix_coef * q).sum(axis=-1) - batch.vix_adj)
     W = batch.n_windows
-    fw = ForwardCache(0.0, float((diff**2).sum()) / batch.n_obs, w_den, defect, np.abs(defect) / batch.forwards,
-                      res.flatten().sum(axis=0) / W, (batch.vix_weights * vix_resid**2).sum(axis=0) / W,
+    sq = diff**2
+    fw = ForwardCache(0.0, sq.reshape(sq.shape[:-3] + (-1,)).sum(axis=-1) / batch.n_obs, w_den, defect,
+                      np.abs(defect) / batch.forwards, res.flatten().sum(axis=-2) / W,
+                      (batch.vix_weights * vix_resid**2).sum(axis=-2) / W,
                       u, hs, cnorm, diff, res, vix_resid, dec_cache, slices, gate_mass, gate_exp, dec)
     fw.value = _objective_value(fw, duals)
     return fw
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis, one per point: the BLAS dot that
+    `a @ b` takes on two vectors."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _dual_terms(fw: ForwardCache, duals: dict) -> tuple:
@@ -477,29 +523,31 @@ def _dual_terms(fw: ForwardCache, duals: dict) -> tuple:
     from the residuals of a forward pass."""
     s = fw.slices
     return (
-        float(duals["na"] @ fw.r_na),
-        GAMMA * float(duals["mart"][s] @ fw.mres[s]),
-        XI * float(duals["vix"] @ fw.r_vix),
+        _dot(duals["na"], fw.r_na),
+        GAMMA * _dot(duals["mart"][..., s], fw.mres[..., s]),
+        XI * _dot(duals["vix"], fw.r_vix),
     )
 
 
-def _objective_value(fw: ForwardCache, duals: dict) -> float:
-    """Objective at the duals given, from the residuals of a forward pass.
+def _objective_value(fw: ForwardCache, duals: dict):
+    """Objective at the duals given, from the residuals of a forward pass;
+    one value per point.
 
     The objective is linear in the duals, so one forward serves any duals at
     the same primal point; every objective value is summed here, in one
     operand order, so values computed either way agree bit for bit.
     """
     na, mart, vix = _dual_terms(fw, duals)
-    value = fw.mse + na + mart + vix + BETA_NOV * float(np.mean(fw.mres[fw.slices] ** 2))
-    if not np.isfinite(value):
-        raise TrainingDivergence(f"non-finite objective ({value})")
+    value = fw.mse + na + mart + vix + BETA_NOV * np.mean(fw.mres[..., fw.slices] ** 2, axis=-1)
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        raise TrainingDivergence(f"non-finite objective ({np.extract(~finite, value)[0]})")
     return value
 
 
 def dual_gradient(fw: ForwardCache) -> dict:
-    g_mart = np.zeros(len(fw.mres))
-    g_mart[fw.slices] = GAMMA * fw.mres[fw.slices]
+    g_mart = np.zeros(fw.mres.shape)
+    g_mart[..., fw.slices] = GAMMA * fw.mres[..., fw.slices]
     return {"na": fw.r_na, "mart": g_mart, "vix": XI * fw.r_vix}
 
 
@@ -522,23 +570,20 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     """Analytic reverse pass over the forward cache: the objective heads,
     then `decode_backward`, `scan_adjoint`, the feature integration and
     `gate_density_backward`, every window at once; the weight gradients sum
-    over the windows."""
-    L = batch.n_maturities
+    over the windows, each point's over its own."""
     W = batch.n_windows
+    s = fw.slices
     grads = dict.fromkeys(primal)  # the primal's block order, which the clip norm sums in
 
     # martingale and roughness-penalty paths (gate only)
-    coef = np.zeros(L)
-    coef[fw.slices] = (
-        GAMMA * duals["mart"][fw.slices]
-        + 2.0 * BETA_NOV * fw.mres[fw.slices] / len(fw.slices)
-    )
-    dw_den = (coef * np.sign(fw.defect) / batch.forwards)[:, None] * (batch.strikes * batch.dk)[None, :]
+    coef = np.zeros(fw.mres.shape)
+    coef[..., s] = GAMMA * duals["mart"][..., s] + 2.0 * BETA_NOV * fw.mres[..., s] / len(s)
+    dw_den = (coef * np.sign(fw.defect) / batch.forwards)[..., None] * batch.strikes_dk
 
     dcnorm = 2.0 * fw.diff / batch.n_obs
     dcnorm += arb_residual_backward(fw.res, duals["na"], fw.cnorm, batch.strikes, 1.0, 1.0 / W)
     # squared-residual head: R = obs - v2m, v2m linear in spot * cnorm
-    dv2m = -(XI / W) * duals["vix"] * batch.vix_weights * 2.0 * fw.vix_resid
+    dv2m = -(XI / W) * window_axis(duals["vix"], 1) * batch.vix_weights * 2.0 * fw.vix_resid
     dcnorm += dv2m[..., None] * batch.vix_coef * batch.grid.spot
     g_dec, dy = decode_backward(fw.dec, fw.dec_cache, dcnorm)
     grads["slope_raw"] = g_dec["maturity_slope_raw"]
@@ -548,15 +593,15 @@ def primal_gradient(primal: dict, duals: dict, batch: TrainBatch, cfg: TrainingC
     # the weight gradients are outer products, formed for all windows and
     # maturities at once
     dh, du = scan_adjoint(primal["transitions"], primal["injections"], primal["readouts"], dy)
-    grads["readouts"] = (dy[..., None] * fw.hs[:, 1:, None, :]).sum(axis=0)
-    grads["transitions"] = (dh[..., None] * fw.hs[:, :-1, None, :]).sum(axis=0)
-    grads["injections"] = (dh[..., None] * fw.u[:, :, None, :]).sum(axis=0)
+    grads["readouts"] = (dy[..., None] * fw.hs[..., 1:, None, :]).sum(axis=-4)
+    grads["transitions"] = (dh[..., None] * fw.hs[..., :-1, None, :]).sum(axis=-4)
+    grads["injections"] = (dh[..., None] * fw.u[..., None, :]).sum(axis=-4)
 
     # a disabled (uniform) gate has no parameter path
     if cfg.gate_enabled:
         # gated feature integration: u = FEATURE_SCALE * bin sums of w * dk * mask * q
         dw_den += (FEATURE_SCALE * du[..., batch.bin_index] * batch.q_feat * batch.dk
-                   * batch.mask).sum(axis=0)
+                   * batch.mask).sum(axis=-3)
         grads["gate_raw"] = gate_density_backward(primal["gate_raw"], batch.dk, fw.w_den, fw.gate_mass,
                                                   fw.gate_exp, dw_den)
     else:
@@ -676,23 +721,56 @@ def extragradient_step(state: SaddleState, batch: TrainBatch, cfg: TrainingConfi
 
 
 def _saddle_gap(x: dict, y: dict, value, grad_x, grad_y, project_x, project_y, k: int,
-                eta_x: float, eta_y: float) -> float:
+                eta_x: float, eta_y: float):
     """Model-free saddle gap at (x, y): the value after k projected ascent
     steps in y at x, minus the value after k projected descent steps in x at
-    y. `grad_x` is a descent direction, `grad_y` an ascent direction."""
+    y. `grad_x` is a descent direction, `grad_y` an ascent direction. On
+    points with a leading point axis it is one gap per point."""
     x_k, y_k = x, y
     for _ in range(k):
         y_k = project_y(_pv_add(y_k, grad_y(x, y_k), eta_y))
     sup_val = value(x, y_k)
     for _ in range(k):
         x_k = project_x(_pv_add(x_k, grad_x(x_k, y), -eta_x))
-    return float(sup_val - value(x_k, y))
+    return sup_val - value(x_k, y)
 
 
-def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
-    """`_saddle_gap` of the model on a held-out batch (all maturities), with
-    K_INNER steps of cfg.step_primal and cfg.step_dual, the convex-path
-    clamp as the primal projection and the multipliers clipped at zero.
+def _stacked_gaps(states: list, heldout: TrainBatch) -> np.ndarray:
+    """`_saddle_gap` of the model at the states of one run, stacked on a
+    point axis: one array of gaps, or the first exception any point raised."""
+    cfg = states[0].cfg
+    primal, duals = ({k: np.stack([getattr(s, part)[k] for s in states]) for k in getattr(states[0], part)}
+                     for part in ("primal", "duals"))
+    last = [None, None]  # the latest primal point and its forward
+
+    def forward(point):
+        if last[0] is not point:
+            last[:] = point, model_forward(point, duals, heldout, cfg)
+        return last[1]
+
+    def clamp(point):
+        for key in CONVEX_MAPS:
+            np.maximum(point[key], 0.0, out=point[key])
+        return point
+
+    return _saddle_gap(
+        primal, duals,
+        lambda point, y: _objective_value(forward(point), y),
+        lambda point, y: _descent(point, y, heldout, cfg, forward(point)),
+        lambda point, y: dual_gradient(forward(point)),
+        clamp, _nonnegative, K_INNER, cfg.step_primal, cfg.step_dual)
+
+
+def empirical_gap_from_state(states: list, heldout: TrainBatch) -> list:
+    """`_saddle_gap` of the model on a held-out batch (all maturities) at
+    each of the states of one run, with K_INNER steps of cfg.step_primal and
+    cfg.step_dual, the convex-path clamp as the primal projection and the
+    multipliers clipped at zero. Returns one entry per state: its gap, or
+    the exception its estimator raised.
+
+    The states run as one batch on a point axis, each bit-equal to running
+    it alone. If the batch raises, each state is redone alone, so every
+    state gets exactly its own gap or its own exception.
 
     The dual half needs no forward of its own: the dual gradient is the
     residual vector, which depends on the primal point only, and the
@@ -702,25 +780,20 @@ def empirical_gap_from_state(state: SaddleState, heldout: TrainBatch) -> float:
     one forward per primal point, so a call runs k + 1 forwards and k reverse
     passes, with the same arithmetic as evaluating each step anew.
     """
-    cfg = state.cfg
-    last = [None, None]  # the latest primal point and its forward
+    if len(states) > 1:
+        try:
+            return [float(gap) for gap in _stacked_gaps(states, heldout)]
+        except Exception:  # some state raised: each is redone alone
+            pass
+    return [_gap_alone(state, heldout) for state in states]
 
-    def forward(primal):
-        if last[0] is not primal:
-            last[:] = primal, model_forward(primal, state.duals, heldout, cfg)
-        return last[1]
 
-    def clamp(primal):
-        for key in CONVEX_MAPS:
-            np.maximum(primal[key], 0.0, out=primal[key])
-        return primal
-
-    return _saddle_gap(
-        state.primal, state.duals,
-        lambda primal, duals: _objective_value(forward(primal), duals),
-        lambda primal, duals: _descent(primal, duals, heldout, cfg, forward(primal)),
-        lambda primal, duals: dual_gradient(forward(primal)),
-        clamp, _nonnegative, K_INNER, cfg.step_primal, cfg.step_dual)
+def _gap_alone(state: SaddleState, heldout: TrainBatch):
+    """The gap of one state, or the exception its estimator raised."""
+    try:
+        return float(_stacked_gaps([state], heldout)[0])
+    except Exception as err:
+        return err
 
 
 # --- stopping ----------------------------------------------------------------
@@ -784,8 +857,8 @@ def decode_window(primal: dict, panel: SyntheticPanel, cfg: TrainingConfig) -> P
     return decode_surface(to_decoder_params(primal), trajectory, grid)
 
 
-_LEAD = 8  # most steps the loop runs ahead of the last logged gap
-_QUEUE = 3  # most gaps the worker owes: one it computes, two waiting, so it never idles on a busy loop
+_LEAD = 16  # most steps the loop runs ahead of the last logged gap
+_QUEUE = 8  # most gaps the worker computes as one batch
 
 
 def _first_forward(fw: ForwardCache, duals: dict) -> tuple:
@@ -799,26 +872,26 @@ def _first_forward(fw: ForwardCache, duals: dict) -> tuple:
 class _Pending:
     """A step taken past the last logged gap: its state, `_first_forward` of
     it, and its gap once known (a float, or the exception the estimator
-    raised); `owed` while the worker holds it."""
+    raised)."""
 
     state: SaddleState
     first: tuple
     gap: float | Exception | None = None
-    owed: bool = False
 
 
 class _GapWorker:
-    """A forked process that computes held-out gaps in the order it is handed
-    them: `feed` hands it the oldest gaps no process has taken, up to
-    `_QUEUE` at a time, `collect` stores the gaps it has returned without
-    waiting, and `wait` waits for the oldest gap it owes, raising an error
-    naming that step if the worker died.
+    """A forked process that computes the held-out gaps of the loop's steps:
+    `feed` hands it every step it does not owe yet, `collect` stores the gaps
+    it has returned without waiting, and `wait` waits for the oldest gap it
+    owes, raising an error naming that step if the worker died. The worker
+    takes the steps waiting on its pipe, up to `_QUEUE`, and answers them as
+    one `empirical_gap_from_state` batch, in step order.
 
     Fork gives the child the held-out batch and cfg without pickling them,
     and the module attributes as they are when `train` starts. The child
     closes its inherited copy of the parent's end, so closing that end (or
     the parent dying) reaches it as EOF and it exits; a worker that dies
-    reaches the parent as EOF after its last result."""
+    reaches the parent as EOF after its last batch."""
 
     def __init__(self, heldout: TrainBatch, cfg: TrainingConfig):
         ctx = multiprocessing.get_context("fork")
@@ -833,25 +906,25 @@ class _GapWorker:
         self.dead = False  # EOF read: no further gap will come
 
     def feed(self, ahead) -> None:
-        for pending in ahead:
-            if len(self.owed) >= _QUEUE:
-                return
-            if pending.gap is None and not pending.owed:
-                pending.owed = True
-                self.owed.append(pending)
-                try:
-                    self._conn.send((pending.state.step, pending.state.primal, pending.state.duals))
-                except OSError:  # the worker died: its gaps are read up to EOF, then `wait` raises
-                    pass
+        """`ahead` starts with the steps the worker owes, in order; the steps
+        after them are handed over in one message."""
+        new = list(itertools.islice(ahead, len(self.owed), None))
+        if not new:
+            return
+        self.owed.extend(new)
+        try:
+            self._conn.send([(p.state.step, p.state.primal, p.state.duals) for p in new])
+        except OSError:  # the worker died: its gaps are read up to EOF, then `wait` raises
+            pass
 
     def _receive(self) -> None:
         try:
-            gap = self._conn.recv()
+            gaps = self._conn.recv()
         except (EOFError, ConnectionResetError):  # reset: it died with a task unread
             self.dead = True
             return
-        pending = self.owed.popleft()
-        pending.gap, pending.owed = gap, False
+        for gap in gaps:
+            self.owed.popleft().gap = gap
 
     def collect(self) -> None:
         while self.owed and not self.dead and self._conn.poll():
@@ -867,38 +940,40 @@ class _GapWorker:
 
     def close(self) -> None:
         self._conn.close()
-        if self.owed:  # left mid-gap by a stop or an error: its results are not wanted
+        if self.owed:  # left mid-batch by a stop or an error: its results are not wanted
             self._proc.terminate()
         self._proc.join()
 
 
 def _gap_worker(conn, parent_end, heldout: TrainBatch, cfg: TrainingConfig) -> None:
     parent_end.close()
+    tasks = []  # (step, primal, duals) received and not yet computed, in step order
     while True:
         try:
-            step, primal, duals = conn.recv()
+            if not tasks:
+                tasks += conn.recv()
+            while len(tasks) < _QUEUE and conn.poll():  # the steps waiting join the batch
+                tasks += conn.recv()
         except EOFError:  # the loop closed its end: no more steps
             return
-        try:
-            reply = empirical_gap_from_state(SaddleState(primal, duals, cfg, step), heldout)
-        except Exception as err:  # the loop raises it at the step's turn
-            reply = err
-        conn.send(reply)
+        batch, tasks = tasks[:_QUEUE], tasks[_QUEUE:]
+        conn.send(empirical_gap_from_state([SaddleState(primal, duals, cfg, step) for step, primal, duals in batch],
+                                           heldout))
 
 
 def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                  cfg: TrainingConfig):
     """Extragradient steps until `stop_test` holds or cfg.max_steps, the
-    held-out gaps shared between this process and a `_GapWorker`.
+    held-out gaps computed by a `_GapWorker`.
 
     No step reads a gap, so the loop runs up to `_LEAD` steps past the last
-    logged gap, each on a copy of the state before it. The worker takes the
-    oldest gaps no process has taken; when the loop cannot step, it computes
-    the newest such gap itself. Gaps are logged strictly in step order. A
-    stop discards every step past it, and a divergence of a step or of a
-    gap, or a dead worker, is raised at that step's turn with that step's
-    state, as a loop running step and gap in turn would. Returns (state,
-    `_first_forward` of the last logged step)."""
+    logged gap, each on a copy of the state before it, and hands the worker
+    the oldest gaps it does not owe; when the loop cannot step, it waits
+    for the worker. Gaps are logged strictly in step order. A stop discards
+    every step past it, and a divergence of a step or of a gap, or a dead
+    worker, is raised at that step's turn with that step's state, as a loop
+    running step and gap in turn would. Returns (state, `_first_forward` of
+    the last logged step)."""
     rng = np.random.default_rng(cfg.seed + 1)
     hist = state.history
     t0 = time.perf_counter()
@@ -922,7 +997,6 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                     hist.stopped_at = state.step
                     return state, first
             gaps.feed(ahead)
-            free = [pending for pending in ahead if pending.gap is None and not pending.owed]
             if error is None and last.step < cfg.max_steps and len(ahead) < _LEAD:
                 nxt = replace(last, guard=replace(last.guard))
                 try:
@@ -931,12 +1005,7 @@ def _saddle_loop(state: SaddleState, batch: TrainBatch, heldout: TrainBatch,
                 except Exception as err:  # raised only if no gap before it stops the run
                     error = err
                 last = nxt
-            elif free:
-                try:
-                    free[-1].gap = empirical_gap_from_state(free[-1].state, heldout)
-                except Exception as err:  # raised at the step's turn
-                    free[-1].gap = err
-            elif ahead:  # every gap not yet known is owed, the oldest first
+            elif ahead:  # the worker owes the oldest gap
                 gaps.wait()
             elif error is not None:
                 state = last
@@ -956,14 +1025,15 @@ def train(cfg: TrainingConfig, data: FoldData):
     and `cli.run_fold` fills in NAS, CNAS, Stability and the OOS fields.
 
     Stops at the first step where `stop_test` holds on the logged pairs, or
-    after cfg.max_steps (at least 1). The loop runs up to eight steps ahead
-    and shares the held-out gaps with a forked worker process, so a fold uses
-    two processes; when the rule stops the run, the steps taken past it are
-    discarded. The state and record are those of running step and gap in
-    turn. The record's Lipschitz surrogate is computed once, after the loop,
-    for the last safety pass kept (`SaddleState.pre_pass` and the state's
-    primal). Deterministic given cfg.seed. Divergence raises
-    TrainingDivergence with the last valid state attached.
+    after cfg.max_steps (at least 1). The loop runs up to `_LEAD` steps ahead
+    and a forked worker process computes every held-out gap, in batches of
+    the steps waiting for it, so a fold uses two processes; when the rule
+    stops the run, the steps taken past it are discarded. The state and
+    record are those of running step and gap in turn. The record's
+    Lipschitz surrogate is computed once, after the loop, for the last
+    safety pass kept (`SaddleState.pre_pass` and the state's primal).
+    Deterministic given cfg.seed. Divergence raises TrainingDivergence with
+    the last valid state attached.
     """
     panels = list(data.train_panels)
     cover = coverage_stats([p.quoted_surface for p in panels + [data.val_panel]])

@@ -290,8 +290,8 @@ def stepwise_gap(state, heldout):
 
 
 def serial_saddle_loop(state, batch, heldout, cfg):
-    """The saddle loop with the held-out gap computed in turn after each
-    step, in this process; same signature and result as
+    """The saddle loop with the held-out gap of each step computed alone, in
+    turn after the step, in this process; same signature and result as
     `training._saddle_loop`. The gap estimator is looked up on the module at
     each call, so a test that patches it patches this loop too."""
     import time
@@ -306,7 +306,9 @@ def serial_saddle_loop(state, batch, heldout, cfg):
         for _ in range(cfg.max_steps):
             duals = state.duals
             fw = training.extragradient_step(state, batch, cfg, rng)
-            gap = training.empirical_gap_from_state(state, heldout)
+            gap, = training.empirical_gap_from_state([state], heldout)
+            if isinstance(gap, Exception):
+                raise gap
             delta_gap = abs(gap - hist.gap[-1]) if hist.gap else float("inf")
             hist.gap.append(gap)
             hist.stop_pairs.append((delta_gap, training.dual_residual_norm(fw)))

@@ -4,6 +4,7 @@ import signal
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,9 +140,9 @@ class TestWindowBatch:
             rows["forward"].append(len(k))
             return forward(params, k, context)
 
-        def counted_backward(params, cache, dphi):
+        def counted_backward(params, cache, dphi, **kw):
             rows["backward"].append(len(dphi))
-            return backward(params, cache, dphi)
+            return backward(params, cache, dphi, **kw)
 
         monkeypatch.setattr(decoder, "icnn_forward", counted_forward)
         monkeypatch.setattr(decoder, "icnn_backward", counted_backward)
@@ -572,17 +573,17 @@ class TestGapEstimator:
         rng = np.random.default_rng(8)
         for _ in range(30):
             extragradient_step(state, batch, cfg, rng)
-            assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
+            assert empirical_gap_from_state([state], heldout) == [stepwise_gap(state, heldout)]
         for k in (1, 3):
             monkeypatch.setattr(training, "K_INNER", k)
-            assert empirical_gap_from_state(state, heldout) == stepwise_gap(state, heldout)
+            assert empirical_gap_from_state([state], heldout) == [stepwise_gap(state, heldout)]
 
     @pytest.mark.parametrize("k_inner", [1, 5])
     def test_forwards_per_call(self, k_inner, monkeypatch):
         monkeypatch.setattr(training, "K_INNER", k_inner)
         cfg, batch, state = tiny_state()
         calls = count_calls(monkeypatch, "model_forward", "primal_gradient")
-        empirical_gap_from_state(state, batch)
+        empirical_gap_from_state([state], batch)
         assert calls == {"model_forward": k_inner + 1, "primal_gradient": k_inner}
 
     def test_gap_leaves_state_untouched(self):
@@ -590,11 +591,108 @@ class TestGapEstimator:
         extragradient_step(state, batch, cfg, np.random.default_rng(9))
         primal = {k: v.copy() for k, v in state.primal.items()}
         duals = {k: v.copy() for k, v in state.duals.items()}
-        empirical_gap_from_state(state, batch)
+        empirical_gap_from_state([state], batch)
         for k in primal:
             assert np.array_equal(state.primal[k], primal[k])
         for k in duals:
             assert np.array_equal(state.duals[k], duals[k])
+
+
+class TestBatchedGap:
+    """`empirical_gap_from_state` runs the states it is given as one batch on
+    a point axis; each state's gap equals its own one-state gap bit for bit,
+    and a state that fails gets its own exception without touching the
+    others' gaps. The unbatched forward and reverse pass the step runs keep
+    the bits they had before the point axis existed."""
+
+    SHAPES = {
+        "smoke": (dict(n_maturities=6, n_strikes=11), dict(rank=4, width=8, feature_bins=6, readout_dim=4)),
+        "desk": (dict(n_maturities=12, n_strikes=25, maturity_range=(0.25, 2.0)),
+                 dict(rank=8, width=16, feature_bins=8, readout_dim=4)),
+        "four": (dict(n_maturities=4, n_strikes=7, maturity_range=(0.25, 1.0)),
+                 dict(rank=3, width=6, feature_bins=4, readout_dim=2)),
+    }
+
+    @classmethod
+    def _states(cls, shape, n=8):
+        panel_kw, cfg_kw = cls.SHAPES[shape]
+        cfg = tiny_cfg(**cfg_kw)
+        batch = build_batch([tiny_panel(seed=3 + i, **panel_kw) for i in range(2)], cfg)
+        heldout = build_batch([tiny_panel(seed=7, **panel_kw)], cfg)
+        state = init_state(cfg, batch)
+        rng = np.random.default_rng(2)
+        states = []
+        for _ in range(n):
+            extragradient_step(state, batch, cfg, rng)
+            states.append(replace(state, primal=dict(state.primal), duals=dict(state.duals)))
+        return states, heldout
+
+    @pytest.mark.parametrize("shape", ["smoke", "desk", "four"])
+    def test_batched_gaps_equal_one_state_gaps(self, shape):
+        states, heldout = self._states(shape)
+        alone = [empirical_gap_from_state([state], heldout)[0] for state in states]
+        assert all(isinstance(gap, float) for gap in alone)
+        for size in range(1, len(states) + 1):
+            for start in range(len(states) - size + 1):
+                assert empirical_gap_from_state(states[start:start + size], heldout) == alone[start:start + size]
+
+    def test_failing_states_get_their_own_exceptions(self):
+        states, heldout = self._states("smoke", n=5)
+        alone = [empirical_gap_from_state([state], heldout)[0] for state in states]
+        states[1] = replace(states[1], duals={k: np.full_like(v, np.inf) for k, v in states[1].duals.items()})
+        states[3] = replace(states[3], primal={**states[3].primal,
+                                                "gate_raw": np.full_like(states[3].primal["gate_raw"], -1e6)})
+        with np.errstate(all="ignore"):
+            gaps = empirical_gap_from_state(states, heldout)
+            own = [empirical_gap_from_state([state], heldout)[0] for state in (states[1], states[3])]
+        assert [gaps[i] for i in (0, 2, 4)] == [alone[i] for i in (0, 2, 4)]
+        assert isinstance(gaps[1], TrainingDivergence) and str(gaps[1]).startswith("non-finite objective")
+        assert isinstance(gaps[3], DomainError) and str(gaps[3]) == "degenerate gate row: softplus mass vanished"
+        assert [(type(e), str(e)) for e in own] == [(type(gaps[i]), str(gaps[i])) for i in (1, 3)]
+
+    # sha256 prefixes of the forward's and the reverse pass's arrays on the
+    # tiny fold after three steps, taken before the kernels had a point axis
+    TODAY = {1: ("45598c679175b690", "0b9a4c87eeba5e93"), 2: ("234ea4ec4fc26c98", "a0142fb0d06b4a4f")}
+
+    @pytest.mark.parametrize("n_windows", [1, 2])
+    def test_unbatched_forward_and_gradient_keep_their_bits(self, n_windows):
+        import hashlib
+
+        def digest(arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            return h.hexdigest()[:16]
+
+        cfg = tiny_cfg()
+        batch = build_batch([tiny_panel(seed=3 + i) for i in range(n_windows)], cfg)
+        state = init_state(cfg, batch)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            extragradient_step(state, batch, cfg, rng)
+        fw = model_forward(state.primal, state.duals, batch, cfg, np.array([0, 2]))
+        g = primal_gradient(state.primal, state.duals, batch, cfg, fw)
+        got = (digest([fw.value, fw.mse, fw.r_na, fw.r_vix, fw.mres, fw.u, fw.hs, fw.cnorm, fw.vix_resid]),
+               digest(list(g.values())))
+        assert got == self.TODAY[n_windows]
+
+    @pytest.mark.parametrize("n_points", [1, 3])
+    def test_each_point_of_a_batched_forward_equals_its_own_call(self, n_points):
+        states, _ = self._states("smoke", n=n_points)
+        cfg, slices = states[0].cfg, np.array([0, 2, 5])
+        batch = build_batch([tiny_panel(seed=3 + i, **self.SHAPES["smoke"][0]) for i in range(2)], cfg)
+        primal, duals = ({k: np.stack([getattr(s, part)[k] for s in states]) for k in getattr(states[0], part)}
+                         for part in ("primal", "duals"))
+        fw = model_forward(primal, duals, batch, cfg, slices)
+        g = primal_gradient(primal, duals, batch, cfg, fw)
+        for p, state in enumerate(states):
+            one = model_forward(state.primal, state.duals, batch, cfg, slices)
+            g_one = primal_gradient(state.primal, state.duals, batch, cfg, one)
+            assert fw.value[p] == one.value and fw.mse[p] == one.mse
+            for name in ("r_na", "r_vix", "mres", "u", "hs", "cnorm", "vix_resid"):
+                assert np.array_equal(getattr(fw, name)[p], getattr(one, name)), name
+            for k in g:
+                assert np.array_equal(g[k][p], g_one[k]), k
 
 
 class TestStopTest:
@@ -746,7 +844,7 @@ class TestTrainLoop:
         data = self._data()
         state, run = train(cfg, data)
         heldout = build_batch([data.val_panel], cfg)
-        assert run.DualGap == empirical_gap_from_state(state, heldout) == state.history.gap[-1]
+        assert [run.DualGap] == empirical_gap_from_state([state], heldout) == state.history.gap[-1:]
 
     def test_ratio_log_at_duals_of_its_forward(self, monkeypatch):
         # the record's ratio_log compares the pricing loss of the last step's
@@ -794,10 +892,11 @@ def deadline(seconds):
 
 
 class TestPipelinedLoop:
-    """`train` shares the held-out gaps between the loop and one worker
-    process while the loop runs steps ahead; its states, histories and
-    records equal those of the serial loop in `oracles.serial_saddle_loop`,
-    on every way a run ends and whichever process computes each gap."""
+    """`train` leaves every held-out gap to one worker process, which
+    computes the steps waiting for it as one batch, while the loop runs
+    steps ahead; its states, histories and records equal those of the
+    serial loop in `oracles.serial_saddle_loop`, on every way a run ends and
+    however the gaps fall into batches."""
 
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
@@ -872,37 +971,40 @@ class TestPipelinedLoop:
 
     @staticmethod
     def _patch_gap(monkeypatch, on_call, log=None):
-        """Replace the gap estimator by one that runs `on_call(state)` and
-        then returns the true gap; fork carries the patch into the worker.
-        With a `log` path, each call first appends "<pid> <step>" to it."""
+        """Wrap the gap estimator: `on_call(state)` runs for each state of a
+        batch (it may sleep or exit) and, when it returns True, plants a
+        divergence of that state's gap (non-finite duals make its objective
+        NaN); the batch then runs through the true estimator. Fork carries the
+        patch into the worker. With a `log` path, each batch first appends
+        "<pid> <step> <step> ..." to it."""
         true_gap = training.empirical_gap_from_state
 
-        def gap(state, heldout):
+        def gap(states, heldout):
             if log is not None:
                 with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()} {state.step}\n")
-            on_call(state)
-            return true_gap(state, heldout)
+                    fh.write(" ".join(map(str, [os.getpid()] + [state.step for state in states])) + "\n")
+            planted = [replace(state, duals={k: np.full_like(v, np.nan) for k, v in state.duals.items()})
+                       if on_call(state) else state for state in states]
+            return true_gap(planted, heldout)
 
         monkeypatch.setattr(training, "empirical_gap_from_state", gap)
 
     @staticmethod
-    def _gap_calls(log):
-        """(pid, step) of every gap call that `_patch_gap` logged."""
-        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    def _gap_batches(log):
+        """(pid, steps) of every batch that `_patch_gap` logged."""
+        return [(int(line.split()[0]), [int(step) for step in line.split()[1:]])
+                for line in log.read_text().splitlines()]
+
+    PLANTED = "non-finite objective (nan)"
 
     def test_gap_divergence_reraised_with_state_of_its_step(self, monkeypatch):
-        def diverge(state):
-            if state.step == 3:
-                raise TrainingDivergence("planted gap divergence")
-
         cfg = tiny_cfg(max_steps=10)
         data = self._data()
-        self._patch_gap(monkeypatch, diverge)
+        self._patch_gap(monkeypatch, lambda state: state.step == 3)
         runs = [self._train(cfg, data, monkeypatch, serial=serial) for serial in (False, True)]
         self._assert_same(*runs)
         state, message = runs[0]
-        assert message == "planted gap divergence"
+        assert message == self.PLANTED
         assert state.step == 3 and len(state.history.gap) == 2
 
     def test_divergence_of_step_ahead_dropped_when_rule_stops(self, monkeypatch):
@@ -916,7 +1018,7 @@ class TestPipelinedLoop:
             return step(state, *args)
 
         monkeypatch.setattr(training, "extragradient_step", diverging_step)
-        monkeypatch.setattr(training, "empirical_gap_from_state", lambda state, heldout: 0.0)
+        monkeypatch.setattr(training, "empirical_gap_from_state", lambda states, heldout: [0.0] * len(states))
         data = self._data()
         for patience, stopped_at in ((3, 4), (10, None)):
             loose_stop(monkeypatch, patience)
@@ -929,18 +1031,21 @@ class TestPipelinedLoop:
                 assert outcome == "planted step divergence"
 
     def test_dead_worker_raises_naming_the_step(self, monkeypatch, tmp_path):
-        test_pid, owed = os.getpid(), tmp_path / "owed"
+        """The worker dies in a batch that holds step 2 or a later one; the
+        error names the oldest step it owes, the first of that batch."""
+        test_pid, owed, true_gap = os.getpid(), tmp_path / "owed", training.empirical_gap_from_state
 
-        def die(state):
-            if os.getpid() != test_pid and state.step >= 2:
-                owed.write_text(str(state.step))
+        def die(states, heldout):
+            if os.getpid() != test_pid and states[-1].step >= 2:
+                owed.write_text(str(states[0].step))
                 os._exit(7)
+            return true_gap(states, heldout)
 
-        self._patch_gap(monkeypatch, die)
+        monkeypatch.setattr(training, "empirical_gap_from_state", die)
         start = time.perf_counter()
         with deadline(60), pytest.raises(RuntimeError) as err:
             train(tiny_cfg(max_steps=10), self._data())
-        assert int(owed.read_text()) >= 2
+        assert int(owed.read_text()) >= 1
         assert str(err.value) == ("gap worker exited with code 7 before returning the held-out gap "
                                   f"of step {owed.read_text()}")
         assert time.perf_counter() - start < 30
@@ -950,9 +1055,10 @@ class TestPipelinedLoop:
     @pytest.mark.parametrize("end", ["rule", "max_steps", "step_divergence", "gap_divergence"])
     @pytest.mark.parametrize("slow", ["worker", "loop"])
     def test_scheduling_extremes_equal_serial(self, slow, end, monkeypatch, tmp_path):
-        """A slow worker leaves gaps to the loop; slow steps leave every gap
-        to the worker. Either way the run equals the serial loop, on each way
-        a run ends."""
+        """A slow worker finds many steps waiting and computes them as one
+        batch; slow steps leave it one step at a time. Either way every gap is
+        computed once, in the worker, and the run equals the serial loop, on
+        each way a run ends."""
         test_pid, true_step = os.getpid(), training.extragradient_step
         cfg = tiny_cfg(max_steps={"rule": 40, "max_steps": 7}.get(end, 10))
         if end == "rule":
@@ -968,90 +1074,81 @@ class TestPipelinedLoop:
         def on_gap(state):
             if slow == "worker" and os.getpid() != test_pid:
                 time.sleep(self.SLOW)
-            if end == "gap_divergence" and state.step == 3:
-                raise TrainingDivergence("planted gap divergence")
+            return end == "gap_divergence" and state.step == 3
 
         log, data = tmp_path / "gaps", self._data()
         monkeypatch.setattr(training, "extragradient_step", step)
         self._patch_gap(monkeypatch, on_gap, log)
         piped = self._train(cfg, data, monkeypatch)
-        pids = {pid for pid, _ in self._gap_calls(log)}
+        batches = self._gap_batches(log)
         self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
         state, outcome = piped
         steps, gaps, stopped_at, message = {
             "rule": (6, 6, 6, None),
             "max_steps": (7, 7, None, None),
             "step_divergence": (4, 4, None, "planted step divergence"),
-            "gap_divergence": (3, 2, None, "planted gap divergence"),
+            "gap_divergence": (3, 2, None, self.PLANTED),
         }[end]
         assert (state.step, len(state.history.gap), state.history.stopped_at) == (steps, gaps, stopped_at)
         if message is not None:
             assert outcome == message
-        if slow == "worker":
-            assert len(pids) == 2 and test_pid in pids
-        else:
-            assert len(pids) == 1 and test_pid not in pids
+        # every gap of a logged step, and none twice, in the worker alone
+        worker = [step for pid, batch in batches if pid != test_pid for step in batch]
+        assert all(pid != test_pid for pid, _ in batches) and len(set(worker)) == len(worker)
+        assert set(range(1, gaps + 1)) <= set(worker)
+        if slow == "worker":  # the loop runs ahead while the worker sleeps on its first batch
+            assert max(len(batch) for _, batch in batches) > 1
 
-    def test_loop_gap_divergence_past_a_stop_dropped(self, monkeypatch, tmp_path):
-        """Gap 4 stops the run (patience 3, loose thresholds) while the worker
-        still computes it; meanwhile the loop, four steps ahead and unable to
-        step further, computes gap 6 (the worker owing gaps 4 and 5), which
-        diverges. The divergence is dropped with step 6."""
-        monkeypatch.setattr(training, "_LEAD", 4)
-        monkeypatch.setattr(training, "_QUEUE", 2)
-        self._loop_gap_divergence_past_a_stop(monkeypatch, tmp_path)
+    @pytest.mark.parametrize("depth", [(4, 2), None], ids=["lead4_queue2", "default"])
+    def test_batch_gap_divergence_past_a_stop_dropped(self, depth, monkeypatch, tmp_path):
+        """Step 2 waits until the worker holds step 1 alone, and while the
+        worker sleeps on it the loop runs `_LEAD` steps ahead, so the worker's
+        next batch is steps 2 .. _QUEUE + 1. The rule stops the run at step
+        _QUEUE and the batch's last step diverges: the batch is redone state
+        by state, the stop is logged and the divergence is dropped with the
+        steps past the stop."""
+        if depth is not None:
+            monkeypatch.setattr(training, "_LEAD", depth[0])
+            monkeypatch.setattr(training, "_QUEUE", depth[1])
+        test_pid, queue, log = os.getpid(), training._QUEUE, tmp_path / "gaps"
+        assert training._LEAD > queue  # the batch after step 1 is a full one
+        true_step = training.extragradient_step
 
-    def test_loop_gap_divergence_past_a_stop_dropped_at_default_depth(self, monkeypatch, tmp_path):
-        """The same scenario at the module's `_LEAD` and `_QUEUE`."""
-        self._loop_gap_divergence_past_a_stop(monkeypatch, tmp_path)
-
-    def _loop_gap_divergence_past_a_stop(self, monkeypatch, tmp_path):
-        """While the worker sleeps on gap 4, the loop steps to 3 + _LEAD and
-        computes the gaps the worker does not owe newest first; the second of
-        them, _LEAD + 2, diverges. Gap 4 stops the run and the divergence is
-        dropped."""
-        test_pid, true_step, log = os.getpid(), training.extragradient_step, tmp_path / "gaps"
-        planted = training._LEAD + 2
-        assert planted > 3 + training._QUEUE  # a gap the worker never owes
-
-        def slow_step(state, *args):
-            time.sleep(self.SLOW)  # the worker keeps up with every step but the one it sleeps on
+        def step(state, *args):
+            if state.step == 1:
+                time.sleep(0.2)
             return true_step(state, *args)
 
         def on_gap(state):
-            if os.getpid() != test_pid and state.step == 4:
+            if os.getpid() != test_pid and state.step == 1:
                 time.sleep(1.0)
-            if state.step == planted:
-                raise TrainingDivergence("planted gap divergence")
+            return state.step == queue + 1
 
-        loose_stop(monkeypatch, 3)
+        loose_stop(monkeypatch, queue - 1)
         cfg = tiny_cfg(max_steps=training._LEAD + 6)
         data = self._data()
-        monkeypatch.setattr(training, "extragradient_step", slow_step)
+        monkeypatch.setattr(training, "extragradient_step", step)
         self._patch_gap(monkeypatch, on_gap, log)
         piped = self._train(cfg, data, monkeypatch)
-        by_step = {step: pid for pid, step in self._gap_calls(log)}
+        batches = self._gap_batches(log)
         self._assert_same(piped, self._train(cfg, data, monkeypatch, serial=True))
         state, run = piped
-        assert run.stopped and state.history.stopped_at == state.step == 4
-        assert by_step[4] != test_pid and by_step[planted] == test_pid
+        assert run.stopped and state.history.stopped_at == state.step == queue
+        assert batches[:2] == [(batches[0][0], [1]), (batches[0][0], list(range(2, queue + 2)))]
+        assert batches[0][0] != test_pid
 
     def test_fold_uses_two_processes(self, monkeypatch, tmp_path):
-        """Each gap is computed once, in the test process or in one worker: a
-        fold uses exactly two processes, which a pool of folds counts on."""
-        test_pid, log = os.getpid(), tmp_path / "gaps"
-
-        def slow_worker(state):
-            if os.getpid() != test_pid:
-                time.sleep(0.02)  # the loop takes a share of the gaps
-
-        self._patch_gap(monkeypatch, slow_worker, log)
+        """Each gap is computed once, all of them in one worker: a fold uses
+        exactly two processes, which a pool of folds counts on."""
+        log = tmp_path / "gaps"
+        self._patch_gap(monkeypatch, lambda state: False, log)
         cfg = tiny_cfg(max_steps=30)
-        self._train(cfg, self._data(), monkeypatch)
-        calls = self._gap_calls(log)
-        assert sorted(step for _, step in calls) == list(range(1, cfg.max_steps + 1))
-        pids = {pid for pid, _ in calls}
-        assert len(pids) == 2 and test_pid in pids
+        state, _ = self._train(cfg, self._data(), monkeypatch)
+        assert state.step == cfg.max_steps
+        batches = self._gap_batches(log)
+        assert sorted(step for _, batch in batches for step in batch) == list(range(1, cfg.max_steps + 1))
+        pids = {pid for pid, _ in batches}
+        assert len(pids) == 1 and os.getpid() not in pids
 
 
 class TestSigmoid:
